@@ -9,6 +9,12 @@
 // a fixed number of corner descents instead of one descent per covered
 // cell, so the speedup scales with the box volume.
 //
+// The layer gate for the overlay's read side: RangeSumBatch latency for one
+// box with 0, Crossover - 1 (all pending in the journal) and 2 x Crossover
+// (trees built, Crossover pending) live range-adds, at 2-D side 1024 and
+// 3-D side 64; plus range-add latency below the crossover (journal append)
+// and past it (append + one fold), to show that no range-add stalls.
+//
 // Writes BENCH_range_update.json (override the path with DDC_BENCH_JSON).
 // Setting DDC_BENCH_SMOKE shrinks boxes and rep counts so the whole run
 // finishes in well under a second — used by the `bench_smoke` ctest
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +85,111 @@ LatencyResult MeasureLatency(int64_t cells_per_rep, int reps, const Fn& fn) {
   result.min_ns = *std::min_element(samples.begin(), samples.end());
   result.p50_ns = ExactPercentile(samples, 0.50);
   result.p99_ns = ExactPercentile(samples, 0.99);
+  return result;
+}
+
+// Read-side rows: one cube receives range-adds in three stages; reads are
+// timed after each stage, writes during the last two.
+struct ReadRow {
+  int64_t live_range_adds = 0;
+  int64_t overlay_trees = 0;  // From PlanRangeSumBatch: 0 until the fold.
+  int64_t journal_boxes = 0;  // Pending entries each corner scans.
+  LatencyResult read;
+};
+
+struct OverlayResult {
+  int dims;
+  int64_t side;
+  int64_t crossover;
+  std::vector<ReadRow> rows;
+  LatencyResult journal_write;  // Range-adds that only append.
+  LatencyResult fold_write;     // Range-adds that append and fold one.
+};
+
+// Exact percentiles of per-op samples (the cells_per_sec field is unused).
+LatencyResult Summarize(std::vector<int64_t> samples) {
+  LatencyResult result;
+  if (samples.empty()) return result;
+  result.min_ns = *std::min_element(samples.begin(), samples.end());
+  result.p50_ns = ExactPercentile(samples, 0.50);
+  result.p99_ns = ExactPercentile(samples, 0.99);
+  return result;
+}
+
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+OverlayResult RunOverlayConfig(int dims, int64_t side, int64_t inserts,
+                               int read_reps) {
+  OverlayResult result;
+  result.dims = dims;
+  result.side = side;
+  result.crossover = DynamicDataCube::Crossover(dims, side);
+  const Shape shape = Shape::Cube(dims, side);
+  WorkloadGenerator gen(shape, 211);
+  DynamicDataCube cube(dims, side);
+  for (int64_t i = 0; i < inserts; ++i) {
+    cube.Add(gen.UniformCell(), gen.Value(-9, 9));
+  }
+  // Boxes stay inside the seed domain (no re-roots) with sides up to a
+  // fifth of the domain, like the ranges of an ingest-side adjustment.
+  const auto random_box = [&] {
+    Box box{gen.UniformCell(), Cell(static_cast<size_t>(dims))};
+    for (int i = 0; i < dims; ++i) {
+      const size_t ui = static_cast<size_t>(i);
+      box.hi[ui] = std::min<Coord>(side - 1,
+                                   box.lo[ui] + gen.Value(0, side / 5));
+    }
+    return box;
+  };
+  const auto measure_reads = [&](int64_t live_range_adds) {
+    ReadRow row;
+    row.live_range_adds = live_range_adds;
+    const Box first = random_box();
+    const DynamicDataCube::RangeSumPlan plan =
+        cube.PlanRangeSumBatch(std::span<const Box>(&first, 1));
+    row.overlay_trees = plan.overlay_trees;
+    row.journal_boxes = plan.overlay_journal_boxes;
+    std::vector<int64_t> samples;
+    samples.reserve(static_cast<size_t>(read_reps));
+    for (int r = 0; r <= read_reps; ++r) {
+      const Box box = r == 0 ? first : random_box();
+      int64_t out = 0;
+      const int64_t start = NowNs();
+      cube.RangeSumBatch(std::span<const Box>(&box, 1),
+                         std::span<int64_t>(&out, 1));
+      const int64_t end = NowNs();
+      if (r > 0) samples.push_back(end - start);  // r == 0 warms up.
+    }
+    row.read = Summarize(std::move(samples));
+    return row;
+  };
+  const auto add_until = [&](int64_t total, std::vector<int64_t>* journal,
+                             std::vector<int64_t>* fold) {
+    for (int64_t n = static_cast<int64_t>(journal->size() + fold->size());
+         n < total; ++n) {
+      const Box box = random_box();
+      const int64_t delta = gen.Value(1, 9);
+      const int64_t pending = cube.PendingRangeAdds();
+      const int64_t start = NowNs();
+      cube.RangeAdd(box, delta);
+      const int64_t end = NowNs();
+      (pending == result.crossover ? fold : journal)->push_back(end - start);
+    }
+  };
+
+  std::vector<int64_t> journal_writes;
+  std::vector<int64_t> fold_writes;
+  for (const int64_t live :
+       {int64_t{0}, result.crossover - 1, 2 * result.crossover}) {
+    add_until(live, &journal_writes, &fold_writes);
+    result.rows.push_back(measure_reads(live));
+  }
+  result.journal_write = Summarize(std::move(journal_writes));
+  result.fold_write = Summarize(std::move(fold_writes));
   return result;
 }
 
@@ -177,6 +289,57 @@ int Run() {
   }
   table.Print();
 
+  // Overlay read side and fold cost.
+  struct OverlayGeometry {
+    int dims;
+    int64_t side;
+    int64_t inserts;
+    int read_reps;
+  };
+  const std::vector<OverlayGeometry> overlay_geometries =
+      smoke ? std::vector<OverlayGeometry>{{2, 1024, 1000, 200},
+                                           {3, 64, 2000, 200}}
+            : std::vector<OverlayGeometry>{{2, 1024, 20000, 1000},
+                                           {3, 64, 10000, 1000}};
+  std::printf("== Overlay reads by live range-adds (RangeSumBatch, one "
+              "box) ==\n");
+  std::vector<OverlayResult> overlays;
+  TablePrinter read_table({"dims", "side", "crossover", "live adds",
+                           "trees", "journal", "read p50 us",
+                           "read p99 us"});
+  TablePrinter write_table({"dims", "side", "write", "ops", "p50 us",
+                            "p99 us"});
+  for (const OverlayGeometry& g : overlay_geometries) {
+    overlays.push_back(
+        RunOverlayConfig(g.dims, g.side, g.inserts, g.read_reps));
+    const OverlayResult& o = overlays.back();
+    for (const ReadRow& row : o.rows) {
+      read_table.AddRow(
+          {std::to_string(o.dims), std::to_string(o.side),
+           std::to_string(o.crossover), std::to_string(row.live_range_adds),
+           std::to_string(row.overlay_trees),
+           std::to_string(row.journal_boxes),
+           TablePrinter::FormatDouble(
+               static_cast<double>(row.read.p50_ns) / 1000.0, 2),
+           TablePrinter::FormatDouble(
+               static_cast<double>(row.read.p99_ns) / 1000.0, 2)});
+    }
+    const auto write_row = [&](const char* kind, const LatencyResult& w,
+                               int64_t ops) {
+      write_table.AddRow(
+          {std::to_string(o.dims), std::to_string(o.side), kind,
+           std::to_string(ops),
+           TablePrinter::FormatDouble(static_cast<double>(w.p50_ns) / 1000.0,
+                                      2),
+           TablePrinter::FormatDouble(static_cast<double>(w.p99_ns) / 1000.0,
+                                      2)});
+    };
+    write_row("append", o.journal_write, o.crossover);
+    write_row("append+fold", o.fold_write, o.crossover);
+  }
+  read_table.Print();
+  write_table.Print();
+
   // Headline: the 2-D configuration's range-over-looped speedup.
   double headline = 0;
   for (const ConfigResult& r : results) {
@@ -231,6 +394,46 @@ int Run() {
         static_cast<double>(r.looped.p99_ns) /
             static_cast<double>(r.range.p99_ns),
         i + 1 == results.size() ? "" : ",");
+  }
+  // ratio_read_* compare the read p50 with no range-add against the journal
+  // regime (Crossover - 1 pending) and the folded regime (2 x Crossover
+  // applied); higher is better, so the regression gate catches an overlay
+  // read path that slows down relative to the bare cube.
+  std::fprintf(out, "  ],\n  \"overlay\": [\n");
+  for (size_t i = 0; i < overlays.size(); ++i) {
+    const OverlayResult& o = overlays[i];
+    std::fprintf(out,
+                 "    {\"dims\": %d, \"side\": %lld, \"crossover\": %lld,\n"
+                 "     \"reads\": [\n",
+                 o.dims, static_cast<long long>(o.side),
+                 static_cast<long long>(o.crossover));
+    for (size_t r = 0; r < o.rows.size(); ++r) {
+      const ReadRow& row = o.rows[r];
+      std::fprintf(out,
+                   "       {\"live_range_adds\": %lld, \"overlay_trees\": "
+                   "%lld, \"journal_boxes\": %lld, \"read_p50_ns\": %lld, "
+                   "\"read_p99_ns\": %lld}%s\n",
+                   static_cast<long long>(row.live_range_adds),
+                   static_cast<long long>(row.overlay_trees),
+                   static_cast<long long>(row.journal_boxes),
+                   static_cast<long long>(row.read.p50_ns),
+                   static_cast<long long>(row.read.p99_ns),
+                   r + 1 == o.rows.size() ? "" : ",");
+    }
+    const double bare = static_cast<double>(o.rows[0].read.p50_ns);
+    std::fprintf(
+        out,
+        "     ],\n"
+        "     \"ratio_read_journal\": %.3f, \"ratio_read_folded\": %.3f,\n"
+        "     \"journal_write_p50_ns\": %lld, \"journal_write_p99_ns\": %lld, "
+        "\"fold_write_p50_ns\": %lld, \"fold_write_p99_ns\": %lld}%s\n",
+        bare / static_cast<double>(o.rows[1].read.p50_ns),
+        bare / static_cast<double>(o.rows[2].read.p50_ns),
+        static_cast<long long>(o.journal_write.p50_ns),
+        static_cast<long long>(o.journal_write.p99_ns),
+        static_cast<long long>(o.fold_write.p50_ns),
+        static_cast<long long>(o.fold_write.p99_ns),
+        i + 1 == overlays.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -468,11 +468,20 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
 
   // Counting-bucket the points by cell[0] over the dirty-bounds extent
   // (every point is inside `bounds` by construction): two linear passes
-  // instead of a comparison sort.
+  // instead of a comparison sort. Each bucket also records which of 64
+  // equal bands of the c1 extent its points fall in, so a probe skips a
+  // bucket with one AND when none of its points can be in the box's rows.
   bucket_base_ = bounds.lo[0];
   bucket_extent_ = bounds.hi[0] - bounds.lo[0] + 1;
+  band_base_ = dims_ > 1 ? bounds.lo[1] : 0;
+  band_extent_ = dims_ > 1 ? bounds.hi[1] - bounds.lo[1] + 1 : 1;
   uint32_t counts[kInvalBuckets] = {};
-  for (const BatchPoint& p : point_scratch_) ++counts[BucketOf(p.c0)];
+  for (uint64_t& bands : bucket_bands_) bands = 0;
+  for (const BatchPoint& p : point_scratch_) {
+    const size_t b = BucketOf(p.c0);
+    ++counts[b];
+    bucket_bands_[b] |= uint64_t{1} << BandOf(p.c1);
+  }
   bucket_start_[0] = 0;
   for (size_t b = 0; b < kInvalBuckets; ++b) {
     bucket_start_[b + 1] = bucket_start_[b] + counts[b];
@@ -535,6 +544,12 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
   }
 }
 
+size_t CachedCube::BandOf(Coord c1) const {
+  const int64_t off = c1 - band_base_;
+  const size_t b = static_cast<size_t>(off * 64 / band_extent_);
+  return b >= 64 ? 63 : b;
+}
+
 size_t CachedCube::BucketOf(Coord c0) const {
   const int64_t off = c0 - bucket_base_;
   const size_t b = static_cast<size_t>(
@@ -556,21 +571,35 @@ bool CachedCube::EntryOverlapsBatchLocked(const Box& box) const {
   if (clip_lo > clip_hi) return false;
   const size_t blo = BucketOf(clip_lo);
   const size_t bhi = BucketOf(clip_hi);
-  for (size_t i = bucket_start_[blo]; i < bucket_start_[bhi + 1]; ++i) {
-    const BatchPoint& p = point_index_[i];
-    if (p.c0 < box.lo[0] || p.c0 > box.hi[0]) continue;
-    if (dims_ > 1 && (p.c1 < box.lo[1] || p.c1 > box.hi[1])) continue;
-    bool inside = true;
-    if (dims_ > 2) {
-      const Cell& cell = p.m->cell;
-      for (size_t d = 2; d < cell.size(); ++d) {
-        if (cell[d] < box.lo[d] || cell[d] > box.hi[d]) {
-          inside = false;
-          break;
+  uint64_t rows = 1;  // dims == 1: every point sits in band 0.
+  if (dims_ > 1) {
+    const Coord row_lo = std::max(box.lo[1], band_base_);
+    const Coord row_hi = std::min(box.hi[1], band_base_ + band_extent_ - 1);
+    if (row_lo > row_hi) return false;
+    // Bits [0, n) set.
+    const auto below = [](size_t n) {
+      return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+    };
+    rows = below(BandOf(row_hi) + 1) & ~below(BandOf(row_lo));
+  }
+  for (size_t b = blo; b <= bhi; ++b) {
+    if ((bucket_bands_[b] & rows) == 0) continue;
+    for (size_t i = bucket_start_[b]; i < bucket_start_[b + 1]; ++i) {
+      const BatchPoint& p = point_index_[i];
+      if (p.c0 < box.lo[0] || p.c0 > box.hi[0]) continue;
+      if (dims_ > 1 && (p.c1 < box.lo[1] || p.c1 > box.hi[1])) continue;
+      bool inside = true;
+      if (dims_ > 2) {
+        const Cell& cell = p.m->cell;
+        for (size_t d = 2; d < cell.size(); ++d) {
+          if (cell[d] < box.lo[d] || cell[d] > box.hi[d]) {
+            inside = false;
+            break;
+          }
         }
       }
+      if (inside) return true;
     }
-    if (inside) return true;
   }
   return false;
 }

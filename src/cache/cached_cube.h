@@ -272,11 +272,16 @@ class CachedCube : public CubeInterface {
   };
   static constexpr size_t kInvalBuckets = 64;
   size_t BucketOf(Coord c0) const;
+  // Which of 64 equal bands of the batch's c1 extent holds `c1`.
+  size_t BandOf(Coord c1) const;
   std::vector<BatchPoint> point_index_;   // Bucket-ordered.
   std::vector<BatchPoint> point_scratch_;
   uint32_t bucket_start_[kInvalBuckets + 1] = {};
   Coord bucket_base_ = 0;
   int64_t bucket_extent_ = 1;
+  uint64_t bucket_bands_[kInvalBuckets] = {};  // Bit k: a point in band k.
+  Coord band_base_ = 0;
+  int64_t band_extent_ = 1;
   std::vector<Box> range_boxes_;
 
   mutable CacheStats stats_;

@@ -168,10 +168,18 @@ inline std::vector<CoalescedCell> CoalesceMutations(
     std::span<const Mutation> batch) {
   std::vector<CoalescedCell> cells;
   cells.reserve(batch.size());
-  std::unordered_map<Cell, size_t, CellHash> index;
+  // Keyed by the batch's own cells (which outlive this call), so a new
+  // cell costs one copy — into the result — not a second one for the key.
+  struct CellPtrHash {
+    size_t operator()(const Cell* cell) const { return CellHash{}(*cell); }
+  };
+  struct CellPtrEq {
+    bool operator()(const Cell* a, const Cell* b) const { return *a == *b; }
+  };
+  std::unordered_map<const Cell*, size_t, CellPtrHash, CellPtrEq> index;
   index.reserve(batch.size());
   for (const Mutation& m : batch) {
-    auto [it, inserted] = index.try_emplace(m.cell, cells.size());
+    auto [it, inserted] = index.try_emplace(&m.cell, cells.size());
     if (inserted) cells.push_back(CoalescedCell{m.cell, 0, false, 0});
     CoalescedCell& c = cells[it->second];
     if (m.kind == MutationKind::kSet) {

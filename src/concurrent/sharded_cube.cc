@@ -111,6 +111,7 @@ void MergeLedger(obs::CostLedger& into, const obs::CostLedger& from) {
   into.corners_deduped += from.corners_deduped;
   into.unique_corners += from.unique_corners;
   into.overlay_terms += from.overlay_terms;
+  into.overlay_journal_boxes += from.overlay_journal_boxes;
   into.shard_groups += from.shard_groups;
   into.shard_subqueries += from.shard_subqueries;
 }

@@ -1,6 +1,7 @@
 #include "ddc/ddc_core.h"
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -12,21 +13,10 @@ namespace ddc {
 
 namespace {
 
-// Drops coordinate `skip_dim`, yielding the transverse position used to
-// index a face store.
-Cell Transverse(const Cell& offset, int skip_dim) {
-  Cell out;
-  out.reserve(offset.size() - 1);
-  for (size_t i = 0; i < offset.size(); ++i) {
-    if (static_cast<int>(i) == skip_dim) continue;
-    out.push_back(offset[i]);
-  }
-  return out;
-}
-
-// Allocation-free variant for the batched descent's hot loop: writes the
-// transverse position into a caller-owned buffer that keeps its capacity
-// across calls.
+// Drops coordinate `skip_dim`, writing the transverse position used to
+// index a face store into a caller-owned buffer that keeps its capacity
+// across calls (a fresh Cell per face touched would make allocation the
+// dominant cost of a descent).
 void TransverseInto(const Cell& offset, int skip_dim, Cell& out) {
   out.clear();
   for (size_t i = 0; i < offset.size(); ++i) {
@@ -168,11 +158,60 @@ void DdcCore::Add(const Cell& cell, int64_t delta) {
     return;
   }
   EnsureNode(&root_);
-  AddRec(root_, side_, cell, delta);
+  if (kernels::UseScalar()) {
+    AddScalarRef(root_, side_, cell, delta);
+    return;
+  }
+  // The walk rebases its offset in place, so it runs on a copy held in the
+  // write-path scratch (capacity reused across calls).
+  update_scratch_.offset.assign(cell.begin(), cell.end());
+  AddRec(root_, side_, update_scratch_.offset, delta,
+         update_scratch_.transverse);
 }
 
-void DdcCore::AddRec(Node* node, int64_t node_side,
-                     const Cell& offset_in_node, int64_t delta) {
+void DdcCore::AddRec(Node* node, int64_t node_side, Cell& offset,
+                     int64_t delta, Cell& transverse) {
+  while (true) {
+    CountNode(node);
+    const int64_t k = node_side / 2;
+    uint32_t mask = 0;
+    for (int i = 0; i < dims_; ++i) {
+      size_t ui = static_cast<size_t>(i);
+      if (offset[ui] >= k) {
+        mask |= 1u << i;
+        offset[ui] -= k;
+      }
+    }
+
+    BoxData* box = EnsureBox(node, mask, k);
+    box->subtotal += delta;
+    CountWrite(1);
+    // One point update per row-sum group: the dimension-j line sum through
+    // the updated cell changes by delta (Section 4.2).
+    for (int j = 0; j < dims_ && dims_ > 1; ++j) {
+      TransverseInto(offset, j, transverse);
+      box->faces[j].Add(transverse, delta);
+    }
+
+    if (k <= min_box_side_) {
+      MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
+      CountNode(raw);
+      raw->at(offset) += delta;
+      CountWrite(1);
+      return;
+    }
+    if (node->child_nodes == nullptr) {
+      node->child_nodes = arena_->CreateArray<Node*>(num_children_);
+    }
+    node = EnsureNode(&node->child_nodes[mask]);
+    node_side = k;
+  }
+}
+
+// Seed shape of AddRec: a fresh offset Cell per level and a fresh transverse
+// Cell per face touched.
+void DdcCore::AddScalarRef(Node* node, int64_t node_side,
+                           const Cell& offset_in_node, int64_t delta) {
   CountNode(node);
   const int64_t k = node_side / 2;
   uint32_t mask = 0;
@@ -184,22 +223,20 @@ void DdcCore::AddRec(Node* node, int64_t node_side,
       box_offset[ui] -= k;
     }
   }
-
   BoxData* box = EnsureBox(node, mask, k);
   box->subtotal += delta;
   CountWrite(1);
-  // One point update per row-sum group: the dimension-j line sum through the
-  // updated cell changes by delta (Section 4.2).
   for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-    box->faces[j].Add(Transverse(box_offset, j), delta);
+    Cell transverse;
+    transverse.reserve(static_cast<size_t>(dims_ - 1));
+    TransverseInto(box_offset, j, transverse);
+    box->faces[j].Add(transverse, delta);
   }
-
   if (k > min_box_side_) {
     if (node->child_nodes == nullptr) {
       node->child_nodes = arena_->CreateArray<Node*>(num_children_);
     }
-    Node* child = EnsureNode(&node->child_nodes[mask]);
-    AddRec(child, k, box_offset, delta);
+    AddScalarRef(EnsureNode(&node->child_nodes[mask]), k, box_offset, delta);
   } else {
     MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
     CountNode(raw);
@@ -234,21 +271,27 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
   }
   // The items buffer and the counting-sort scratch are members: consecutive
   // batches on one cube (the ApplyBatch steady state) reuse the grown
-  // capacity instead of paying a heap round-trip per batch.
+  // capacity instead of paying a heap round-trip per batch. Items are never
+  // destroyed between batches, so each one's offset Cell keeps its storage
+  // too and filling an item allocates nothing.
   std::vector<UpdateItem>& items = update_items_;
-  items.clear();
-  items.reserve(cells.size());
+  size_t count = 0;
   for (size_t q = 0; q < cells.size(); ++q) {
     DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
     if (deltas[q] == 0) continue;
     total_ += deltas[q];
-    items.push_back(UpdateItem{cells[q], deltas[q], 0});
+    if (count == items.size()) items.emplace_back();
+    UpdateItem& item = items[count++];
+    item.offset.assign(cells[q].begin(), cells[q].end());
+    item.delta = deltas[q];
+    item.home = 0;
   }
-  if (items.empty()) return;
+  if (count == 0) return;
   EnsureNode(&root_);
   update_scratch_.begin.resize(num_children_ + 1);
   update_scratch_.cursor.resize(num_children_);
-  AddBatchRec(root_, side_, items, update_scratch_);
+  AddBatchRec(root_, side_, std::span<UpdateItem>(items.data(), count),
+              update_scratch_);
 }
 
 void DdcCore::AddBatchRec(Node* node, int64_t node_side,
@@ -258,7 +301,8 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
   // to share; the plain point-update descent finishes the path without the
   // grouping machinery.
   if (items.size() == 1) {
-    AddRec(node, node_side, items[0].offset, items[0].delta);
+    AddRec(node, node_side, items[0].offset, items[0].delta,
+           scratch.transverse);
     return;
   }
   // The node (and its box array) is visited once for the whole group, as in
@@ -314,35 +358,13 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
     box->subtotal += group_sum;  // One write absorbs the whole group.
     CountWrite(1);
 
-    if (dims_ > 1) {
-      // All updates sharing a dimension-j line land on one face cell
-      // (Section 4.2), so a large group needs one FaceStore::Add per
-      // distinct line, not per update. The accumulator map only pays for
-      // itself on groups big enough to contain shared lines, though: its
-      // clear() walks a bucket array sized by the largest group ever seen,
-      // which would swamp the many small groups at deep levels.
-      constexpr size_t kFaceAccMinGroup = 16;
-      if (group.size() < kFaceAccMinGroup) {
-        for (const UpdateItem& item : group) {
-          for (int j = 0; j < dims_; ++j) {
-            TransverseInto(item.offset, j, scratch.transverse);
-            box->faces[j].Add(scratch.transverse, item.delta);
-          }
-        }
-      } else {
-        auto& acc = scratch.face_acc;
-        for (int j = 0; j < dims_; ++j) {
-          acc.clear();
-          for (const UpdateItem& item : group) {
-            // operator[] only copies the scratch key when the line is new;
-            // repeat lines (the coalescing payoff) stay allocation-free.
-            TransverseInto(item.offset, j, scratch.transverse);
-            acc[scratch.transverse] += item.delta;
-          }
-          for (const auto& [line, line_delta] : acc) {
-            if (line_delta != 0) box->faces[j].Add(line, line_delta);
-          }
-        }
+    // One face add per update and dimension. (Updates sharing a
+    // dimension-j line land on one face cell, Section 4.2, but finding the
+    // shared lines costs more than the allocation-free adds it would save.)
+    for (const UpdateItem& item : group) {
+      for (int j = 0; j < dims_ && dims_ > 1; ++j) {
+        TransverseInto(item.offset, j, scratch.transverse);
+        box->faces[j].Add(scratch.transverse, item.delta);
       }
     }
   }
@@ -431,13 +453,15 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
     }
     const Shape box_shape = Shape::Cube(dims_, k);
     Cell offset(static_cast<size_t>(dims_), 0);
+    Cell transverse;
     do {
       const int64_t v = array.at(CellAdd(box_anchor, offset));
       if (v == 0) continue;
       any_nonzero = true;
       box_total += v;
       for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-        line_sums[static_cast<size_t>(j)].at(Transverse(offset, j)) += v;
+        TransverseInto(offset, j, transverse);
+        line_sums[static_cast<size_t>(j)].at(transverse) += v;
       }
     } while (box_shape.NextCell(&offset));
     total += box_total;
@@ -470,63 +494,95 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
   return total;
 }
 
+namespace {
+
+// Reusable cells for the single-descent read path. PrefixSum is const and
+// runs from parallel readers, so the cells live in thread-local storage.
+// A descent consults nested face cores mid-walk and their PrefixSum calls
+// borrow the next cells, so the cells form a LIFO stack; std::deque keeps
+// an outer frame's cells in place while inner frames grow the stack.
+class DescentCells {
+ public:
+  DescentCells() : stack_(Stack()), base_(stack_.top) {
+    stack_.top += kCells;
+    // emplace_back (not resize) is what guarantees outer frames' cells
+    // stay in place.
+    while (stack_.cells.size() < stack_.top) stack_.cells.emplace_back();
+  }
+  ~DescentCells() { stack_.top = base_; }
+  DescentCells(const DescentCells&) = delete;
+  DescentCells& operator=(const DescentCells&) = delete;
+
+  Cell& operator[](size_t i) { return stack_.cells[base_ + i]; }
+
+  // Cells per frame: the walk's offset cursor, the clamped per-box offset
+  // and the face-query key.
+  static constexpr size_t kCells = 3;
+
+ private:
+  struct CellStack {
+    std::deque<Cell> cells;
+    size_t top = 0;
+  };
+  static CellStack& Stack() {
+    thread_local CellStack stack;
+    return stack;
+  }
+
+  CellStack& stack_;
+  size_t base_;
+};
+
+}  // namespace
+
 int64_t DdcCore::PrefixSum(const Cell& cell) const {
   DDC_DCHECK(static_cast<int>(cell.size()) == dims_);
   if (root_raw_ != nullptr) return RawPrefix(*root_raw_, cell);
   if (root_ == nullptr) return 0;
-  return PrefixSumRec(root_, side_, cell);
+  if (kernels::UseScalar()) return PrefixSumScalarRef(root_, side_, cell);
+  DescentCells cells;
+  Cell& offset = cells[0];
+  offset.assign(cell.begin(), cell.end());
+  cells[1].resize(static_cast<size_t>(dims_));
+  return PrefixSumRec(root_, side_, offset, cells[1], cells[2]);
 }
 
 int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
-                              const Cell& offset_in_node) const {
-  CountNode(node);
-  const int64_t k = node_side / 2;
+                              Cell& offset, Cell& clamped,
+                              Cell& transverse) const {
   int64_t sum = 0;
-  Cell clamped(static_cast<size_t>(dims_));
-  for (uint32_t mask = 0; mask < num_children_; ++mask) {
-    if (!node->boxes[mask].present) continue;  // All-zero region.
-    // Classify the target against this box (Figure 10): before the box in
-    // some dimension -> no contribution; covered -> descend; completely
-    // after -> subtotal; otherwise one row-sum value.
-    bool before = false;
-    bool covered = true;
-    int first_beyond = -1;
+  while (true) {
+    CountNode(node);
+    const int64_t k = node_side / 2;
+    // The child containing the target: the one box the Figure 10 walk
+    // classifies as "covered". It is descended after the other boxes.
+    uint32_t home_mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      size_t ui = static_cast<size_t>(i);
-      const Coord rel =
-          offset_in_node[ui] - ((mask & (1u << i)) ? k : 0);
-      if (rel < 0) {
-        before = true;
-        break;
-      }
-      if (rel >= k) {
-        covered = false;
-        clamped[ui] = k - 1;
-        if (first_beyond < 0) first_beyond = i;
-      } else {
-        clamped[ui] = rel;
-      }
+      if (offset[static_cast<size_t>(i)] >= k) home_mask |= 1u << i;
     }
-    if (before) continue;
-
-    if (covered) {
-      if (k <= min_box_side_) {
-        // Raw leaf block: sum the covered prefix of A cells directly (the
-        // Section 4.4 compensation for the elided levels).
-        const MdArray<int64_t>* raw =
-            node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-        DDC_DCHECK(raw != nullptr);
-        sum += RawPrefix(*raw, clamped);
-      } else {
-        const Node* child =
-            node->child_nodes != nullptr ? node->child_nodes[mask] : nullptr;
-        DDC_DCHECK(child != nullptr);
-        sum += PrefixSumRec(child, k, clamped);
+    for (uint32_t mask = 0; mask < num_children_; ++mask) {
+      if (mask == home_mask || !node->boxes[mask].present) continue;
+      // Classify the target against this box (Figure 10): before the box in
+      // some dimension -> no contribution; completely after -> subtotal;
+      // otherwise one row-sum value.
+      bool before = false;
+      int first_beyond = -1;
+      for (int i = 0; i < dims_; ++i) {
+        size_t ui = static_cast<size_t>(i);
+        const Coord rel = offset[ui] - ((mask & (1u << i)) ? k : 0);
+        if (rel < 0) {
+          before = true;
+          break;
+        }
+        if (rel >= k) {
+          clamped[ui] = k - 1;
+          if (first_beyond < 0) first_beyond = i;
+        } else {
+          clamped[ui] = rel;
+        }
       }
-      continue;
-    }
-
-    if (first_beyond >= 0) {
+      if (before) continue;
+      DDC_DCHECK(first_beyond >= 0);  // mask != home_mask => not covered.
       // When the clamped offset is the all-maxed corner the needed stored
       // value is the subtotal S itself; serve it from the O(1) cache (this
       // subsumes the paper's "target completely after the box" case).
@@ -544,9 +600,83 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
         // The needed row-sum value has coordinate first_beyond maxed; read
         // it from that face as a (d-1)-dimensional prefix query.
         CountFaceLookup();
-        sum += node->boxes[mask].faces[first_beyond].PrefixSum(
-            Transverse(clamped, first_beyond));
+        TransverseInto(clamped, first_beyond, transverse);
+        sum += node->boxes[mask].faces[first_beyond].PrefixSum(transverse);
       }
+    }
+
+    if (!node->boxes[home_mask].present) return sum;  // All-zero region.
+    for (int i = 0; i < dims_; ++i) {
+      if (home_mask & (1u << i)) offset[static_cast<size_t>(i)] -= k;
+    }
+    if (k <= min_box_side_) {
+      // Raw leaf block: sum the covered prefix of A cells directly (the
+      // Section 4.4 compensation for the elided levels).
+      const MdArray<int64_t>* raw =
+          node->child_raw != nullptr ? node->child_raw[home_mask] : nullptr;
+      DDC_DCHECK(raw != nullptr);
+      return sum + RawPrefix(*raw, offset);
+    }
+    node = node->child_nodes != nullptr ? node->child_nodes[home_mask]
+                                        : nullptr;
+    DDC_DCHECK(node != nullptr);
+    node_side = k;
+  }
+}
+
+// Seed shape of PrefixSumRec: recursive, a fresh clamped Cell per node and a
+// fresh transverse Cell per face lookup.
+int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
+                                    const Cell& offset_in_node) const {
+  CountNode(node);
+  const int64_t k = node_side / 2;
+  int64_t sum = 0;
+  Cell clamped(static_cast<size_t>(dims_));
+  for (uint32_t mask = 0; mask < num_children_; ++mask) {
+    if (!node->boxes[mask].present) continue;
+    bool before = false;
+    bool covered = true;
+    int first_beyond = -1;
+    for (int i = 0; i < dims_; ++i) {
+      size_t ui = static_cast<size_t>(i);
+      const Coord rel = offset_in_node[ui] - ((mask & (1u << i)) ? k : 0);
+      if (rel < 0) {
+        before = true;
+        break;
+      }
+      if (rel >= k) {
+        covered = false;
+        clamped[ui] = k - 1;
+        if (first_beyond < 0) first_beyond = i;
+      } else {
+        clamped[ui] = rel;
+      }
+    }
+    if (before) continue;
+    if (covered) {
+      if (k <= min_box_side_) {
+        sum += RawPrefix(*node->child_raw[mask], clamped);
+      } else {
+        sum += PrefixSumScalarRef(node->child_nodes[mask], k, clamped);
+      }
+      continue;
+    }
+    bool all_maxed = true;
+    for (int i = 0; i < dims_; ++i) {
+      if (clamped[static_cast<size_t>(i)] != k - 1) {
+        all_maxed = false;
+        break;
+      }
+    }
+    if (all_maxed || dims_ == 1) {
+      sum += node->boxes[mask].subtotal;
+      CountRead(1);
+    } else {
+      CountFaceLookup();
+      Cell transverse;
+      transverse.reserve(static_cast<size_t>(dims_ - 1));
+      TransverseInto(clamped, first_beyond, transverse);
+      sum += node->boxes[mask].faces[first_beyond].PrefixSum(transverse);
     }
   }
   return sum;

@@ -42,7 +42,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -92,9 +91,8 @@ class DdcCore {
 
   // A[cells[i]] += deltas[i] for the whole batch in one walk — the Figure 12
   // propagation run once per node group instead of once per update: updates
-  // descending through the same child share each node visit, the group's
-  // box subtotal absorbs one grouped write per level, and updates on the
-  // same dimension-j line coalesce into a single FaceStore::Add. Equivalent
+  // descending through the same child share each node visit and the
+  // group's box subtotal absorbs one grouped write per level. Equivalent
   // to calling Add in a loop (callers wanting same-cell coalescing do it
   // beforehand; duplicates are merely slower here, not wrong).
   // deltas.size() must equal cells.size().
@@ -229,20 +227,21 @@ class DdcCore {
   };
 
   // The write-path counterpart of BatchScratch: counting-sort workspace
-  // plus a reusable map that coalesces same-line face contributions within
-  // one box group. Shared across every node of one AddBatch walk, and —
-  // writes are externally synchronized — held as a member so consecutive
-  // ApplyBatch calls on one cube reuse the grown capacity instead of
-  // reallocating per batch.
+  // and face-key scratch. Shared across every node of one AddBatch walk,
+  // and — writes are externally synchronized — held as a member so
+  // consecutive ApplyBatch calls on one cube reuse the grown capacity
+  // instead of reallocating per batch.
   struct UpdateScratch {
     std::vector<UpdateItem> sorted;
     std::vector<size_t> begin;
     std::vector<size_t> cursor;
-    std::unordered_map<Cell, int64_t, CellHash> face_acc;
     // Reused transverse-coordinate buffer: the batched descent performs
     // dims face adds per item per level, and materializing each transverse
     // position into a fresh Cell would make allocation the dominant cost.
     Cell transverse;
+    // The single-update walk's offset cursor (Add rebases a copy of its
+    // target in place).
+    Cell offset;
     // Contiguous per-item deltas in counting-sorted order, so a group's
     // subtotal is one vectorized block sum instead of a strided struct
     // walk. Refilled per node; only used for groups worth the extra pass.
@@ -253,8 +252,19 @@ class DdcCore {
   BoxData* EnsureBox(Node* node, uint32_t mask, int64_t box_side);
   MdArray<int64_t>* EnsureRaw(Node* node, uint32_t mask, int64_t box_side);
 
-  void AddRec(Node* node, int64_t node_side, const Cell& offset_in_node,
-              int64_t delta);
+  // Single-update descent (Figure 12), one box per level. Rebases `offset`
+  // in place as it descends; `transverse` is face-key scratch. Both are
+  // caller-owned so the walk allocates nothing.
+  void AddRec(Node* node, int64_t node_side, Cell& offset, int64_t delta,
+              Cell& transverse);
+  // The kernels::ForceScalar reference of the two single descents: the
+  // seed's recursive walks, which allocate a Cell per level and per face
+  // touched. Same values and counts; kept so bench_kernels compares the
+  // optimized paths against the pre-optimization code.
+  void AddScalarRef(Node* node, int64_t node_side, const Cell& offset_in_node,
+                    int64_t delta);
+  int64_t PrefixSumScalarRef(const Node* node, int64_t node_side,
+                             const Cell& offset_in_node) const;
   // Batched update descent: groups the items by home child (the same
   // counting sort the query batch uses), applies each group's coalesced
   // box-level writes, and recurses once per group.
@@ -266,8 +276,11 @@ class DdcCore {
   int64_t BuildNodeFromArray(Node* node, int64_t node_side,
                              const Cell& anchor,
                              const MdArray<int64_t>& array);
-  int64_t PrefixSumRec(const Node* node, int64_t node_side,
-                       const Cell& offset_in_node) const;
+  // Single-query descent (Figure 10), one node per level. Rebases `offset`
+  // in place; `clamped` (dims_ wide) and `transverse` are scratch. All three
+  // are caller-owned so the walk allocates nothing.
+  int64_t PrefixSumRec(const Node* node, int64_t node_side, Cell& offset,
+                       Cell& clamped, Cell& transverse) const;
   // Batched descent: accumulates every item's per-box contributions at this
   // node, groups the items by the child each descends into, and recurses
   // once per group.

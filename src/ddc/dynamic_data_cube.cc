@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -9,6 +10,7 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "common/cost_model.h"
 #include "obs/trace.h"
 #include "obs/workload_recorder.h"
 
@@ -57,6 +59,11 @@ obs::Counter& BatchCornersDeduped() {
       "ddc.query.batch.corners_deduped");
   return c;
 }
+obs::Counter& OverlayJournalBoxes() {
+  static obs::Counter& c = *obs::MetricsRegistry::Default().GetCounter(
+      "ddc.query.overlay_journal_boxes");
+  return c;
+}
 obs::Histogram& RangeAddNsHist() {
   static obs::Histogram& h = *obs::MetricsRegistry::Default().GetHistogram(
       "ddc.update.range_add.ns");
@@ -80,39 +87,58 @@ obs::Histogram& ReRootNsHist() {
 
 }  // namespace
 
-// The range-add overlay (DESIGN.md §12). A range-add of v on the closed box
-// [l..h] is the d-dimensional difference array D: for every subset S of the
-// dimensions, D gains (-1)^|S| * v at the corner whose i-th coordinate is
-// l[i] for i not in S and h[i]+1 for i in S. The overlay value at a cell x
-// is then SUM(D[p] : p <= x), and the overlay's prefix sum over [0..c]
-// expands (per the identity prod(c_i + 1 - p_i) = sum over subsets T of
-// prod_{i in T}(-p_i) * prod_{i not in T}(c_i + 1)) into 2^d weighted
-// prefix sums, one per tree:
+// The range-add overlay (DESIGN.md §12). Every applied range-add is one
+// entry of a flat journal: its box [l..h] in GLOBAL coordinates and its
+// operand v. Entries past `folded` are *pending*: reads answer them by a
+// direct scan, since a box's share of the prefix sum over [0..c] is just
+// v * prod(max(0, min(c_i, h_i) - l_i + 1)).
 //
-//   OverlayPrefix(c) = sum over T of prod_{i not in T}(c_i + 1)
-//                        * PrefixSum_{tree T}(c)
+// Once more than Crossover(d, side) entries are pending, each range-add
+// folds the oldest one into the d-dimensional difference array D of
+// Mishra (arXiv 1311.6093): for every subset S of the dimensions, D gains
+// (-1)^|S| * v at the corner whose i-th coordinate is l[i] for i not in S
+// and h[i]+1 for i in S. The overlay value at a cell x is SUM(D[p] : p <=
+// x), and the prefix sum over [0..c] expands (per the identity
+// prod(c_i + 1 - p_i) = sum over subsets T of prod_{i in T}(-p_i) *
+// prod_{i not in T}(c_i + 1)) into 2^d weighted prefix sums, one per tree:
 //
-// where tree T stores D[p] * prod_{i in T}(-p_i) at p. Every corner lands
-// in every tree as one point delta, so a range-add is 2^d corners x 2^d
-// trees of polylog point descents — O(4^d log^d n), independent of the box
-// volume. Corners with a coordinate at h[i]+1 == side fall outside the
-// local domain; they are excluded from the trees (no in-domain query point
-// ever dominates them) but retained in the global-coordinate `corners` map
-// so a growth re-root can re-materialize them.
+//   FoldedPrefix(c) = sum over T of prod_{i not in T}(c_i + 1)
+//                       * PrefixSum_{tree T}(c)
+//
+// where tree T stores D[p] * prod_{i in T}(-p_i) at p. A fold lands each of
+// the 2^d corners in each of the 2^d trees as one point delta, O(4^d
+// log^d n) independent of the box volume.
+//
+// Every layer holds the overlay restricted to the current domain. Corners
+// at or past the high face are left out of the trees (no in-domain query
+// point dominates them); corners below the origin, which a shrink can
+// leave behind when a box is cancelled by a later one, sit in the trees
+// clamped to the low face, where they dominate exactly the same in-domain
+// cells. The pending scan clips each box's low end to the origin for the
+// same reason.
 struct DynamicDataCube::RangeOverlay {
-  // Net corner deltas in GLOBAL coordinates; entries that cancel to zero
-  // are erased. This map, not the trees, is the durable truth: re-rooting
-  // rebuilds every tree from it (the per-tree stored values depend on local
-  // coordinates, which a re-root changes).
+  // The journal, in application order: entry e covers lo[e*d .. e*d+d) to
+  // hi[e*d .. e*d+d) and adds delta[e]. Folded entries stay: they are the
+  // candidate cells ForEachNonZero enumerates.
+  std::vector<int64_t> lo;
+  std::vector<int64_t> hi;
+  std::vector<int64_t> delta;
+  // Entries [0, folded) live in `corners` and the trees; the rest are
+  // pending.
+  size_t folded = 0;
+  // Net corner deltas of the folded entries in GLOBAL coordinates; entries
+  // that cancel to zero are erased. This map, not the trees, is the durable
+  // truth: re-rooting rebuilds every tree from it (the per-tree stored
+  // values depend on local coordinates, which a re-root changes).
   std::unordered_map<Cell, int64_t, CellHash> corners;
-  // Journal of applied range-add boxes (global coordinates). Only used to
-  // enumerate candidate cells in ForEachNonZero; values come from the
-  // trees, so stale (cancelled-out) boxes merely cost iteration time.
-  std::vector<Box> boxes;
   // Tree memory, retired wholesale on re-root like the primary arena.
   std::unique_ptr<Arena> arena;
-  // 2^d trees; index T's bit i set means dimension i contributes -p_i.
+  // 2^d trees, built by the first fold (empty until then); index T's bit i
+  // set means dimension i contributes -p_i.
   std::vector<std::unique_ptr<DdcCore>> trees;
+
+  size_t size() const { return delta.size(); }
+  size_t pending() const { return size() - folded; }
 };
 
 namespace {
@@ -136,6 +162,24 @@ int64_t QueryWeight(uint32_t tree_mask, int dims, const Cell& c) {
 }
 
 }  // namespace
+
+int64_t DynamicDataCube::Crossover(int dims, int64_t side) {
+  // A folded read pays 2^d tree descents per corner, each touching about
+  // (log2 side)^d stored values (the Table 1 update cost); a pending read
+  // pays one short scan per entry. Past this many pending entries the scan
+  // would cost more than the descents it replaces. Capped far above any
+  // journal that fits in memory, so wide cubes simply never fold.
+  constexpr double kCap = 1e15;
+  const double cost =
+      std::ldexp(DynamicDataCubeUpdateCost(static_cast<double>(side), dims),
+                 dims);
+  return static_cast<int64_t>(std::llround(std::min(cost, kCap)));
+}
+
+int64_t DynamicDataCube::PendingRangeAdds() const {
+  return overlay_ == nullptr ? 0
+                             : static_cast<int64_t>(overlay_->pending());
+}
 
 DynamicDataCube::~DynamicDataCube() = default;
 
@@ -197,11 +241,14 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin,
   });
   core_ = std::move(new_core);    // Retires the old core first...
   arena_ = std::move(new_arena);  // ...then drops its backing arena.
+  origin_ = std::move(new_origin);
   ReattachListener();
   // The overlay trees store local-coordinate-dependent values, so the new
-  // geometry needs them rebuilt from the global corner map.
-  RebuildOverlay(new_side, new_origin);
-  origin_ = std::move(new_origin);
+  // geometry needs them rebuilt from the global corner map. Pending journal
+  // entries are global and stay as they are, unless a shrink lowered the
+  // crossover below their count.
+  RebuildOverlay();
+  FoldDownToCrossover();
   lifecycle_.Notify(ReRootEvent{reason, old_side, new_side});
 }
 
@@ -242,13 +289,27 @@ void DynamicDataCube::ShrinkToFit(int64_t min_side) {
   core_->ForEachNonZero(
       [&](const Cell& local, int64_t) { widen(local); });
   if (overlay_ != nullptr) {
-    // Live corner deltas bound the region where the overlay is nonzero
-    // (every nonzero overlay cell is dominated-by/dominates some corner of
-    // a contributing box), so shrinking to the corner hull is exact — and
-    // boxes whose corners cancelled out no longer pin the domain.
-    for (const auto& [corner, delta] : overlay_->corners) {
-      (void)delta;
-      widen(ToLocal(corner));
+    // The net corner deltas of the whole journal (folded map plus pending
+    // entries) bound the region where the overlay is nonzero (every nonzero
+    // overlay cell is dominated-by/dominates some live corner), so
+    // shrinking to the corner hull is exact — and boxes whose corners
+    // cancelled out no longer pin the domain.
+    std::unordered_map<Cell, int64_t, CellHash> pending_net;
+    for (size_t e = overlay_->folded; e < overlay_->size(); ++e) {
+      ForEachJournalCorner(e, [&](const Cell& corner, int64_t d_delta) {
+        pending_net[corner] += d_delta;
+      });
+    }
+    for (const auto& [corner, d_delta] : overlay_->corners) {
+      int64_t net = d_delta;
+      if (auto it = pending_net.find(corner); it != pending_net.end()) {
+        net += it->second;
+        pending_net.erase(it);
+      }
+      if (net != 0) widen(ToLocal(corner));
+    }
+    for (const auto& [corner, net] : pending_net) {
+      if (net != 0) widen(ToLocal(corner));
     }
   }
   if (!any) {
@@ -305,72 +366,105 @@ void DynamicDataCube::ApplyCoalescedPoints(
 void DynamicDataCube::ApplyRangeAddInDomain(const Box& box, int64_t delta) {
   obs::ScopedLatencyTimer timer(&RangeAddNsHist());
   if (obs::Enabled()) RangeAddCounter().Increment();
-  if (overlay_ == nullptr) {
-    overlay_ = std::make_unique<RangeOverlay>();
-    overlay_->arena = std::make_unique<Arena>();
-    const uint32_t num_trees = 1u << dims_;
-    overlay_->trees.reserve(num_trees);
-    for (uint32_t t = 0; t < num_trees; ++t) {
-      // Overlay descents deliberately skip the op counters: the Table 2 /
-      // op-count experiments measure the primary tree's costs.
-      overlay_->trees.push_back(std::make_unique<DdcCore>(
-          dims_, side(), options_, /*counters=*/nullptr,
-          overlay_->arena.get()));
-    }
-  }
-  overlay_->boxes.push_back(box);
+  if (overlay_ == nullptr) overlay_ = std::make_unique<RangeOverlay>();
+  RangeOverlay& o = *overlay_;
+  o.lo.insert(o.lo.end(), box.lo.begin(), box.lo.end());
+  o.hi.insert(o.hi.end(), box.hi.begin(), box.hi.end());
+  o.delta.push_back(delta);
   range_total_ += delta * box.NumCells();
+  // At most Crossover(d, side) entries were pending before this one, so this
+  // folds at most the one oldest entry: no range-add pays for a bulk fold.
+  FoldDownToCrossover();
+}
 
-  // The 2^d signed corner deltas of the difference array, in local
-  // coordinates. All corners of one box are distinct (h[i]+1 > l[i]), so
-  // no within-call coalescing is needed.
-  const Cell l = ToLocal(box.lo);
-  const Cell h = ToLocal(box.hi);
-  const uint32_t num_corners = 1u << dims_;
-  std::vector<Cell> corners;
-  std::vector<int64_t> corner_deltas;  // Raw D deltas (tree weight applied below).
-  corners.reserve(num_corners);
-  corner_deltas.reserve(num_corners);
-  for (uint32_t mask = 0; mask < num_corners; ++mask) {
-    Cell p(static_cast<size_t>(dims_));
-    bool in_local_domain = true;
-    for (int i = 0; i < dims_; ++i) {
-      const size_t ui = static_cast<size_t>(i);
-      p[ui] = (mask & (1u << i)) ? h[ui] + 1 : l[ui];
-      in_local_domain = in_local_domain && p[ui] < side();
+template <typename Fn>
+void DynamicDataCube::ForEachJournalCorner(size_t entry, const Fn& fn) const {
+  const RangeOverlay& o = *overlay_;
+  const size_t d = static_cast<size_t>(dims_);
+  const int64_t* lo = &o.lo[entry * d];
+  const int64_t* hi = &o.hi[entry * d];
+  Cell corner(d);
+  for (uint32_t mask = 0; mask < (1u << dims_); ++mask) {
+    for (size_t i = 0; i < d; ++i) {
+      corner[i] = (mask & (1u << i)) ? hi[i] + 1 : lo[i];
     }
-    const int64_t d_delta =
-        (std::popcount(mask) % 2 == 0) ? delta : -delta;
-    // The global map keeps every corner — including those at h[i]+1 ==
-    // side, which the trees cannot hold — so growth can re-materialize
-    // them later.
-    const Cell global = CellAdd(p, origin_);
-    auto [it, inserted] = overlay_->corners.try_emplace(global, 0);
-    it->second += d_delta;
-    if (it->second == 0) overlay_->corners.erase(it);
-    if (in_local_domain) {
-      corners.push_back(std::move(p));
-      corner_deltas.push_back(d_delta);
-    }
+    fn(corner, (std::popcount(mask) % 2 == 0) ? o.delta[entry]
+                                              : -o.delta[entry]);
   }
+}
 
-  // Land the corners in every tree, one batched descent per tree — the
-  // same shared-scratch walk point batches use.
+void DynamicDataCube::FoldDownToCrossover() {
+  if (overlay_ == nullptr) return;
+  RangeOverlay& o = *overlay_;
+  const size_t bound = static_cast<size_t>(Crossover(dims_, side()));
+  while (o.pending() > bound) {
+    if (o.trees.empty()) {
+      o.arena = std::make_unique<Arena>();
+      o.trees = NewOverlayTrees(o.arena.get());
+    }
+    // Fold the oldest pending entry: its 2^d corner deltas join the global
+    // map (the durable truth) and land in every tree.
+    std::vector<Cell> corners;
+    std::vector<int64_t> deltas;
+    ForEachJournalCorner(o.folded, [&](const Cell& corner, int64_t d_delta) {
+      auto [it, inserted] = o.corners.try_emplace(corner, 0);
+      it->second += d_delta;
+      if (it->second == 0) o.corners.erase(it);
+      corners.push_back(corner);
+      deltas.push_back(d_delta);
+    });
+    ++o.folded;
+    LandCorners(corners, deltas);
+  }
+}
+
+std::vector<std::unique_ptr<DdcCore>> DynamicDataCube::NewOverlayTrees(
+    Arena* arena) const {
+  std::vector<std::unique_ptr<DdcCore>> trees;
   const uint32_t num_trees = 1u << dims_;
-  std::vector<Cell> tree_cells;
-  std::vector<int64_t> tree_deltas;
+  trees.reserve(num_trees);
   for (uint32_t t = 0; t < num_trees; ++t) {
-    tree_cells.clear();
-    tree_deltas.clear();
-    for (size_t k = 0; k < corners.size(); ++k) {
-      const int64_t w = CornerWeight(t, corners[k]) * corner_deltas[k];
+    // Overlay descents deliberately skip the op counters: the Table 2 /
+    // op-count experiments measure the primary tree's costs.
+    trees.push_back(std::make_unique<DdcCore>(dims_, side(), options_,
+                                              /*counters=*/nullptr, arena));
+  }
+  return trees;
+}
+
+void DynamicDataCube::LandCorners(std::span<const Cell> globals,
+                                  std::span<const int64_t> d_deltas) {
+  // Restrict to the domain (see RangeOverlay): drop corners at or past the
+  // high face, clamp the rest up to the low face.
+  std::vector<Cell> locals;
+  std::vector<int64_t> kept;
+  locals.reserve(globals.size());
+  kept.reserve(globals.size());
+  for (size_t k = 0; k < globals.size(); ++k) {
+    Cell local = ToLocal(globals[k]);
+    bool in_domain = true;
+    for (Coord& c : local) {
+      in_domain = in_domain && c < side();
+      c = std::max<Coord>(c, 0);
+    }
+    if (!in_domain) continue;
+    locals.push_back(std::move(local));
+    kept.push_back(d_deltas[k]);
+  }
+  // One batched descent per tree — the same shared-scratch walk point
+  // batches use.
+  std::vector<Cell> cells;
+  std::vector<int64_t> deltas;
+  for (uint32_t t = 0; t < overlay_->trees.size(); ++t) {
+    cells.clear();
+    deltas.clear();
+    for (size_t k = 0; k < locals.size(); ++k) {
+      const int64_t w = CornerWeight(t, locals[k]) * kept[k];
       if (w == 0) continue;  // A corner on a zero axis contributes nothing.
-      tree_cells.push_back(corners[k]);
-      tree_deltas.push_back(w);
+      cells.push_back(locals[k]);
+      deltas.push_back(w);
     }
-    if (!tree_cells.empty()) {
-      overlay_->trees[t]->AddBatch(tree_cells, tree_deltas);
-    }
+    if (!cells.empty()) overlay_->trees[t]->AddBatch(cells, deltas);
   }
 }
 
@@ -471,9 +565,23 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
 
 int64_t DynamicDataCube::OverlayValueLocal(const Cell& local) const {
   if (overlay_ == nullptr) return 0;
-  // Tree 0 (T = empty set, weight 1) stores the raw difference array D; the
-  // overlay value at a cell is D's dominated-sum, i.e. tree 0's prefix.
-  return overlay_->trees[0]->PrefixSum(local);
+  const RangeOverlay& o = *overlay_;
+  // Tree 0 (T = empty set, weight 1) stores the folded part's raw
+  // difference array D; its value at a cell is D's dominated-sum, i.e. tree
+  // 0's prefix.
+  int64_t value = o.trees.empty() ? 0 : o.trees[0]->PrefixSum(local);
+  const size_t d = static_cast<size_t>(dims_);
+  for (size_t e = o.folded; e < o.size(); ++e) {
+    const int64_t* lo = &o.lo[e * d];
+    const int64_t* hi = &o.hi[e * d];
+    bool inside = true;
+    for (size_t i = 0; i < d && inside; ++i) {
+      const Coord c = local[i] + origin_[i];
+      inside = lo[i] <= c && c <= hi[i];
+    }
+    if (inside) value += o.delta[e];
+  }
+  return value;
 }
 
 int64_t DynamicDataCube::OverlayPrefixLocal(const Cell& local) const {
@@ -482,63 +590,80 @@ int64_t DynamicDataCube::OverlayPrefixLocal(const Cell& local) const {
   for (uint32_t t = 0; t < overlay_->trees.size(); ++t) {
     total += QueryWeight(t, dims_, local) * overlay_->trees[t]->PrefixSum(local);
   }
+  PendingPrefixBatchLocal(std::span<const Cell>(&local, 1),
+                          std::span<int64_t>(&total, 1));
   return total;
 }
 
 void DynamicDataCube::OverlayPrefixBatchLocal(std::span<const Cell> locals,
                                               std::span<int64_t> out) const {
   if (overlay_ == nullptr || locals.empty()) return;
-  std::vector<int64_t> tree_prefix(locals.size());
-  for (uint32_t t = 0; t < overlay_->trees.size(); ++t) {
-    overlay_->trees[t]->PrefixSumBatch(locals, tree_prefix);
+  if (!overlay_->trees.empty()) {
+    std::vector<int64_t> tree_prefix(locals.size());
+    for (uint32_t t = 0; t < overlay_->trees.size(); ++t) {
+      overlay_->trees[t]->PrefixSumBatch(locals, tree_prefix);
+      for (size_t k = 0; k < locals.size(); ++k) {
+        out[k] += QueryWeight(t, dims_, locals[k]) * tree_prefix[k];
+      }
+    }
+  }
+  PendingPrefixBatchLocal(locals, out);
+}
+
+void DynamicDataCube::PendingPrefixBatchLocal(std::span<const Cell> locals,
+                                              std::span<int64_t> out) const {
+  const RangeOverlay& o = *overlay_;
+  if (o.pending() == 0) return;
+  // Work in local coordinates: rebase each entry once, clipping its low
+  // end to the low face (see RangeOverlay), then sweep every query corner
+  // past it while the entry sits in registers.
+  const size_t d = static_cast<size_t>(dims_);
+  std::vector<Coord> box(2 * d);
+  for (size_t e = o.folded; e < o.size(); ++e) {
+    for (size_t i = 0; i < d; ++i) {
+      box[i] = std::max<Coord>(o.lo[e * d + i] - origin_[i], 0);
+      box[d + i] = o.hi[e * d + i] - origin_[i];
+    }
+    const int64_t delta = o.delta[e];
     for (size_t k = 0; k < locals.size(); ++k) {
-      out[k] += QueryWeight(t, dims_, locals[k]) * tree_prefix[k];
+      const Cell& c = locals[k];
+      int64_t term = delta;
+      for (size_t i = 0; i < d; ++i) {
+        const Coord extent = std::min(c[i], box[d + i]) - box[i] + 1;
+        if (extent <= 0) {
+          term = 0;
+          break;
+        }
+        term *= extent;
+      }
+      out[k] += term;
     }
   }
 }
 
-void DynamicDataCube::RebuildOverlay(int64_t new_side,
-                                     const Cell& new_origin) {
-  if (overlay_ == nullptr) return;
-  auto new_arena = std::make_unique<Arena>();
-  std::vector<std::unique_ptr<DdcCore>> new_trees;
-  const uint32_t num_trees = 1u << dims_;
-  new_trees.reserve(num_trees);
-  std::vector<Cell> cells;
+void DynamicDataCube::RebuildOverlay() {
+  if (overlay_ == nullptr || overlay_->trees.empty()) return;
+  overlay_->trees.clear();  // Retire the old trees before their arena.
+  overlay_->arena = std::make_unique<Arena>();
+  overlay_->trees = NewOverlayTrees(overlay_->arena.get());
+  std::vector<Cell> corners;
   std::vector<int64_t> deltas;
-  for (uint32_t t = 0; t < num_trees; ++t) {
-    new_trees.push_back(std::make_unique<DdcCore>(dims_, new_side, options_,
-                                                  /*counters=*/nullptr,
-                                                  new_arena.get()));
-    cells.clear();
-    deltas.clear();
-    for (const auto& [global, d_delta] : overlay_->corners) {
-      Cell local = CellSub(global, new_origin);
-      bool in_domain = true;
-      for (int i = 0; i < dims_; ++i) {
-        const Coord c = local[static_cast<size_t>(i)];
-        // Every live corner sits at or above the nonzero hull, which both
-        // growth and shrink preserve; only the high face (== new_side) can
-        // fall outside, and no in-domain query point dominates it.
-        DDC_CHECK(c >= 0);
-        in_domain = in_domain && c < new_side;
-      }
-      if (!in_domain) continue;
-      const int64_t w = CornerWeight(t, local) * d_delta;
-      if (w == 0) continue;
-      cells.push_back(std::move(local));
-      deltas.push_back(w);
-    }
-    if (!cells.empty()) new_trees.back()->AddBatch(cells, deltas);
+  corners.reserve(overlay_->corners.size());
+  deltas.reserve(overlay_->corners.size());
+  for (const auto& [global, d_delta] : overlay_->corners) {
+    corners.push_back(global);
+    deltas.push_back(d_delta);
   }
-  overlay_->trees = std::move(new_trees);
-  overlay_->arena = std::move(new_arena);
+  LandCorners(corners, deltas);
 }
 
 int64_t DynamicDataCube::StorageCells() const {
   int64_t cells = core_->StorageCells();
   if (overlay_ != nullptr) {
     for (const auto& tree : overlay_->trees) cells += tree->StorageCells();
+    // The journal: a box and an operand per entry.
+    cells += static_cast<int64_t>(overlay_->lo.size() + overlay_->hi.size() +
+                                  overlay_->delta.size());
   }
   return cells;
 }
@@ -639,21 +764,31 @@ void DynamicDataCube::RangeSumBatch(std::span<const Box> ranges,
         static_cast<int64_t>(terms.size() - corners.size()));
     span.set_arg1(static_cast<int64_t>(corners.size()));
   }
+  // The overlay terms every unique corner pays: 2^d tree descents once
+  // anything has folded, plus a scan of the pending journal entries.
+  int64_t overlay_trees = 0;
+  int64_t journal_boxes = 0;
+  if (overlay_ != nullptr && !corners.empty()) {
+    overlay_trees = static_cast<int64_t>(overlay_->trees.size());
+    journal_boxes = static_cast<int64_t>(overlay_->pending());
+  }
+  if (obs::Enabled() && journal_boxes > 0) {
+    OverlayJournalBoxes().Add(journal_boxes);
+  }
   if (obs::CostLedger* l = obs::ActiveLedger()) {
     l->corner_terms += static_cast<int64_t>(terms.size());
     l->unique_corners += static_cast<int64_t>(corners.size());
     l->corners_deduped +=
         static_cast<int64_t>(terms.size() - corners.size());
-    if (overlay_ != nullptr && !corners.empty()) {
-      l->overlay_terms += static_cast<int64_t>(overlay_->trees.size());
-    }
+    l->overlay_terms += overlay_trees;
+    l->overlay_journal_boxes += journal_boxes;
     l->tree_depth = std::max(
         l->tree_depth, static_cast<int64_t>(core_->DescentLevels()));
   }
   std::vector<int64_t> prefix(corners.size());
   core_->PrefixSumBatch(corners, prefix);
   // The overlay's contribution to each unique corner rides the same
-  // dedup: one extra batched descent per overlay tree.
+  // dedup: one extra batched descent per overlay tree, one journal scan.
   OverlayPrefixBatchLocal(corners, prefix);
 
   // Phase 3: recombine.
@@ -671,6 +806,7 @@ DynamicDataCube::RangeSumPlan DynamicDataCube::PlanRangeSumBatch(
   plan.descent_levels = core_->DescentLevels();
   if (overlay_ != nullptr) {
     plan.overlay_trees = static_cast<int64_t>(overlay_->trees.size());
+    plan.overlay_journal_boxes = static_cast<int64_t>(overlay_->pending());
   }
   const Box domain{DomainLo(), DomainHi()};
   const int d = dims_;
@@ -701,7 +837,10 @@ DynamicDataCube::RangeSumPlan DynamicDataCube::PlanRangeSumBatch(
     }
   }
   plan.corners_deduped = plan.corner_terms - plan.unique_corners;
-  if (plan.unique_corners == 0) plan.overlay_trees = 0;
+  if (plan.unique_corners == 0) {
+    plan.overlay_trees = 0;
+    plan.overlay_journal_boxes = 0;
+  }
   return plan;
 }
 
@@ -724,27 +863,37 @@ void DynamicDataCube::ForEachNonZero(
     });
     return;
   }
-  // Logical enumeration = primary nonzero cells with the overlay folded in,
-  // plus journal-box cells the primary tree does not hold. Each cell is
-  // emitted at most once; cells whose two layers cancel are skipped.
-  std::unordered_set<Cell, CellHash> seen;
-  core_->ForEachNonZero([&](const Cell& local, int64_t value) {
-    seen.insert(local);
-    const int64_t v = value + OverlayValueLocal(local);
-    if (v != 0) fn(CellAdd(local, origin_), v);
-  });
+  // The overlay's value at every journal cell, accumulated once per entry
+  // — the cells are the candidates anyway, so this is Theta(sum of box
+  // volumes) with no descent per cell. Boxes can poke outside the domain
+  // after a shrink; the clipped-away region is provably zero (shrink keeps
+  // the corner hull).
+  const RangeOverlay& o = *overlay_;
+  const size_t d = static_cast<size_t>(dims_);
   const Box local_domain{UniformCell(dims_, 0),
                          UniformCell(dims_, side() - 1)};
-  for (const Box& box : overlay_->boxes) {
-    const Box local_box{ToLocal(box.lo), ToLocal(box.hi)};
-    // Journal boxes can poke outside the domain after a shrink; the
-    // clipped-away region is provably zero (shrink keeps the corner hull).
-    const Box clipped = IntersectBoxes(local_box, local_domain);
-    ForEachCellInBox(clipped, [&](const Cell& local) {
-      if (!seen.insert(local).second) return;
-      const int64_t v = OverlayValueLocal(local);
-      if (v != 0) fn(CellAdd(local, origin_), v);
-    });
+  std::unordered_map<Cell, int64_t, CellHash> overlay_cells;
+  Box box{Cell(d), Cell(d)};
+  for (size_t e = 0; e < o.size(); ++e) {
+    for (size_t i = 0; i < d; ++i) {
+      box.lo[i] = o.lo[e * d + i] - origin_[i];
+      box.hi[i] = o.hi[e * d + i] - origin_[i];
+    }
+    const int64_t delta = o.delta[e];
+    ForEachCellInBox(IntersectBoxes(box, local_domain),
+                     [&](const Cell& local) { overlay_cells[local] += delta; });
+  }
+  // Merge with the primary tree; each cell is emitted at most once and
+  // cells whose two layers cancel are skipped.
+  core_->ForEachNonZero([&](const Cell& local, int64_t value) {
+    if (auto it = overlay_cells.find(local); it != overlay_cells.end()) {
+      value += it->second;
+      overlay_cells.erase(it);
+    }
+    if (value != 0) fn(CellAdd(local, origin_), value);
+  });
+  for (const auto& [local, value] : overlay_cells) {
+    if (value != 0) fn(CellAdd(local, origin_), value);
   }
 }
 

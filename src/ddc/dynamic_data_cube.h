@@ -13,15 +13,23 @@
 // recompute the full bounding box (Figure 16).
 //
 // Range mutations (DESIGN.md §12): RangeAdd(box, v) is sublinear in the
-// box. The box decomposes into 2^d signed corner deltas (the d-dimensional
-// difference array of Mishra, arXiv 1311.6093) held in an *overlay* of 2^d
-// auxiliary DdcCore trees beside the primary tree; each corner lands as a
-// polylog point descent, so a range-add costs O(4^d log^d n) regardless of
-// how many cells the box covers. Reads compose the two layers: Get adds the
-// overlay's difference-array prefix at the cell, PrefixSum adds the 2^d
-// weighted overlay prefixes, and re-rooting rebuilds the overlay trees from
-// a global corner map kept in domain-independent coordinates. RangeSet is
-// inherently per-cell and expands through the point pipeline.
+// box. Every range-add is appended to a flat journal of (box, v) entries in
+// global coordinates; reads add each *pending* entry's closed-form share
+// (v times the box's overlap with the prefix region) in one short scan.
+// Once more than Crossover(d, side) = 2^d (log2 side)^d entries are
+// pending, each range-add folds the oldest one into an overlay of 2^d
+// auxiliary DdcCore trees: its 2^d signed corner deltas (the d-dimensional
+// difference array of Mishra, arXiv 1311.6093) land as polylog point
+// descents, O(4^d log^d n) regardless of how many cells the box covers.
+// So a read scans at most as many entries as its 2^d tree descents would
+// touch stored values, a range-add never costs more than one fold, and the
+// trees exist only for cubes with a long range-add history. Reads compose
+// the layers: Get adds the trees' difference-array prefix and the pending
+// boxes holding the cell, PrefixSum adds the 2^d weighted tree prefixes
+// and the pending scan. Re-rooting rebuilds the trees from a global corner
+// map kept in domain-independent coordinates; pending entries are global
+// and need nothing. RangeSet is inherently per-cell and expands through
+// the point pipeline.
 
 #ifndef DDC_DDC_DYNAMIC_DATA_CUBE_H_
 #define DDC_DDC_DYNAMIC_DATA_CUBE_H_
@@ -29,7 +37,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/cube_interface.h"
 #include "common/cube_lifecycle.h"
@@ -72,8 +82,10 @@ class DynamicDataCube : public CubeInterface {
   void Add(const Cell& cell, int64_t delta) override;
   // Adds `delta` to every cell of the closed box, growing the domain to
   // contain it first (unlike the fixed-domain cubes, which clip). Sublinear
-  // in the box: 2^d signed corner deltas land in the overlay trees, each a
-  // batched polylog descent. A no-op for an empty box or zero delta.
+  // in the box: one journal append, plus — past the crossover — one fold of
+  // the oldest pending entry (2^d signed corner deltas into 2^d overlay
+  // trees, each a batched polylog descent). A no-op for an empty box or
+  // zero delta.
   void RangeAdd(const Box& box, int64_t delta) override;
   // Sets every cell of the box to `value` through the per-cell point
   // pipeline (range-set cannot be sublinear: each cell's prior value must
@@ -107,7 +119,8 @@ class DynamicDataCube : public CubeInterface {
   // (DdcCore::PrefixSumBatch). Results are identical to per-range RangeSum.
   void RangeSumBatch(std::span<const Box> ranges,
                      std::span<int64_t> out) const override;
-  // Includes the overlay trees' storage once any range-add has landed.
+  // Includes the range-add journal and, once anything has folded, the
+  // overlay trees' storage.
   int64_t StorageCells() const override;
   std::string name() const override { return "dynamic_data_cube"; }
 
@@ -116,6 +129,15 @@ class DynamicDataCube : public CubeInterface {
   int64_t TotalSum() const { return core_->TotalSum() + range_total_; }
 
   int64_t side() const { return core_->side(); }
+
+  // Pending range-add journal entries a cube of this geometry keeps before
+  // folding the oldest into the overlay trees: 2^d * (log2 side)^d, the
+  // 2^d tree descents a folded read pays per corner times the stored values
+  // each touches (DynamicDataCubeUpdateCost, common/cost_model.h).
+  static int64_t Crossover(int dims, int64_t side);
+  // Journal entries not yet folded; never above Crossover(dims(), side())
+  // after a mutation or re-root.
+  int64_t PendingRangeAdds() const;
   const DdcOptions& options() const { return options_; }
 
   // Number of re-rooting doublings performed so far.
@@ -143,7 +165,10 @@ class DynamicDataCube : public CubeInterface {
     int64_t corner_terms = 0;    // Signed corner terms before dedup.
     int64_t unique_corners = 0;  // Distinct prefix-sum descents.
     int64_t corners_deduped = 0; // corner_terms - unique_corners.
-    int64_t overlay_trees = 0;   // Overlay descents per unique corner.
+    int64_t overlay_trees = 0;   // Overlay descents per unique corner
+                                 // (0 until the first fold, then 2^d).
+    int64_t overlay_journal_boxes = 0;  // Pending journal entries scanned
+                                        // per unique corner.
     int64_t descent_levels = 0;  // Current primary-tree depth.
   };
   RangeSumPlan PlanRangeSumBatch(std::span<const Box> ranges) const;
@@ -165,9 +190,10 @@ class DynamicDataCube : public CubeInterface {
 
   // Invokes fn(cell, value) for every *logically* nonzero cell (primary
   // tree plus overlay), in global coordinates. With range-adds applied this
-  // enumerates the journal of range boxes cell-by-cell, so it costs up to
-  // Theta(sum of box volumes) — snapshotting flattens the overlay into
-  // plain points, which keeps the snapshot format oblivious to ranges.
+  // accumulates the journal's boxes cell by cell once, so it costs
+  // Theta(sum of box volumes) plus the primary walk — snapshotting flattens
+  // the overlay into plain points, which keeps the snapshot format
+  // oblivious to ranges.
   void ForEachNonZero(
       const std::function<void(const Cell&, int64_t)>& fn) const;
 
@@ -188,24 +214,41 @@ class DynamicDataCube : public CubeInterface {
   void ReRootInto(int64_t new_side, Cell new_origin, ReRootReason reason);
 
   // Applies one range-add whose box already lies inside the domain:
-  // accumulates the 2^d signed corner deltas into the global corner map,
-  // journals the box, bumps range_total_, and lands the corners in the
-  // overlay trees (one AddBatch per tree). Creates the overlay lazily.
+  // journals the box, bumps range_total_, and folds down to the crossover
+  // (at most one entry). Creates the overlay lazily.
   void ApplyRangeAddInDomain(const Box& box, int64_t delta);
+  // Folds the oldest pending entries until at most Crossover(dims_, side())
+  // remain: each entry's 2^d corner deltas join the global corner map and
+  // land in the trees (built by the first fold).
+  void FoldDownToCrossover();
+  // fn(corner, d_delta) for the 2^d signed difference-array corners (GLOBAL
+  // coordinates) of journal entry `entry`.
+  template <typename Fn>
+  void ForEachJournalCorner(size_t entry, const Fn& fn) const;
+  // 2^d empty overlay trees of the current side, allocating from `arena`.
+  std::vector<std::unique_ptr<DdcCore>> NewOverlayTrees(Arena* arena) const;
+  // Lands difference-array deltas at GLOBAL corners in every overlay tree,
+  // restricted to the current domain (see RangeOverlay in the .cc).
+  void LandCorners(std::span<const Cell> globals,
+                   std::span<const int64_t> d_deltas);
   // Point-batch tail of ApplyBatch: coalesced cells -> net deltas -> one
   // core AddBatch.
   void ApplyCoalescedPoints(std::vector<CoalescedCell>& points);
-  // Overlay read paths; all take LOCAL coordinates and return 0 when no
-  // overlay exists.
+  // Overlay read paths (trees plus pending journal); all take LOCAL
+  // coordinates and return 0 when no overlay exists.
   int64_t OverlayValueLocal(const Cell& local) const;
   int64_t OverlayPrefixLocal(const Cell& local) const;
   // out[i] += overlay prefix at locals[i], batched per overlay tree.
   void OverlayPrefixBatchLocal(std::span<const Cell> locals,
                                std::span<int64_t> out) const;
-  // Rebuilds the overlay trees for a new geometry from the global corner
-  // map (the stored per-tree values depend on local coordinates, so trees
-  // cannot be copied across a re-root).
-  void RebuildOverlay(int64_t new_side, const Cell& new_origin);
+  // out[i] += the pending entries' share of the prefix at locals[i]: one
+  // pass over the journal suffix, every query corner per entry.
+  void PendingPrefixBatchLocal(std::span<const Cell> locals,
+                               std::span<int64_t> out) const;
+  // Rebuilds the overlay trees (if any) for the current geometry from the
+  // global corner map (the stored per-tree values depend on local
+  // coordinates, so trees cannot be copied across a re-root).
+  void RebuildOverlay();
 
   int dims_;
   DdcOptions options_;
@@ -218,8 +261,8 @@ class DynamicDataCube : public CubeInterface {
   int64_t growth_doublings_ = 0;
   DdcCore::NodeVisitListener node_visit_listener_;
   CubeLifecycle lifecycle_;
-  // Range-add overlay (created by the first range-add; null until then so
-  // point-only cubes pay nothing). See DESIGN.md §12.
+  // Range-add journal and overlay trees (created by the first range-add;
+  // null until then so point-only cubes pay nothing). See DESIGN.md §12.
   std::unique_ptr<RangeOverlay> overlay_;
   // SUM over all applied range-adds of delta * box cells: TotalSum() =
   // primary total + this.

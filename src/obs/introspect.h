@@ -50,6 +50,8 @@ struct CostLedger {
   int64_t corners_deduped = 0;   // Terms collapsed by the dedup map.
   int64_t unique_corners = 0;    // Descents actually paid for.
   int64_t overlay_terms = 0;     // Overlay trees consulted (2^d or 0).
+  int64_t overlay_journal_boxes = 0;  // Pending range-add journal entries
+                                      // scanned (per unique corner).
   // ShardedCube fan-out shape (recorded on the calling thread).
   int64_t shard_groups = 0;      // Touched shards.
   int64_t shard_subqueries = 0;  // Slab sub-queries handed to shards.

@@ -286,6 +286,7 @@ void AppendLedger(const obs::CostLedger& ledger, std::ostream& os) {
      << "  corners deduped: " << ledger.corners_deduped << "\n"
      << "  unique corners: " << ledger.unique_corners << "\n"
      << "  overlay trees: " << ledger.overlay_terms << "\n"
+     << "  overlay journal boxes: " << ledger.overlay_journal_boxes << "\n"
      << "  tree depth: " << ledger.tree_depth << "\n"
      << "  shard groups: " << ledger.shard_groups << "\n"
      << "  shard subqueries: " << ledger.shard_subqueries << "\n";
@@ -383,6 +384,7 @@ QueryResult ExplainStatement(const Statement& statement,
        << "  corners deduped: " << plan.corners_deduped << "\n"
        << "  unique corners: " << plan.unique_corners << "\n"
        << "  overlay trees: " << plan.overlay_trees << "\n"
+       << "  overlay journal boxes: " << plan.overlay_journal_boxes << "\n"
        << "  tree depth: " << plan.descent_levels << "\n"
        << "  kernel path: " << (kernels::UseScalar() ? "scalar" : "simd")
        << "\n";
@@ -467,6 +469,8 @@ QueryResult ExplainStatement(const Statement& statement,
          << "  corners deduped: " << plan.corners_deduped << "\n"
          << "  unique corners: " << plan.unique_corners << "\n"
          << "  overlay trees: " << plan.overlay_trees << "\n"
+         << "  overlay journal boxes: " << plan.overlay_journal_boxes
+         << "\n"
          << "  tree depth: " << plan.descent_levels << "\n"
          << "  kernel path: " << (kernels::UseScalar() ? "scalar" : "simd")
          << "\n";

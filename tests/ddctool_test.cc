@@ -196,6 +196,8 @@ TEST_F(DdcToolTest, StatsRendersUnifiedMetricSurface) {
         "sharded_mailbox_queue_depth_s" + std::to_string(s) + " 0";
     EXPECT_NE(out.find(gauge), std::string::npos) << gauge;
   }
+  // The range-add journal scan counter (DESIGN.md §12).
+  EXPECT_NE(out.find("ddc_query_overlay_journal_boxes"), std::string::npos);
   for (const char* hist : {"sharded_mailbox_wait_ns_count",
                            "sharded_mailbox_run_ns_count",
                            "sharded_mailbox_dequeue_batch_count"}) {

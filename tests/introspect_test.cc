@@ -171,6 +171,53 @@ TEST(Explain, NeverMutatesEvenWithAnalyze) {
   EXPECT_EQ(cube.TotalSum(), total + 5);
 }
 
+// The range-add overlay in both regimes: journal only (no trees, every
+// pending entry scanned) and past the crossover (2^d trees plus exactly
+// Crossover pending entries). The plan equals the execution, the execution
+// equals the registry delta, and EXPLAIN of a range write changes nothing.
+TEST(Explain, OverlayPlanMatchesExecutionBeforeAndAfterTheFirstFold) {
+  if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
+  DynamicDataCube cube(2, 8);
+  SeedCube(&cube, 8, 32);
+  const int64_t crossover = DynamicDataCube::Crossover(2, 8);
+  obs::Counter* journal = obs::MetricsRegistry::Default().GetCounter(
+      "ddc.query.overlay_journal_boxes");
+  struct Regime {
+    int64_t range_adds;
+    int64_t trees;
+    int64_t journal_boxes;
+  };
+  int64_t applied = 0;
+  for (const Regime regime :
+       {Regime{5, 0, 5}, Regime{crossover + 7, 4, crossover}}) {
+    for (; applied < regime.range_adds; ++applied) {
+      cube.RangeAdd(Box{{applied % 4, 1}, {4 + applied % 3, 6}}, 1);
+    }
+    SCOPED_TRACE("range adds=" + std::to_string(applied));
+    const int64_t pending = cube.PendingRangeAdds();
+    const int64_t total = cube.TotalSum();
+    const int64_t journal0 = journal->Value();
+    const QueryResult result = RunStatement(
+        "EXPLAIN ANALYZE SUM GROUP BY d0 SIZE 2 WHERE d1 IN [1, 6]", &cube);
+    ASSERT_TRUE(result.ok) << result.error;
+    const std::string& text = result.explain_text;
+    // Plan section (first occurrence) and executed section agree.
+    EXPECT_EQ(ExplainField(text, "overlay trees"), regime.trees);
+    EXPECT_EQ(ExplainField(text, "overlay journal boxes"),
+              regime.journal_boxes);
+    EXPECT_EQ(ExecutedField(text, "overlay trees"), regime.trees);
+    EXPECT_EQ(ExecutedField(text, "overlay journal boxes"),
+              regime.journal_boxes);
+    EXPECT_EQ(journal->Value() - journal0, regime.journal_boxes);
+
+    const QueryResult write =
+        RunStatement("EXPLAIN ANALYZE ADD 3 IN [1, 1 .. 2, 2]", &cube);
+    ASSERT_TRUE(write.ok) << write.error;
+    EXPECT_EQ(cube.PendingRangeAdds(), pending);
+    EXPECT_EQ(cube.TotalSum(), total);
+  }
+}
+
 TEST(Explain, ShardedReadRecordsFanOutInLedger) {
   if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
   ShardedCube cube(2, 16, 4);

@@ -391,6 +391,9 @@ void RunStatsWorkload(int dims, int64_t side, int64_t ops, int shards) {
     }
     cube.Add(cell, 1 + i % 5);
   }
+  // One range-add: its journal entry is scanned by every read below
+  // (ddc.query.overlay_journal_boxes).
+  cube.RangeAdd(Box{UniformCell(dims, 1), UniformCell(dims, side / 2)}, 2);
   Box all{UniformCell(dims, 0), UniformCell(dims, side - 1)};
   (void)cube.RangeSum(all);
   (void)cube.Get(UniformCell(dims, 1));

@@ -19,7 +19,8 @@ cd "$(dirname "$0")/.."
 SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
                   query_batch_test update_batch_test obs_concurrent_test
                   fault_recovery_test query_fuzz_test wal_test
-                  range_mutation_test kernel_layout_test ddctool
+                  range_mutation_test range_journal_test
+                  kernel_layout_test ddctool
                   mailbox_test sharded_drain_test
                   cached_cube_test cache_invalidation_property_test)
 
