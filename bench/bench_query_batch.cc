@@ -4,8 +4,9 @@
 //   single           : a loop of RangeSum calls (the pre-batching baseline),
 //   batched          : DynamicDataCube::RangeSumBatch (corner dedup + one
 //                      shared tree descent),
-//   batched_parallel : ConcurrentCube::RangeSumBatch (the batch chunked
-//                      across the shared thread pool under one shared lock).
+//   batched_parallel : ConcurrentCube::RangeSumBatch (the whole batch in
+//                      one batched call under one shared lock; the row
+//                      prices the thread-safe facade against `batched`).
 // The batch mixes rollup-style adjacent slices (the OLAP GroupBy shape,
 // where neighbouring slices share half their corner sets) with uniform
 // boxes, matching the executor's real traffic.

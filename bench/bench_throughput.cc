@@ -10,9 +10,10 @@
 // (everything in between) is the reproduced shape.
 
 // Part 2 (below the paper sweep): concurrent throughput of the coarse
-// ConcurrentCube versus the shared-nothing ShardedCube (per-shard owner
-// threads fed by SPSC mailboxes) across threads×shards, on a read-heavy
-// (95/5) and a write-heavy (50/50) mix, plus the batched write path.
+// ConcurrentCube versus the lock-striped ShardedCube (one reader-writer lock
+// per shard, shard work run on the calling thread) across threads×shards, on
+// a read-heavy (95/5) and a write-heavy (50/50) mix, plus the batched write
+// path.
 // Results are printed as tables and written to BENCH_throughput.json
 // (override the path with DDC_BENCH_JSON).
 //
@@ -462,7 +463,7 @@ int RunConcurrencySweep(bool smoke) {
   std::printf("wrote %s\n", json_path);
 
   // Acceptance floor, enforced where the regression gate can see it: with
-  // real parallelism available, the shared-nothing executor must at least
+  // real parallelism available, the lock-striped sharded cube must at least
   // match the coarse global lock on the read-heavy mix at the widest
   // parallel thread count. Smoke-only so a full run stays a measurement.
   if (smoke && !gate_skipped && gate_speedup < 1.0) {

@@ -9,9 +9,9 @@
 //
 // Threading: the hub itself is NOT synchronized. Subscribe/Unsubscribe and
 // Notify must be serialized by the owner — in practice all three happen on
-// whatever thread exclusively mutates the cube (for ShardedCube that is the
-// shard's owner thread, where exclusivity is structural; for lock-guarded
-// cubes, the mutating thread under the write lock). Callbacks run inline on
+// whatever thread exclusively mutates the cube (for ShardedCube and the
+// other lock-guarded cubes, the mutating thread under the shard's or the
+// cube's write lock). Callbacks run inline on
 // that thread and must not call back into the cube that is mid-re-root.
 
 #ifndef DDC_COMMON_CUBE_LIFECYCLE_H_

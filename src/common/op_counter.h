@@ -59,18 +59,13 @@ struct ConcurrentOpStats {
   std::atomic<int64_t> batched_ops{0};    // Ops applied through ApplyBatch.
   std::atomic<int64_t> point_reads{0};    // Get calls.
   std::atomic<int64_t> range_queries{0};  // RangeSum/TotalSum calls.
-  // Requests enqueued into shard owner mailboxes (shared-nothing executor).
-  std::atomic<int64_t> mailbox_messages{0};
-  // Submissions that found a full mailbox lane and had to yield-retry
-  // (structurally zero under the synchronous protocol).
-  std::atomic<int64_t> mailbox_stalls{0};
   // Growth/shrink re-rootings observed via the shard growth hooks.
   std::atomic<int64_t> reroots{0};
 
   // Plain-value copy for printing (taken at quiescence).
   struct Snapshot {
     int64_t point_writes, batches, batched_ops, point_reads, range_queries,
-        mailbox_messages, mailbox_stalls, reroots;
+        reroots;
   };
   Snapshot Read() const {
     return {point_writes.load(std::memory_order_relaxed),
@@ -78,8 +73,6 @@ struct ConcurrentOpStats {
             batched_ops.load(std::memory_order_relaxed),
             point_reads.load(std::memory_order_relaxed),
             range_queries.load(std::memory_order_relaxed),
-            mailbox_messages.load(std::memory_order_relaxed),
-            mailbox_stalls.load(std::memory_order_relaxed),
             reroots.load(std::memory_order_relaxed)};
   }
 };

@@ -40,7 +40,8 @@ obs::Histogram& TaskRunHist() {
 ThreadPool::ThreadPool(int num_threads) {
   workers_.reserve(static_cast<size_t>(std::max(num_threads, 0)));
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    Worker& worker = *workers_.emplace_back(std::make_unique<Worker>());
+    worker.thread = std::thread([this, &worker] { WorkerLoop(worker); });
   }
 }
 
@@ -49,25 +50,25 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  wake_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
+  for (const auto& worker : workers_) worker->wake.notify_all();
+  for (const auto& worker : workers_) worker->thread.join();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(Worker& self) {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and drained.
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      self.wake.wait(lock, [&] { return stop_ || !self.queue.empty(); });
+      if (self.queue.empty()) return;  // stop_ set and drained.
+      task = std::move(self.queue.front());
+      self.queue.pop_front();
     }
     task();
   }
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Enqueue(Worker& worker, std::function<void()> task) {
   if (obs::Enabled()) {
     // Wrap the task so queue wait (enqueue -> first instruction) and run
     // time are split apart. The gauge pairing is captured in the wrapper:
@@ -85,9 +86,9 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    worker.queue.push_back(std::move(task));
   }
-  wake_.notify_one();
+  worker.wake.notify_one();
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
@@ -118,11 +119,12 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
   state.live_helpers.store(helpers_wanted, std::memory_order_relaxed);
   for (size_t h = 0; h < helpers_wanted; ++h) {
-    Enqueue([&state, drain] {
+    Enqueue(*workers_[h], [&state, drain] {
       if (DDC_FAULTPOINT("pool.task.delay")) {
         // Stall this helper lane only (the caller lane keeps draining):
         // exercises the uneven-progress paths of ParallelFor users. (The
-        // sharded executor has its own site, "sharded.owner.delay".)
+        // sharded cube has its own site, "sharded.owner.delay", inside its
+        // shard critical sections.)
         std::this_thread::sleep_for(std::chrono::microseconds(
             50 + static_cast<int64_t>(fault::RandBelow(451))));
       }

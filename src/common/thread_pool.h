@@ -1,17 +1,25 @@
-// ThreadPool: a small fixed worker pool for fanning read-only query work
-// out across cores (the batched range-sum executor's parallel path).
+// ThreadPool: a small fixed worker pool for fanning short leaf work out
+// across cores (ShardedCube's multi-shard write groups, ConcurrentCube's
+// kSet base-value reads).
 //
 // Design constraints, in order:
 //   1. The caller always participates: ParallelFor pulls indices on the
 //      calling thread too, so progress never depends on a worker being
-//      free. This is what makes it safe to call ParallelFor while holding
-//      shard locks (the sharded fallback path) — a busy or size-1 pool can
-//      never deadlock the caller.
-//   2. Tasks must not block on the pool (no nested ParallelFor from inside
-//      a task); they are pure computations, typically const tree reads.
+//      free — a busy or size-1 pool can never deadlock the caller.
+//   2. A task may hold one leaf lock (ShardedCube applies each group of a
+//      multi-shard batch under that shard's exclusive lock) but must not
+//      wait on the pool: no nested ParallelFor from inside a task, and no
+//      lock whose holder might itself be waiting on the pool.
 //   3. Degrades gracefully: on a single-core host (or n <= 1) the loop runs
 //      inline with zero synchronization, so the serial batched path is
 //      never penalized.
+//   4. Helper h of every ParallelFor goes to worker h, so a fan-out of k
+//      indices always lands on the caller and workers 0 .. k-2. Memory a
+//      task allocates (a shard's tree nodes, say) then stays in those
+//      threads' malloc arenas instead of spreading over every worker's;
+//      with glibc, which keeps freed memory per arena, a shared queue let
+//      repeated large fan-outs grow the resident set by one cube per
+//      worker.
 //
 // The process-wide Shared() pool sizes itself to the hardware and is what
 // the concurrent cubes use; owning a private pool is supported for tests.
@@ -23,6 +31,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,14 +61,18 @@ class ThreadPool {
   static ThreadPool& Shared();
 
  private:
-  void WorkerLoop();
-  void Enqueue(std::function<void()> task);
+  struct Worker {
+    std::deque<std::function<void()>> queue;  // Guarded by mutex_.
+    std::condition_variable wake;
+    std::thread thread;
+  };
+
+  void WorkerLoop(Worker& self);
+  void Enqueue(Worker& worker, std::function<void()> task);
 
   std::mutex mutex_;
-  std::condition_variable wake_;
-  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace ddc

@@ -159,30 +159,10 @@ void ConcurrentCube::RangeSumBatch(std::span<const Box> boxes,
   if (obs::Enabled()) {
     RangeBatchSizeHist().Record(static_cast<int64_t>(boxes.size()));
   }
-  // The caller keeps the lock shared for the whole fan-out; pool workers
-  // read the tree without locking, which is safe because no writer can take
-  // the lock exclusively until this shared hold ends.
+  // One batched call: splitting the batch would split the cross-box corner
+  // dedup that makes the batched path fast.
   std::shared_lock lock(mutex_);
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t lanes = static_cast<size_t>(pool.num_threads()) + 1;
-  // Small batches are not worth splitting: each chunk repays its scheduling
-  // cost only past a handful of queries.
-  constexpr size_t kMinChunk = 8;
-  const size_t num_chunks =
-      std::clamp<size_t>(boxes.size() / kMinChunk, size_t{1}, lanes);
-  span.set_arg1(static_cast<int64_t>(num_chunks));
-  if (num_chunks <= 1) {
-    cube_.RangeSumBatch(boxes, out);
-    return;
-  }
-  const size_t chunk = (boxes.size() + num_chunks - 1) / num_chunks;
-  pool.ParallelFor(num_chunks, [&](size_t c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(boxes.size(), begin + chunk);
-    if (begin >= end) return;
-    cube_.RangeSumBatch(boxes.subspan(begin, end - begin),
-                        out.subspan(begin, end - begin));
-  });
+  cube_.RangeSumBatch(boxes, out);
 }
 
 int64_t ConcurrentCube::TotalSum() const {

@@ -62,10 +62,10 @@ class ConcurrentCube {
   // Readers (shared).
   int64_t Get(const Cell& cell) const;
   int64_t RangeSum(const Box& box) const;
-  // Batched range sums under ONE shared-lock acquisition. Large batches fan
-  // chunks across the shared thread pool (tree reads are const, and several
-  // threads may hold the lock shared), each chunk served by the cube's
-  // corner-deduplicating batch path. Results equal per-box RangeSum.
+  // Batched range sums under ONE shared-lock acquisition, served whole by
+  // the cube's corner-deduplicating batch path (chunking the batch across
+  // threads would lose the dedup between chunks). Results equal per-box
+  // RangeSum.
   void RangeSumBatch(std::span<const Box> boxes, std::span<int64_t> out) const;
   int64_t TotalSum() const;
   int64_t StorageCells() const;

@@ -1,29 +1,32 @@
 #include "concurrent/sharded_cube.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <string>
+#include <mutex>
+#include <shared_mutex>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
+#include "ddc/dynamic_data_cube.h"
 #include "fault/failpoint.h"
+#include "obs/introspect.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace ddc {
 
 namespace {
 
-// Process-wide mirrors of the per-shard ConcurrentOpStats fields (plus the
-// mailbox distributions): per-shard structs keep write paths
-// contention-free, the registry carries the unified account the renderers
-// and `ddctool stats` read. Resolved once.
-//
-// Determinism note (ddctool relies on it): counters and gauges here are
-// deterministic for a fixed single-threaded workload — message counts
-// depend only on the decomposition, stalls are structurally zero under the
-// synchronous protocol, and the queue-depth gauges drain back to zero at
-// quiescence. Anything timing-dependent (wait/run nanoseconds, dequeue
-// batch sizes) lives in histograms only.
+// Process-wide mirrors of the per-shard ConcurrentOpStats fields: per-shard
+// structs keep write paths contention-free, the registry carries the
+// unified account the renderers and `ddctool stats` read. Resolved once.
+// Every counter here is deterministic for a fixed single-threaded workload
+// (`ddctool stats` relies on it).
 struct ShardedObs {
   obs::Counter& point_writes;
   obs::Counter& batches;
@@ -31,12 +34,7 @@ struct ShardedObs {
   obs::Counter& point_reads;
   obs::Counter& range_queries;
   obs::Counter& reroots;
-  obs::Counter& mailbox_messages;
-  obs::Counter& mailbox_stalls;
   obs::Histogram& batch_group_size;
-  obs::Histogram& mailbox_wait_ns;
-  obs::Histogram& mailbox_run_ns;
-  obs::Histogram& mailbox_dequeue_batch;
 
   static ShardedObs& Get() {
     static ShardedObs* obs = [] {
@@ -47,38 +45,11 @@ struct ShardedObs {
                             *reg.GetCounter("sharded.point_reads"),
                             *reg.GetCounter("sharded.range_queries"),
                             *reg.GetCounter("sharded.reroots"),
-                            *reg.GetCounter("sharded.mailbox.messages"),
-                            *reg.GetCounter("sharded.mailbox.stalls"),
-                            *reg.GetHistogram("sharded.batch.group_size"),
-                            *reg.GetHistogram("sharded.mailbox.wait_ns"),
-                            *reg.GetHistogram("sharded.mailbox.run_ns"),
-                            *reg.GetHistogram("sharded.mailbox.dequeue_batch")};
+                            *reg.GetHistogram("sharded.batch.group_size")};
     }();
     return *obs;
   }
 };
-
-// Owner-side batched dequeue width (one index publication per batch).
-constexpr size_t kDequeueBatch = 8;
-
-// Source of never-reused cube ids for the thread-local producer cache.
-std::atomic<uint64_t> g_next_cube_id{1};
-
-// Thread-local cache of producer registrations: maps cube id -> Producer*
-// so the hot path skips the registry mutex. Tiny and round-robin evicted;
-// an evicted entry just means one extra mutex-protected lookup. Keyed by a
-// never-reused id, so a stale entry cannot alias a new cube that recycled
-// the address.
-struct TlsProducerCache {
-  static constexpr int kEntries = 4;
-  struct Entry {
-    uint64_t cube_id = 0;
-    void* producer = nullptr;
-  };
-  Entry entries[kEntries];
-  int next_evict = 0;
-};
-thread_local TlsProducerCache g_tls_producer_cache;
 
 DdcOptions WithoutCounters(DdcOptions options) {
   options.enable_counters = false;
@@ -98,9 +69,9 @@ int64_t FloorMod(int64_t a, int64_t b) {
   return m < 0 ? m + b : m;
 }
 
-// Folds one owner's per-request ledger into the caller's active ledger
+// Folds one pool task's private ledger into the caller's active ledger
 // (counts add; tree depth is a high-water mark). Runs on the calling
-// thread after Wait(), so the merge itself is single-threaded.
+// thread after ParallelFor returns, so the merge itself is single-threaded.
 void MergeLedger(obs::CostLedger& into, const obs::CostLedger& from) {
   into.nodes_visited += from.nodes_visited;
   into.values_read += from.values_read;
@@ -116,19 +87,61 @@ void MergeLedger(obs::CostLedger& into, const obs::CostLedger& from) {
   into.shard_subqueries += from.shard_subqueries;
 }
 
-// The two-phase quiesce rendezvous (ForEachNonZero): owners check in on
-// `arrivals`, park on `gate`, and check out on `released` after the caller
-// opens the gate — the caller must not return (and destroy this struct)
-// until `released` reports every owner has moved past the gate.
-struct BarrierCtx {
-  std::atomic<uint32_t> gate{0};
-  internal::CompletionSlot released;
+// Entered at the top of every shard critical section, with the lock held.
+void ShardDelayFaultSite() {
+  if (DDC_FAULTPOINT("sharded.owner.delay")) {
+    // Stall inside the critical section: long enough for other callers to
+    // pile up on this shard's lock, which exercises lock handoff, ordered
+    // ForEachNonZero acquisition and growth under contention.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+// A reader-writer lock that admits no new reader while a writer waits
+// (std::shared_mutex on glibc does, so continuous reads can starve the
+// writers). Meets the SharedMutex requirements std::shared_lock and
+// std::unique_lock use. Shard locks are never taken recursively, which
+// writer preference requires.
+class ShardMutex {
+ public:
+  ShardMutex() {
+    pthread_rwlockattr_t attr;
+    pthread_rwlockattr_init(&attr);
+#ifdef __GLIBC__
+    pthread_rwlockattr_setkind_np(
+        &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP);
+#endif
+    pthread_rwlock_init(&lock_, &attr);
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~ShardMutex() { pthread_rwlock_destroy(&lock_); }
+  ShardMutex(const ShardMutex&) = delete;
+  ShardMutex& operator=(const ShardMutex&) = delete;
+
+  void lock() { pthread_rwlock_wrlock(&lock_); }
+  void unlock() { pthread_rwlock_unlock(&lock_); }
+  void lock_shared() { pthread_rwlock_rdlock(&lock_); }
+  void unlock_shared() { pthread_rwlock_unlock(&lock_); }
+
+ private:
+  pthread_rwlock_t lock_;
 };
 
 }  // namespace
 
+// Over-aligned so two shards never share a cache line; the stats get
+// their own line because every op bumps them.
+struct alignas(128) ShardedCube::Shard {
+  mutable ShardMutex mutex;
+  std::unique_ptr<DynamicDataCube> cube;
+  std::atomic<int64_t> reroots{0};
+  // Ops accounted to this shard (cross-shard ops bill their lowest
+  // touched shard); aggregated by ShardedCube::stats().
+  alignas(64) mutable ConcurrentOpStats stats;
+};
+
 // ---------------------------------------------------------------------------
-// Construction / destruction.
+// Construction.
 
 ShardedCube::ShardedCube(int dims, int64_t initial_side, int num_shards,
                          DdcOptions options)
@@ -138,7 +151,6 @@ ShardedCube::ShardedCube(int dims, int64_t initial_side, int num_shards,
       // the DDC_CHECK below instead of a divide-by-zero in this initializer.
       slab_width_(std::max<int64_t>(
           1, initial_side / std::max(num_shards, 1))),
-      cube_id_(g_next_cube_id.fetch_add(1, std::memory_order_relaxed)),
       shards_(std::make_unique<Shard[]>(
           static_cast<size_t>(std::max(num_shards, 0)))) {
   DDC_CHECK(num_shards >= 1);
@@ -146,43 +158,20 @@ ShardedCube::ShardedCube(int dims, int64_t initial_side, int num_shards,
     Shard& shard = shards_[static_cast<size_t>(s)];
     shard.cube = std::make_unique<DynamicDataCube>(dims, initial_side,
                                                    WithoutCounters(options));
-    // Shard-aware growth hook: runs on the shard's owner thread, inside the
-    // mutation that triggered the re-root (exclusive ownership — growth
-    // needs no cross-shard quiescing).
+    // Shard-aware growth hook: runs inside the mutation that triggered the
+    // re-root, under the shard's exclusive lock.
     shard.cube->lifecycle().Subscribe([&shard](const ReRootEvent&) {
       shard.reroots.fetch_add(1, std::memory_order_relaxed);
       shard.stats.reroots.fetch_add(1, std::memory_order_relaxed);
       if (obs::Enabled()) ShardedObs::Get().reroots.Increment();
     });
-    shard.depth_gauge = obs::MetricsRegistry::Default().GetGauge(
-        "sharded.mailbox.queue_depth.s" + std::to_string(s));
-  }
-  // Start the owners only after every shard is fully initialized: an owner
-  // touches sibling-agnostic state only, but its first drain round walks
-  // the producer list and the fault/obs hooks of its own shard.
-  for (int s = 0; s < num_shards_; ++s) {
-    shards_[static_cast<size_t>(s)].owner =
-        std::thread([this, s] { OwnerLoop(s); });
   }
 }
 
-ShardedCube::~ShardedCube() {
-  stop_.store(true, std::memory_order_release);
-  for (int s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    shard.doorbell.fetch_add(1, std::memory_order_release);
-    shard.doorbell.notify_all();
-  }
-  // Owners exit only once a full drain round finds their lanes empty, so
-  // every request enqueued before destruction is processed exactly once.
-  for (int s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    if (shard.owner.joinable()) shard.owner.join();
-  }
-}
+ShardedCube::~ShardedCube() = default;
 
 // ---------------------------------------------------------------------------
-// Decomposition (unchanged from the lock-striped implementation).
+// Decomposition.
 
 int64_t ShardedCube::SlabIndex(Coord c0) const {
   return FloorDiv(c0, slab_width_);
@@ -222,7 +211,7 @@ std::vector<ShardedCube::SubQuery> ShardedCube::Decompose(
                                                  slab_width_ - 1);
     sub.push_back(std::move(q));
   }
-  // Ascending shard index: the stable billing/reporting order.
+  // Ascending shard index: the lock and billing order.
   std::sort(sub.begin(), sub.end(),
             [](const SubQuery& a, const SubQuery& b) {
               return a.shard < b.shard;
@@ -261,252 +250,41 @@ std::vector<ShardedCube::SubQuery> ShardedCube::DecomposeWrite(
 }
 
 // ---------------------------------------------------------------------------
-// Mailbox plumbing.
+// Shard critical sections.
 
-ShardedCube::Producer& ShardedCube::LocalProducer() const {
-  TlsProducerCache& cache = g_tls_producer_cache;
-  for (const TlsProducerCache::Entry& e : cache.entries) {
-    if (e.cube_id == cube_id_) return *static_cast<Producer*>(e.producer);
-  }
-  // Cold path: register (or re-find) this thread's lanes under the mutex.
-  Producer* producer;
-  {
-    std::lock_guard<std::mutex> lock(producer_mutex_);
-    Producer*& by_thread = producer_by_thread_[std::this_thread::get_id()];
-    if (by_thread == nullptr) {
-      auto owned = std::make_unique<Producer>(num_shards_);
-      owned->next = producer_head_.load(std::memory_order_relaxed);
-      by_thread = owned.get();
-      producers_.push_back(std::move(owned));
-      // Publish AFTER the lanes are constructed: owners traverse via this
-      // head with acquire and must see initialized rings.
-      producer_head_.store(by_thread, std::memory_order_release);
-    }
-    producer = by_thread;
-  }
-  TlsProducerCache::Entry& victim = cache.entries[cache.next_evict];
-  cache.next_evict = (cache.next_evict + 1) % TlsProducerCache::kEntries;
-  victim.cube_id = cube_id_;
-  victim.producer = producer;
-  return *producer;
+template <typename Fn>
+void ShardedCube::ReadShard(int s, Fn&& fn) const {
+  const Shard& shard = shards_[static_cast<size_t>(s)];
+  std::shared_lock lock(shard.mutex);
+  ShardDelayFaultSite();
+  fn(static_cast<const DynamicDataCube&>(*shard.cube));
 }
 
-void ShardedCube::Submit(int shard_idx, ShardRequest req) const {
-  Shard& shard = shards_[static_cast<size_t>(shard_idx)];
-  if (obs::Enabled()) {
-    ShardedObs::Get().mailbox_messages.Increment();
-    shard.depth_gauge->Add(1);
-    // Nonzero by construction (steady_clock at runtime); doubles as the
-    // "gauge was incremented" marker the owner uses to keep the pair
-    // balanced even if obs is toggled off mid-flight.
-    req.enqueue_ns = static_cast<int64_t>(obs::NowNanos());
-    if (req.enqueue_ns == 0) req.enqueue_ns = 1;
-  }
-  shard.stats.mailbox_messages.fetch_add(1, std::memory_order_relaxed);
-  SpscMailbox<ShardRequest>& lane =
-      LocalProducer().lanes[static_cast<size_t>(shard_idx)].ring;
-  while (!lane.TryPush(req)) {
-    // Unreachable under the synchronous protocol (<= 1 in-flight request
-    // per lane); kept as a counted, yielding backstop rather than a check
-    // so future pipelined callers degrade instead of aborting.
-    shard.stats.mailbox_stalls.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) ShardedObs::Get().mailbox_stalls.Increment();
-    std::this_thread::yield();
-  }
-  shard.doorbell.fetch_add(1, std::memory_order_release);
-  shard.doorbell.notify_one();
-}
-
-void ShardedCube::RunOnShard(int shard_idx,
-                             void (*fn)(DynamicDataCube&, void*),
-                             void* ctx) const {
-  internal::CompletionSlot done;
-  done.Arm(1);
-  obs::CostLedger local;
-  obs::CostLedger* active = obs::ActiveLedger();
-  ShardRequest req;
-  req.kind = ShardRequest::Kind::kCall;
-  req.fn = fn;
-  req.out = ctx;
-  req.ledger = active != nullptr ? &local : nullptr;
-  req.done = &done;
-  Submit(shard_idx, req);
-  done.Wait();
-  if (active != nullptr) MergeLedger(*active, local);
-}
-
-void ShardedCube::Broadcast(void (*fn)(DynamicDataCube&, void*), void* ctxs,
-                            size_t stride) const {
-  internal::CompletionSlot done;
-  done.Arm(static_cast<uint32_t>(num_shards_));
-  obs::CostLedger* active = obs::ActiveLedger();
-  std::vector<obs::CostLedger> slots;
-  if (active != nullptr) slots.resize(static_cast<size_t>(num_shards_));
-  for (int s = 0; s < num_shards_; ++s) {
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kCall;
-    req.fn = fn;
-    req.out = static_cast<char*>(ctxs) + static_cast<size_t>(s) * stride;
-    req.ledger =
-        active != nullptr ? &slots[static_cast<size_t>(s)] : nullptr;
-    req.done = &done;
-    Submit(s, req);
-  }
-  done.Wait();
-  if (active != nullptr) {
-    for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Owner threads.
-
-void ShardedCube::OwnerLoop(int s) {
+template <typename Fn>
+void ShardedCube::WriteShard(int s, Fn&& fn) {
   Shard& shard = shards_[static_cast<size_t>(s)];
-  // Written once here, read only by this thread (the Process assertion) —
-  // no synchronization needed.
-  shard.owner_id = std::this_thread::get_id();
-  static const bool multicore = std::thread::hardware_concurrency() > 1;
-  ShardRequest buf[kDequeueBatch];
-  while (true) {
-    if (DrainShard(s, buf, kDequeueBatch)) continue;
-    if (multicore) {
-      // Short poll before parking: on a multi-core host the next request
-      // usually lands within the spin window, and the futex round trip is
-      // the dominant cost of a synchronous op.
-      bool found = false;
-      for (int i = 0; i < 128 && !found; ++i) {
-        found = DrainShard(s, buf, kDequeueBatch);
-      }
-      if (found) continue;
-    }
-    // Read the ticket BEFORE the verification scan: a producer that pushes
-    // after the scan has already bumped the doorbell past `ticket`, so the
-    // wait below returns immediately — no lost wakeup.
-    const uint32_t ticket = shard.doorbell.load(std::memory_order_acquire);
-    if (DrainShard(s, buf, kDequeueBatch)) continue;
-    if (stop_.load(std::memory_order_acquire)) break;  // Drained and stopped.
-    shard.doorbell.wait(ticket, std::memory_order_acquire);
-  }
-}
-
-bool ShardedCube::DrainShard(int s, ShardRequest* buf, size_t buf_size) {
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  bool any = false;
-  for (Producer* p = producer_head_.load(std::memory_order_acquire);
-       p != nullptr; p = p->next) {
-    SpscMailbox<ShardRequest>& lane = p->lanes[static_cast<size_t>(s)].ring;
-    for (;;) {
-      const size_t n = lane.PopBatch(buf, buf_size);
-      if (n == 0) break;
-      any = true;
-      if (obs::Enabled()) {
-        ShardedObs::Get().mailbox_dequeue_batch.Record(
-            static_cast<int64_t>(n));
-      }
-      for (size_t i = 0; i < n; ++i) Process(shard, buf[i]);
-      if (n < buf_size) break;
-    }
-  }
-  return any;
-}
-
-void ShardedCube::Process(Shard& shard, const ShardRequest& req) {
-  // The exclusive-ownership contract, enforced in debug builds: only the
-  // shard's owner thread ever executes against its cube (outside the
-  // quiesce barrier, where the owner is parked while the caller walks).
-  DDC_DCHECK(std::this_thread::get_id() == shard.owner_id);
-  if (DDC_FAULTPOINT("sharded.owner.delay")) {
-    // Stall this owner only: long enough for callers to pile requests into
-    // the lanes, which exercises drain-exactly-once and batched dequeue.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  int64_t run_start = 0;
-  if (req.enqueue_ns != 0) {
-    const int64_t now = static_cast<int64_t>(obs::NowNanos());
-    shard.depth_gauge->Add(-1);
-    ShardedObs::Get().mailbox_wait_ns.Record(now - req.enqueue_ns);
-    run_start = now;
-  }
-  if (req.kind == ShardRequest::Kind::kBarrier) {
-    auto* ctx = static_cast<BarrierCtx*>(req.out);
-    // Check in, park until the caller opens the gate, check out. The
-    // caller waits on `released` before destroying ctx, so the gate read
-    // and the final fetch_sub land on live memory.
-    req.done->CompleteOne();
-    uint32_t g;
-    while ((g = ctx->gate.load(std::memory_order_acquire)) == 0) {
-      ctx->gate.wait(g, std::memory_order_acquire);
-    }
-    ctx->released.CompleteOne();
-    return;
-  }
-  {
-    // Attribute tree work to the caller's EXPLAIN ANALYZE ledger through
-    // the private per-request slot (merged caller-side after Wait, so two
-    // owners never write one ledger concurrently).
-    obs::ScopedCostLedger scope(req.ledger);
-    switch (req.kind) {
-      case ShardRequest::Kind::kApply:
-        shard.cube->ApplyBatch(std::span<const Mutation>(
-            static_cast<const Mutation*>(req.in), req.count));
-        break;
-      case ShardRequest::Kind::kSumBatch:
-        shard.cube->RangeSumBatch(
-            std::span<const Box>(static_cast<const Box*>(req.in), req.count),
-            std::span<int64_t>(static_cast<int64_t*>(req.out), req.count));
-        break;
-      case ShardRequest::Kind::kCall:
-        req.fn(*shard.cube, req.out);
-        break;
-      case ShardRequest::Kind::kBarrier:
-        break;  // Handled above.
-    }
-  }
-  if (run_start != 0) {
-    ShardedObs::Get().mailbox_run_ns.Record(
-        static_cast<int64_t>(obs::NowNanos()) - run_start);
-  }
-  // The completion release pairs with the caller's acquire in Wait(): every
-  // partial written above happens-before the caller's gather. After the
-  // fetch_sub the caller may return and destroy the slot; the trailing
-  // notify is address-only (no access to the atomic's storage).
-  if (req.done != nullptr) req.done->CompleteOne();
+  std::unique_lock lock(shard.mutex);
+  ShardDelayFaultSite();
+  fn(*shard.cube);
 }
 
 // ---------------------------------------------------------------------------
 // Writers.
 
 void ShardedCube::Add(const Cell& cell, int64_t delta) {
-  struct Ctx {
-    const Cell* cell;
-    int64_t delta;
-  } ctx{&cell, delta};
-  Shard& shard = shards_[static_cast<size_t>(ShardOf(cell))];
-  shard.stats.point_writes.fetch_add(1, std::memory_order_relaxed);
+  const int s = ShardOf(cell);
+  shards_[static_cast<size_t>(s)].stats.point_writes.fetch_add(
+      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_writes.Increment();
-  RunOnShard(ShardOf(cell),
-             +[](DynamicDataCube& cube, void* p) {
-               auto* c = static_cast<Ctx*>(p);
-               cube.Add(*c->cell, c->delta);
-             },
-             &ctx);
+  WriteShard(s, [&](DynamicDataCube& cube) { cube.Add(cell, delta); });
 }
 
 void ShardedCube::Set(const Cell& cell, int64_t value) {
-  struct Ctx {
-    const Cell* cell;
-    int64_t value;
-  } ctx{&cell, value};
-  Shard& shard = shards_[static_cast<size_t>(ShardOf(cell))];
-  shard.stats.point_writes.fetch_add(1, std::memory_order_relaxed);
+  const int s = ShardOf(cell);
+  shards_[static_cast<size_t>(s)].stats.point_writes.fetch_add(
+      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_writes.Increment();
-  RunOnShard(ShardOf(cell),
-             +[](DynamicDataCube& cube, void* p) {
-               auto* c = static_cast<Ctx*>(p);
-               cube.Set(*c->cell, c->value);
-             },
-             &ctx);
+  WriteShard(s, [&](DynamicDataCube& cube) { cube.Set(cell, value); });
 }
 
 void ShardedCube::RangeAdd(const Box& box, int64_t delta) {
@@ -552,155 +330,100 @@ bool ShardedCube::ApplyBatch(std::span<const Mutation> ops) {
       groups[static_cast<size_t>(q.shard)].push_back(std::move(sub));
     }
   }
+  std::vector<int> touched;  // Ascending shard index.
+  for (int s = 0; s < num_shards_; ++s) {
+    if (!groups[static_cast<size_t>(s)].empty()) touched.push_back(s);
+  }
+  if (touched.empty()) return true;
+
+  // The batch itself is billed once, to its lowest touched shard; the op
+  // count is billed where the ops landed.
+  shards_[static_cast<size_t>(touched[0])].stats.batches.fetch_add(
+      1, std::memory_order_relaxed);
+  if (obs::Enabled()) ShardedObs::Get().batches.Increment();
+  for (int s : touched) {
+    const int64_t n =
+        static_cast<int64_t>(groups[static_cast<size_t>(s)].size());
+    shards_[static_cast<size_t>(s)].stats.batched_ops.fetch_add(
+        n, std::memory_order_relaxed);
+    if (obs::Enabled()) {
+      ShardedObs::Get().batched_ops.Add(n);
+      ShardedObs::Get().batch_group_size.Record(n);
+    }
+  }
   obs::CostLedger* active = obs::ActiveLedger();
   if (active != nullptr) {
-    // The fan-out shape, recorded on the calling thread (the per-shard tree
-    // work is attributed through the per-request ledger slots below).
-    for (const MutationBatch& group : groups) {
-      if (group.empty()) continue;
-      ++active->shard_groups;
-      active->shard_subqueries += static_cast<int64_t>(group.size());
+    // The fan-out shape, recorded on the calling thread.
+    active->shard_groups += static_cast<int64_t>(touched.size());
+    for (int s : touched) {
+      active->shard_subqueries +=
+          static_cast<int64_t>(groups[static_cast<size_t>(s)].size());
     }
   }
-  // Scatter one kApply per touched shard, then wait for all owners. Each
-  // owner applies its whole group between two request boundaries, which is
-  // what makes the batch atomic per shard.
-  internal::CompletionSlot done;
-  uint32_t touched = 0;
-  for (const MutationBatch& group : groups) {
-    if (!group.empty()) ++touched;
-  }
-  if (touched == 0) return true;
-  done.Arm(touched);
-  std::vector<obs::CostLedger> slots;
-  if (active != nullptr) slots.resize(static_cast<size_t>(num_shards_));
-  bool counted_batch = false;
-  for (int s = 0; s < num_shards_; ++s) {
-    const MutationBatch& group = groups[static_cast<size_t>(s)];
-    if (group.empty()) continue;
-    Shard& shard = shards_[static_cast<size_t>(s)];
-    // The batch itself is billed once, to its lowest touched shard; the op
-    // count is billed where the ops landed.
-    if (!counted_batch) {
-      shard.stats.batches.fetch_add(1, std::memory_order_relaxed);
-      if (obs::Enabled()) ShardedObs::Get().batches.Increment();
-      counted_batch = true;
-    }
-    shard.stats.batched_ops.fetch_add(static_cast<int64_t>(group.size()),
-                                      std::memory_order_relaxed);
-    if (obs::Enabled()) {
-      ShardedObs::Get().batched_ops.Add(static_cast<int64_t>(group.size()));
-      ShardedObs::Get().batch_group_size.Record(
-          static_cast<int64_t>(group.size()));
-    }
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kApply;
-    req.in = group.data();
-    req.count = static_cast<uint32_t>(group.size());
-    req.ledger =
-        active != nullptr ? &slots[static_cast<size_t>(s)] : nullptr;
-    req.done = &done;
-    Submit(s, req);
-  }
-  done.Wait();
-  if (active != nullptr) {
-    for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
-  }
+
+  // One pool index per touched shard (a single group runs inline on the
+  // caller). Each group lands whole under its shard's exclusive lock, which
+  // is what makes the batch atomic per shard. The caller participates, and
+  // a task holds exactly one shard lock and never waits on the pool, so a
+  // busy pool delays the groups but cannot deadlock them. Pool workers do
+  // not see the caller's thread-local ledger: each task fills a private
+  // slot, merged below.
+  std::vector<obs::CostLedger> slots(active != nullptr ? touched.size() : 0);
+  ThreadPool::Shared().ParallelFor(touched.size(), [&](size_t k) {
+    obs::ScopedCostLedger scope(active != nullptr ? &slots[k] : nullptr);
+    const size_t s = static_cast<size_t>(touched[k]);
+    WriteShard(touched[k], [&](DynamicDataCube& cube) {
+      cube.ApplyBatch(groups[s]);
+    });
+  });
+  for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
   return true;
 }
 
 void ShardedCube::ShrinkToFit(int64_t min_side) {
-  // All owners read the same immutable context; stride 0.
-  Broadcast(
-      +[](DynamicDataCube& cube, void* p) {
-        cube.ShrinkToFit(*static_cast<const int64_t*>(p));
-      },
-      &min_side, 0);
+  for (int s = 0; s < num_shards_; ++s) {
+    WriteShard(s, [&](DynamicDataCube& cube) { cube.ShrinkToFit(min_side); });
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Readers.
 
 int64_t ShardedCube::Get(const Cell& cell) const {
-  struct Ctx {
-    const Cell* cell;
-    int64_t result;
-  } ctx{&cell, 0};
   const int s = ShardOf(cell);
-  const Shard& shard = shards_[static_cast<size_t>(s)];
-  shard.stats.point_reads.fetch_add(1, std::memory_order_relaxed);
+  shards_[static_cast<size_t>(s)].stats.point_reads.fetch_add(
+      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_reads.Increment();
-  RunOnShard(s,
-             +[](DynamicDataCube& cube, void* p) {
-               auto* c = static_cast<Ctx*>(p);
-               c->result = cube.Get(*c->cell);
-             },
-             &ctx);
-  return ctx.result;
+  int64_t result = 0;
+  ReadShard(s, [&](const DynamicDataCube& cube) { result = cube.Get(cell); });
+  return result;
 }
 
 int64_t ShardedCube::RangeSum(const Box& box) const {
-  if (box.IsEmpty()) {
-    shards_[0].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
-    return 0;
-  }
-  const int64_t slab_lo = SlabIndex(box.lo[0]);
-  const int64_t slab_hi = SlabIndex(box.hi[0]);
-  if (slab_lo == slab_hi) {
-    // Single-slab fast path: the read-heavy common case. No decomposition
-    // vectors — one request, one owner round trip.
-    const int s = static_cast<int>(FloorMod(slab_lo, num_shards_));
-    const Shard& shard = shards_[static_cast<size_t>(s)];
-    shard.stats.range_queries.fetch_add(1, std::memory_order_relaxed);
-    if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
-    int64_t result = 0;
-    internal::CompletionSlot done;
-    done.Arm(1);
-    obs::CostLedger local;
-    obs::CostLedger* active = obs::ActiveLedger();
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kSumBatch;
-    req.in = &box;
-    req.out = &result;
-    req.count = 1;
-    req.ledger = active != nullptr ? &local : nullptr;
-    req.done = &done;
-    Submit(s, req);
-    done.Wait();
-    if (active != nullptr) MergeLedger(*active, local);
-    return result;
-  }
-  // Cross-shard: scatter one single-box sub-query per touched shard and
-  // gather the independent partials — no consistency protocol needed (each
-  // shard's cube only holds its own cells, and partial sums add).
-  const std::vector<SubQuery> sub = Decompose(box);
-  const size_t bill = sub.empty() ? 0 : static_cast<size_t>(sub[0].shard);
-  shards_[bill].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
-  if (sub.empty()) return 0;
-  std::vector<int64_t> partials(sub.size(), 0);
-  internal::CompletionSlot done;
-  done.Arm(static_cast<uint32_t>(sub.size()));
-  obs::CostLedger* active = obs::ActiveLedger();
-  std::vector<obs::CostLedger> slots;
-  if (active != nullptr) slots.resize(sub.size());
-  for (size_t k = 0; k < sub.size(); ++k) {
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kSumBatch;
-    req.in = &sub[k].box;
-    req.out = &partials[k];
-    req.count = 1;
-    req.ledger = active != nullptr ? &slots[k] : nullptr;
-    req.done = &done;
-    Submit(sub[k].shard, req);
-  }
-  done.Wait();
+  // Each piece is one single-box descent on its shard, as in
+  // ConcurrentCube::RangeSum.
   int64_t sum = 0;
-  for (int64_t p : partials) sum += p;
-  if (active != nullptr) {
-    for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
+  const auto sum_piece = [this, &sum](int s, const Box& piece) {
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      sum += cube.RangeSum(piece);
+    });
+  };
+  const auto bill = [this](int s) {
+    shards_[static_cast<size_t>(s)].stats.range_queries.fetch_add(
+        1, std::memory_order_relaxed);
+    if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
+  };
+  if (!box.IsEmpty() && SlabIndex(box.lo[0]) == SlabIndex(box.hi[0])) {
+    // Single-slab fast path, the read-heavy common case: no decomposition
+    // vector.
+    const int s = static_cast<int>(FloorMod(SlabIndex(box.lo[0]), num_shards_));
+    bill(s);
+    sum_piece(s, box);
+    return sum;
   }
+  const std::vector<SubQuery> sub = Decompose(box);
+  bill(sub.empty() ? 0 : sub[0].shard);
+  for (const SubQuery& q : sub) sum_piece(q.shard, q.box);
   return sum;
 }
 
@@ -712,8 +435,8 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
                       static_cast<int64_t>(boxes.size()));
 
   // Bucket the sub-queries of every box by owning shard. Each bucket is
-  // answered with one batched cube call on its owner thread, so corners
-  // shared between the batch's boxes dedup inside the shard.
+  // answered with one batched cube call, so corners shared between the
+  // batch's boxes dedup inside the shard.
   struct ShardWork {
     std::vector<Box> boxes;
     std::vector<size_t> query;  // Parallel: which output each box feeds.
@@ -728,7 +451,7 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
       w.query.push_back(q);
     }
   }
-  std::vector<int> shard_ids;  // Ascending: the stable reporting order.
+  std::vector<int> shard_ids;  // Ascending: the lock and reporting order.
   for (int s = 0; s < num_shards_; ++s) {
     ShardWork& w = work[static_cast<size_t>(s)];
     if (w.boxes.empty()) continue;
@@ -736,11 +459,9 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
     shard_ids.push_back(s);
   }
   if (shard_ids.empty()) return;
-  obs::CostLedger* active = obs::ActiveLedger();
-  if (active != nullptr) {
-    // Decomposition shape, recorded on the calling thread; the per-shard
-    // descents run on owner threads and are folded back in through the
-    // per-request ledger slots below.
+  if (obs::CostLedger* active = obs::ActiveLedger()) {
+    // Decomposition shape; the per-shard descents below run on this thread
+    // and fold into the same ledger directly.
     active->shard_groups += static_cast<int64_t>(shard_ids.size());
     for (int s : shard_ids) {
       active->shard_subqueries +=
@@ -756,118 +477,71 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
     ShardedObs::Get().range_queries.Add(static_cast<int64_t>(boxes.size()));
   }
 
-  // Scatter one kSumBatch per touched shard; owners answer concurrently.
-  internal::CompletionSlot done;
-  done.Arm(static_cast<uint32_t>(shard_ids.size()));
-  std::vector<obs::CostLedger> slots;
-  if (active != nullptr) slots.resize(shard_ids.size());
-  for (size_t k = 0; k < shard_ids.size(); ++k) {
-    ShardWork& w = work[static_cast<size_t>(shard_ids[k])];
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kSumBatch;
-    req.in = w.boxes.data();
-    req.out = w.partial.data();
-    req.count = static_cast<uint32_t>(w.boxes.size());
-    req.ledger = active != nullptr ? &slots[k] : nullptr;
-    req.done = &done;
-    Submit(shard_ids[k], req);
-  }
-  done.Wait();
-  // Gather: fold the per-shard partials into the per-box outputs.
   for (int s : shard_ids) {
-    const ShardWork& w = work[static_cast<size_t>(s)];
+    ShardWork& w = work[static_cast<size_t>(s)];
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      cube.RangeSumBatch(w.boxes, w.partial);
+    });
     for (size_t i = 0; i < w.boxes.size(); ++i) {
       out[w.query[i]] += w.partial[i];
     }
-  }
-  if (active != nullptr) {
-    for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
   }
 }
 
 int64_t ShardedCube::TotalSum() const {
   shards_[0].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
-  std::vector<int64_t> partials(static_cast<size_t>(num_shards_), 0);
-  Broadcast(
-      +[](DynamicDataCube& cube, void* p) {
-        *static_cast<int64_t*>(p) = cube.TotalSum();
-      },
-      partials.data(), sizeof(int64_t));
   int64_t sum = 0;
-  for (int64_t p : partials) sum += p;
+  for (int s = 0; s < num_shards_; ++s) {
+    ReadShard(s, [&](const DynamicDataCube& cube) { sum += cube.TotalSum(); });
+  }
   return sum;
 }
 
 int64_t ShardedCube::StorageCells() const {
-  std::vector<int64_t> partials(static_cast<size_t>(num_shards_), 0);
-  Broadcast(
-      +[](DynamicDataCube& cube, void* p) {
-        *static_cast<int64_t*>(p) = cube.StorageCells();
-      },
-      partials.data(), sizeof(int64_t));
   int64_t sum = 0;
-  for (int64_t p : partials) sum += p;
+  for (int s = 0; s < num_shards_; ++s) {
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      sum += cube.StorageCells();
+    });
+  }
   return sum;
 }
 
 Cell ShardedCube::DomainLo() const {
-  std::vector<Cell> lows(static_cast<size_t>(num_shards_));
-  Broadcast(
-      +[](DynamicDataCube& cube, void* p) {
-        *static_cast<Cell*>(p) = cube.DomainLo();
-      },
-      lows.data(), sizeof(Cell));
-  Cell lo = lows[0];
-  for (int s = 1; s < num_shards_; ++s) {
-    lo = CellMin(lo, lows[static_cast<size_t>(s)]);
+  Cell lo;
+  for (int s = 0; s < num_shards_; ++s) {
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      lo = s == 0 ? cube.DomainLo() : CellMin(lo, cube.DomainLo());
+    });
   }
   return lo;
 }
 
 Cell ShardedCube::DomainHi() const {
-  std::vector<Cell> highs(static_cast<size_t>(num_shards_));
-  Broadcast(
-      +[](DynamicDataCube& cube, void* p) {
-        *static_cast<Cell*>(p) = cube.DomainHi();
-      },
-      highs.data(), sizeof(Cell));
-  Cell hi = highs[0];
-  for (int s = 1; s < num_shards_; ++s) {
-    hi = CellMax(hi, highs[static_cast<size_t>(s)]);
+  Cell hi;
+  for (int s = 0; s < num_shards_; ++s) {
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      hi = s == 0 ? cube.DomainHi() : CellMax(hi, cube.DomainHi());
+    });
   }
   return hi;
 }
 
 void ShardedCube::ForEachNonZero(
     const std::function<void(const Cell&, int64_t)>& fn) const {
-  // Quiesce protocol: park every owner on the gate, walk the (now
-  // exclusively ours) cubes directly, open the gate, and wait for every
-  // owner to move past it before the rendezvous state goes out of scope.
-  // The mutex serializes concurrent barriers — two interleaved quiesces
-  // could otherwise park disjoint owner subsets in opposite orders and
-  // deadlock. Cold path by contract.
-  std::lock_guard<std::mutex> quiesce(quiesce_mutex_);
-  BarrierCtx ctx;
-  internal::CompletionSlot arrivals;
-  arrivals.Arm(static_cast<uint32_t>(num_shards_));
-  ctx.released.Arm(static_cast<uint32_t>(num_shards_));
+  // Ascending acquisition: every other path holds at most one shard lock,
+  // so no lock-order cycle can form, and two concurrent walks queue behind
+  // each other's writers in the same order.
+  std::vector<std::shared_lock<ShardMutex>> locks;
+  locks.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    ShardRequest req;
-    req.kind = ShardRequest::Kind::kBarrier;
-    req.out = &ctx;
-    req.done = &arrivals;
-    Submit(s, req);
+    locks.emplace_back(shards_[static_cast<size_t>(s)].mutex);
+    ShardDelayFaultSite();
   }
-  arrivals.Wait();
-  // Every owner is parked past its last mutation (the arrival release pairs
-  // with our acquire), so the walk sees a consistent global snapshot.
   for (int s = 0; s < num_shards_; ++s) {
     shards_[static_cast<size_t>(s)].cube->ForEachNonZero(fn);
   }
-  ctx.gate.store(1, std::memory_order_release);
-  ctx.gate.notify_all();
-  ctx.released.Wait();
 }
 
 int64_t ShardedCube::TotalReRoots() const {
@@ -889,8 +563,6 @@ ConcurrentOpStats::Snapshot ShardedCube::stats() const {
     total.batched_ops += part.batched_ops;
     total.point_reads += part.point_reads;
     total.range_queries += part.range_queries;
-    total.mailbox_messages += part.mailbox_messages;
-    total.mailbox_stalls += part.mailbox_stalls;
     total.reroots += part.reroots;
   }
   return total;

@@ -1,5 +1,5 @@
-// ShardedCube: a shared-nothing, message-passing concurrent facade over the
-// Dynamic Data Cube.
+// ShardedCube: a lock-striped concurrent facade over the Dynamic Data Cube,
+// with every shard's work executed on the calling thread.
 //
 // The coarse ConcurrentCube serializes every writer against the whole cube.
 // ShardedCube partitions the domain along the highest-order dimension
@@ -7,127 +7,65 @@
 // periodically across the (unbounded, growable) axis: the cell with first
 // coordinate c0 belongs to shard `floor(c0 / slab_width) mod S`.
 //
-// Execution model (shared-nothing; see DESIGN.md §15)
-//   Each shard is an independent DynamicDataCube owned EXCLUSIVELY by one
-//   dedicated owner thread — its slab, arena and scratch are never touched
-//   by any other thread while the owner runs. There are no reader-writer
-//   locks and no seqlock retry loops anywhere on the hot path; mutual
-//   exclusion is structural, not locked.
+// Execution model (caller-executed shards; see DESIGN.md §15)
+//   Each shard is an independent DynamicDataCube under its own
+//   reader-writer lock. There are no shard threads: the thread that calls an
+//   operation runs the shard work itself, under that shard's lock. The
+//   paper's operations are O(log^d n) descents taking microseconds, so
+//   handing them to another thread costs about as much as running them.
 //
-//   Callers talk to owners through bounded SPSC mailboxes (one lane per
-//   (producer thread, shard) pair — common/spsc_mailbox.h), so every lane
-//   has exactly one producer and one consumer and enqueue/dequeue are plain
-//   acquire/release ring operations. A public operation:
-//     1. splits its work per shard using the same slab decomposition as
-//        before (read decomposition with the whole-box shortcut; write-exact
-//        per-slab decomposition for mutations),
-//     2. scatters one request per touched shard into that shard's lane and
-//        rings the shard's doorbell (futex wake),
-//     3. blocks on a stack-allocated CompletionSlot until every owner has
-//        processed its piece, and
-//     4. gathers the per-shard partials (sums, domains, ledger counts) on
-//        the calling thread.
-//   Every operation is synchronous: the caller does not return until the
-//   owners have applied/answered, which preserves the linearizability the
-//   lock-striped implementation provided — a batch is atomic per shard, and
-//   two non-overlapping calls from one thread are applied in order.
+//   Lock rules (these are what make the facade deadlock-free):
+//     * Reads (Get, RangeSum, RangeSumBatch, TotalSum, StorageCells,
+//       DomainLo/Hi) run inline and hold one shard's shared lock at a time,
+//       visiting shards in ascending index order.
+//     * ApplyBatch applies each shard group under that shard's exclusive
+//       lock, in batch order. A batch touching >= 2 shards hands the groups
+//       to ThreadPool::Shared().ParallelFor, one index per shard; the caller
+//       participates, each task holds exactly one shard lock and never
+//       waits on the pool. ShrinkToFit visits the shards one at a time.
+//     * ForEachNonZero takes every shard's shared lock in ascending shard
+//       order, walks, then releases. Writers hold one lock at a time, so
+//       the ordered acquisition cannot deadlock and the walk sees one
+//       consistent global snapshot.
+//   Every operation is synchronous, so a batch is atomic per shard (its
+//   group lands under one exclusive hold) and two calls from one thread are
+//   applied in order. The shard locks prefer writers, so a stream of
+//   overlapping readers cannot starve a shard's writers.
 //
-//   Cross-shard range sums are therefore scatter/gather of independent
-//   per-shard partial sums (each shard's cube only holds its own cells), no
-//   retry loop, no multi-lock fallback. TotalSum/StorageCells/DomainLo/Hi
-//   gather the same way. Whole-cube walks (ForEachNonZero) instead quiesce:
-//   a barrier message parks every owner on a release gate, the caller walks
-//   the quiesced cubes directly, then opens the gate.
-//
-// Growth: each shard's DynamicDataCube grows (re-roots) on its owner thread
-// while processing the mutation that triggered it — the owner already has
-// exclusive ownership, so growth needs no cross-shard quiescing. Re-rootings
-// are observed through the DDC's CubeLifecycle hub (the hook now runs on the
-// owner thread) and surface in stats().
-//
-// Shutdown: the destructor sets the stop flag, rings every doorbell and
-// joins the owners; an owner exits only after a full drain round finds all
-// of its lanes empty, so every in-flight request is processed exactly once.
+// Growth: each shard's DynamicDataCube grows (re-roots) inside the mutation
+// that triggered it, under that shard's exclusive lock; growth needs no
+// cross-shard coordination. Re-rootings are observed through the DDC's
+// CubeLifecycle hub and surface in stats() and TotalReRoots().
 //
 // The shard cubes run with operation counters disabled (per-cube OpCounters
-// are not thread-safe to *read* while the owner mutates, and the registry
+// are not thread-safe to mutate under a shared lock, and the registry
 // carries the same accounting); whole-operation accounting lives in the
-// thread-safe stats() instead, billed on the calling thread.
+// thread-safe stats() instead.
 
 #ifndef DDC_CONCURRENT_SHARDED_CUBE_H_
 #define DDC_CONCURRENT_SHARDED_CUBE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/cell.h"
 #include "common/mutation.h"
 #include "common/op_counter.h"
 #include "common/range.h"
-#include "common/spsc_mailbox.h"
 #include "ddc/ddc_options.h"
-#include "ddc/dynamic_data_cube.h"
-#include "obs/introspect.h"
-#include "obs/metrics.h"
 
 namespace ddc {
-
-namespace internal {
-
-// A stack-allocated completion counter: Arm(n) before scattering n
-// requests, each owner calls CompleteOne() when its piece is done, the
-// caller blocks in Wait() until the count reaches zero. Waiting is a short
-// adaptive spin (skipped on single-core hosts) followed by a futex-backed
-// std::atomic::wait, so an idle waiter costs nothing.
-class CompletionSlot {
- public:
-  void Arm(uint32_t n) { pending_.store(n, std::memory_order_relaxed); }
-
-  void CompleteOne() {
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pending_.notify_all();
-    }
-  }
-
-  void Wait() {
-    uint32_t cur = pending_.load(std::memory_order_acquire);
-    if (cur == 0) return;
-    static const bool multicore = std::thread::hardware_concurrency() > 1;
-    if (multicore) {
-      for (int i = 0; i < kSpinRounds; ++i) {
-        cur = pending_.load(std::memory_order_acquire);
-        if (cur == 0) return;
-      }
-    }
-    while ((cur = pending_.load(std::memory_order_acquire)) != 0) {
-      pending_.wait(cur, std::memory_order_acquire);
-    }
-  }
-
- private:
-  static constexpr int kSpinRounds = 256;
-  std::atomic<uint32_t> pending_{0};
-};
-
-}  // namespace internal
 
 class ShardedCube {
  public:
   // `num_shards` >= 1; `options.enable_counters` is forced off. With
-  // num_shards == 1 the behaviour degenerates to one owner thread
-  // serializing everything — the message-passing analogue of the coarse
-  // ConcurrentCube baseline.
+  // num_shards == 1 the behaviour degenerates to the coarse ConcurrentCube:
+  // one reader-writer lock over one cube.
   ShardedCube(int dims, int64_t initial_side, int num_shards,
               DdcOptions options = {});
-  // Drains every mailbox (each in-flight request is processed exactly once)
-  // and joins the owner threads.
   ~ShardedCube();
 
   ShardedCube(const ShardedCube&) = delete;
@@ -141,56 +79,53 @@ class ShardedCube {
   // growth).
   int ShardOf(const Cell& cell) const;
 
-  // Writers — one request to the owning shard, applied on its owner thread.
+  // Writers — applied under the owning shard's exclusive lock.
   void Add(const Cell& cell, int64_t delta);
   void Set(const Cell& cell, int64_t value);
 
   // Range writers: one mutation through ApplyBatch (per-slab decomposition,
-  // one request per touched shard). Growth/clipping semantics match
+  // one group per touched shard). Growth/clipping semantics match
   // DynamicDataCube: range-add grows each touched shard to contain its
   // slab piece; a zero-valued range-set clips to the current domain.
   void RangeAdd(const Box& box, int64_t delta);
   void RangeSet(const Box& box, int64_t value);
 
   // Applies every mutation of the batch (the CubeInterface::ApplyBatch
-  // contract), grouped by shard, one mailbox request per touched shard;
-  // each shard group is handed to the shard cube's batched apply in batch
-  // order, and the call returns once every owner has applied its group.
+  // contract), grouped by shard; each shard group is handed to the shard
+  // cube's batched apply in batch order under that shard's exclusive lock.
+  // Groups of a multi-shard batch run in parallel on the shared pool.
   // Range mutations are first decomposed along dimension 0 into exactly one
   // sub-box per owned slab run — unlike the read path's whole-box shortcut,
   // a write must hand each cell to exactly one shard, or the box would be
   // applied once per shard. The final state always equals sequential
   // application (mutations on different cells commute, mutations on the
   // same cell share a shard and keep their relative order). A batch is
-  // atomic per shard (the owner applies the whole group between two reads)
-  // but not across shards. Returns false (nothing applied) on a malformed
-  // batch.
+  // atomic per shard but not across shards. Returns false (nothing
+  // applied) on a malformed batch.
   bool ApplyBatch(std::span<const Mutation> ops);
 
-  // Shrinks every shard (one request each, owners work concurrently).
+  // Shrinks every shard, one exclusive hold at a time.
   void ShrinkToFit(int64_t min_side = 2);
 
-  // Readers. Each is a scatter/gather of per-shard partials computed on the
-  // owner threads; results combine sums that are independent per shard, so
-  // no cross-shard consistency protocol is needed (and none runs).
-  int64_t Get(const Cell& cell) const;          // One shard round trip.
+  // Readers. Each combines per-shard partials computed on the calling
+  // thread under one shard's shared lock at a time; partial sums are
+  // independent per shard (a shard only holds its own cells).
+  int64_t Get(const Cell& cell) const;          // One shard.
   int64_t RangeSum(const Box& box) const;
   // Batched range sums: every box is decomposed, the sub-queries are
   // grouped by shard, and each shard's group is answered with ONE batched
-  // cube call (corner dedup + shared descent inside the shard) on its owner
-  // thread; the groups run concurrently across owners and the caller
-  // gathers the partials. Results equal per-box RangeSum; out.size() must
-  // equal boxes.size().
+  // cube call (corner dedup + shared descent inside the shard). Results
+  // equal per-box RangeSum; out.size() must equal boxes.size().
   void RangeSumBatch(std::span<const Box> boxes, std::span<int64_t> out) const;
-  int64_t TotalSum() const;                     // Gather of shard totals.
-  int64_t StorageCells() const;                 // Gather of shard counts.
-  // Bounding box of the shard domains (gather of per-shard domains).
+  int64_t TotalSum() const;                     // Sum of shard totals.
+  int64_t StorageCells() const;                 // Sum of shard counts.
+  // Bounding box of the shard domains.
   Cell DomainLo() const;
   Cell DomainHi() const;
 
-  // Consistent global snapshot: a barrier message quiesces every owner on a
-  // release gate, the caller walks the parked cubes directly, then opens
-  // the gate. The callback must not call back into this object.
+  // Consistent global snapshot: holds every shard's shared lock (taken in
+  // ascending shard order) for the whole walk. The callback must not call
+  // back into this object.
   void ForEachNonZero(
       const std::function<void(const Cell&, int64_t)>& fn) const;
 
@@ -204,69 +139,9 @@ class ShardedCube {
   ConcurrentOpStats::Snapshot stats() const;
 
  private:
-  // One message in a shard's mailbox. Trivially copyable: all payloads are
-  // pointers into the (blocked, synchronous) caller's stack, which outlives
-  // the request by construction.
-  struct ShardRequest {
-    enum class Kind : uint8_t {
-      kApply,     // in = const Mutation[count]: batched apply.
-      kSumBatch,  // in = const Box[count], out = int64_t[count] partials.
-      kCall,      // fn(cube, out): arbitrary shard-local work.
-      kBarrier,   // out = std::atomic<uint32_t>* gate: park until opened.
-    };
-    Kind kind = Kind::kCall;
-    uint32_t count = 0;
-    const void* in = nullptr;
-    void* out = nullptr;
-    void (*fn)(DynamicDataCube&, void*) = nullptr;
-    // Private per-request ledger slot (caller-owned, merged by the caller
-    // after Wait); null when no EXPLAIN ANALYZE ledger is active.
-    obs::CostLedger* ledger = nullptr;
-    internal::CompletionSlot* done = nullptr;
-    // NowNanos at enqueue when obs was enabled, 0 otherwise — doubles as
-    // the "queue-depth gauge was incremented" marker so gauge pairing
-    // survives runtime obs toggling.
-    int64_t enqueue_ns = 0;
-  };
-
-  // Lane capacity. The synchronous protocol keeps at most ONE request in
-  // flight per (producer thread, shard) lane — a caller scatters at most
-  // one request per shard, then blocks until all are consumed — so any
-  // capacity >= 1 suffices; 8 leaves slack for future pipelined submission
-  // without wasting memory (requests are 64 bytes).
-  static constexpr size_t kLaneCapacity = 8;
-
-  // One (producer thread, shard) mailbox. Wrapped so the per-producer lane
-  // array is default-constructible (make_unique<Lane[]>).
-  struct Lane {
-    SpscMailbox<ShardRequest> ring{kLaneCapacity};
-  };
-
-  // One registered producer thread: one SPSC lane per shard. Registered
-  // once per (thread, cube) on first use, cached thread-locally, reclaimed
-  // only by the cube's destructor. Owners discover producers through the
-  // intrusive `next` list (push-only, acquire-published).
-  struct Producer {
-    explicit Producer(int num_shards)
-        : lanes(std::make_unique<Lane[]>(static_cast<size_t>(num_shards))) {}
-    std::unique_ptr<Lane[]> lanes;
-    Producer* next = nullptr;
-  };
-
-  // Over-aligned so two shards never share a cache line; the doorbell gets
-  // its own line because every producer bumps it while the owner spins on
-  // it.
-  struct alignas(128) Shard {
-    std::unique_ptr<DynamicDataCube> cube;
-    std::atomic<int64_t> reroots{0};
-    std::thread owner;
-    std::thread::id owner_id{};
-    obs::Gauge* depth_gauge = nullptr;  // sharded.mailbox.queue_depth.s<k>
-    // Ops accounted to this shard (cross-shard ops bill their lowest
-    // touched shard); aggregated by ShardedCube::stats().
-    alignas(64) mutable ConcurrentOpStats stats;
-    alignas(64) std::atomic<uint32_t> doorbell{0};
-  };
+  // One shard: its cube under a writer-preferring reader-writer lock, plus
+  // its counters (defined in sharded_cube.cc).
+  struct Shard;
 
   // One slab-aligned piece of a cross-shard query.
   struct SubQuery {
@@ -288,54 +163,17 @@ class ShardedCube {
   // exactly once. Ascending slab order along dimension 0.
   std::vector<SubQuery> DecomposeWrite(const Box& box) const;
 
-  // This thread's lane array for this cube (registering it on first use).
-  Producer& LocalProducer() const;
-  // Enqueues `req` into this thread's lane for `shard` and rings the
-  // doorbell. Spins (counting mailbox stalls) if the lane is full — which
-  // cannot happen under the synchronous protocol, where each lane holds at
-  // most one in-flight request.
-  void Submit(int shard, ShardRequest req) const;
-  // Synchronous single-shard round trip for `fn` (kCall); attributes work
-  // to the active cost ledger if one is installed.
-  void RunOnShard(int shard, void (*fn)(DynamicDataCube&, void*),
-                  void* ctx) const;
-  // Scatters one kCall per shard (same fn, ctx = ctxs + s * stride) and
-  // waits for all owners.
-  void Broadcast(void (*fn)(DynamicDataCube&, void*), void* ctxs,
-                 size_t stride) const;
-
-  // Owner-thread body for shard `s`: drain lanes, process, park on the
-  // doorbell when idle, exit once stopped and fully drained.
-  void OwnerLoop(int s);
-  // One drain round over every producer's lane for shard `s`; returns
-  // whether anything was processed.
-  bool DrainShard(int s, ShardRequest* buf, size_t buf_size);
-  // Applies one request on the owner thread (asserts thread identity in
-  // debug builds).
-  void Process(Shard& shard, const ShardRequest& req);
+  // Runs fn(cube) on shard `s` under its shared / exclusive lock. These are
+  // the shard critical sections (and the "sharded.owner.delay" fault site).
+  template <typename Fn>
+  void ReadShard(int s, Fn&& fn) const;
+  template <typename Fn>
+  void WriteShard(int s, Fn&& fn);
 
   int dims_;
   int num_shards_;
   int64_t slab_width_;
-  // Globally unique (never reused) id keying the thread-local producer
-  // cache, so a stale cache entry can never alias a new cube at a recycled
-  // address.
-  uint64_t cube_id_;
-  std::atomic<bool> stop_{false};
-  mutable std::unique_ptr<Shard[]> shards_;
-
-  // Producer registry: `producers_` owns, `producer_by_thread_` dedups
-  // re-registration after thread-local cache eviction, `producer_head_` is
-  // the owners' lock-free view. All registration is cold-path.
-  mutable std::mutex producer_mutex_;
-  mutable std::vector<std::unique_ptr<Producer>> producers_;
-  mutable std::map<std::thread::id, Producer*> producer_by_thread_;
-  mutable std::atomic<Producer*> producer_head_{nullptr};
-
-  // Serializes whole-cube quiesce barriers: two concurrent barriers could
-  // otherwise park disjoint owner subsets in opposite orders and deadlock.
-  // Cold path (ForEachNonZero only) — never on the per-op hot path.
-  mutable std::mutex quiesce_mutex_;
+  std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace ddc

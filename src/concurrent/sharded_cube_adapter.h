@@ -1,10 +1,9 @@
 // ShardedCubeAdapter: the CubeInterface view of a ShardedCube.
 //
-// ShardedCube is deliberately not a CubeInterface — its synchronous
-// message-passing protocol and per-shard accounting don't fit the virtual
-// per-op counters of the base class. Layers that compose over "any cube"
-// (the query-result cache in src/cache, generic differential harnesses)
-// still want the shared-nothing executor behind the common contract; this
+// ShardedCube is not a CubeInterface — its per-shard accounting doesn't fit
+// the virtual per-op counters of the base class. Layers that compose over
+// "any cube" (the query-result cache in src/cache, generic differential
+// harnesses) still want the sharded cube behind the common contract; this
 // adapter is that bridge. Every call forwards to the corresponding
 // ShardedCube operation, so the adapter inherits its thread-safety: any
 // number of threads may call any mix of members concurrently.

@@ -11,13 +11,14 @@
 // contract the EXPLAIN ANALYZE differential test enforces.
 //
 // Threading: the active ledger is a thread-local pointer. Work an operation
-// fans out to OTHER threads (ShardedCube's shard owner threads) cannot fold
-// into the caller's thread-local ledger directly; the sharded layer ships a
-// private CostLedger slot inside each mailbox request, each owner installs
-// it with ScopedCostLedger around the shard work, and the caller merges the
-// slots after gathering completions (counts add, tree_depth takes the max).
-// The decomposition shape (shard groups and sub-queries) is recorded on the
-// calling thread. See DESIGN.md §14–15.
+// fans out to OTHER threads (the pool workers that apply a multi-shard
+// ShardedCube::ApplyBatch's groups) cannot fold into the caller's
+// thread-local ledger directly; each pool task installs a private CostLedger
+// slot with ScopedCostLedger around its shard work, and the caller merges
+// the slots after the fan-out returns (counts add, tree_depth takes the
+// max). Work run on the calling thread, including every sharded read, folds
+// in directly. The decomposition shape (shard groups and sub-queries) is
+// recorded on the calling thread. See DESIGN.md §14–15.
 //
 // Zero-cost contract: with -DDDC_OBS=OFF, ActiveLedger() is a constexpr
 // nullptr and every `if (auto* l = obs::ActiveLedger())` site folds away;

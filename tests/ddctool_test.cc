@@ -186,30 +186,14 @@ TEST_F(DdcToolTest, StatsRendersUnifiedMetricSurface) {
   }
   EXPECT_NE(out.find("_p50 "), std::string::npos);
   EXPECT_NE(out.find("_p99 "), std::string::npos);
-  // The shared-nothing executor's mailbox family: the message counter, a
-  // per-shard depth gauge for every shard of the stats workload's S=4
-  // facade (all drained back to 0 at quiescence — the workload is
-  // synchronous), and the wait/run/batch histograms.
-  EXPECT_NE(out.find("sharded_mailbox_messages"), std::string::npos);
-  for (int s = 0; s < 4; ++s) {
-    const std::string gauge =
-        "sharded_mailbox_queue_depth_s" + std::to_string(s) + " 0";
-    EXPECT_NE(out.find(gauge), std::string::npos) << gauge;
-  }
   // The range-add journal scan counter (DESIGN.md §12).
   EXPECT_NE(out.find("ddc_query_overlay_journal_boxes"), std::string::npos);
-  for (const char* hist : {"sharded_mailbox_wait_ns_count",
-                           "sharded_mailbox_run_ns_count",
-                           "sharded_mailbox_dequeue_batch_count"}) {
-    EXPECT_NE(out.find(hist), std::string::npos) << hist;
-  }
 
   // JSON form carries the same namespaces, dotted, with percentiles.
   ASSERT_EQ(Run({"stats", "--ops", "200", "--format", "json"}, &out), 0);
   for (const char* key :
        {"\"ddc.", "\"sharded.", "\"threadpool.", "\"arena.", "\"wal.",
-        "\"sharded.mailbox.messages\"", "\"sharded.mailbox.queue_depth.s0\"",
-        "\"sharded.mailbox.wait_ns\"", "\"p50\":", "\"p99\":"}) {
+        "\"p50\":", "\"p99\":"}) {
     EXPECT_NE(out.find(key), std::string::npos) << "key " << key;
   }
   // Workload determinism: the machine-independent counters agree between

@@ -486,7 +486,7 @@ TEST_F(FaultRecoveryTest, OwnerDelayLeavesBatchedReadsExact) {
                               MutationKind::kAdd});
   }
   EXPECT_TRUE(cube.ApplyBatch(writes));
-  // The delay site sits in the shard owners' request loop; the batched
+  // The delay site sits in every shard critical section; the batched
   // work above must have crossed it at least once for this test to mean
   // anything. (Read before DisarmAll — disarming clears the counters.)
   EXPECT_GT(fault::Hits("sharded.owner.delay"), 0u);

@@ -5,6 +5,8 @@
 // never mutating the cube, workload-recorder bucket geometry / top-K /
 // BatchScope equivalence, and flight-recorder ring wrap + dump.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +14,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "common/cell.h"
 #include "common/mutation.h"
 #include "common/range.h"
+#include "common/thread_pool.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "obs/flight_recorder.h"
@@ -29,6 +33,14 @@
 
 namespace ddc {
 namespace {
+
+// Give the shared pool real workers even on a single-core host, so the
+// sharded write fan-out runs groups on other threads. `overwrite=0` keeps
+// an explicit operator override; runs before ThreadPool::Shared() exists.
+const int kForcePoolThreads = [] {
+  setenv("DDC_POOL_THREADS", "3", /*overwrite=*/0);
+  return 0;
+}();
 
 // Most suites need the compiled-in instrumentation; under -DDDC_OBS=OFF
 // ActiveLedger() is constexpr-null and SetEnabled is a no-op.
@@ -236,6 +248,65 @@ TEST(Explain, ShardedReadRecordsFanOutInLedger) {
   }
   EXPECT_EQ(ledger.shard_groups, 4);
   EXPECT_EQ(ledger.shard_subqueries, 4);
+}
+
+// A multi-shard ApplyBatch hands its groups to pool workers, which do not
+// see the caller's thread-local ledger; their private slots must still
+// merge so the ledger equals the registry deltas. A walker holding every
+// shard's shared lock pins the caller's lane on its first group until the
+// pool helpers have started, so the remaining groups run on workers.
+TEST(Explain, ShardedPooledWriteLedgerEqualsRegistryDeltas) {
+  if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
+  ShardedCube cube(2, 16, 4);
+  cube.Add({0, 0}, 1);
+  MutationBatch batch;
+  for (int64_t i = 0; i < 16; ++i) {
+    batch.push_back(Mutation{{i, (i * 5) % 16}, 1 + i % 3, MutationKind::kAdd});
+  }
+  batch.push_back(MakeRangeAdd({1, 2}, {14, 3}, 2));
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter* written = registry.GetCounter("ddc.values_written");
+  obs::Histogram* groups = registry.GetHistogram("sharded.batch.group_size");
+  obs::Histogram* helper_starts =
+      registry.GetHistogram("threadpool.task.queue_wait_ns");
+  const int64_t written0 = written->Value();
+  const int64_t groups0 = groups->Count();
+  const int64_t group_ops0 = groups->Sum();
+  const int64_t helpers0 = helper_starts->Count();
+  const int64_t helpers_wanted =
+      std::min<int64_t>(ThreadPool::Shared().num_threads(), 3);
+
+  std::atomic<bool> walking{false};
+  std::atomic<bool> release{false};
+  std::thread walker([&] {
+    cube.ForEachNonZero([&](const Cell&, int64_t) {
+      walking.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  std::thread releaser([&] {
+    while (!walking.load()) std::this_thread::yield();
+    while (helper_starts->Count() - helpers0 < helpers_wanted) {
+      std::this_thread::yield();
+    }
+    release.store(true);
+  });
+  while (!walking.load()) std::this_thread::yield();
+  obs::CostLedger ledger;
+  {
+    obs::ScopedCostLedger scope(&ledger);
+    ASSERT_TRUE(cube.ApplyBatch(batch));
+  }
+  walker.join();
+  releaser.join();
+
+  EXPECT_GE(helper_starts->Count() - helpers0, helpers_wanted);
+  EXPECT_EQ(ledger.shard_groups, 4);
+  EXPECT_EQ(ledger.shard_groups, groups->Count() - groups0);
+  EXPECT_EQ(ledger.shard_subqueries, groups->Sum() - group_ops0);
+  EXPECT_GT(ledger.values_written, 0);
+  EXPECT_EQ(ledger.values_written, written->Value() - written0);
 }
 
 // --- WorkloadRecorder ------------------------------------------------------

@@ -24,7 +24,8 @@ namespace {
 
 // The container running CI may report a single hardware thread, which would
 // leave the shared pool with zero workers and the parallel fan-out paths
-// (ConcurrentCube chunking, ShardedCube per-shard tasks) permanently inline.
+// (ConcurrentCube kSet resolution, ShardedCube per-shard write groups)
+// permanently inline.
 // Force real worker threads so those paths run cross-thread here (and under
 // TSan via the `sanitize` ctest label). `overwrite=0` keeps any explicit
 // operator override. Runs before main, i.e. before ThreadPool::Shared() is
@@ -155,9 +156,9 @@ TEST(QueryBatchTest, ConcurrentCubeParallelFanOut) {
   for (int i = 0; i < 500; ++i) {
     cube.Add(gen.UniformCell(), gen.Value(-9, 9));
   }
-  // Well past lanes * kMinChunk, so the chunked ParallelFor path engages.
+  // A large batch (one corner-deduplicating call under the shared lock).
   ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 200));
-  // And a batch small enough to stay inline.
+  // And a small one.
   ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 3));
 }
 

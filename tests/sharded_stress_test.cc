@@ -14,19 +14,35 @@
 
 #include "concurrent/sharded_cube.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/mutation.h"
 #include "common/workload.h"
 #include "naive/naive_cube.h"
 #include "test_seed.h"
 
 namespace ddc {
 namespace {
+
+// Multi-shard ApplyBatch runs its shard groups on the shared pool; give the
+// pool real workers even on a single-core host so those groups race the
+// readers from other threads. `overwrite=0` keeps an explicit operator
+// override; runs before ThreadPool::Shared() is first constructed.
+const int kForcePoolThreads = [] {
+  setenv("DDC_POOL_THREADS", "3", /*overwrite=*/0);
+  return 0;
+}();
 
 constexpr int kWriters = 3;
 constexpr int kReaders = 3;
@@ -267,6 +283,194 @@ TEST(ShardedStressTest, CrossShardReadsSeeMonotoneTotals) {
   const auto stats = cube.stats();
   EXPECT_EQ(stats.point_writes, 8 * kRounds);
   EXPECT_GT(stats.range_queries, 0);
+}
+
+// Every locking path at once on one cube: four band writers issue
+// multi-shard ApplyBatch calls mixing point and range kinds that grow the
+// shards past their initial side, a pair writer keeps two cells per shard
+// equal through multi-shard batches, and a RangeSumBatch reader, a
+// ForEachNonZero walker and a ShrinkToFit loop race them (eight threads).
+// Checks: no deadlock (a watchdog aborts the binary), every snapshot sees
+// each shard's pair equal (per-shard batch atomicity), and the end state
+// equals a NaiveCube replay of the writers' histories.
+TEST(ShardedStressTest, CallerExecutedLockingUnderEveryOperation) {
+  const uint64_t seed = TestSeed(777005);
+  constexpr int kShards = 4;
+  constexpr int64_t kInitialSide = 32;  // Slab width 8.
+  constexpr int64_t kDomain = 96;       // Writers reach past 32: growth.
+  constexpr int kBandWriters = 4;
+  constexpr int64_t kBand = 12;         // Writer t owns y in [12t, 12t+12).
+  constexpr Coord kPairY = kBandWriters * kBand;  // The pair writer's row.
+  constexpr int kWriterBatches = 120;
+  constexpr int kPairBatches = 1500;
+  ShardedCube cube(2, kInitialSide, kShards);
+
+  // Shard k's pair: both cells in slab k, so one shard owns both.
+  auto pair_a = [](int k) { return Cell{8 * k, kPairY}; };
+  auto pair_b = [](int k) { return Cell{8 * k + 5, kPairY + 3}; };
+
+  std::vector<MutationBatch> histories(kBandWriters);
+  std::atomic<bool> stop{false};
+  std::atomic<int> finished{0};
+  std::atomic<int64_t> batch_violations{0};
+  std::atomic<int64_t> walk_violations{0};
+  std::vector<std::thread> threads;
+  auto spawn = [&](std::function<void()> body) {
+    threads.emplace_back([&finished, body = std::move(body)] {
+      body();
+      finished.fetch_add(1);
+    });
+  };
+
+  for (int t = 0; t < kBandWriters; ++t) {
+    spawn([&, t] {
+      WorkloadGenerator gen(Shape::Cube(2, kDomain), seed + 101u * (t + 1));
+      const Coord y0 = t * kBand;
+      auto band_box = [&](Cell* lo, Cell* hi) {
+        const Coord x = gen.Value(0, kDomain - 1);
+        const Coord y = y0 + gen.Value(0, kBand - 1);
+        *lo = {x, y};
+        *hi = {std::min<Coord>(kDomain - 1, x + gen.Value(0, 40)),
+               std::min<Coord>(y0 + kBand - 1, y + gen.Value(0, 4))};
+      };
+      MutationBatch& history = histories[static_cast<size_t>(t)];
+      for (int i = 0; i < kWriterBatches; ++i) {
+        MutationBatch batch;
+        const int64_t size = gen.Value(1, 8);
+        for (int64_t b = 0; b < size; ++b) {
+          const int64_t roll = gen.Value(0, 99);
+          Cell lo, hi;
+          band_box(&lo, &hi);
+          if (roll < 45) {
+            batch.push_back(Mutation{lo, gen.Value(-9, 9), MutationKind::kAdd});
+          } else if (roll < 60) {
+            batch.push_back(Mutation{lo, gen.Value(-9, 9), MutationKind::kSet});
+          } else if (roll < 85) {
+            batch.push_back(MakeRangeAdd(lo, hi, gen.Value(-3, 3)));
+          } else {
+            batch.push_back(MakeRangeSet(lo, hi, gen.Value(-2, 2)));
+          }
+        }
+        ASSERT_TRUE(cube.ApplyBatch(batch));
+        history.insert(history.end(), batch.begin(), batch.end());
+      }
+    });
+  }
+  // Filler between a pair's two adds widens the window a torn group would
+  // expose: cells (8k + 1 .. 8k + 6, kPairY + 1), still in slab k.
+  constexpr int kFiller = 6;
+  auto filler = [](int k, int j) { return Cell{8 * k + 1 + j, kPairY + 1}; };
+  spawn([&] {
+    for (int i = 0; i < kPairBatches; ++i) {
+      MutationBatch batch;
+      for (int k = 0; k < kShards; ++k) {
+        batch.push_back(Mutation{pair_a(k), 1, MutationKind::kAdd});
+        for (int j = 0; j < kFiller; ++j) {
+          batch.push_back(Mutation{filler(k, j), 1, MutationKind::kAdd});
+        }
+        batch.push_back(Mutation{pair_b(k), 1, MutationKind::kAdd});
+      }
+      ASSERT_TRUE(cube.ApplyBatch(batch));
+    }
+  });
+  const int writers = kBandWriters + 1;
+
+  spawn([&] {
+    // Per shard k the batch answers a_k, then the whole domain, then b_k,
+    // all in one group under one shared hold.
+    std::vector<Box> boxes;
+    for (int k = 0; k < kShards; ++k) {
+      boxes.push_back(Box{pair_a(k), pair_a(k)});
+    }
+    boxes.push_back(Box{{0, 0}, {kDomain - 1, kDomain - 1}});
+    for (int k = 0; k < kShards; ++k) {
+      boxes.push_back(Box{pair_b(k), pair_b(k)});
+    }
+    std::vector<int64_t> out(boxes.size());
+    while (!stop.load(std::memory_order_acquire)) {
+      cube.RangeSumBatch(boxes, out);
+      for (int k = 0; k < kShards; ++k) {
+        if (out[k] != out[kShards + 1 + k]) batch_violations.fetch_add(1);
+      }
+      std::this_thread::yield();
+    }
+  });
+  spawn([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      std::map<Cell, int64_t> snapshot;
+      cube.ForEachNonZero([&](const Cell& c, int64_t v) { snapshot[c] = v; });
+      for (int k = 0; k < kShards; ++k) {
+        if (snapshot[pair_a(k)] != snapshot[pair_b(k)]) {
+          walk_violations.fetch_add(1);
+        }
+      }
+      // A walk holds every shard's lock, so it stalls every writer for its
+      // whole length; back to back walks would let a multi-shard batch
+      // through only once per walk.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  spawn([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      cube.ShrinkToFit(2);
+      EXPECT_NE(cube.TotalSum(), INT64_MIN);
+      // A shrink scans every cell and journal entry of each shard under its
+      // exclusive lock; back to back they would serialize the whole run.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  // Watchdog: a lock-order bug shows up as threads that never finish, which
+  // join() would turn into a silent hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(4);
+  auto await = [&](int count) {
+    while (finished.load() < count) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr,
+                     "deadlock: %d of %d threads finished (seed %llu)\n",
+                     finished.load(), count,
+                     static_cast<unsigned long long>(seed));
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+  await(writers);
+  stop.store(true, std::memory_order_release);
+  await(static_cast<int>(threads.size()));
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(batch_violations.load(), 0);
+  EXPECT_EQ(walk_violations.load(), 0);
+  EXPECT_GT(cube.TotalReRoots(), 0);
+
+  NaiveCube shadow(Shape::Cube(2, kDomain));
+  for (const MutationBatch& history : histories) {
+    ASSERT_TRUE(shadow.ApplyBatch(history));
+  }
+  for (int k = 0; k < kShards; ++k) {
+    shadow.Add(pair_a(k), kPairBatches);
+    shadow.Add(pair_b(k), kPairBatches);
+    for (int j = 0; j < kFiller; ++j) shadow.Add(filler(k, j), kPairBatches);
+  }
+  const Box all{{0, 0}, {kDomain - 1, kDomain - 1}};
+  EXPECT_EQ(cube.TotalSum(), shadow.RangeSum(all)) << "seed " << seed;
+  std::map<Cell, int64_t> walked;
+  cube.ForEachNonZero([&](const Cell& c, int64_t v) { walked[c] = v; });
+  for (Coord x = 0; x < kDomain; ++x) {
+    for (Coord y = 0; y < kDomain; ++y) {
+      const auto it = walked.find(Cell{x, y});
+      ASSERT_EQ(it == walked.end() ? 0 : it->second, shadow.Get({x, y}))
+          << "cell (" << x << "," << y << ") seed " << seed;
+    }
+  }
+  WorkloadGenerator gen(Shape::Cube(2, kDomain), seed);
+  for (int q = 0; q < 60; ++q) {
+    const Box box = gen.UniformBox();
+    ASSERT_EQ(cube.RangeSum(box), shadow.RangeSum(box))
+        << box.ToString() << " seed " << seed;
+  }
 }
 
 }  // namespace

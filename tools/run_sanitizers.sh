@@ -21,7 +21,7 @@ SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
                   fault_recovery_test query_fuzz_test wal_test
                   range_mutation_test range_journal_test
                   kernel_layout_test ddctool
-                  mailbox_test sharded_drain_test
+                  sharded_drain_test
                   cached_cube_test cache_invalidation_property_test)
 
 # Sanitizer runs exercise the SIMD dispatch paths too: DDC_NATIVE=ON (the
