@@ -1,12 +1,10 @@
 #include "cache/cached_cube.h"
 
 #include <algorithm>
+#include <ostream>
 #include <utility>
 
 #include "common/check.h"
-#include "concurrent/sharded_cube.h"
-#include "concurrent/sharded_cube_adapter.h"
-#include "ddc/dynamic_data_cube.h"
 #include "fault/failpoint.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
@@ -74,42 +72,11 @@ CachedCube::ScopedNoPopulate::~ScopedNoPopulate() { --g_no_populate_depth; }
 
 bool CachedCube::PopulationDisabled() { return g_no_populate_depth > 0; }
 
-CachedCube::CachedCube(DynamicDataCube* cube, CachedCubeOptions options)
-    : inner_(cube), ddc_(cube), dims_(cube->dims()) {
-  Init(options);
-  // A re-root rebuilds the tree wholesale, so every clip-canonicalized key
-  // minted against the old domain is suspect: flush and mark the snapshot
-  // stale. The callback runs mid-re-root on the mutating thread and must
-  // not read the cube back, hence mark-only (RefreshDomainLocked is lazy).
-  lifecycle_token_ =
-      ddc_->lifecycle().Subscribe([this](const ReRootEvent& /*event*/) {
-        std::lock_guard<std::mutex> lock(mu_);
-        FlushLocked();
-        domain_stale_ = true;
-        ++gen_;
-      });
-}
-
-CachedCube::CachedCube(ShardedCube* cube, CachedCubeOptions options)
-    : sharded_(cube),
-      adapter_(std::make_unique<ShardedCubeAdapter>(cube)),
-      dims_(cube->dims()) {
-  inner_ = adapter_.get();
-  last_reroots_ = cube->TotalReRoots();
-  Init(options);
-}
-
 CachedCube::CachedCube(CubeInterface* cube, CachedCubeOptions options)
-    : inner_(cube), dims_(cube->dims()) {
-  Init(options);
-}
-
-CachedCube::~CachedCube() {
-  if (ddc_ != nullptr) ddc_->lifecycle().Unsubscribe(lifecycle_token_);
-}
-
-void CachedCube::Init(CachedCubeOptions options) {
-  options_ = options;
+    : inner_(cube),
+      dims_(cube->dims()),
+      options_(options),
+      seen_epoch_(cube->ReRootEpoch()) {
   options_.capacity = std::max<size_t>(options_.capacity, 2);
   options_.max_pinned =
       std::min(options_.max_pinned, options_.capacity / 2);
@@ -118,7 +85,6 @@ void CachedCube::Init(CachedCubeOptions options) {
   for (size_t i = options_.capacity; i > 0; --i) {
     free_.push_back(static_cast<uint32_t>(i - 1));
   }
-  domain_stale_ = true;
 }
 
 Cell CachedCube::DomainLo() const { return inner_->DomainLo(); }
@@ -134,6 +100,19 @@ int64_t CachedCube::StorageCells() const { return inner_->StorageCells(); }
 
 std::string CachedCube::name() const {
   return "cached(" + inner_->name() + ")";
+}
+
+int64_t CachedCube::ReRootEpoch() const { return inner_->ReRootEpoch(); }
+
+void CachedCube::PollReRootLocked() const {
+  // A re-root rebuilds the tree wholesale, so every clip-canonicalized key
+  // minted against the old domain is suspect.
+  const int64_t epoch = inner_->ReRootEpoch();
+  if (epoch == seen_epoch_) return;
+  seen_epoch_ = epoch;
+  FlushLocked();
+  domain_stale_ = true;
+  ++gen_;
 }
 
 void CachedCube::RefreshDomainLocked() const {
@@ -321,6 +300,7 @@ int64_t CachedCube::CachedRangeSum(const Box& box) const {
   uint64_t probe_gen = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    PollReRootLocked();
     canonical = CanonicalLocked(box);
     if (canonical.IsEmpty()) return 0;
     fp = FingerprintBox(canonical);
@@ -369,6 +349,7 @@ void CachedCube::RangeSumBatch(std::span<const Box> ranges,
   uint64_t probe_gen = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    PollReRootLocked();
     probe_gen = gen_;
     for (size_t i = 0; i < ranges.size(); ++i) {
       const Box canonical = CanonicalLocked(ranges[i]);
@@ -618,14 +599,7 @@ void CachedCube::WriteEpilogue() {
   std::lock_guard<std::mutex> lock(mu_);
   --pending_writers_;
   ++gen_;
-  if (sharded_ != nullptr) {
-    const int64_t reroots = sharded_->TotalReRoots();
-    if (reroots != last_reroots_) {
-      last_reroots_ = reroots;
-      FlushLocked();
-      domain_stale_ = true;
-    }
-  }
+  PollReRootLocked();
 }
 
 void CachedCube::Set(const Cell& cell, int64_t value) {
@@ -694,6 +668,7 @@ int CachedCube::AdoptHotRanges() {
   uint64_t probe_gen = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    PollReRootLocked();
     probe_gen = gen_;
     for (const obs::WorkloadRecorder::HotBox& hb : hot) {
       if (hb.dims != dims_) continue;
@@ -750,21 +725,18 @@ CacheStats CachedCube::Stats() const {
 }
 
 void CachedCube::ShrinkToFit(int64_t min_side) {
-  if (ddc_ != nullptr) {
-    ddc_->ShrinkToFit(min_side);  // Lifecycle callback flushes.
-    return;
-  }
-  if (sharded_ != nullptr) {
-    sharded_->ShrinkToFit(min_side);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++gen_;
-    const int64_t reroots = sharded_->TotalReRoots();
-    if (reroots != last_reroots_) {
-      last_reroots_ = reroots;
-      FlushLocked();
-      domain_stale_ = true;
-    }
-  }
+  inner_->ShrinkToFit(min_side);
+  std::lock_guard<std::mutex> lock(mu_);
+  PollReRootLocked();
+}
+
+void CachedCube::ExplainPlan(std::span<const Box> rows,
+                             std::ostream& os) const {
+  const CacheStats stats = Stats();
+  os << "  cache: entries=" << stats.entries
+     << " pinned=" << stats.pinned_entries << " hits=" << stats.hits
+     << " misses=" << stats.misses << "\n";
+  inner_->ExplainPlan(rows, os);
 }
 
 }  // namespace ddc

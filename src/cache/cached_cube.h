@@ -15,13 +15,15 @@
 // *before* the backing cube applies it the cache computes the batch's dirty
 // boxes (common/mutation.h) and evicts exactly the overlapping entries —
 // disjoint entries survive, which the invalidation property suite asserts
-// as an exact eviction count. Structural events flush wholesale: a
-// DynamicDataCube re-root (growth or shrink, observed through its
-// CubeLifecycle hub) or a ShardedCube shard re-root (observed by polling
-// TotalReRoots() after each write) empties the cache and re-snapshots the
-// domain, and so does any batch whose dirty bounds escape the snapshot
-// domain (the write may grow the cube mid-apply, so clip-based keys made
-// before it cannot be trusted afterwards).
+// as an exact eviction count. Structural events flush wholesale: any
+// re-root of the backing cube (growth or shrink) empties the cache and
+// re-snapshots the domain. The cache notices one by polling the backing
+// cube's ReRootEpoch() under its mutex after every wrapper write and at the
+// top of every probe, so a re-root caused by a writer that bypassed the
+// wrapper is flushed before the next read too. Any batch whose dirty
+// bounds escape the snapshot domain flushes as well (the write may grow
+// the cube mid-apply, so clip-based keys made before it cannot be trusted
+// afterwards).
 //
 // Self-tuning hot ranges: AdoptHotRanges() pulls the top-K read sketch from
 // obs::WorkloadRecorder and *pins* those boxes. Pinned entries are not
@@ -31,16 +33,17 @@
 // Assigning kinds (kSet/kRangeSet) destroy information the cache does not
 // hold, so they evict and unpin like any other entry.
 //
-// Composition and threading: the wrapper borrows its backing cube. Over a
-// DynamicDataCube it is single-threaded like the cube itself. Over a
-// ShardedCube (via concurrent/sharded_cube_adapter.h) it is fully
-// thread-safe: cache state sits under one mutex, and a pending-writer
-// count plus a generation counter form the insert guard — a miss computed
-// concurrently with any writer or flush is returned to the caller but
-// never inserted, which closes the classic stale-insert race without
-// locking the backing cube's scatter/gather. All writes MUST flow through
-// the wrapper (or be reported via InvalidateBatch); writing to the backing
-// cube directly leaves stale entries by construction.
+// Composition and threading: the wrapper borrows any CubeInterface and
+// inherits its thread-safety. Over a DynamicDataCube it is single-threaded
+// like the cube itself. Over a thread-safe backing cube (ShardedCube,
+// ConcurrentCube) it is fully thread-safe: cache state sits under one
+// mutex, and a pending-writer count plus a generation counter form the
+// insert guard — a miss computed concurrently with any writer or flush is
+// returned to the caller but never inserted, which closes the classic
+// stale-insert race without locking the backing cube's reads. All writes
+// MUST flow through the wrapper (or be reported via InvalidateBatch);
+// writing to the backing cube directly leaves stale entries by
+// construction.
 //
 // The cache is never durable: it subscribes to no WAL and is rebuilt cold
 // after a crash/restart — tools/crashloop.sh kills processes mid-
@@ -50,22 +53,17 @@
 #define DDC_CACHE_CACHED_CUBE_H_
 
 #include <cstdint>
-#include <memory>
+#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cube_interface.h"
-#include "common/cube_lifecycle.h"
 #include "common/mutation.h"
 #include "common/range.h"
 
 namespace ddc {
-
-class DynamicDataCube;
-class ShardedCube;
-class ShardedCubeAdapter;
 
 struct CachedCubeOptions {
   // Maximum live entries; at capacity a CLOCK (second-chance) sweep evicts
@@ -94,16 +92,8 @@ struct CacheStats {
 
 class CachedCube : public CubeInterface {
  public:
-  // Over a DynamicDataCube: subscribes to the cube's CubeLifecycle hub so
-  // every re-root flushes the cache. Single-threaded, like the cube.
-  explicit CachedCube(DynamicDataCube* cube, CachedCubeOptions options = {});
-  // Over a ShardedCube: owns an internal CubeInterface adapter and detects
-  // shard re-roots by polling TotalReRoots() after each write. Thread-safe.
-  explicit CachedCube(ShardedCube* cube, CachedCubeOptions options = {});
-  // Over any other CubeInterface (e.g. NaiveCube as a test oracle): no
-  // re-root hook — correct for fixed-domain backends, which never re-root.
+  // Borrows `cube`, which must outlive the wrapper.
   explicit CachedCube(CubeInterface* cube, CachedCubeOptions options = {});
-  ~CachedCube() override;
 
   CachedCube(const CachedCube&) = delete;
   CachedCube& operator=(const CachedCube&) = delete;
@@ -125,6 +115,16 @@ class CachedCube : public CubeInterface {
                      std::span<int64_t> out) const override;
   int64_t StorageCells() const override;
   std::string name() const override;
+  // Forwarded, so a layer stacked on the cache sees the backing re-roots.
+  int64_t ReRootEpoch() const override;
+  // Forwards to the backing cube's shrink; the resulting re-root flushes
+  // the cache.
+  void ShrinkToFit(int64_t min_side = 2) override;
+  // Prints the cache line (entries, pinned, hits, misses), then the
+  // backing cube's plan. The backing plan describes the miss path: a
+  // resident entry skips the descent entirely, which EXPLAIN ANALYZE's
+  // cache probes/hits report.
+  void ExplainPlan(std::span<const Box> rows, std::ostream& os) const override;
 
   // Empties the cache (pinned entries included) and re-snapshots the
   // domain on next use. Counted in CacheStats::flushes.
@@ -144,15 +144,8 @@ class CachedCube : public CubeInterface {
 
   CacheStats Stats() const;
 
-  // The backing DynamicDataCube, or nullptr for other backends. EXPLAIN
-  // uses it to print the corner-decomposition plan.
-  const DynamicDataCube* inner_ddc() const { return ddc_; }
-  // The backing cube behind the common interface (never nullptr).
+  // The backing cube (never nullptr).
   const CubeInterface* inner() const { return inner_; }
-
-  // Forwards to the backing cube's shrink (DynamicDataCube / ShardedCube
-  // backends; no-op otherwise). The resulting re-root flushes the cache.
-  void ShrinkToFit(int64_t min_side = 2);
 
   // While alive on this thread, probes still count hits/misses but misses
   // are never inserted and AdoptHotRanges is inert — the EXPLAIN ANALYZE
@@ -178,8 +171,6 @@ class CachedCube : public CubeInterface {
   // True while population is disabled on this thread.
   static bool PopulationDisabled();
 
-  void Init(CachedCubeOptions options);
-
   // Clips `box` to the domain snapshot (refreshing a stale snapshot
   // first). The canonical box is the cache key; cells it drops are outside
   // the backing domain and hence zero, so its sum equals the query's.
@@ -197,6 +188,9 @@ class CachedCube : public CubeInterface {
                     bool pinned) const;
   void EvictSlotLocked(size_t slot) const;
   void FlushLocked() const;
+  // Flushes (and marks the domain snapshot stale) when the backing cube's
+  // ReRootEpoch() moved since the last poll.
+  void PollReRootLocked() const;
 
   // The precise invalidation pass: evicts every live entry overlapping any
   // dirty box of `batch`; patches pinned entries for additive kinds
@@ -211,7 +205,7 @@ class CachedCube : public CubeInterface {
   // Write bracket. Prologue bumps the pending-writer count and runs
   // invalidation *before* the backing apply (apply-first would open a
   // stale-hit window); epilogue drops it, advances the generation, and
-  // polls a sharded backend for re-roots.
+  // polls the backing cube for re-roots.
   void WritePrologue(std::span<const Mutation> batch);
   void WriteEpilogue();
 
@@ -223,12 +217,8 @@ class CachedCube : public CubeInterface {
   void RecordMiss() const;
   void UpdateHitRatioLocked() const;
 
-  CubeInterface* inner_ = nullptr;        // Never null after construction.
-  DynamicDataCube* ddc_ = nullptr;        // Non-null for the DDC backend.
-  ShardedCube* sharded_ = nullptr;        // Non-null for the sharded backend.
-  std::unique_ptr<ShardedCubeAdapter> adapter_;  // Owned sharded view.
-  int dims_ = 0;
-  uint64_t lifecycle_token_ = 0;          // DDC backend only.
+  CubeInterface* inner_;
+  int dims_;
 
   CachedCubeOptions options_;
 
@@ -243,8 +233,7 @@ class CachedCube : public CubeInterface {
   mutable size_t pinned_live_ = 0;
 
   // Domain snapshot the canonicalizer clips against; refreshed lazily
-  // after a flush marks it stale (a lifecycle callback must not read the
-  // mid-re-root cube, so it can only mark).
+  // after a flush marks it stale.
   mutable Cell domain_lo_;
   mutable Cell domain_hi_;
   mutable bool domain_stale_ = true;
@@ -254,7 +243,8 @@ class CachedCube : public CubeInterface {
   mutable uint64_t gen_ = 0;
   mutable int64_t pending_writers_ = 0;
 
-  int64_t last_reroots_ = 0;  // Sharded backend re-root poll state.
+  // The backing cube's ReRootEpoch() at the last poll.
+  mutable int64_t seen_epoch_ = 0;
 
   // Per-batch overlap index, rebuilt at the top of every InvalidateLocked
   // and valid only inside it (kept as members so the scratch capacity

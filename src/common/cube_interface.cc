@@ -1,5 +1,7 @@
 #include "common/cube_interface.h"
 
+#include <ostream>
+
 #include "common/check.h"
 
 namespace ddc {
@@ -50,6 +52,13 @@ bool CubeInterface::ApplyBatch(std::span<const Mutation> batch) {
     }
   }
   return true;
+}
+
+void CubeInterface::ShrinkToFit(int64_t /*min_side*/) {}
+
+void CubeInterface::ExplainPlan(std::span<const Box> /*rows*/,
+                                std::ostream& os) const {
+  os << "  backend: " << name() << " (no corner planner)\n";
 }
 
 }  // namespace ddc

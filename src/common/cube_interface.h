@@ -4,12 +4,17 @@
 //
 // All structures answer the same queries over the same logical array A
 // (Section 2 of the paper); they differ only in cost. Integration tests and
-// benchmark harnesses exercise them uniformly through this interface.
+// benchmark harnesses exercise them uniformly through this interface. The
+// layers that compose over a cube — the lock-guarded facades
+// (ConcurrentCube, ShardedCube) and the query-result cache (CachedCube) —
+// implement it too, so the executor and the differential suites need one
+// code path for every stack.
 
 #ifndef DDC_COMMON_CUBE_INTERFACE_H_
 #define DDC_COMMON_CUBE_INTERFACE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <string>
 
@@ -95,6 +100,22 @@ class CubeInterface {
   void ResetCounters() { counters_.Reset(); }
 
   virtual std::string name() const = 0;
+
+  // Number of tree rebuilds (growth doublings and shrinks) so far; monotone.
+  // Layers that key state on the domain geometry poll it to notice a
+  // re-root, including one caused by a writer that bypassed them. Fixed-
+  // domain structures never re-root and keep the default 0.
+  virtual int64_t ReRootEpoch() const { return 0; }
+
+  // Rebuilds into the smallest power-of-two domain (side >= min_side)
+  // holding every nonzero cell. A no-op for fixed-domain structures.
+  virtual void ShrinkToFit(int64_t min_side = 2);
+
+  // Appends the read-plan lines EXPLAIN prints for the per-row boxes
+  // `rows`, without executing or mutating anything. Each layer prints its
+  // own section and forwards to the layer below; the default names the
+  // structure as a backend without a corner planner.
+  virtual void ExplainPlan(std::span<const Box> rows, std::ostream& os) const;
 
  protected:
   mutable OpCounters counters_;

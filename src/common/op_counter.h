@@ -59,7 +59,8 @@ struct ConcurrentOpStats {
   std::atomic<int64_t> batched_ops{0};    // Ops applied through ApplyBatch.
   std::atomic<int64_t> point_reads{0};    // Get calls.
   std::atomic<int64_t> range_queries{0};  // RangeSum/TotalSum calls.
-  // Growth/shrink re-rootings observed via the shard growth hooks.
+  // Growth/shrink re-rootings: ShardedCube keeps each shard's re-root
+  // epoch here, refreshed by the writer under the shard's exclusive lock.
   std::atomic<int64_t> reroots{0};
 
   // Plain-value copy for printing (taken at quiescence).

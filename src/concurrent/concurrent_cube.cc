@@ -48,24 +48,32 @@ ConcurrentCube::ConcurrentCube(int dims, int64_t initial_side,
                                DdcOptions options)
     : cube_(dims, initial_side, WithoutCounters(options)) {}
 
+void ConcurrentCube::RefreshEpochLocked() {
+  epoch_.store(cube_.ReRootEpoch());
+}
+
 void ConcurrentCube::Add(const Cell& cell, int64_t delta) {
   std::unique_lock lock(mutex_);
   cube_.Add(cell, delta);
+  RefreshEpochLocked();
 }
 
 void ConcurrentCube::Set(const Cell& cell, int64_t value) {
   std::unique_lock lock(mutex_);
   cube_.Set(cell, value);
+  RefreshEpochLocked();
 }
 
 void ConcurrentCube::RangeAdd(const Box& box, int64_t delta) {
   std::unique_lock lock(mutex_);
   cube_.RangeAdd(box, delta);
+  RefreshEpochLocked();
 }
 
 void ConcurrentCube::RangeSet(const Box& box, int64_t value) {
   std::unique_lock lock(mutex_);
   cube_.RangeSet(box, value);
+  RefreshEpochLocked();
 }
 
 bool ConcurrentCube::ApplyBatch(std::span<const Mutation> batch) {
@@ -84,7 +92,9 @@ bool ConcurrentCube::ApplyBatch(std::span<const Mutation> batch) {
     // batch to the cube's step-by-step program apply under one exclusive
     // hold — still a single lock acquisition for the batch.
     std::unique_lock lock(mutex_);
-    return cube_.ApplyBatch(batch);
+    const bool ok = cube_.ApplyBatch(batch);
+    RefreshEpochLocked();
+    return ok;
   }
   // Coalescing is pure computation over the batch; do it before taking the
   // lock so the exclusive hold covers only the actual application.
@@ -131,17 +141,24 @@ bool ConcurrentCube::ApplyBatch(std::span<const Mutation> batch) {
     resolved.push_back(Mutation{c.cell, net, MutationKind::kAdd});
   }
   cube_.ApplyBatch(resolved);
+  RefreshEpochLocked();
   return true;
 }
 
 void ConcurrentCube::ShrinkToFit(int64_t min_side) {
   std::unique_lock lock(mutex_);
   cube_.ShrinkToFit(min_side);
+  RefreshEpochLocked();
 }
 
 int64_t ConcurrentCube::Get(const Cell& cell) const {
   std::shared_lock lock(mutex_);
   return cube_.Get(cell);
+}
+
+int64_t ConcurrentCube::PrefixSum(const Cell& cell) const {
+  std::shared_lock lock(mutex_);
+  return cube_.PrefixSum(cell);
 }
 
 int64_t ConcurrentCube::RangeSum(const Box& box) const {
@@ -195,6 +212,7 @@ void ConcurrentCube::WithExclusive(
     const std::function<void(DynamicDataCube*)>& fn) {
   std::unique_lock lock(mutex_);
   fn(&cube_);
+  RefreshEpochLocked();
 }
 
 }  // namespace ddc

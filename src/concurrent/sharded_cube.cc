@@ -7,6 +7,7 @@
 #include <chrono>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -134,9 +135,10 @@ class ShardMutex {
 struct alignas(128) ShardedCube::Shard {
   mutable ShardMutex mutex;
   std::unique_ptr<DynamicDataCube> cube;
-  std::atomic<int64_t> reroots{0};
   // Ops accounted to this shard (cross-shard ops bill their lowest
-  // touched shard); aggregated by ShardedCube::stats().
+  // touched shard); aggregated by ShardedCube::stats(). `stats.reroots`
+  // doubles as the shard's re-root epoch mirror: WriteShard copies
+  // cube->ReRootEpoch() into it before releasing the exclusive lock.
   alignas(64) mutable ConcurrentOpStats stats;
 };
 
@@ -158,13 +160,6 @@ ShardedCube::ShardedCube(int dims, int64_t initial_side, int num_shards,
     Shard& shard = shards_[static_cast<size_t>(s)];
     shard.cube = std::make_unique<DynamicDataCube>(dims, initial_side,
                                                    WithoutCounters(options));
-    // Shard-aware growth hook: runs inside the mutation that triggered the
-    // re-root, under the shard's exclusive lock.
-    shard.cube->lifecycle().Subscribe([&shard](const ReRootEvent&) {
-      shard.reroots.fetch_add(1, std::memory_order_relaxed);
-      shard.stats.reroots.fetch_add(1, std::memory_order_relaxed);
-      if (obs::Enabled()) ShardedObs::Get().reroots.Increment();
-    });
   }
 }
 
@@ -266,6 +261,14 @@ void ShardedCube::WriteShard(int s, Fn&& fn) {
   std::unique_lock lock(shard.mutex);
   ShardDelayFaultSite();
   fn(*shard.cube);
+  // Refresh the epoch mirror while the exclusive hold still orders this
+  // write against every other writer of the shard.
+  const int64_t epoch = shard.cube->ReRootEpoch();
+  const int64_t seen = shard.stats.reroots.load();
+  if (epoch != seen) {
+    shard.stats.reroots.store(epoch);
+    if (obs::Enabled()) ShardedObs::Get().reroots.Add(epoch - seen);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,6 +400,10 @@ int64_t ShardedCube::Get(const Cell& cell) const {
   int64_t result = 0;
   ReadShard(s, [&](const DynamicDataCube& cube) { result = cube.Get(cell); });
   return result;
+}
+
+int64_t ShardedCube::PrefixSum(const Cell& cell) const {
+  return RangeSum(Box{DomainLo(), cell});
 }
 
 int64_t ShardedCube::RangeSum(const Box& box) const {
@@ -544,11 +551,10 @@ void ShardedCube::ForEachNonZero(
   }
 }
 
-int64_t ShardedCube::TotalReRoots() const {
+int64_t ShardedCube::ReRootEpoch() const {
   int64_t total = 0;
   for (int s = 0; s < num_shards_; ++s) {
-    total += shards_[static_cast<size_t>(s)].reroots.load(
-        std::memory_order_relaxed);
+    total += shards_[static_cast<size_t>(s)].stats.reroots.load();
   }
   return total;
 }

@@ -34,8 +34,13 @@
 //
 // Growth: each shard's DynamicDataCube grows (re-roots) inside the mutation
 // that triggered it, under that shard's exclusive lock; growth needs no
-// cross-shard coordination. Re-rootings are observed through the DDC's
-// CubeLifecycle hub and surface in stats() and TotalReRoots().
+// cross-shard coordination. Before releasing that lock the writer copies
+// the shard cube's ReRootEpoch() into the shard's atomic mirror, so
+// ReRootEpoch() (the sum of the mirrors) and stats().reroots read re-roots
+// without taking any lock.
+//
+// ShardedCube is a CubeInterface, so the query-result cache, the executor
+// and the differential suites compose over it like over any other cube.
 //
 // The shard cubes run with operation counters disabled (per-cube OpCounters
 // are not thread-safe to mutate under a shared lock, and the registry
@@ -49,9 +54,11 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/cell.h"
+#include "common/cube_interface.h"
 #include "common/mutation.h"
 #include "common/op_counter.h"
 #include "common/range.h"
@@ -59,19 +66,19 @@
 
 namespace ddc {
 
-class ShardedCube {
+class ShardedCube : public CubeInterface {
  public:
   // `num_shards` >= 1; `options.enable_counters` is forced off. With
   // num_shards == 1 the behaviour degenerates to the coarse ConcurrentCube:
   // one reader-writer lock over one cube.
   ShardedCube(int dims, int64_t initial_side, int num_shards,
               DdcOptions options = {});
-  ~ShardedCube();
+  ~ShardedCube() override;
 
   ShardedCube(const ShardedCube&) = delete;
   ShardedCube& operator=(const ShardedCube&) = delete;
 
-  int dims() const { return dims_; }
+  int dims() const override { return dims_; }
   int num_shards() const { return num_shards_; }
   int64_t slab_width() const { return slab_width_; }
 
@@ -80,15 +87,15 @@ class ShardedCube {
   int ShardOf(const Cell& cell) const;
 
   // Writers — applied under the owning shard's exclusive lock.
-  void Add(const Cell& cell, int64_t delta);
-  void Set(const Cell& cell, int64_t value);
+  void Add(const Cell& cell, int64_t delta) override;
+  void Set(const Cell& cell, int64_t value) override;
 
   // Range writers: one mutation through ApplyBatch (per-slab decomposition,
   // one group per touched shard). Growth/clipping semantics match
   // DynamicDataCube: range-add grows each touched shard to contain its
   // slab piece; a zero-valued range-set clips to the current domain.
-  void RangeAdd(const Box& box, int64_t delta);
-  void RangeSet(const Box& box, int64_t value);
+  void RangeAdd(const Box& box, int64_t delta) override;
+  void RangeSet(const Box& box, int64_t value) override;
 
   // Applies every mutation of the batch (the CubeInterface::ApplyBatch
   // contract), grouped by shard; each shard group is handed to the shard
@@ -102,26 +109,32 @@ class ShardedCube {
   // same cell share a shard and keep their relative order). A batch is
   // atomic per shard but not across shards. Returns false (nothing
   // applied) on a malformed batch.
-  bool ApplyBatch(std::span<const Mutation> ops);
+  bool ApplyBatch(std::span<const Mutation> ops) override;
 
   // Shrinks every shard, one exclusive hold at a time.
-  void ShrinkToFit(int64_t min_side = 2);
+  void ShrinkToFit(int64_t min_side = 2) override;
 
   // Readers. Each combines per-shard partials computed on the calling
   // thread under one shard's shared lock at a time; partial sums are
   // independent per shard (a shard only holds its own cells).
-  int64_t Get(const Cell& cell) const;          // One shard.
-  int64_t RangeSum(const Box& box) const;
+  int64_t Get(const Cell& cell) const override;  // One shard.
+  int64_t RangeSum(const Box& box) const override;
+  // RangeSum(DomainLo() .. cell): there is no native prefix entry point, and
+  // a prefix sum is the range sum from the domain anchor. Costs a domain
+  // gather per call, so hot paths should call RangeSum with a box.
+  int64_t PrefixSum(const Cell& cell) const override;
   // Batched range sums: every box is decomposed, the sub-queries are
   // grouped by shard, and each shard's group is answered with ONE batched
   // cube call (corner dedup + shared descent inside the shard). Results
   // equal per-box RangeSum; out.size() must equal boxes.size().
-  void RangeSumBatch(std::span<const Box> boxes, std::span<int64_t> out) const;
+  void RangeSumBatch(std::span<const Box> boxes,
+                     std::span<int64_t> out) const override;
   int64_t TotalSum() const;                     // Sum of shard totals.
-  int64_t StorageCells() const;                 // Sum of shard counts.
+  int64_t StorageCells() const override;        // Sum of shard counts.
   // Bounding box of the shard domains.
-  Cell DomainLo() const;
-  Cell DomainHi() const;
+  Cell DomainLo() const override;
+  Cell DomainHi() const override;
+  std::string name() const override { return "sharded_cube"; }
 
   // Consistent global snapshot: holds every shard's shared lock (taken in
   // ascending shard order) for the whole walk. The callback must not call
@@ -129,8 +142,9 @@ class ShardedCube {
   void ForEachNonZero(
       const std::function<void(const Cell&, int64_t)>& fn) const;
 
-  // Total growth/shrink re-rootings across all shards so far.
-  int64_t TotalReRoots() const;
+  // Total growth/shrink re-rootings across all shards so far; lock-free
+  // (reads the per-shard mirrors the writers refresh under their locks).
+  int64_t ReRootEpoch() const override;
 
   // Aggregated operation statistics. Counters are kept per shard (sharing
   // one ConcurrentOpStats across threads would put a contended cache line

@@ -1,18 +1,11 @@
-// ShardedCubeAdapter: the CubeInterface view of a ShardedCube.
+// ShardedCubeAdapter: a plain forwarder from CubeInterface to a borrowed
+// ShardedCube.
 //
-// ShardedCube is not a CubeInterface — its per-shard accounting doesn't fit
-// the virtual per-op counters of the base class. Layers that compose over
-// "any cube" (the query-result cache in src/cache, generic differential
-// harnesses) still want the sharded cube behind the common contract; this
-// adapter is that bridge. Every call forwards to the corresponding
-// ShardedCube operation, so the adapter inherits its thread-safety: any
-// number of threads may call any mix of members concurrently.
-//
-// PrefixSum is served as RangeSum(DomainLo() .. cell): the sharded executor
-// has no native prefix entry point, and a prefix sum *is* the range sum
-// from the domain anchor. That costs a domain gather per call — fine for
-// the differential suites that use it, wrong for a hot path (use RangeSum
-// with an explicit box there).
+// ShardedCube is itself a CubeInterface, so nothing in the library needs
+// this class any more. It is kept only because the end-to-end benchmark
+// (perfbench/e2e_bench.cc) names it, and goes with the next change to that
+// benchmark. Every call forwards to the ShardedCube, so the adapter
+// inherits its thread-safety.
 
 #ifndef DDC_CONCURRENT_SHARDED_CUBE_ADAPTER_H_
 #define DDC_CONCURRENT_SHARDED_CUBE_ADAPTER_H_
@@ -54,7 +47,7 @@ class ShardedCubeAdapter : public CubeInterface {
   }
 
   int64_t PrefixSum(const Cell& cell) const override {
-    return cube_->RangeSum(Box{cube_->DomainLo(), cell});
+    return cube_->PrefixSum(cell);
   }
   int64_t RangeSum(const Box& box) const override {
     return cube_->RangeSum(box);
@@ -65,7 +58,7 @@ class ShardedCubeAdapter : public CubeInterface {
   }
 
   int64_t StorageCells() const override { return cube_->StorageCells(); }
-  std::string name() const override { return "sharded_cube"; }
+  std::string name() const override { return cube_->name(); }
 
   ShardedCube* sharded() const { return cube_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "common/bit_util.h"
 #include "common/check.h"
 #include "common/cost_model.h"
+#include "common/kernels.h"
 #include "obs/trace.h"
 #include "obs/workload_recorder.h"
 
@@ -225,8 +227,7 @@ bool DynamicDataCube::InDomain(const Cell& cell) const {
   return true;
 }
 
-void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin,
-                                 ReRootReason reason) {
+void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin) {
   const int64_t old_side = side();
   obs::TraceSpan span("ddc.reroot", old_side, new_side, &ReRootNsHist());
   if (obs::Enabled()) ReRootCounter().Increment();
@@ -249,7 +250,7 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin,
   // crossover below their count.
   RebuildOverlay();
   FoldDownToCrossover();
-  lifecycle_.Notify(ReRootEvent{reason, old_side, new_side});
+  ++reroots_;
 }
 
 void DynamicDataCube::EnsureContains(const Cell& cell) {
@@ -265,7 +266,7 @@ void DynamicDataCube::EnsureContains(const Cell& cell) {
       size_t ui = static_cast<size_t>(i);
       if (cell[ui] < origin_[ui]) new_origin[ui] -= old_side;
     }
-    ReRootInto(old_side * 2, std::move(new_origin), ReRootReason::kGrowth);
+    ReRootInto(old_side * 2, std::move(new_origin));
     ++growth_doublings_;
   }
 }
@@ -313,7 +314,7 @@ void DynamicDataCube::ShrinkToFit(int64_t min_side) {
     }
   }
   if (!any) {
-    ReRootInto(min_side, origin_, ReRootReason::kShrink);
+    ReRootInto(min_side, origin_);
     return;
   }
   Coord max_extent = 1;
@@ -323,7 +324,7 @@ void DynamicDataCube::ShrinkToFit(int64_t min_side) {
   }
   const int64_t new_side = std::max(min_side, CeilPowerOfTwo(max_extent));
   if (new_side >= side()) return;  // Nothing to gain.
-  ReRootInto(new_side, CellAdd(origin_, lo), ReRootReason::kShrink);
+  ReRootInto(new_side, CellAdd(origin_, lo));
 }
 
 void DynamicDataCube::Add(const Cell& cell, int64_t delta) {
@@ -842,6 +843,20 @@ DynamicDataCube::RangeSumPlan DynamicDataCube::PlanRangeSumBatch(
     plan.overlay_journal_boxes = 0;
   }
   return plan;
+}
+
+void DynamicDataCube::ExplainPlan(std::span<const Box> rows,
+                                  std::ostream& os) const {
+  const RangeSumPlan plan = PlanRangeSumBatch(rows);
+  os << "  boxes after clipping: " << plan.ranges << "\n"
+     << "  corner terms: " << plan.corner_terms << "\n"
+     << "  corners deduped: " << plan.corners_deduped << "\n"
+     << "  unique corners: " << plan.unique_corners << "\n"
+     << "  overlay trees: " << plan.overlay_trees << "\n"
+     << "  overlay journal boxes: " << plan.overlay_journal_boxes << "\n"
+     << "  tree depth: " << plan.descent_levels << "\n"
+     << "  kernel path: " << (kernels::UseScalar() ? "scalar" : "simd")
+     << "\n";
 }
 
 void DynamicDataCube::SetNodeVisitListener(

@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/cube_interface.h"
-#include "common/cube_lifecycle.h"
 #include "ddc/ddc_core.h"
 #include "ddc/ddc_options.h"
 
@@ -143,6 +142,9 @@ class DynamicDataCube : public CubeInterface {
   // Number of re-rooting doublings performed so far.
   int64_t growth_doublings() const { return growth_doublings_; }
 
+  // Growth doublings plus shrink rebuilds so far: every ReRootInto call.
+  int64_t ReRootEpoch() const override { return reroots_; }
+
   // Grows the domain (if needed) until `cell` is inside it.
   void EnsureContains(const Cell& cell);
 
@@ -151,7 +153,7 @@ class DynamicDataCube : public CubeInterface {
   // mass deletions or when data has drifted away from the original domain.
   // Costs O(nnz * polylog); an empty cube shrinks to side min_side at the
   // current origin.
-  void ShrinkToFit(int64_t min_side = 2);
+  void ShrinkToFit(int64_t min_side = 2) override;
 
   // Structural statistics of the primary tree.
   DdcStats Stats() const { return core_->Stats(); }
@@ -172,21 +174,15 @@ class DynamicDataCube : public CubeInterface {
     int64_t descent_levels = 0;  // Current primary-tree depth.
   };
   RangeSumPlan PlanRangeSumBatch(std::span<const Box> ranges) const;
+  // Prints the PlanRangeSumBatch counts for `rows` as EXPLAIN plan lines
+  // (boxes after clipping, corner terms and dedup, overlay work, tree
+  // depth, kernel path).
+  void ExplainPlan(std::span<const Box> rows, std::ostream& os) const override;
 
   // Observer for primary-tree node/leaf-block touches (see
   // DdcCore::set_node_visit_listener); survives growth and shrink
   // re-rooting. Pass an empty function to detach.
   void SetNodeVisitListener(DdcCore::NodeVisitListener listener);
-
-  // Lifecycle hub for re-rooting events: every subscriber is notified once
-  // per growth doubling (new_side == 2 * old_side) and once per
-  // ShrinkToFit rebuild (new_side <= old_side), after the new core is in
-  // place and the old tree's arena has been retired. Sharded facades use
-  // this to account growth per shard; DurableCube uses it to schedule
-  // checkpoints. Callbacks run on the mutating thread — under whatever lock
-  // the caller holds — so they must be cheap and must not re-enter the
-  // cube (see common/cube_lifecycle.h for the full contract).
-  CubeLifecycle& lifecycle() { return lifecycle_; }
 
   // Invokes fn(cell, value) for every *logically* nonzero cell (primary
   // tree plus overlay), in global coordinates. With range-adds applied this
@@ -209,9 +205,9 @@ class DynamicDataCube : public CubeInterface {
   // The one re-root body: rebuilds the tree into a fresh arena+core of
   // `new_side` anchored at `new_origin`, re-inserting every nonzero cell,
   // then swaps the pair in (retiring the old tree wholesale), restores the
-  // node-visit listener, and fires lifecycle().Notify. Growth and both
-  // shrink paths funnel through here.
-  void ReRootInto(int64_t new_side, Cell new_origin, ReRootReason reason);
+  // node-visit listener, and bumps ReRootEpoch(). Growth and both shrink
+  // paths funnel through here.
+  void ReRootInto(int64_t new_side, Cell new_origin);
 
   // Applies one range-add whose box already lies inside the domain:
   // journals the box, bumps range_total_, and folds down to the crossover
@@ -259,8 +255,8 @@ class DynamicDataCube : public CubeInterface {
   std::unique_ptr<Arena> arena_;
   std::unique_ptr<DdcCore> core_;
   int64_t growth_doublings_ = 0;
+  int64_t reroots_ = 0;
   DdcCore::NodeVisitListener node_visit_listener_;
-  CubeLifecycle lifecycle_;
   // Range-add journal and overlay trees (created by the first range-add;
   // null until then so point-only cubes pay nothing). See DESIGN.md §12.
   std::unique_ptr<RangeOverlay> overlay_;

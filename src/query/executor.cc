@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/kernels.h"
+#include "cache/cached_cube.h"
 #include "common/table_printer.h"
 #include "obs/flight_recorder.h"
 #include "obs/introspect.h"
@@ -31,32 +31,6 @@ obs::Histogram& WriteMutationsHist() {
   static obs::Histogram& hist =
       *obs::MetricsRegistry::Default().GetHistogram("query.write.mutations");
   return hist;
-}
-
-// Builds the query box over [lo, hi] (the structure's domain) from the
-// predicates. Returns false with *error on a bad dimension or an empty
-// intersection.
-bool BuildBox(const Query& query, int dims, const Cell& lo, const Cell& hi,
-              Box* box, std::string* error) {
-  box->lo = lo;
-  box->hi = hi;
-  for (const Predicate& pred : query.predicates) {
-    if (pred.dim < 0 || pred.dim >= dims) {
-      *error = "query references d" + std::to_string(pred.dim) +
-               " but the cube has " + std::to_string(dims) + " dimensions";
-      return false;
-    }
-    size_t ud = static_cast<size_t>(pred.dim);
-    box->lo[ud] = std::max(box->lo[ud], pred.lo);
-    box->hi[ud] = std::min(box->hi[ud], pred.hi);
-  }
-  if (query.group_by.has_value() &&
-      (query.group_by->dim < 0 || query.group_by->dim >= dims)) {
-    *error = "GROUP BY references d" + std::to_string(query.group_by->dim) +
-             " but the cube has " + std::to_string(dims) + " dimensions";
-    return false;
-  }
-  return true;
 }
 
 // Aligned group slices of `box` along the GROUP BY dimension — the per-row
@@ -113,16 +87,36 @@ QueryResultRow MakeRow(Aggregate aggregate, Coord start, Coord end,
 
 }  // namespace
 
+bool QueryBox(const Query& query, const CubeInterface& cube, Box* box,
+              std::string* error) {
+  const int dims = cube.dims();
+  box->lo = cube.DomainLo();
+  box->hi = cube.DomainHi();
+  for (const Predicate& pred : query.predicates) {
+    if (pred.dim < 0 || pred.dim >= dims) {
+      *error = "query references d" + std::to_string(pred.dim) +
+               " but the cube has " + std::to_string(dims) + " dimensions";
+      return false;
+    }
+    size_t ud = static_cast<size_t>(pred.dim);
+    box->lo[ud] = std::max(box->lo[ud], pred.lo);
+    box->hi[ud] = std::min(box->hi[ud], pred.hi);
+  }
+  if (query.group_by.has_value() &&
+      (query.group_by->dim < 0 || query.group_by->dim >= dims)) {
+    *error = "GROUP BY references d" + std::to_string(query.group_by->dim) +
+             " but the cube has " + std::to_string(dims) + " dimensions";
+    return false;
+  }
+  return true;
+}
+
 QueryResult ExecuteQuery(const Query& query, const MeasureCube& cube) {
   QueryResult result;
   obs::TraceSpan span("query.execute", 0, 0, &ExecNsHist());
   result.aggregate = query.aggregate;
-  const DynamicDataCube& sum_cube = cube.sum_cube();
   Box box;
-  if (!BuildBox(query, cube.dims(), sum_cube.DomainLo(), sum_cube.DomainHi(),
-                &box, &result.error)) {
-    return result;
-  }
+  if (!QueryBox(query, cube.sum_cube(), &box, &result.error)) return result;
   if (box.IsEmpty()) {
     result.ok = true;  // Legal query over an empty region: no rows.
     return result;
@@ -150,14 +144,7 @@ QueryResult ExecuteQuery(const Query& query, const MeasureCube& cube) {
   return result;
 }
 
-namespace {
-
-// The SUM-only execution body, shared by the bare DynamicDataCube and the
-// CachedCube overloads — one batched RangeSumBatch per statement either
-// way, so cached and uncached execution decompose identically (the
-// differential fuzz harness depends on that).
-template <typename CubeT>
-QueryResult ExecuteSumQuery(const Query& query, const CubeT& cube) {
+QueryResult ExecuteQuery(const Query& query, const CubeInterface& cube) {
   QueryResult result;
   obs::TraceSpan span("query.execute", 0, 0, &ExecNsHist());
   result.aggregate = query.aggregate;
@@ -166,10 +153,7 @@ QueryResult ExecuteSumQuery(const Query& query, const CubeT& cube) {
     return result;
   }
   Box box;
-  if (!BuildBox(query, cube.dims(), cube.DomainLo(), cube.DomainHi(), &box,
-                &result.error)) {
-    return result;
-  }
+  if (!QueryBox(query, cube, &box, &result.error)) return result;
   if (box.IsEmpty()) {
     result.ok = true;
     return result;
@@ -195,16 +179,6 @@ QueryResult ExecuteSumQuery(const Query& query, const CubeT& cube) {
   }
   result.ok = true;
   return result;
-}
-
-}  // namespace
-
-QueryResult ExecuteQuery(const Query& query, const DynamicDataCube& cube) {
-  return ExecuteSumQuery(query, cube);
-}
-
-QueryResult ExecuteQuery(const Query& query, const CachedCube& cube) {
-  return ExecuteSumQuery(query, cube);
 }
 
 QueryResult ExecuteWrite(const WriteStatement& write, CubeInterface* cube) {
@@ -243,33 +217,29 @@ QueryResult ExecuteWrite(const WriteStatement& write, CubeInterface* cube) {
 
 namespace {
 
-template <typename CubeT>
-QueryResult RunQueryImpl(const std::string& text, const CubeT& cube) {
+// Parses `text` as a read query; on failure sets result->error.
+std::optional<Query> ParseForRun(const std::string& text,
+                                 QueryResult* result) {
   std::string error;
-  const std::optional<Query> query = ParseQuery(text, &error);
-  if (!query.has_value()) {
-    QueryResult result;
-    result.error = "parse error: " + error;
-    return result;
-  }
-  return ExecuteQuery(*query, cube);
+  std::optional<Query> query = ParseQuery(text, &error);
+  if (!query.has_value()) result->error = "parse error: " + error;
+  return query;
 }
 
 }  // namespace
 
 QueryResult RunQuery(const std::string& text, const MeasureCube& cube) {
-  return RunQueryImpl(text, cube);
+  QueryResult result;
+  const std::optional<Query> query = ParseForRun(text, &result);
+  return query.has_value() ? ExecuteQuery(*query, cube) : result;
 }
 
-QueryResult RunQuery(const std::string& text, const DynamicDataCube& cube) {
-  return RunQueryImpl(text, cube);
+QueryResult RunQuery(const std::string& text, const CubeInterface& cube) {
+  QueryResult result;
+  const std::optional<Query> query = ParseForRun(text, &result);
+  return query.has_value() ? ExecuteQuery(*query, cube) : result;
 }
 
-bool QueryBox(const Query& query, const DynamicDataCube& cube, Box* box,
-              std::string* error) {
-  return BuildBox(query, cube.dims(), cube.DomainLo(), cube.DomainHi(), box,
-                  error);
-}
 
 namespace {
 
@@ -302,8 +272,7 @@ void AppendLedger(const obs::CostLedger& ledger, std::ostream& os) {
      << "  exec ns: " << ledger.exec_ns << "\n";
 }
 
-// Renders the write half of EXPLAIN, shared by the bare-cube and cached
-// overloads — pure planning (the same common/mutation.h fold ApplyBatch
+// Renders the write half of EXPLAIN — pure planning (the same common/mutation.h fold ApplyBatch
 // uses); nothing is applied. Returns false with result->error set on an
 // arity mismatch.
 bool AppendWritePlan(const WriteStatement& write, int dims, bool analyze,
@@ -347,7 +316,7 @@ bool AppendWritePlan(const WriteStatement& write, int dims, bool analyze,
 }  // namespace
 
 QueryResult ExplainStatement(const Statement& statement,
-                             const DynamicDataCube& cube, int64_t parse_ns) {
+                             const CubeInterface& cube, int64_t parse_ns) {
   QueryResult result;
   result.is_explain = true;
   const bool analyze = statement.explain == ExplainMode::kAnalyze;
@@ -358,7 +327,7 @@ QueryResult ExplainStatement(const Statement& statement,
   std::ostringstream os;
   os << (analyze ? "EXPLAIN ANALYZE\n" : "EXPLAIN\n");
   os << "statement: " << StatementToString(inner) << "\n";
-  os << "cube: dims=" << cube.dims() << " side=" << cube.side()
+  os << "cube: " << cube.name() << " dims=" << cube.dims()
      << " domain=" << CellToString(cube.DomainLo()) << ".."
      << CellToString(cube.DomainHi()) << "\n";
 
@@ -375,118 +344,16 @@ QueryResult ExplainStatement(const Statement& statement,
     if (!QueryBox(query, cube, &box, &result.error)) return result;
     std::vector<Box> slices;
     if (!box.IsEmpty()) slices = BuildSlices(query, box);
-    const DynamicDataCube::RangeSumPlan plan =
-        cube.PlanRangeSumBatch(slices);
     os << "plan:\n"
-       << "  rows: " << slices.size() << "\n"
-       << "  boxes after clipping: " << plan.ranges << "\n"
-       << "  corner terms: " << plan.corner_terms << "\n"
-       << "  corners deduped: " << plan.corners_deduped << "\n"
-       << "  unique corners: " << plan.unique_corners << "\n"
-       << "  overlay trees: " << plan.overlay_trees << "\n"
-       << "  overlay journal boxes: " << plan.overlay_journal_boxes << "\n"
-       << "  tree depth: " << plan.descent_levels << "\n"
-       << "  kernel path: " << (kernels::UseScalar() ? "scalar" : "simd")
-       << "\n";
+       << "  rows: " << slices.size() << "\n";
+    cube.ExplainPlan(slices, os);
     if (analyze) {
       obs::CostLedger ledger;
       QueryResult executed;
       const uint64_t exec_start = obs::NowNanos();
       {
         obs::ScopedCostLedger scope(&ledger);
-        executed = ExecuteQuery(query, cube);
-      }
-      ledger.exec_ns = static_cast<int64_t>(obs::NowNanos() - exec_start);
-      ledger.parse_ns = parse_ns;
-      ledger.plan_ns = static_cast<int64_t>(exec_start - plan_start);
-      if (!executed.ok) {
-        result.error = executed.error;
-        return result;
-      }
-      AppendLedger(ledger, os);
-      os << "result rows: " << executed.rows.size() << "\n";
-    }
-  } else if (statement.write.has_value()) {
-    if (!AppendWritePlan(*statement.write, cube.dims(), analyze, os,
-                         &result)) {
-      return result;
-    }
-  } else {
-    result.error = "empty statement";
-    return result;
-  }
-
-  result.explain_text = os.str();
-  result.ok = true;
-  return result;
-}
-
-QueryResult ExplainStatement(const Statement& statement,
-                             const CachedCube& cube, int64_t parse_ns) {
-  QueryResult result;
-  result.is_explain = true;
-  const bool analyze = statement.explain == ExplainMode::kAnalyze;
-  const uint64_t plan_start = obs::NowNanos();
-  Statement inner = statement;
-  inner.explain = ExplainMode::kNone;
-
-  std::ostringstream os;
-  os << (analyze ? "EXPLAIN ANALYZE\n" : "EXPLAIN\n");
-  os << "statement: " << StatementToString(inner) << "\n";
-  os << "cube: cached(" << cube.inner()->name() << ") dims=" << cube.dims()
-     << " domain=" << CellToString(cube.DomainLo()) << ".."
-     << CellToString(cube.DomainHi()) << "\n";
-  const CacheStats stats = cube.Stats();
-  os << "cache: entries=" << stats.entries
-     << " pinned=" << stats.pinned_entries << " hits=" << stats.hits
-     << " misses=" << stats.misses << "\n";
-
-  if (statement.query.has_value()) {
-    const Query& query = *statement.query;
-    result.aggregate = query.aggregate;
-    os << "kind: read (" << AggregateName(query.aggregate) << ")\n";
-    if (query.aggregate != Aggregate::kSum) {
-      result.error =
-          "this cube stores sums only; COUNT/AVG need a MeasureCube";
-      return result;
-    }
-    Box box;
-    if (!BuildBox(query, cube.dims(), cube.DomainLo(), cube.DomainHi(), &box,
-                  &result.error)) {
-      return result;
-    }
-    std::vector<Box> slices;
-    if (!box.IsEmpty()) slices = BuildSlices(query, box);
-    if (const DynamicDataCube* ddc = cube.inner_ddc()) {
-      // The corner plan describes the *miss* path: a resident entry skips
-      // the descent entirely, which ANALYZE's cache probes/hits report.
-      const DynamicDataCube::RangeSumPlan plan =
-          ddc->PlanRangeSumBatch(slices);
-      os << "plan:\n"
-         << "  rows: " << slices.size() << "\n"
-         << "  boxes after clipping: " << plan.ranges << "\n"
-         << "  corner terms: " << plan.corner_terms << "\n"
-         << "  corners deduped: " << plan.corners_deduped << "\n"
-         << "  unique corners: " << plan.unique_corners << "\n"
-         << "  overlay trees: " << plan.overlay_trees << "\n"
-         << "  overlay journal boxes: " << plan.overlay_journal_boxes
-         << "\n"
-         << "  tree depth: " << plan.descent_levels << "\n"
-         << "  kernel path: " << (kernels::UseScalar() ? "scalar" : "simd")
-         << "\n";
-    } else {
-      os << "plan:\n"
-         << "  rows: " << slices.size() << "\n"
-         << "  backend: " << cube.inner()->name()
-         << " (no corner planner)\n";
-    }
-    if (analyze) {
-      obs::CostLedger ledger;
-      QueryResult executed;
-      const uint64_t exec_start = obs::NowNanos();
-      {
-        obs::ScopedCostLedger scope(&ledger);
-        // An explained statement must never populate the cache: probes are
+        // An explained statement must never populate a cache: probes are
         // counted (the ledger lines below) but misses are discarded.
         CachedCube::ScopedNoPopulate no_populate;
         executed = ExecuteQuery(query, cube);
@@ -516,12 +383,7 @@ QueryResult ExplainStatement(const Statement& statement,
   return result;
 }
 
-namespace {
-
-// Shared statement driver: the bare-cube and cached paths differ only in
-// which ExecuteQuery / ExplainStatement overloads resolve.
-template <typename CubeT>
-QueryResult RunStatementImpl(const std::string& text, CubeT* cube) {
+QueryResult RunStatement(const std::string& text, CubeInterface* cube) {
   const uint64_t parse_start = obs::NowNanos();
   std::string error;
   const std::optional<Statement> statement = ParseStatement(text, &error);
@@ -577,16 +439,6 @@ QueryResult RunStatementImpl(const std::string& text, CubeT* cube) {
                                : static_cast<int64_t>(result.rows.size());
   obs::FlightRecorder::Default().Record(record);
   return result;
-}
-
-}  // namespace
-
-QueryResult RunStatement(const std::string& text, DynamicDataCube* cube) {
-  return RunStatementImpl(text, cube);
-}
-
-QueryResult RunStatement(const std::string& text, CachedCube* cube) {
-  return RunStatementImpl(text, cube);
 }
 
 std::string FormatResult(const QueryResult& result) {

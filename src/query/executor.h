@@ -5,6 +5,11 @@
 // along one dimension into aligned groups. Each row is served by range
 // aggregates on the underlying structure — polylog per row on a Dynamic
 // Data Cube.
+//
+// Every entry point takes the common CubeInterface, so one code path
+// serves a bare DynamicDataCube, a CachedCube over it, a ShardedCube and
+// any stack composed of them. Only COUNT/AVG need the MeasureCube
+// overloads, because a CubeInterface stores sums only.
 
 #ifndef DDC_QUERY_EXECUTOR_H_
 #define DDC_QUERY_EXECUTOR_H_
@@ -14,10 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/cached_cube.h"
 #include "common/cube_interface.h"
 #include "common/range.h"
-#include "ddc/dynamic_data_cube.h"
 #include "olap/measure.h"
 #include "query/query.h"
 
@@ -53,15 +56,12 @@ struct QueryResult {
 // Executes against a MeasureCube (supports SUM, COUNT and AVG).
 QueryResult ExecuteQuery(const Query& query, const MeasureCube& cube);
 
-// Executes against a bare DynamicDataCube (SUM only; COUNT/AVG produce an
-// error result because the cube carries no observation counts).
-QueryResult ExecuteQuery(const Query& query, const DynamicDataCube& cube);
-
-// Executes against a query-result-cached cube (SUM only, like the bare
-// cube): the per-row boxes route through CachedCube::RangeSumBatch, so
-// repeated reports serve from cache and misses still share one batched
-// descent on the backing cube.
-QueryResult ExecuteQuery(const Query& query, const CachedCube& cube);
+// Executes against any cube (SUM only; COUNT/AVG produce an error result
+// because the cube carries no observation counts). Every row box goes to
+// ONE RangeSumBatch call: a DynamicDataCube dedups the corners adjacent
+// group slices share, and a CachedCube serves repeated reports from cache
+// while its misses still share one batched descent on the backing cube.
+QueryResult ExecuteQuery(const Query& query, const CubeInterface& cube);
 
 // Applies a write statement through the cube's batched write path: the
 // whole statement is ONE ApplyBatch call (one shared descent on a DDC).
@@ -71,7 +71,7 @@ QueryResult ExecuteWrite(const WriteStatement& write, CubeInterface* cube);
 
 // Convenience: parse + execute.
 QueryResult RunQuery(const std::string& text, const MeasureCube& cube);
-QueryResult RunQuery(const std::string& text, const DynamicDataCube& cube);
+QueryResult RunQuery(const std::string& text, const CubeInterface& cube);
 
 // Parses and runs a full statement — a read query or an ADD/SET write —
 // against one cube. Writes land through ExecuteWrite (batched); reads
@@ -79,37 +79,27 @@ QueryResult RunQuery(const std::string& text, const DynamicDataCube& cube);
 // ExplainStatement and never mutate the cube. With observability enabled,
 // every executed statement also installs a per-operation cost ledger and
 // appends one record to the flight recorder (obs/flight_recorder.h).
-QueryResult RunStatement(const std::string& text, DynamicDataCube* cube);
-
-// Cache-enabled statement execution: reads probe (and on a miss populate)
-// the cache, writes run the precise-invalidation pipeline before landing in
-// the backing cube, and EXPLAIN [ANALYZE] never mutates or populates the
-// cache (probes under ANALYZE are counted but their misses are discarded).
-QueryResult RunStatement(const std::string& text, CachedCube* cube);
+QueryResult RunStatement(const std::string& text, CubeInterface* cube);
 
 // Computes the box a read query targets over the cube's current domain
 // (predicates intersected; no GROUP BY split). Exposed for tools that want
 // the planned geometry without executing. Returns false with *error on a
 // bad dimension reference.
-bool QueryBox(const Query& query, const DynamicDataCube& cube, Box* box,
+bool QueryBox(const Query& query, const CubeInterface& cube, Box* box,
               std::string* error);
 
-// Renders the EXPLAIN [ANALYZE] plan for a parsed statement. Reads print
-// the corner decomposition (from DynamicDataCube::PlanRangeSumBatch) and —
-// under ANALYZE — execute and report exact ledger costs. Writes print the
+// Renders the EXPLAIN [ANALYZE] plan for a parsed statement. The header
+// names the cube stack (`cube: <name()> dims=... domain=...`). Reads print
+// the per-row plan each layer contributes through
+// CubeInterface::ExplainPlan — a CachedCube its cache line, a
+// DynamicDataCube its corner decomposition — and, under ANALYZE, execute
+// and report exact ledger costs. ANALYZE runs under
+// CachedCube::ScopedNoPopulate, so an explained statement never inserts
+// into a cache (its probes are still counted). Writes print the
 // coalesce-program shape only: an EXPLAIN never mutates the cube, even
 // with ANALYZE. `parse_ns` (optional) is echoed into the timing section.
 QueryResult ExplainStatement(const Statement& statement,
-                             const DynamicDataCube& cube,
-                             int64_t parse_ns = 0);
-
-// EXPLAIN [ANALYZE] over a cached cube. Read plans come from the backing
-// DynamicDataCube's corner planner when the cache wraps one (plus a cache
-// section: resident/pinned entries); ANALYZE executes under
-// CachedCube::ScopedNoPopulate and reports cache probes/hits through the
-// ledger — an explained statement never inserts into the cache.
-QueryResult ExplainStatement(const Statement& statement,
-                             const CachedCube& cube, int64_t parse_ns = 0);
+                             const CubeInterface& cube, int64_t parse_ns = 0);
 
 // Renders a result as a fixed-width table (one line per row).
 std::string FormatResult(const QueryResult& result);

@@ -316,11 +316,10 @@ DurableCube::DurableCube(int dims, int64_t initial_side,
     }
   }
   log_ = CubeLog::Open(log_path_, dims);
-  // Count re-roots through the cube's lifecycle hub — subscribed after
-  // recovery so replay-induced growth doesn't immediately demand a
-  // checkpoint of a cube that was just snapshot-consistent.
-  cube_->lifecycle().Subscribe(
-      [this](const ReRootEvent&) { ++reroots_since_checkpoint_; });
+  // Count re-roots from here on, so replay-induced growth doesn't
+  // immediately demand a checkpoint of a cube that was just
+  // snapshot-consistent.
+  checkpoint_epoch_ = cube_->ReRootEpoch();
 }
 
 bool DurableCube::Add(const Cell& cell, int64_t delta, bool sync) {
@@ -365,12 +364,12 @@ bool DurableCube::Checkpoint() {
   log_.reset();
   if (!CubeLog::Reset(log_path_, cube_->dims())) return false;
   log_ = CubeLog::Open(log_path_, cube_->dims());
-  reroots_since_checkpoint_ = 0;
+  checkpoint_epoch_ = cube_->ReRootEpoch();
   return log_ != nullptr;
 }
 
 bool DurableCube::CheckpointIfRerooted() {
-  if (reroots_since_checkpoint_ == 0) return true;
+  if (reroots_since_checkpoint() == 0) return true;
   return Checkpoint();
 }
 

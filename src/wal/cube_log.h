@@ -177,20 +177,19 @@ class DurableCube {
   bool Checkpoint();
 
   // Re-roots (growth or shrink) of the wrapped cube since the last
-  // checkpoint (or construction), observed through the cube's
-  // CubeLifecycle hub. A re-root is a natural checkpoint trigger: the
+  // checkpoint (or since recovery finished): the cube's ReRootEpoch() minus
+  // the epoch recorded then. A re-root is a natural checkpoint trigger: the
   // in-memory tree was just rebuilt wholesale, so snapshotting now bounds
   // replay work after a crash.
   int64_t reroots_since_checkpoint() const {
-    return reroots_since_checkpoint_;
+    return cube_->ReRootEpoch() - checkpoint_epoch_;
   }
 
   // Checkpoints iff at least one re-root happened since the last
-  // checkpoint. Deliberately NOT run inside the lifecycle callback: a
-  // checkpoint from within the re-root of a half-applied update would
+  // checkpoint. Call at a quiescent point (e.g. after ApplyBatch returns):
+  // a checkpoint taken inside the re-root of a half-applied update would
   // snapshot pre-update state while resetting a log that already holds the
-  // update's record — losing it. Call at a quiescent point (e.g. after
-  // ApplyBatch returns). Returns false on I/O failure.
+  // update's record — losing it. Returns false on I/O failure.
   bool CheckpointIfRerooted();
 
   // Records replayed from the log at construction (post-snapshot updates
@@ -206,7 +205,8 @@ class DurableCube {
   std::unique_ptr<DynamicDataCube> cube_;
   std::unique_ptr<CubeLog> log_;
   ReplayResult recovery_;
-  int64_t reroots_since_checkpoint_ = 0;
+  // cube_->ReRootEpoch() after recovery or at the last checkpoint.
+  int64_t checkpoint_epoch_ = 0;
 };
 
 }  // namespace ddc

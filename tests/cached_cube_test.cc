@@ -2,9 +2,9 @@
 //
 // A CachedCube must be value-for-value indistinguishable from its backing
 // cube — and from a naive array oracle fed the very same mixed point/range
-// traffic — across every composition: over a DynamicDataCube (lifecycle
-// re-roots flush), over a ShardedCube (thread-safe, re-root polling), and
-// over any plain CubeInterface backend. The suite drives seeded random
+// traffic — across every composition: over a DynamicDataCube and a
+// ShardedCube (re-roots flush through the ReRootEpoch() poll; the sharded
+// wrapper is thread-safe) and over any plain CubeInterface backend. The suite drives seeded random
 // interleavings of reads and writes (growth-straddling batches included),
 // exercises pinned hot-range patching vs kSet/kRangeSet eviction, and runs
 // a multi-threaded reader/writer mix for the sanitizer builds. Replay any
@@ -93,7 +93,7 @@ TEST(CachedCubeTest, MixedWorkloadMatchesNaiveOracle) {
   const int dims = 2;
   const Coord side = 32;
   // Starts tiny so the random traffic straddles several growth re-rootings
-  // (each one must flush the cache through the lifecycle hub).
+  // (each one must flush the cache through the ReRootEpoch() poll).
   DynamicDataCube backend(dims, 4);
   CachedCube cached(&backend, CachedCubeOptions{.capacity = 64});
   NaiveCube oracle(Shape::Cube(dims, side));
@@ -203,7 +203,7 @@ TEST(CachedCubeTest, ReRootEventsFlushPinnedEntriesToo) {
   EXPECT_EQ(cached.Stats().entries, 0);
   EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {3, 3}}), 7);
 
-  // Shrink through the wrapper: the lifecycle callback flushes again.
+  // Shrink through the wrapper: the epoch poll flushes again.
   ASSERT_GT(cached.Stats().entries, 0);
   cached.Set({20, 20}, 0);
   cached.ShrinkToFit();
@@ -419,12 +419,74 @@ TEST(CachedCubeTest, ShardedReRootPollFlushes) {
   ASSERT_GT(cached.Stats().entries, 0);
 
   // Growth past the slab boundary re-roots a shard; the write epilogue's
-  // TotalReRoots() poll must notice and flush.
+  // ReRootEpoch() poll must notice and flush.
   const int64_t flushes_before = cached.Stats().flushes;
   cached.Add({31, 31}, 1);
   EXPECT_GT(cached.Stats().flushes, flushes_before);
   EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {3, 3}}), 6);
   EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {31, 31}}), 7);
+}
+
+// ---------------------------------------------------------------------------
+// Writers that bypass the wrapper: a re-root they cause must flush the cache
+// before the next probe is served, whatever the backing cube.
+
+void ExpectBypassingReRootsFlush(CubeInterface* backing) {
+  CachedCube cached(backing);
+  int64_t epoch = cached.ReRootEpoch();
+  // True when the epoch moved since the last call; it must never go back.
+  const auto epoch_advanced = [&] {
+    const int64_t now = cached.ReRootEpoch();
+    EXPECT_GE(now, epoch);
+    const bool moved = now > epoch;
+    epoch = now;
+    return moved;
+  };
+  backing->Add({1, 1}, 6);
+  backing->Add({3, 3}, 2);
+  const Box inner{{1, 1}, {3, 3}};
+  EXPECT_EQ(cached.RangeSum(inner), 8);
+  ASSERT_EQ(cached.Stats().entries, 1);
+
+  // A shrink applied to the backing cube directly.
+  backing->ShrinkToFit(2);
+  ASSERT_TRUE(epoch_advanced());
+  int64_t flushes = cached.Stats().flushes;
+  EXPECT_EQ(cached.RangeSum(inner), 8);
+  EXPECT_GT(cached.Stats().flushes, flushes);
+  EXPECT_EQ(cached.Stats().entries, 1);  // Only the fresh miss's entry.
+
+  // A durability layer's write: reported, then applied to the backing cube
+  // directly, growing it.
+  const MutationBatch grow{Mutation{{40, 40}, 5, MutationKind::kAdd}};
+  cached.InvalidateBatch(grow);
+  ASSERT_TRUE(backing->ApplyBatch(grow));
+  ASSERT_TRUE(epoch_advanced());
+  const Box far{{40, 40}, {40, 40}};
+  EXPECT_EQ(cached.RangeSum(inner), 8);
+  EXPECT_EQ(cached.RangeSum(far), 5);
+  EXPECT_EQ(cached.Stats().entries, 2);
+
+  // The probe already accounted for that re-root, so a later disjoint write
+  // through the wrapper neither re-roots nor flushes.
+  flushes = cached.Stats().flushes;
+  cached.Add({4, 4}, 1);
+  EXPECT_FALSE(epoch_advanced());
+  EXPECT_EQ(cached.Stats().flushes, flushes);
+  EXPECT_EQ(cached.Stats().entries, 2);
+  EXPECT_EQ(cached.RangeSum(inner), 8);
+  EXPECT_EQ(cached.RangeSum(far), 5);
+  EXPECT_EQ(cached.RangeSum(Box{{0, 0}, {63, 63}}), 14);
+}
+
+TEST(CachedCubeTest, BypassingReRootsFlushBeforeNextProbeOverDdc) {
+  DynamicDataCube backing(2, 16);
+  ExpectBypassingReRootsFlush(&backing);
+}
+
+TEST(CachedCubeTest, BypassingReRootsFlushBeforeNextProbeOverSharded) {
+  ShardedCube backing(2, 16, 2);
+  ExpectBypassingReRootsFlush(&backing);
 }
 
 }  // namespace

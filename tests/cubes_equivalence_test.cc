@@ -1,7 +1,9 @@
-// Integration suite: every range-sum structure in the library must give
-// identical answers to the naive reference on randomized interleaved
-// update/query traces, across dimensionalities, sizes, workload classes and
-// seeds. This is the library's master correctness gate.
+// Integration suite: every range-sum structure in the library — and every
+// layer that composes over one behind the same CubeInterface (the
+// lock-guarded facades and the query-result cache) — must give identical
+// answers to the naive reference on randomized interleaved update/query
+// traces, across dimensionalities, sizes, workload classes and seeds. This
+// is the library's master correctness gate.
 
 #include <functional>
 #include <memory>
@@ -11,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "basic_ddc/basic_ddc.h"
+#include "cache/cached_cube.h"
 #include "common/cube_interface.h"
 #include "common/workload.h"
+#include "concurrent/concurrent_cube.h"
+#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "prefix/prefix_sum_cube.h"
@@ -28,7 +33,15 @@ enum class Kind {
   kDdc,
   kDdcElided,
   kDdcFenwick,
+  kSharded,
+  kConcurrent,
+  kCachedDdc,
+  kCachedSharded,
 };
+
+// Shards for kSharded / kCachedSharded: 3 does not divide the power-of-two
+// sides, so the slabs are uneven and wrap around the axis.
+constexpr int kShards = 3;
 
 std::string KindName(Kind kind) {
   switch (kind) {
@@ -44,11 +57,23 @@ std::string KindName(Kind kind) {
       return "DdcElided";
     case Kind::kDdcFenwick:
       return "DdcFenwick";
+    case Kind::kSharded:
+      return "Sharded";
+    case Kind::kConcurrent:
+      return "Concurrent";
+    case Kind::kCachedDdc:
+      return "CachedDdc";
+    case Kind::kCachedSharded:
+      return "CachedSharded";
   }
   return "?";
 }
 
-std::unique_ptr<CubeInterface> MakeCube(Kind kind, int dims, int64_t side) {
+// The cached kinds wrap a borrowed backing cube, returned in *backing; the
+// caller keeps it alive for as long as the returned cube.
+std::unique_ptr<CubeInterface> MakeCube(
+    Kind kind, int dims, int64_t side,
+    std::unique_ptr<CubeInterface>* backing) {
   switch (kind) {
     case Kind::kPrefixSum:
       return std::make_unique<PrefixSumCube>(Shape::Cube(dims, side));
@@ -68,6 +93,16 @@ std::unique_ptr<CubeInterface> MakeCube(Kind kind, int dims, int64_t side) {
       options.use_fenwick = true;
       return std::make_unique<DynamicDataCube>(dims, side, options);
     }
+    case Kind::kSharded:
+      return std::make_unique<ShardedCube>(dims, side, kShards);
+    case Kind::kConcurrent:
+      return std::make_unique<ConcurrentCube>(dims, side);
+    case Kind::kCachedDdc:
+      *backing = std::make_unique<DynamicDataCube>(dims, side);
+      return std::make_unique<CachedCube>(backing->get());
+    case Kind::kCachedSharded:
+      *backing = std::make_unique<ShardedCube>(dims, side, kShards);
+      return std::make_unique<CachedCube>(backing->get());
   }
   return nullptr;
 }
@@ -111,7 +146,9 @@ TEST_P(CubesEquivalenceTest, MatchesNaiveOnInterleavedTrace) {
   const EquivalenceParam p = GetParam();
   const Shape shape = Shape::Cube(p.dims, p.side);
   NaiveCube naive(shape);
-  std::unique_ptr<CubeInterface> cube = MakeCube(p.kind, p.dims, p.side);
+  std::unique_ptr<CubeInterface> backing;
+  std::unique_ptr<CubeInterface> cube =
+      MakeCube(p.kind, p.dims, p.side, &backing);
   ASSERT_NE(cube, nullptr);
 
   WorkloadGenerator gen(shape, p.seed);
@@ -172,9 +209,12 @@ TEST_P(CubesEquivalenceTest, MatchesNaiveOnInterleavedTrace) {
 
 std::vector<EquivalenceParam> AllParams() {
   std::vector<EquivalenceParam> params;
-  const Kind kinds[] = {Kind::kPrefixSum,  Kind::kRelativePrefixSum,
-                        Kind::kBasicDdc,   Kind::kDdc,
-                        Kind::kDdcElided,  Kind::kDdcFenwick};
+  // New kinds go at the end: the seeds are numbered in this order.
+  const Kind kinds[] = {Kind::kPrefixSum,   Kind::kRelativePrefixSum,
+                        Kind::kBasicDdc,    Kind::kDdc,
+                        Kind::kDdcElided,   Kind::kDdcFenwick,
+                        Kind::kSharded,     Kind::kConcurrent,
+                        Kind::kCachedDdc,   Kind::kCachedSharded};
   const WorkloadKind workloads[] = {
       WorkloadKind::kUniform, WorkloadKind::kZipf, WorkloadKind::kClustered,
       WorkloadKind::kBoundary};

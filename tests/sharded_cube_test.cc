@@ -157,7 +157,7 @@ TEST(ShardedCubeTest, GrowthDifferentialAgainstCoarse) {
     }
   }
   EXPECT_EQ(sharded.TotalSum(), coarse.TotalSum());
-  EXPECT_GT(sharded.TotalReRoots(), 0);
+  EXPECT_GT(sharded.ReRootEpoch(), 0);
   // The shards' combined domain covers everything that was written.
   EXPECT_EQ(sharded.RangeSum(Box{sharded.DomainLo(), sharded.DomainHi()}),
             sharded.TotalSum());

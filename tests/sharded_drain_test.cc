@@ -147,7 +147,7 @@ TEST(ShardedDrainTest, QuiesceBarrierRacesGrowthAndBatches) {
   walker.join();
 
   for (int t = 0; t < kThreads; ++t) ReplayIntoShadow(streams[t], shadow);
-  EXPECT_GT(cube.TotalReRoots(), 0);
+  EXPECT_GT(cube.ReRootEpoch(), 0);
   EXPECT_EQ(cube.TotalSum(),
             shadow.RangeSum(Box{{0, 0}, {kSide - 1, kSide - 1}}))
       << "seed " << seed;
@@ -203,8 +203,8 @@ TEST(ShardedDrainTest, DestructorDrainsStalledOwnersExactlyOnce) {
       << "seed " << seed;
 }
 
-// CubeLifecycle re-root under lock pressure: growth hooks fire mid-batch
-// under a shard's exclusive lock while other writers are queued on it; the
+// Re-root under lock pressure: growth re-roots a shard mid-batch under its
+// exclusive lock while other writers are queued on it; the
 // re-rooted shard must neither lose queued mutations nor apply any twice.
 TEST(ShardedDrainTest, ReRootUnderStalledOwnersKeepsBatchesExact) {
   if (!fault::Compiled()) {
@@ -244,7 +244,7 @@ TEST(ShardedDrainTest, ReRootUnderStalledOwnersKeepsBatchesExact) {
   EXPECT_GT(fault::Hits("sharded.owner.delay"), 0u);
   fault::DisarmAll();
 
-  EXPECT_GT(cube.TotalReRoots(), 0);
+  EXPECT_GT(cube.ReRootEpoch(), 0);
   EXPECT_EQ(cube.TotalSum(),
             shadow.RangeSum(Box{{0, 0}, {kSide - 1, kSide - 1}}))
       << "seed " << seed;

@@ -197,7 +197,7 @@ TEST(ShardedStressTest, BatchIsAtomicPerShardUnderGrowth) {
   EXPECT_EQ(cube.Get(kA), 400);
   EXPECT_EQ(cube.Get(kB), 400);
   EXPECT_EQ(cube.TotalSum(), 2 * 400 + 2 * 60);
-  EXPECT_GT(cube.TotalReRoots(), 0);
+  EXPECT_GT(cube.ReRootEpoch(), 0);
 }
 
 // ShrinkToFit racing readers: the writer repeatedly balloons shard 0's
@@ -240,7 +240,7 @@ TEST(ShardedStressTest, ShrinkToFitRacesReaders) {
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(cube.RangeSum(kCoreBox), 50);
   EXPECT_EQ(cube.TotalSum(), 50);
-  EXPECT_GT(cube.TotalReRoots(), 50);  // Both growth and shrink re-roots.
+  EXPECT_GT(cube.ReRootEpoch(), 50);  // Both growth and shrink re-roots.
 }
 
 // Cross-shard reads must return a consistent cut: every shard gets +1 in
@@ -443,7 +443,7 @@ TEST(ShardedStressTest, CallerExecutedLockingUnderEveryOperation) {
 
   EXPECT_EQ(batch_violations.load(), 0);
   EXPECT_EQ(walk_violations.load(), 0);
-  EXPECT_GT(cube.TotalReRoots(), 0);
+  EXPECT_GT(cube.ReRootEpoch(), 0);
 
   NaiveCube shadow(Shape::Cube(2, kDomain));
   for (const MutationBatch& history : histories) {

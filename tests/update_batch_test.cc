@@ -221,18 +221,13 @@ TEST(UpdateBatchTest, BatchStraddlingGrowthMatchesLoop) {
   EXPECT_EQ(batched.Get({-5, -17}), looped.Get({-5, -17}));
 }
 
-TEST(UpdateBatchTest, GrowthDuringBatchNotifiesLifecycle) {
+TEST(UpdateBatchTest, GrowthDuringBatchAdvancesReRootEpoch) {
   DynamicDataCube cube(2, 8);
-  int reroots = 0;
-  ReRootEvent last{};
-  cube.lifecycle().Subscribe([&](const ReRootEvent& event) {
-    ++reroots;
-    last = event;
-  });
+  const int64_t epoch_before = cube.ReRootEpoch();
   cube.ApplyBatch({{Mutation{{30, 30}, 1, MutationKind::kAdd}}});
-  EXPECT_GT(reroots, 0);
-  EXPECT_EQ(last.reason, ReRootReason::kGrowth);
-  EXPECT_EQ(last.new_side, cube.side());
+  EXPECT_GT(cube.ReRootEpoch(), epoch_before);
+  EXPECT_GT(cube.side(), 8);
+  EXPECT_EQ(cube.ReRootEpoch() - epoch_before, cube.growth_doublings());
 }
 
 TEST(UpdateBatchTest, ConcurrentCubeMatchesLoop) {

@@ -319,7 +319,7 @@ TEST_F(WalTest, CheckpointIfRerootedFiresOnlyAfterGrowth) {
   EXPECT_TRUE(cube.CheckpointIfRerooted());  // No re-root: cheap no-op.
   EXPECT_EQ(cube.reroots_since_checkpoint(), 0);
 
-  // Growth past the seed side re-roots; the lifecycle subscription counts
+  // Growth past the seed side re-roots; the cube's ReRootEpoch() counts
   // it and the deferred checkpoint then resets the log.
   const MutationBatch batch = {Mutation{{20, 20}, 2, MutationKind::kAdd}};
   EXPECT_TRUE(cube.ApplyBatch(batch));

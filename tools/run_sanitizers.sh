@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Builds the tree under ThreadSanitizer and AddressSanitizer and runs the
-# `sanitize`-labelled concurrency tests under each. Any race/leak fails the
-# run. Usage:
+# Builds the tree under ThreadSanitizer and AddressSanitizer (with
+# UndefinedBehaviorSanitizer) and runs the `sanitize`-labelled concurrency
+# tests under each. Any race, leak or undefined behaviour fails the run.
+# Usage:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh thread     # just TSan
-#   tools/run_sanitizers.sh address    # just ASan
+#   tools/run_sanitizers.sh address    # just ASan + UBSan
 #
 # Build trees land in build-tsan/ and build-asan/ next to the source tree,
 # so they never disturb the regular build/ directory.
@@ -53,6 +54,7 @@ run_one() {
   # printing; second_deadlock_stack improves lock-order reports.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir "$dir" -L "sanitize|fault" --output-on-failure
 }
 
