@@ -56,7 +56,7 @@ namespace ddc {
 // Node placement strategy; see the header comment.
 enum class BcLayout { kSparse, kDense };
 
-class BcTree : public CumulativeStore1D {
+class BcTree final : public CumulativeStore1D {
  public:
   // Tuned on the bench_kernels fanout sweep (7/8/15/16): 8 sums * 8 bytes =
   // exactly one 64-byte cache line per descent level, which beat both the

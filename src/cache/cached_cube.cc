@@ -121,11 +121,16 @@ void CachedCube::RefreshDomainLocked() const {
   domain_stale_ = false;
 }
 
-Box CachedCube::CanonicalLocked(const Box& box) const {
+void CachedCube::CanonicalLocked(const Box& box, Box* out) const {
   DDC_DCHECK(box.lo.size() == static_cast<size_t>(dims_));
   DDC_DCHECK(box.hi.size() == static_cast<size_t>(dims_));
   if (domain_stale_) RefreshDomainLocked();
-  return IntersectBoxes(box, Box{domain_lo_, domain_hi_});
+  out->lo.resize(box.lo.size());
+  out->hi.resize(box.hi.size());
+  for (size_t d = 0; d < box.lo.size(); ++d) {
+    out->lo[d] = std::max(box.lo[d], domain_lo_[d]);
+    out->hi[d] = std::min(box.hi[d], domain_hi_[d]);
+  }
 }
 
 uint64_t CachedCube::FingerprintBox(const Box& box) const {
@@ -150,6 +155,23 @@ int64_t CachedCube::LookupLocked(const Box& canonical, uint64_t fp) const {
     return -1;
   }
   return static_cast<int64_t>(it->second);
+}
+
+void CachedCube::SetBox(Entry& e, const Box& box) const {
+  e.box = box;
+  e.lo0 = box.lo[0];
+  e.hi0 = box.hi[0];
+  e.lo1 = dims_ > 1 ? box.lo[1] : 0;
+  e.hi1 = dims_ > 1 ? box.hi[1] : 0;
+}
+
+bool CachedCube::EntryOverlaps(const Entry& e, const Box& box) const {
+  if (e.lo0 > box.hi[0] || e.hi0 < box.lo[0]) return false;
+  if (dims_ > 1 && (e.lo1 > box.hi[1] || e.hi1 < box.lo[1])) return false;
+  for (size_t d = 2; d < box.lo.size(); ++d) {
+    if (e.box.lo[d] > box.hi[d] || e.box.hi[d] < box.lo[d]) return false;
+  }
+  return true;
 }
 
 void CachedCube::EvictSlotLocked(size_t slot) const {
@@ -203,7 +225,7 @@ bool CachedCube::InsertLocked(const Box& canonical, uint64_t fp,
       --pinned_live_;
       e.pinned = false;
     }
-    e.box = canonical;
+    SetBox(e, canonical);
     e.value = value;
     e.ref = 1;
     if (pinned && !e.pinned && pinned_live_ < options_.max_pinned) {
@@ -248,7 +270,7 @@ bool CachedCube::InsertLocked(const Box& canonical, uint64_t fp,
 
   Entry& e = slots_[slot];
   e.fp = fp;
-  e.box = canonical;
+  SetBox(e, canonical);
   e.value = value;
   e.live = true;
   e.ref = 1;
@@ -301,20 +323,21 @@ int64_t CachedCube::CachedRangeSum(const Box& box) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     PollReRootLocked();
-    canonical = CanonicalLocked(box);
-    if (canonical.IsEmpty()) return 0;
-    fp = FingerprintBox(canonical);
-    const int64_t slot = LookupLocked(canonical, fp);
+    CanonicalLocked(box, &probe_box_);
+    if (probe_box_.IsEmpty()) return 0;
+    fp = FingerprintBox(probe_box_);
+    const int64_t slot = LookupLocked(probe_box_, fp);
     if (slot >= 0) {
       Entry& e = slots_[static_cast<size_t>(slot)];
       if (!PopulationDisabled()) e.ref = 1;
-      RecordHit(canonical);
+      RecordHit(probe_box_);
       UpdateHitRatioLocked();
       return e.value;
     }
     RecordMiss();
     UpdateHitRatioLocked();
     probe_gen = gen_;
+    canonical = probe_box_;
   }
   // Compute outside the lock: the descent may be long and must not block
   // concurrent probes. Equal to the query's sum because every cell the
@@ -352,7 +375,8 @@ void CachedCube::RangeSumBatch(std::span<const Box> ranges,
     PollReRootLocked();
     probe_gen = gen_;
     for (size_t i = 0; i < ranges.size(); ++i) {
-      const Box canonical = CanonicalLocked(ranges[i]);
+      CanonicalLocked(ranges[i], &probe_box_);
+      const Box& canonical = probe_box_;
       if (canonical.IsEmpty()) {
         out[i] = 0;
         continue;
@@ -456,6 +480,9 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
   bucket_extent_ = bounds.hi[0] - bounds.lo[0] + 1;
   band_base_ = dims_ > 1 ? bounds.lo[1] : 0;
   band_extent_ = dims_ > 1 ? bounds.hi[1] - bounds.lo[1] + 1 : 1;
+  bucket_scale_ = (uint64_t{kInvalBuckets} << 32) /
+                  static_cast<uint64_t>(bucket_extent_);
+  band_scale_ = (uint64_t{64} << 32) / static_cast<uint64_t>(band_extent_);
   uint32_t counts[kInvalBuckets] = {};
   for (uint64_t& bands : bucket_bands_) bands = 0;
   for (const BatchPoint& p : point_scratch_) {
@@ -487,7 +514,7 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
     Entry& e = slots_[s];
     // One bounding-box test rejects the whole batch for most entries; the
     // index probe below runs only for entries near the write.
-    if (!e.live || !BoxesOverlap(e.box, bounds)) continue;
+    if (!e.live || !EntryOverlaps(e, bounds)) continue;
     if (e.pinned) {
       for (size_t i = 0; i < batch.size(); ++i) {
         const Mutation& m = batch[i];
@@ -515,7 +542,7 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
         if (obs::Enabled()) InvalidatedCounter().Increment();
         break;
       }
-    } else if (EntryOverlapsBatchLocked(e.box)) {
+    } else if (EntryOverlapsBatchLocked(e)) {
       (void)DDC_FAULTPOINT("cache.invalidate.mid");
       EvictSlotLocked(s);
       ++stats_.invalidated;
@@ -525,37 +552,40 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
   }
 }
 
+// Both maps are floor(off * 2^32 * n / extent) / 2^32 with the quotient
+// precomputed, so the per-point and per-probe cost is a multiply and a
+// shift instead of a 64-bit division. off < extent keeps the product below
+// n * 2^32; the result is monotone in off, which is all the probe's
+// bucket-range scan needs.
 size_t CachedCube::BandOf(Coord c1) const {
-  const int64_t off = c1 - band_base_;
-  const size_t b = static_cast<size_t>(off * 64 / band_extent_);
+  const uint64_t off = static_cast<uint64_t>(c1 - band_base_);
+  const size_t b = static_cast<size_t>((off * band_scale_) >> 32);
   return b >= 64 ? 63 : b;
 }
 
 size_t CachedCube::BucketOf(Coord c0) const {
-  const int64_t off = c0 - bucket_base_;
-  const size_t b = static_cast<size_t>(
-      off * static_cast<int64_t>(kInvalBuckets) / bucket_extent_);
+  const uint64_t off = static_cast<uint64_t>(c0 - bucket_base_);
+  const size_t b = static_cast<size_t>((off * bucket_scale_) >> 32);
   return b >= kInvalBuckets ? kInvalBuckets - 1 : b;
 }
 
-bool CachedCube::EntryOverlapsBatchLocked(const Box& box) const {
+bool CachedCube::EntryOverlapsBatchLocked(const Entry& e) const {
   for (const Box& dirty : range_boxes_) {
-    if (BoxesOverlap(box, dirty)) return true;
+    if (EntryOverlaps(e, dirty)) return true;
   }
   if (point_index_.empty()) return false;
   // Only the buckets overlapping [lo[0], hi[0]] can hold a hit; boundary
   // buckets carry points outside the slice, so each candidate still gets
   // the exact c0 test.
-  const Coord clip_lo = std::max(box.lo[0], bucket_base_);
-  const Coord clip_hi =
-      std::min(box.hi[0], bucket_base_ + bucket_extent_ - 1);
+  const Coord clip_lo = std::max(e.lo0, bucket_base_);
+  const Coord clip_hi = std::min(e.hi0, bucket_base_ + bucket_extent_ - 1);
   if (clip_lo > clip_hi) return false;
   const size_t blo = BucketOf(clip_lo);
   const size_t bhi = BucketOf(clip_hi);
   uint64_t rows = 1;  // dims == 1: every point sits in band 0.
   if (dims_ > 1) {
-    const Coord row_lo = std::max(box.lo[1], band_base_);
-    const Coord row_hi = std::min(box.hi[1], band_base_ + band_extent_ - 1);
+    const Coord row_lo = std::max(e.lo1, band_base_);
+    const Coord row_hi = std::min(e.hi1, band_base_ + band_extent_ - 1);
     if (row_lo > row_hi) return false;
     // Bits [0, n) set.
     const auto below = [](size_t n) {
@@ -567,13 +597,13 @@ bool CachedCube::EntryOverlapsBatchLocked(const Box& box) const {
     if ((bucket_bands_[b] & rows) == 0) continue;
     for (size_t i = bucket_start_[b]; i < bucket_start_[b + 1]; ++i) {
       const BatchPoint& p = point_index_[i];
-      if (p.c0 < box.lo[0] || p.c0 > box.hi[0]) continue;
-      if (dims_ > 1 && (p.c1 < box.lo[1] || p.c1 > box.hi[1])) continue;
+      if (p.c0 < e.lo0 || p.c0 > e.hi0) continue;
+      if (dims_ > 1 && (p.c1 < e.lo1 || p.c1 > e.hi1)) continue;
       bool inside = true;
       if (dims_ > 2) {
         const Cell& cell = p.m->cell;
         for (size_t d = 2; d < cell.size(); ++d) {
-          if (cell[d] < box.lo[d] || cell[d] > box.hi[d]) {
+          if (cell[d] < e.box.lo[d] || cell[d] > e.box.hi[d]) {
             inside = false;
             break;
           }
@@ -679,7 +709,8 @@ int CachedCube::AdoptHotRanges() {
       Box box;
       box.lo.assign(hb.lo, hb.lo + hb.dims);
       box.hi.assign(hb.hi, hb.hi + hb.dims);
-      const Box canonical = CanonicalLocked(box);
+      Box canonical;
+      CanonicalLocked(box, &canonical);
       if (canonical.IsEmpty()) continue;
       const uint64_t fp = FingerprintBox(canonical);
       const int64_t slot = LookupLocked(canonical, fp);

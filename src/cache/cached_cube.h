@@ -162,19 +162,29 @@ class CachedCube : public CubeInterface {
   struct Entry {
     uint64_t fp = 0;
     Box box;
+    // box.lo/hi in dims 0 and 1 (0 when dims == 1), kept inline so the
+    // invalidation scan reads them from the slot array instead of chasing
+    // the box's two heap Cells per live entry. Set by SetBox.
+    Coord lo0 = 0, hi0 = 0, lo1 = 0, hi1 = 0;
     int64_t value = 0;
     bool live = false;
     bool pinned = false;
     uint8_t ref = 0;  // CLOCK second-chance bit.
   };
 
+  // Stores `box` in `e`, with its inline dims-0/1 copy.
+  void SetBox(Entry& e, const Box& box) const;
+  // BoxesOverlap(e.box, box), with dims 0 and 1 read inline.
+  bool EntryOverlaps(const Entry& e, const Box& box) const;
+
   // True while population is disabled on this thread.
   static bool PopulationDisabled();
 
   // Clips `box` to the domain snapshot (refreshing a stale snapshot
-  // first). The canonical box is the cache key; cells it drops are outside
-  // the backing domain and hence zero, so its sum equals the query's.
-  Box CanonicalLocked(const Box& box) const;
+  // first) into `*out`, reusing its storage. The canonical box is the
+  // cache key; cells it drops are outside the backing domain and hence
+  // zero, so its sum equals the query's.
+  void CanonicalLocked(const Box& box, Box* out) const;
   void RefreshDomainLocked() const;
   uint64_t FingerprintBox(const Box& box) const;
 
@@ -199,8 +209,8 @@ class CachedCube : public CubeInterface {
   void InvalidateLocked(std::span<const Mutation> batch);
   // Existence test against the per-batch overlap index built by
   // InvalidateLocked (point_index_ / range_boxes_): does any mutation in
-  // the current batch dirty `box`? Caller holds mu_.
-  bool EntryOverlapsBatchLocked(const Box& box) const;
+  // the current batch dirty `e`'s box? Caller holds mu_.
+  bool EntryOverlapsBatchLocked(const Entry& e) const;
 
   // Write bracket. Prologue bumps the pending-writer count and runs
   // invalidation *before* the backing apply (apply-first would open a
@@ -237,6 +247,9 @@ class CachedCube : public CubeInterface {
   mutable Cell domain_lo_;
   mutable Cell domain_hi_;
   mutable bool domain_stale_ = true;
+  // Probe-key scratch (guarded by mu_): a hit is served without
+  // allocating; only a miss copies the key out to compute and insert.
+  mutable Box probe_box_;
 
   // Insert guard: misses snapshot `gen_` at probe time and insert only if
   // no writer is pending and the generation is unchanged.
@@ -269,9 +282,11 @@ class CachedCube : public CubeInterface {
   uint32_t bucket_start_[kInvalBuckets + 1] = {};
   Coord bucket_base_ = 0;
   int64_t bucket_extent_ = 1;
+  uint64_t bucket_scale_ = 0;  // kInvalBuckets * 2^32 / bucket_extent_.
   uint64_t bucket_bands_[kInvalBuckets] = {};  // Bit k: a point in band k.
   Coord band_base_ = 0;
   int64_t band_extent_ = 1;
+  uint64_t band_scale_ = 0;  // 64 * 2^32 / band_extent_.
   std::vector<Box> range_boxes_;
 
   mutable CacheStats stats_;

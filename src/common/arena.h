@@ -14,7 +14,7 @@
 //   * Growth and shrink re-rooting build the new core in a *fresh* arena and
 //     drop the old one wholesale, so a re-rooted cube never carries dead
 //     nodes from its previous life.
-//   * Objects that own heap memory (raw-leaf MdArrays, Fenwick trees, nested
+//   * Objects with non-trivial destructors (Fenwick and B_c trees, nested
 //     cores) register their destructor; destructors run in reverse
 //     registration order when the arena dies. Trivially destructible types
 //     skip registration entirely, which is the common case by design.

@@ -1,7 +1,6 @@
 #include "ddc/ddc_core.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -13,15 +12,11 @@ namespace ddc {
 
 namespace {
 
-// Drops coordinate `skip_dim`, writing the transverse position used to
-// index a face store into a caller-owned buffer that keeps its capacity
-// across calls (a fresh Cell per face touched would make allocation the
-// dominant cost of a descent).
-void TransverseInto(const Cell& offset, int skip_dim, Cell& out) {
-  out.clear();
-  for (size_t i = 0; i < offset.size(); ++i) {
-    if (static_cast<int>(i) == skip_dim) continue;
-    out.push_back(offset[i]);
+// Drops coordinate `skip_dim` of the `dims`-wide `offset`, writing the
+// dims - 1 wide transverse position that keys a face store into `out`.
+void TransverseInto(const Coord* offset, int dims, int skip_dim, Coord* out) {
+  for (int i = 0, o = 0; i < dims; ++i) {
+    if (i != skip_dim) out[o++] = offset[i];
   }
 }
 
@@ -60,12 +55,18 @@ DdcCore::BatchTls& DdcCore::GetBatchTls() {
   return tls;
 }
 
+// Every box of a d >= 3 cube holds d nested face cores, so the core header
+// is the per-face fixed cost; keep it within two cache lines.
+static_assert(sizeof(DdcCore) <= 128);
+
 size_t DdcCore::update_scratch_bytes() const {
-  return update_items_.capacity() * sizeof(UpdateItem) +
-         update_scratch_.sorted.capacity() * sizeof(UpdateItem) +
-         update_scratch_.begin.capacity() * sizeof(size_t) +
-         update_scratch_.cursor.capacity() * sizeof(size_t) +
-         update_scratch_.deltas.capacity() * sizeof(int64_t);
+  if (write_scratch_ == nullptr) return 0;
+  const WriteScratch& s = *write_scratch_;
+  return s.items.capacity() * sizeof(UpdateItem) +
+         s.sorted.capacity() * sizeof(UpdateItem) +
+         s.begin.capacity() * sizeof(size_t) +
+         s.cursor.capacity() * sizeof(size_t) +
+         s.deltas.capacity() * sizeof(int64_t);
 }
 
 obs::Counter& DdcCore::ObsValuesRead() {
@@ -94,13 +95,14 @@ obs::Counter& DdcCore::ObsFaceLookups() {
 
 DdcCore::DdcCore(int dims, int64_t side, const DdcOptions& options,
                  OpCounters* counters, Arena* arena)
-    : dims_(dims), side_(side), options_(options), counters_(counters) {
-  DDC_CHECK(dims_ >= 1 && dims_ <= 20);
+    : dims_(dims), options_(options), side_(side), counters_(counters) {
+  DDC_CHECK(dims_ >= 1 && dims_ <= kMaxDims);
   DDC_CHECK(side_ >= 2 && IsPowerOfTwo(side_));
   DDC_CHECK(options_.elide_levels >= 0 && options_.elide_levels < 62);
   num_children_ = 1u << dims_;
   min_box_side_ = std::min<int64_t>(side_, int64_t{1}
                                                << (options_.elide_levels + 1));
+  leaf_shift_ = FloorLog2(min_box_side_);
   if (arena == nullptr) {
     owned_arena_ = std::make_unique<Arena>();
     arena = owned_arena_.get();
@@ -132,71 +134,87 @@ DdcCore::BoxData* DdcCore::EnsureBox(Node* node, uint32_t mask,
   return box;
 }
 
-MdArray<int64_t>* DdcCore::EnsureRaw(Node* node, uint32_t mask,
-                                     int64_t box_side) {
+int64_t* DdcCore::EnsureRaw(Node* node, uint32_t mask) {
   if (node->child_raw == nullptr) {
-    node->child_raw = arena_->CreateArray<MdArray<int64_t>*>(num_children_);
+    node->child_raw = arena_->CreateArray<int64_t*>(num_children_);
   }
-  MdArray<int64_t>*& slot = node->child_raw[mask];
-  if (slot == nullptr) {
-    slot = arena_->Create<MdArray<int64_t>>(Shape::Cube(dims_, box_side));
-  }
+  int64_t*& slot = node->child_raw[mask];
+  if (slot == nullptr) slot = NewLeaf();
   return slot;
+}
+
+void DdcCore::AddToFaces(BoxData* box, const Coord* offset, int64_t delta) {
+  // One point update per row-sum group: the dimension-j line sum through
+  // the updated cell changes by delta (Section 4.2).
+  if (dims_ == 1) return;  // 1-D boxes have no faces.
+  if (dims_ == 2) {
+    box->faces[0].AddLine(offset[1], delta);
+    box->faces[1].AddLine(offset[0], delta);
+    return;
+  }
+  Coord transverse[kMaxDims];
+  for (int j = 0; j < dims_; ++j) {
+    TransverseInto(offset, dims_, j, transverse);
+    box->faces[j].Add(transverse, delta);
+  }
+}
+
+int64_t DdcCore::ReadFace(const BoxData& box, int j,
+                          const Coord* clamped) const {
+  if (dims_ == 2) return box.faces[j].PrefixSumLine(clamped[1 - j]);
+  Coord transverse[kMaxDims];
+  TransverseInto(clamped, dims_, j, transverse);
+  return box.faces[j].PrefixSum(transverse);
 }
 
 void DdcCore::Add(const Cell& cell, int64_t delta) {
   DDC_DCHECK(static_cast<int>(cell.size()) == dims_);
+  // The walk rebases its offset in place, so it runs on a stack copy.
+  Coord offset[kMaxDims];
+  std::copy_n(cell.begin(), dims_, offset);
+  AddInPlace(offset, delta);
+}
+
+void DdcCore::AddInPlace(Coord* key, int64_t delta) {
   if (delta == 0) return;
   total_ += delta;
   if (side_ <= min_box_side_) {
-    if (root_raw_ == nullptr) {
-      root_raw_ = arena_->Create<MdArray<int64_t>>(Shape::Cube(dims_, side_));
-    }
+    if (root_raw_ == nullptr) root_raw_ = NewLeaf();
     CountNode(root_raw_);
-    root_raw_->at(cell) += delta;
+    root_raw_[LeafIndex(key)] += delta;
     CountWrite(1);
     return;
   }
   EnsureNode(&root_);
   if (kernels::UseScalar()) {
-    AddScalarRef(root_, side_, cell, delta);
+    AddScalarRef(root_, side_, key, delta);
     return;
   }
-  // The walk rebases its offset in place, so it runs on a copy held in the
-  // write-path scratch (capacity reused across calls).
-  update_scratch_.offset.assign(cell.begin(), cell.end());
-  AddRec(root_, side_, update_scratch_.offset, delta,
-         update_scratch_.transverse);
+  AddRec(root_, side_, key, delta);
 }
 
-void DdcCore::AddRec(Node* node, int64_t node_side, Cell& offset,
-                     int64_t delta, Cell& transverse) {
+void DdcCore::AddRec(Node* node, int64_t node_side, Coord* offset,
+                     int64_t delta) {
   while (true) {
     CountNode(node);
     const int64_t k = node_side / 2;
     uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      size_t ui = static_cast<size_t>(i);
-      if (offset[ui] >= k) {
+      if (offset[i] >= k) {
         mask |= 1u << i;
-        offset[ui] -= k;
+        offset[i] -= k;
       }
     }
 
     BoxData* box = EnsureBox(node, mask, k);
     box->subtotal += delta;
     CountWrite(1);
-    // One point update per row-sum group: the dimension-j line sum through
-    // the updated cell changes by delta (Section 4.2).
-    for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-      TransverseInto(offset, j, transverse);
-      box->faces[j].Add(transverse, delta);
-    }
+    AddToFaces(box, offset, delta);
 
     if (k <= min_box_side_) {
-      MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
+      int64_t* raw = EnsureRaw(node, mask);
       CountNode(raw);
-      raw->at(offset) += delta;
+      raw[LeafIndex(offset)] += delta;
       CountWrite(1);
       return;
     }
@@ -211,11 +229,11 @@ void DdcCore::AddRec(Node* node, int64_t node_side, Cell& offset,
 // Seed shape of AddRec: a fresh offset Cell per level and a fresh transverse
 // Cell per face touched.
 void DdcCore::AddScalarRef(Node* node, int64_t node_side,
-                           const Cell& offset_in_node, int64_t delta) {
+                           const Coord* offset_in_node, int64_t delta) {
   CountNode(node);
   const int64_t k = node_side / 2;
   uint32_t mask = 0;
-  Cell box_offset = offset_in_node;
+  Cell box_offset(offset_in_node, offset_in_node + dims_);
   for (int i = 0; i < dims_; ++i) {
     size_t ui = static_cast<size_t>(i);
     if (box_offset[ui] >= k) {
@@ -227,20 +245,20 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
   box->subtotal += delta;
   CountWrite(1);
   for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-    Cell transverse;
-    transverse.reserve(static_cast<size_t>(dims_ - 1));
-    TransverseInto(box_offset, j, transverse);
-    box->faces[j].Add(transverse, delta);
+    Cell transverse(static_cast<size_t>(dims_ - 1));
+    TransverseInto(box_offset.data(), dims_, j, transverse.data());
+    box->faces[j].Add(transverse.data(), delta);
   }
   if (k > min_box_side_) {
     if (node->child_nodes == nullptr) {
       node->child_nodes = arena_->CreateArray<Node*>(num_children_);
     }
-    AddScalarRef(EnsureNode(&node->child_nodes[mask]), k, box_offset, delta);
+    AddScalarRef(EnsureNode(&node->child_nodes[mask]), k, box_offset.data(),
+                 delta);
   } else {
-    MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
+    int64_t* raw = EnsureRaw(node, mask);
     CountNode(raw);
-    raw->at(box_offset) += delta;
+    raw[LeafIndex(box_offset.data())] += delta;
     CountWrite(1);
   }
 }
@@ -255,26 +273,27 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
     for (size_t q = 0; q < cells.size(); ++q) {
       DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
       if (deltas[q] == 0) continue;
-      if (root_raw_ == nullptr) {
-        root_raw_ =
-            arena_->Create<MdArray<int64_t>>(Shape::Cube(dims_, side_));
-      }
+      if (root_raw_ == nullptr) root_raw_ = NewLeaf();
       if (!touched) {
         CountNode(root_raw_);
         touched = true;
       }
       total_ += deltas[q];
-      root_raw_->at(cells[q]) += deltas[q];
+      root_raw_[LeafIndex(cells[q].data())] += deltas[q];
       CountWrite(1);
     }
     return;
   }
-  // The items buffer and the counting-sort scratch are members: consecutive
-  // batches on one cube (the ApplyBatch steady state) reuse the grown
-  // capacity instead of paying a heap round-trip per batch. Items are never
-  // destroyed between batches, so each one's offset Cell keeps its storage
-  // too and filling an item allocates nothing.
-  std::vector<UpdateItem>& items = update_items_;
+  // The items buffer and the counting-sort scratch outlive the call:
+  // consecutive batches on one cube (the ApplyBatch steady state) reuse the
+  // grown capacity instead of paying a heap round-trip per batch. Items are
+  // never destroyed between batches, so each one's offset Cell keeps its
+  // storage too and filling an item allocates nothing.
+  if (write_scratch_ == nullptr) {
+    write_scratch_ = std::make_unique<WriteScratch>();
+  }
+  WriteScratch& scratch = *write_scratch_;
+  std::vector<UpdateItem>& items = scratch.items;
   size_t count = 0;
   for (size_t q = 0; q < cells.size(); ++q) {
     DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
@@ -288,21 +307,20 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
   }
   if (count == 0) return;
   EnsureNode(&root_);
-  update_scratch_.begin.resize(num_children_ + 1);
-  update_scratch_.cursor.resize(num_children_);
+  scratch.begin.resize(num_children_ + 1);
+  scratch.cursor.resize(num_children_);
   AddBatchRec(root_, side_, std::span<UpdateItem>(items.data(), count),
-              update_scratch_);
+              scratch);
 }
 
 void DdcCore::AddBatchRec(Node* node, int64_t node_side,
                           std::span<UpdateItem> items,
-                          UpdateScratch& scratch) {
+                          WriteScratch& scratch) {
   // Once the descent has fanned out to a single item there is nothing left
   // to share; the plain point-update descent finishes the path without the
   // grouping machinery.
   if (items.size() == 1) {
-    AddRec(node, node_side, items[0].offset, items[0].delta,
-           scratch.transverse);
+    AddRec(node, node_side, items[0].offset.data(), items[0].delta);
     return;
   }
   // The node (and its box array) is visited once for the whole group, as in
@@ -362,10 +380,7 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
     // dimension-j line land on one face cell, Section 4.2, but finding the
     // shared lines costs more than the allocation-free adds it would save.)
     for (const UpdateItem& item : group) {
-      for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-        TransverseInto(item.offset, j, scratch.transverse);
-        box->faces[j].Add(scratch.transverse, item.delta);
-      }
+      AddToFaces(box, item.offset.data(), item.delta);
     }
   }
 
@@ -386,9 +401,8 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
         if (node->child_nodes != nullptr) {
           kernels::PrefetchRead(node->child_nodes[next_mask]);
         }
-      } else if (node->child_raw != nullptr &&
-                 node->child_raw[next_mask] != nullptr) {
-        kernels::PrefetchRead(node->child_raw[next_mask]->data());
+      } else if (node->child_raw != nullptr) {
+        kernels::PrefetchRead(node->child_raw[next_mask]);
       }
     }
 
@@ -399,10 +413,10 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
       Node* child = EnsureNode(&node->child_nodes[mask]);
       AddBatchRec(child, k, group, scratch);
     } else {
-      MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
+      int64_t* raw = EnsureRaw(node, mask);
       CountNode(raw);
       for (const UpdateItem& item : group) {
-        raw->at(item.offset) += item.delta;
+        raw[LeafIndex(item.offset.data())] += item.delta;
       }
       CountWrite(static_cast<int64_t>(group.size()));
     }
@@ -420,7 +434,9 @@ void DdcCore::BuildFromArray(const MdArray<int64_t>& array) {
       any_nonzero |= (v != 0);
     });
     if (any_nonzero) {
-      root_raw_ = arena_->Create<MdArray<int64_t>>(array);
+      // The root leaf has the array's extents and row-major order.
+      root_raw_ = NewLeaf();
+      std::copy_n(array.data(), array.size(), root_raw_);
     }
     total_ = total;
     return;
@@ -453,14 +469,14 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
     }
     const Shape box_shape = Shape::Cube(dims_, k);
     Cell offset(static_cast<size_t>(dims_), 0);
-    Cell transverse;
+    Cell transverse(static_cast<size_t>(dims_ > 1 ? dims_ - 1 : 0));
     do {
       const int64_t v = array.at(CellAdd(box_anchor, offset));
       if (v == 0) continue;
       any_nonzero = true;
       box_total += v;
       for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-        TransverseInto(offset, j, transverse);
+        TransverseInto(offset.data(), dims_, j, transverse.data());
         line_sums[static_cast<size_t>(j)].at(transverse) += v;
       }
     } while (box_shape.NextCell(&offset));
@@ -483,73 +499,37 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
           BuildNodeFromArray(child, k, box_anchor, array);
       DDC_CHECK(child_total == box_total);
     } else {
-      MdArray<int64_t>* raw = EnsureRaw(node, mask, k);
+      // NextCell walks the box in row-major order: the leaf's own layout.
+      int64_t* raw = EnsureRaw(node, mask);
       Cell cursor(static_cast<size_t>(dims_), 0);
+      int64_t index = 0;
       do {
-        raw->at(cursor) = array.at(CellAdd(box_anchor, cursor));
+        raw[index++] = array.at(CellAdd(box_anchor, cursor));
       } while (box_shape.NextCell(&cursor));
-      CountWrite(raw->size());
+      CountWrite(index);
     }
   }
   return total;
 }
 
-namespace {
-
-// Reusable cells for the single-descent read path. PrefixSum is const and
-// runs from parallel readers, so the cells live in thread-local storage.
-// A descent consults nested face cores mid-walk and their PrefixSum calls
-// borrow the next cells, so the cells form a LIFO stack; std::deque keeps
-// an outer frame's cells in place while inner frames grow the stack.
-class DescentCells {
- public:
-  DescentCells() : stack_(Stack()), base_(stack_.top) {
-    stack_.top += kCells;
-    // emplace_back (not resize) is what guarantees outer frames' cells
-    // stay in place.
-    while (stack_.cells.size() < stack_.top) stack_.cells.emplace_back();
-  }
-  ~DescentCells() { stack_.top = base_; }
-  DescentCells(const DescentCells&) = delete;
-  DescentCells& operator=(const DescentCells&) = delete;
-
-  Cell& operator[](size_t i) { return stack_.cells[base_ + i]; }
-
-  // Cells per frame: the walk's offset cursor, the clamped per-box offset
-  // and the face-query key.
-  static constexpr size_t kCells = 3;
-
- private:
-  struct CellStack {
-    std::deque<Cell> cells;
-    size_t top = 0;
-  };
-  static CellStack& Stack() {
-    thread_local CellStack stack;
-    return stack;
-  }
-
-  CellStack& stack_;
-  size_t base_;
-};
-
-}  // namespace
-
 int64_t DdcCore::PrefixSum(const Cell& cell) const {
   DDC_DCHECK(static_cast<int>(cell.size()) == dims_);
-  if (root_raw_ != nullptr) return RawPrefix(*root_raw_, cell);
+  // The walk rebases its offset in place, so it runs on a stack copy.
+  Coord offset[kMaxDims];
+  std::copy_n(cell.begin(), dims_, offset);
+  return PrefixSumInPlace(offset);
+}
+
+int64_t DdcCore::PrefixSumInPlace(Coord* key) const {
+  if (root_raw_ != nullptr) return RawPrefix(root_raw_, key);
   if (root_ == nullptr) return 0;
-  if (kernels::UseScalar()) return PrefixSumScalarRef(root_, side_, cell);
-  DescentCells cells;
-  Cell& offset = cells[0];
-  offset.assign(cell.begin(), cell.end());
-  cells[1].resize(static_cast<size_t>(dims_));
-  return PrefixSumRec(root_, side_, offset, cells[1], cells[2]);
+  if (kernels::UseScalar()) return PrefixSumScalarRef(root_, side_, key);
+  return PrefixSumRec(root_, side_, key);
 }
 
 int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
-                              Cell& offset, Cell& clamped,
-                              Cell& transverse) const {
+                              Coord* offset) const {
+  Coord clamped[kMaxDims];
   int64_t sum = 0;
   while (true) {
     CountNode(node);
@@ -558,7 +538,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
     // classifies as "covered". It is descended after the other boxes.
     uint32_t home_mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      if (offset[static_cast<size_t>(i)] >= k) home_mask |= 1u << i;
+      if (offset[i] >= k) home_mask |= 1u << i;
     }
     for (uint32_t mask = 0; mask < num_children_; ++mask) {
       if (mask == home_mask || !node->boxes[mask].present) continue;
@@ -568,17 +548,16 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
       bool before = false;
       int first_beyond = -1;
       for (int i = 0; i < dims_; ++i) {
-        size_t ui = static_cast<size_t>(i);
-        const Coord rel = offset[ui] - ((mask & (1u << i)) ? k : 0);
+        const Coord rel = offset[i] - ((mask & (1u << i)) ? k : 0);
         if (rel < 0) {
           before = true;
           break;
         }
         if (rel >= k) {
-          clamped[ui] = k - 1;
+          clamped[i] = k - 1;
           if (first_beyond < 0) first_beyond = i;
         } else {
-          clamped[ui] = rel;
+          clamped[i] = rel;
         }
       }
       if (before) continue;
@@ -588,7 +567,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
       // subsumes the paper's "target completely after the box" case).
       bool all_maxed = true;
       for (int i = 0; i < dims_; ++i) {
-        if (clamped[static_cast<size_t>(i)] != k - 1) {
+        if (clamped[i] != k - 1) {
           all_maxed = false;
           break;
         }
@@ -600,22 +579,21 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
         // The needed row-sum value has coordinate first_beyond maxed; read
         // it from that face as a (d-1)-dimensional prefix query.
         CountFaceLookup();
-        TransverseInto(clamped, first_beyond, transverse);
-        sum += node->boxes[mask].faces[first_beyond].PrefixSum(transverse);
+        sum += ReadFace(node->boxes[mask], first_beyond, clamped);
       }
     }
 
     if (!node->boxes[home_mask].present) return sum;  // All-zero region.
     for (int i = 0; i < dims_; ++i) {
-      if (home_mask & (1u << i)) offset[static_cast<size_t>(i)] -= k;
+      if (home_mask & (1u << i)) offset[i] -= k;
     }
     if (k <= min_box_side_) {
       // Raw leaf block: sum the covered prefix of A cells directly (the
       // Section 4.4 compensation for the elided levels).
-      const MdArray<int64_t>* raw =
+      const int64_t* raw =
           node->child_raw != nullptr ? node->child_raw[home_mask] : nullptr;
       DDC_DCHECK(raw != nullptr);
-      return sum + RawPrefix(*raw, offset);
+      return sum + RawPrefix(raw, offset);
     }
     node = node->child_nodes != nullptr ? node->child_nodes[home_mask]
                                         : nullptr;
@@ -627,7 +605,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
 // Seed shape of PrefixSumRec: recursive, a fresh clamped Cell per node and a
 // fresh transverse Cell per face lookup.
 int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
-                                    const Cell& offset_in_node) const {
+                                    const Coord* offset_in_node) const {
   CountNode(node);
   const int64_t k = node_side / 2;
   int64_t sum = 0;
@@ -655,9 +633,9 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
     if (before) continue;
     if (covered) {
       if (k <= min_box_side_) {
-        sum += RawPrefix(*node->child_raw[mask], clamped);
+        sum += RawPrefix(node->child_raw[mask], clamped.data());
       } else {
-        sum += PrefixSumScalarRef(node->child_nodes[mask], k, clamped);
+        sum += PrefixSumScalarRef(node->child_nodes[mask], k, clamped.data());
       }
       continue;
     }
@@ -673,10 +651,10 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
       CountRead(1);
     } else {
       CountFaceLookup();
-      Cell transverse;
-      transverse.reserve(static_cast<size_t>(dims_ - 1));
-      TransverseInto(clamped, first_beyond, transverse);
-      sum += node->boxes[mask].faces[first_beyond].PrefixSum(transverse);
+      Cell transverse(static_cast<size_t>(dims_ - 1));
+      TransverseInto(clamped.data(), dims_, first_beyond, transverse.data());
+      sum += node->boxes[mask].faces[first_beyond].PrefixSum(
+          transverse.data());
     }
   }
   return sum;
@@ -689,7 +667,7 @@ void DdcCore::PrefixSumBatch(std::span<const Cell> cells,
   if (root_raw_ != nullptr) {
     for (size_t q = 0; q < cells.size(); ++q) {
       DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
-      out[q] = RawPrefix(*root_raw_, cells[q]);
+      out[q] = RawPrefix(root_raw_, cells[q].data());
     }
     return;
   }
@@ -717,7 +695,6 @@ void DdcCore::PrefixSumBatch(std::span<const Cell> cells,
   BatchScratch& scratch = use.scratch;
   scratch.begin.resize(num_children_ + 1);
   scratch.cursor.resize(num_children_);
-  scratch.clamped.resize(static_cast<size_t>(dims_));
   PrefixSumBatchRec(root_, side_, items, scratch);
   use.busy = false;
 }
@@ -729,7 +706,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
   // shared visit is the point of batching.
   CountNode(node);
   const int64_t k = node_side / 2;
-  Cell& clamped = scratch.clamped;
+  Coord clamped[kMaxDims];
   for (size_t q = 0; q < items.size(); ++q) {
     BatchItem& item = items[q];
     // The child containing the target: exactly the mask whose box classifies
@@ -755,17 +732,17 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
           break;
         }
         if (rel >= k) {
-          clamped[ui] = k - 1;
+          clamped[i] = k - 1;
           if (first_beyond < 0) first_beyond = i;
         } else {
-          clamped[ui] = rel;
+          clamped[i] = rel;
         }
       }
       if (before) continue;
       DDC_DCHECK(first_beyond >= 0);  // mask != home_mask => not covered.
       bool all_maxed = true;
       for (int i = 0; i < dims_; ++i) {
-        if (clamped[static_cast<size_t>(i)] != k - 1) {
+        if (clamped[i] != k - 1) {
           all_maxed = false;
           break;
         }
@@ -775,9 +752,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
         CountRead(1);
       } else {
         CountFaceLookup();
-        TransverseInto(clamped, first_beyond, scratch.transverse);
-        *item.out += node->boxes[mask].faces[first_beyond].PrefixSum(
-            scratch.transverse);
+        *item.out += ReadFace(node->boxes[mask], first_beyond, clamped);
       }
     }
 
@@ -813,9 +788,8 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
       const uint32_t next_mask = items[lo].home;
       if (node->boxes[next_mask].present) {
         if (k <= min_box_side_) {
-          if (node->child_raw != nullptr &&
-              node->child_raw[next_mask] != nullptr) {
-            kernels::PrefetchRead(node->child_raw[next_mask]->data());
+          if (node->child_raw != nullptr) {
+            kernels::PrefetchRead(node->child_raw[next_mask]);
           }
         } else if (node->child_nodes != nullptr) {
           kernels::PrefetchRead(node->child_nodes[next_mask]);
@@ -825,11 +799,11 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
 
     if (!node->boxes[mask].present) continue;  // All-zero region: adds 0.
     if (k <= min_box_side_) {
-      const MdArray<int64_t>* raw =
+      const int64_t* raw =
           node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
       DDC_DCHECK(raw != nullptr);
       for (BatchItem& item : group) {
-        *item.out += RawPrefix(*raw, item.offset);
+        *item.out += RawPrefix(raw, item.offset.data());
       }
     } else {
       const Node* child =
@@ -840,29 +814,25 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
   }
 }
 
-int64_t DdcCore::RawPrefix(const MdArray<int64_t>& raw,
-                           const Cell& offset) const {
+int64_t DdcCore::RawPrefix(const int64_t* raw, const Coord* offset) const {
   if (kernels::UseScalar()) return RawPrefixScalarRef(raw, offset);
-  CountNode(&raw);  // A leaf block is one secondary-storage unit.
+  CountNode(raw);  // A leaf block is one secondary-storage unit.
   // Row-major leaf blocks keep the innermost dimension contiguous, so the
   // Section 4.4 dominance sum is an odometer over the outer dimensions with
   // one vectorized block sum per inner run. Counter semantics match the
   // scalar reference: one node, one read per cell summed.
-  const size_t inner = static_cast<size_t>(dims_ - 1);
+  const int inner = dims_ - 1;
   const size_t run = static_cast<size_t>(offset[inner]) + 1;
-  const int64_t* data = raw.data();
   int64_t sum = 0;
   int64_t reads = 0;
-  Cell cursor(static_cast<size_t>(dims_), 0);
+  Coord cursor[kMaxDims] = {};
   while (true) {
-    const int64_t base = raw.shape().LinearIndex(cursor);
-    sum += kernels::Sum(data + base, run);
+    sum += kernels::Sum(raw + LeafIndex(cursor), run);
     reads += static_cast<int64_t>(run);
     int dim = dims_ - 2;
     while (dim >= 0) {
-      size_t ud = static_cast<size_t>(dim);
-      if (++cursor[ud] <= offset[ud]) break;
-      cursor[ud] = 0;
+      if (++cursor[dim] <= offset[dim]) break;
+      cursor[dim] = 0;
       --dim;
     }
     if (dim < 0) break;
@@ -871,14 +841,14 @@ int64_t DdcCore::RawPrefix(const MdArray<int64_t>& raw,
   return sum;
 }
 
-int64_t DdcCore::RawPrefixScalarRef(const MdArray<int64_t>& raw,
-                                    const Cell& offset) const {
-  CountNode(&raw);  // A leaf block is one secondary-storage unit.
+int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw,
+                                    const Coord* offset) const {
+  CountNode(raw);  // A leaf block is one secondary-storage unit.
   int64_t sum = 0;
   Cell cursor(static_cast<size_t>(dims_), 0);
   int64_t reads = 0;
   while (true) {
-    sum += raw.at(cursor);
+    sum += raw[LeafIndex(cursor.data())];
     ++reads;
     int dim = dims_ - 1;
     while (dim >= 0) {
@@ -897,28 +867,28 @@ int64_t DdcCore::Get(const Cell& cell) const {
   DDC_DCHECK(static_cast<int>(cell.size()) == dims_);
   if (root_raw_ != nullptr) {
     CountRead(1);
-    return root_raw_->at(cell);
+    return root_raw_[LeafIndex(cell.data())];
   }
   const Node* node = root_;
   int64_t node_side = side_;
-  Cell offset = cell;
+  Coord offset[kMaxDims];
+  std::copy_n(cell.begin(), dims_, offset);
   while (node != nullptr) {
     const int64_t k = node_side / 2;
     uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      size_t ui = static_cast<size_t>(i);
-      if (offset[ui] >= k) {
+      if (offset[i] >= k) {
         mask |= 1u << i;
-        offset[ui] -= k;
+        offset[i] -= k;
       }
     }
     if (!node->boxes[mask].present) return 0;
     if (k <= min_box_side_) {
-      const MdArray<int64_t>* raw =
+      const int64_t* raw =
           node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
       if (raw == nullptr) return 0;
       CountRead(1);
-      return raw->at(offset);
+      return raw[LeafIndex(offset)];
     }
     node = node->child_nodes != nullptr ? node->child_nodes[mask] : nullptr;
     node_side = k;
@@ -927,7 +897,7 @@ int64_t DdcCore::Get(const Cell& cell) const {
 }
 
 int64_t DdcCore::StorageCells() const {
-  if (root_raw_ != nullptr) return root_raw_->size();
+  if (root_raw_ != nullptr) return LeafCells();
   if (root_ == nullptr) return 0;
   return NodeStorage(root_, side_);
 }
@@ -943,9 +913,9 @@ int64_t DdcCore::NodeStorage(const Node* node, int64_t node_side) const {
       total += box.faces[j].StorageCells();
     }
     if (k <= min_box_side_) {
-      const MdArray<int64_t>* raw =
-          node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-      if (raw != nullptr) total += raw->size();
+      if (node->child_raw != nullptr && node->child_raw[mask] != nullptr) {
+        total += LeafCells();
+      }
     } else if (node->child_nodes != nullptr &&
                node->child_nodes[mask] != nullptr) {
       total += NodeStorage(node->child_nodes[mask], k);
@@ -957,16 +927,19 @@ int64_t DdcCore::NodeStorage(const Node* node, int64_t node_side) const {
 DdcStats DdcCore::Stats() const {
   DdcStats stats;
   if (root_raw_ != nullptr) {
-    stats.raw_blocks = 1;
-    stats.raw_cells = root_raw_->size();
-    root_raw_->ForEach([&](const Cell&, const int64_t& v) {
-      if (v != 0) ++stats.nonzero_cells;
-    });
+    LeafStats(root_raw_, &stats);
     return stats;
   }
   if (root_ == nullptr) return stats;
   NodeStats(root_, side_, &stats);
   return stats;
+}
+
+void DdcCore::LeafStats(const int64_t* raw, DdcStats* stats) const {
+  ++stats->raw_blocks;
+  stats->raw_cells += LeafCells();
+  stats->nonzero_cells += std::count_if(
+      raw, raw + LeafCells(), [](int64_t v) { return v != 0; });
 }
 
 void DdcCore::NodeStats(const Node* node, int64_t node_side,
@@ -978,14 +951,8 @@ void DdcCore::NodeStats(const Node* node, int64_t node_side,
     ++stats->boxes;
     if (dims_ > 1) stats->face_stores += dims_;
     if (k <= min_box_side_) {
-      const MdArray<int64_t>* raw =
-          node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-      if (raw != nullptr) {
-        ++stats->raw_blocks;
-        stats->raw_cells += raw->size();
-        raw->ForEach([&](const Cell&, const int64_t& v) {
-          if (v != 0) ++stats->nonzero_cells;
-        });
+      if (node->child_raw != nullptr && node->child_raw[mask] != nullptr) {
+        LeafStats(node->child_raw[mask], stats);
       }
     } else if (node->child_nodes != nullptr &&
                node->child_nodes[mask] != nullptr) {
@@ -997,13 +964,25 @@ void DdcCore::NodeStats(const Node* node, int64_t node_side,
 void DdcCore::ForEachNonZero(
     const std::function<void(const Cell&, int64_t)>& fn) const {
   if (root_raw_ != nullptr) {
-    root_raw_->ForEach([&](const Cell& cell, const int64_t& value) {
-      if (value != 0) fn(cell, value);
-    });
+    LeafForEachNonZero(root_raw_, UniformCell(dims_, 0), fn);
     return;
   }
   if (root_ == nullptr) return;
   NodeForEachNonZero(root_, side_, UniformCell(dims_, 0), fn);
+}
+
+void DdcCore::LeafForEachNonZero(
+    const int64_t* raw, const Cell& anchor,
+    const std::function<void(const Cell&, int64_t)>& fn) const {
+  // `cell` walks the block in row-major order, in step with the slab.
+  Cell cell = anchor;
+  for (int64_t index = 0, n = LeafCells(); index < n; ++index) {
+    if (raw[index] != 0) fn(cell, raw[index]);
+    for (size_t i = cell.size(); i-- > 0;) {
+      if (++cell[i] < anchor[i] + min_box_side_) break;
+      cell[i] = anchor[i];
+    }
+  }
 }
 
 void DdcCore::NodeForEachNonZero(
@@ -1017,12 +996,9 @@ void DdcCore::NodeForEachNonZero(
       if (mask & (1u << i)) box_anchor[static_cast<size_t>(i)] += k;
     }
     if (k <= min_box_side_) {
-      const MdArray<int64_t>* raw =
-          node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-      if (raw == nullptr) continue;
-      raw->ForEach([&](const Cell& cell, const int64_t& value) {
-        if (value != 0) fn(CellAdd(box_anchor, cell), value);
-      });
+      if (node->child_raw != nullptr && node->child_raw[mask] != nullptr) {
+        LeafForEachNonZero(node->child_raw[mask], box_anchor, fn);
+      }
     } else if (node->child_nodes != nullptr &&
                node->child_nodes[mask] != nullptr) {
       NodeForEachNonZero(node->child_nodes[mask], k, box_anchor, fn);

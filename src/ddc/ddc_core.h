@@ -29,8 +29,13 @@
 // face stores, nested secondary cores, B_c-tree nodes, raw leaf blocks —
 // is carved out of one Arena per cube, in materialization order. A node is
 // a three-pointer header over inline arena arrays (2^d boxes, plus a child
-// array allocated on first use), replacing the seed's four parallel
-// vectors of unique_ptrs; a descent therefore walks tightly packed memory.
+// array allocated on first use); a descent therefore walks tightly packed
+// memory. A raw leaf block is a bare zero-initialized arena slab of
+// min_box_side^d int64_t values, addressed row-major by shifts, so the
+// leaf pointer in a node's child array is the data itself. The descents
+// key faces through fixed-size stack arrays that nested face cores rebase
+// in place, so a nested core carries no scratch and never heap-allocates;
+// only a core called through AddBatch lazily grows a write-scratch block.
 // The arena is either owned (standalone cores, as in the tests) or borrowed
 // from the enclosing cube (nested face cores, DynamicDataCube); see
 // DESIGN.md §8 for the lifetime rules.
@@ -68,6 +73,10 @@ struct DdcStats {
 
 class DdcCore {
  public:
+  // Largest supported dimensionality. The descents key faces and rebase
+  // offsets in fixed stack arrays of this width instead of heap Cells.
+  static constexpr int kMaxDims = 20;
+
   // `side` must be a power of two >= 2. `counters` (may be null) receives
   // cost accounting for every operation, including work done inside nested
   // structures; it is not owned. Structure memory comes from `arena` when
@@ -88,6 +97,13 @@ class DdcCore {
 
   // A[cell] += delta; local coordinates in [0, side).
   void Add(const Cell& cell, int64_t delta);
+
+  // Face-store entry points (FaceStore's nested path): Add and PrefixSum on
+  // a key of dims() coordinates that is caller scratch. The walk rebases
+  // the key in place as it descends, so its contents are unspecified on
+  // return; nothing is copied and nothing is allocated.
+  void AddInPlace(Coord* key, int64_t delta);
+  int64_t PrefixSumInPlace(Coord* key) const;
 
   // A[cells[i]] += deltas[i] for the whole batch in one walk — the Figure 12
   // propagation run once per node group instead of once per update: updates
@@ -138,8 +154,9 @@ class DdcCore {
   Arena* arena() const { return arena_; }
 
   // Heap bytes currently held by the reusable write-path scratch (items
-  // buffer + counting-sort workspace). Test support: repeated same-shaped
-  // AddBatch calls must not grow this — the scratch-reuse contract.
+  // buffer + counting-sort workspace); 0 until the first AddBatch. Test
+  // support: repeated same-shaped AddBatch calls must not grow this — the
+  // scratch-reuse contract.
   size_t update_scratch_bytes() const;
 
   // Number of tree levels a full root-to-leaf descent visits (the raw leaf
@@ -181,10 +198,10 @@ class DdcCore {
     BoxData* boxes = nullptr;
     // Child pointers, also indexed by mask; allocated on first child. A
     // node at side > 2*min_box_side uses child_nodes, the last tree level
-    // uses child_raw (leaf blocks of side min_box_side). At most one of the
-    // two arrays is ever allocated for a given node.
+    // uses child_raw (leaf slabs of min_box_side^d values). At most one of
+    // the two arrays is ever allocated for a given node.
     Node** child_nodes = nullptr;
-    MdArray<int64_t>** child_raw = nullptr;
+    int64_t** child_raw = nullptr;
   };
 
   // One in-flight query of a PrefixSumBatch: the target offset, rebased as
@@ -196,20 +213,18 @@ class DdcCore {
     uint32_t home;
   };
 
-  // Reusable buffers for the batched descent. The recursion only needs them
-  // between entering a node and recursing into its children, so one set
-  // serves every node of the walk (the alternative, fresh vectors per node,
-  // dominated the batch's cost on shallow trees). Query scratch lives in a
-  // thread-local pool (see GetBatchTls) so repeated PrefixSumBatch calls
-  // reuse capacity without making the const read path carry mutable state —
-  // ConcurrentCube runs parallel readers against one cube.
+  // Reusable counting-sort buffers for the batched descent. The recursion
+  // only needs them between entering a node and recursing into its
+  // children, so one set serves every node of the walk (the alternative,
+  // fresh vectors per node, dominated the batch's cost on shallow trees).
+  // Query scratch lives in a thread-local pool (see GetBatchTls) so
+  // repeated PrefixSumBatch calls reuse capacity without making the const
+  // read path carry mutable state — ConcurrentCube runs parallel readers
+  // against one cube.
   struct BatchScratch {
     std::vector<BatchItem> sorted;
     std::vector<size_t> begin;
     std::vector<size_t> cursor;
-    Cell clamped;
-    Cell transverse;  // Face-query key scratch: avoids a per-face-query
-                      // Cell allocation in the batched walk.
   };
 
   // Thread-local scratch pool for the const batched-query path; defined in
@@ -226,22 +241,17 @@ class DdcCore {
     uint32_t home;
   };
 
-  // The write-path counterpart of BatchScratch: counting-sort workspace
-  // and face-key scratch. Shared across every node of one AddBatch walk,
-  // and — writes are externally synchronized — held as a member so
-  // consecutive ApplyBatch calls on one cube reuse the grown capacity
-  // instead of reallocating per batch.
-  struct UpdateScratch {
+  // The write-path counterpart of BatchScratch: the items buffer and the
+  // counting-sort workspace. Shared across every node of one AddBatch walk
+  // and — writes are externally synchronized — kept by the core so
+  // consecutive ApplyBatch calls reuse the grown capacity instead of
+  // reallocating per batch. Created by the first AddBatch, so nested face
+  // cores (which only see AddInPlace) never carry one.
+  struct WriteScratch {
+    std::vector<UpdateItem> items;
     std::vector<UpdateItem> sorted;
     std::vector<size_t> begin;
     std::vector<size_t> cursor;
-    // Reused transverse-coordinate buffer: the batched descent performs
-    // dims face adds per item per level, and materializing each transverse
-    // position into a fresh Cell would make allocation the dominant cost.
-    Cell transverse;
-    // The single-update walk's offset cursor (Add rebases a copy of its
-    // target in place).
-    Cell offset;
     // Contiguous per-item deltas in counting-sorted order, so a group's
     // subtotal is one vectorized block sum instead of a strided struct
     // walk. Refilled per node; only used for groups worth the extra pass.
@@ -250,26 +260,44 @@ class DdcCore {
 
   Node* EnsureNode(Node** slot);
   BoxData* EnsureBox(Node* node, uint32_t mask, int64_t box_side);
-  MdArray<int64_t>* EnsureRaw(Node* node, uint32_t mask, int64_t box_side);
+  int64_t* EnsureRaw(Node* node, uint32_t mask);
+
+  // Leaf blocks: zero-initialized arena slabs of min_box_side^d values,
+  // row-major (last coordinate contiguous) and indexed by shifts.
+  int64_t LeafCells() const { return int64_t{1} << (leaf_shift_ * dims_); }
+  int64_t LeafIndex(const Coord* offset) const {
+    int64_t index = 0;
+    for (int i = 0; i < dims_; ++i) index = (index << leaf_shift_) | offset[i];
+    return index;
+  }
+  int64_t* NewLeaf() {
+    return arena_->CreateArray<int64_t>(static_cast<size_t>(LeafCells()));
+  }
+
+  // The d face writes of one point update (Section 4.2), and the one face
+  // read a partially covered box contributes (Figure 10). `offset` is
+  // box-local; a 2-D core keys its 1-D faces by the other coordinate, a
+  // deeper core builds the transverse key in a stack array that the nested
+  // face core then rebases in place.
+  void AddToFaces(BoxData* box, const Coord* offset, int64_t delta);
+  int64_t ReadFace(const BoxData& box, int j, const Coord* clamped) const;
 
   // Single-update descent (Figure 12), one box per level. Rebases `offset`
-  // in place as it descends; `transverse` is face-key scratch. Both are
-  // caller-owned so the walk allocates nothing.
-  void AddRec(Node* node, int64_t node_side, Cell& offset, int64_t delta,
-              Cell& transverse);
+  // (dims_ coordinates, caller scratch) in place as it descends.
+  void AddRec(Node* node, int64_t node_side, Coord* offset, int64_t delta);
   // The kernels::ForceScalar reference of the two single descents: the
   // seed's recursive walks, which allocate a Cell per level and per face
   // touched. Same values and counts; kept so bench_kernels compares the
   // optimized paths against the pre-optimization code.
-  void AddScalarRef(Node* node, int64_t node_side, const Cell& offset_in_node,
-                    int64_t delta);
+  void AddScalarRef(Node* node, int64_t node_side,
+                    const Coord* offset_in_node, int64_t delta);
   int64_t PrefixSumScalarRef(const Node* node, int64_t node_side,
-                             const Cell& offset_in_node) const;
+                             const Coord* offset_in_node) const;
   // Batched update descent: groups the items by home child (the same
   // counting sort the query batch uses), applies each group's coalesced
   // box-level writes, and recurses once per group.
   void AddBatchRec(Node* node, int64_t node_side,
-                   std::span<UpdateItem> items, UpdateScratch& scratch);
+                   std::span<UpdateItem> items, WriteScratch& scratch);
   // Builds the subtree for the region [anchor, anchor + node_side) of
   // `array`; returns the region total. `node` may be discarded by the
   // caller if the total is zero and nothing was materialized.
@@ -277,10 +305,9 @@ class DdcCore {
                              const Cell& anchor,
                              const MdArray<int64_t>& array);
   // Single-query descent (Figure 10), one node per level. Rebases `offset`
-  // in place; `clamped` (dims_ wide) and `transverse` are scratch. All three
-  // are caller-owned so the walk allocates nothing.
-  int64_t PrefixSumRec(const Node* node, int64_t node_side, Cell& offset,
-                       Cell& clamped, Cell& transverse) const;
+  // (dims_ coordinates, caller scratch) in place; allocates nothing.
+  int64_t PrefixSumRec(const Node* node, int64_t node_side,
+                       Coord* offset) const;
   // Batched descent: accumulates every item's per-box contributions at this
   // node, groups the items by the child each descends into, and recurses
   // once per group.
@@ -293,12 +320,15 @@ class DdcCore {
   // block-sum kernel over each contiguous innermost run; the scalar
   // reference (seed shape: full odometer, one LinearIndex per cell) is kept
   // for the kernels::ForceScalar contract.
-  int64_t RawPrefix(const MdArray<int64_t>& raw, const Cell& offset) const;
-  int64_t RawPrefixScalarRef(const MdArray<int64_t>& raw,
-                             const Cell& offset) const;
+  int64_t RawPrefix(const int64_t* raw, const Coord* offset) const;
+  int64_t RawPrefixScalarRef(const int64_t* raw, const Coord* offset) const;
 
   int64_t NodeStorage(const Node* node, int64_t node_side) const;
   void NodeStats(const Node* node, int64_t node_side, DdcStats* stats) const;
+  void LeafStats(const int64_t* raw, DdcStats* stats) const;
+  void LeafForEachNonZero(
+      const int64_t* raw, const Cell& anchor,
+      const std::function<void(const Cell&, int64_t)>& fn) const;
   void NodeForEachNonZero(
       const Node* node, int64_t node_side, const Cell& node_anchor,
       const std::function<void(const Cell&, int64_t)>& fn) const;
@@ -339,12 +369,15 @@ class DdcCore {
     if (obs::CostLedger* l = obs::ActiveLedger()) ++l->face_lookups;
   }
 
+  // Every nested face is a DdcCore, so its header is kept small: no inline
+  // scratch, narrow fields first (sizeof(DdcCore) is pinned at <= 128).
   int dims_;
-  int64_t side_;
-  DdcOptions options_;
-  OpCounters* counters_;
   uint32_t num_children_;
+  int leaf_shift_;  // log2(min_box_side_).
+  DdcOptions options_;
+  int64_t side_;
   int64_t min_box_side_;
+  OpCounters* counters_;
   int64_t total_ = 0;
   const NodeVisitListener* node_visit_listener_ = nullptr;
   std::unique_ptr<Arena> owned_arena_;  // Set only for standalone cores.
@@ -352,11 +385,10 @@ class DdcCore {
   // Exactly one of root_ / root_raw_ is set once data exists: root_raw_ when
   // side_ <= min_box_side_ (the whole cube is one leaf block).
   Node* root_ = nullptr;
-  MdArray<int64_t>* root_raw_ = nullptr;
-  // Write-path scratch, reused across AddBatch/ApplyBatch calls (writes are
-  // externally synchronized, so plain members are safe here).
-  UpdateScratch update_scratch_;
-  std::vector<UpdateItem> update_items_;
+  int64_t* root_raw_ = nullptr;
+  // Write-path scratch, created by the first AddBatch and reused across
+  // AddBatch/ApplyBatch calls (writes are externally synchronized).
+  std::unique_ptr<WriteScratch> write_scratch_;
 };
 
 }  // namespace ddc

@@ -45,24 +45,32 @@ FaceStore::Owned FaceStore::Create(int transverse_dims, int64_t side,
   return owned;
 }
 
-void FaceStore::Add(const Cell& y, int64_t delta) {
+void FaceStore::Add(Coord* y, int64_t delta) {
   if (nested_ != nullptr) {
-    nested_->Add(y, delta);
+    nested_->AddInPlace(y, delta);
     return;
   }
-  DDC_DCHECK(y.size() == 1);
+  AddLine(y[0], delta);
+}
+
+int64_t FaceStore::PrefixSum(Coord* y) const {
+  if (nested_ != nullptr) return nested_->PrefixSumInPlace(y);
+  return PrefixSumLine(y[0]);
+}
+
+void FaceStore::AddLine(Coord y, int64_t delta) {
+  DDC_DCHECK(nested_ == nullptr);
   if (bc_ != nullptr) {
-    bc_->Add(y[0], delta);
+    bc_->Add(y, delta);
   } else {
-    fenwick_->Add(y[0], delta);
+    fenwick_->Add(y, delta);
   }
 }
 
-int64_t FaceStore::PrefixSum(const Cell& y) const {
-  if (nested_ != nullptr) return nested_->PrefixSum(y);
-  DDC_DCHECK(y.size() == 1);
-  if (bc_ != nullptr) return bc_->CumulativeSum(y[0]);
-  return fenwick_->CumulativeSum(y[0]);
+int64_t FaceStore::PrefixSumLine(Coord y) const {
+  DDC_DCHECK(nested_ == nullptr);
+  if (bc_ != nullptr) return bc_->CumulativeSum(y);
+  return fenwick_->CumulativeSum(y);
 }
 
 int64_t FaceStore::StorageCells() const {

@@ -24,9 +24,14 @@
 //
 // Layout: a FaceStore is a small non-virtual tagged handle (three pointers,
 // trivially destructible) so the d faces of an overlay box can sit inline
-// in one arena array next to the box's subtotal, and the common B_c-tree
-// path pays no virtual dispatch. The pointed-to store lives in the same
-// arena and dies with it.
+// in one arena array next to the box's subtotal. BcTree is final, so the
+// common B_c-tree path binds its calls directly instead of dispatching
+// through CumulativeStore1D. The pointed-to store lives in the same arena
+// and dies with it. Keys are passed as bare coordinate arrays the caller
+// treats as scratch: a nested face core rebases the key in place as it
+// descends instead of copying it, so neither side allocates. One-
+// dimensional faces (the faces of a 2-D box) take their single coordinate
+// by value through AddLine / PrefixSumLine.
 
 #ifndef DDC_DDC_FACE_STORE_H_
 #define DDC_DDC_FACE_STORE_H_
@@ -71,12 +76,18 @@ class FaceStore {
                       const DdcOptions& options, OpCounters* counters);
 
   // Adds `delta` to the line sum at transverse position `y` (d-1 coords,
-  // each in [0, side)).
-  void Add(const Cell& y, int64_t delta);
+  // each in [0, side)). `y` is scratch: a nested face rebases it in place,
+  // so its contents are unspecified on return.
+  void Add(Coord* y, int64_t delta);
 
   // Returns F_j at `y`: the cumulative row sum over transverse prefix
-  // [0 .. y].
-  int64_t PrefixSum(const Cell& y) const;
+  // [0 .. y]. Same scratch contract for `y` as Add.
+  int64_t PrefixSum(Coord* y) const;
+
+  // Add / PrefixSum for a one-dimensional face (d-1 == 1), keyed by its
+  // single transverse coordinate.
+  void AddLine(Coord y, int64_t delta);
+  int64_t PrefixSumLine(Coord y) const;
 
   int64_t StorageCells() const;
 

@@ -1,0 +1,142 @@
+#!/usr/bin/env bash
+# Paired A/B run of the end-to-end benchmark: a base git revision against
+# the current working tree (uncommitted changes included).
+#
+#   tools/perfbench_ab.sh BASE_REV [--workload W] [--pairs N] [--seconds S]
+#                         [--seed0 K] [--out DIR]
+#
+# The base revision is checked out with `git worktree` into a temporary
+# directory and removed again on exit. Each side builds its own sources the
+# way the benchmark does (perfbench/run.py, into that side's .bench_build/).
+# Pair i runs `python3 perfbench/run.py --workload W --seed K+i-1
+# --seconds S --trace 0` once per side, alternating which side goes first so
+# host drift does not favour either. Defaults: durable_ingest, 10 pairs,
+# 30 s, seed0 1.
+#
+# For every end-to-end metric of BENCHMARK.json the summary prints each
+# side's median and quartiles, how many pairs the change won, and whether a
+# gain would count as a claim: the change wins at least 9 in 10 pairs and
+# its median beats the base median by more than the base's interquartile
+# range. `--out DIR` keeps the raw per-run JSON lines.
+
+set -euo pipefail
+
+usage() { sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+
+[[ $# -ge 1 ]] || usage
+BASE_REV=$1
+shift
+WORKLOAD=durable_ingest
+PAIRS=10
+SECONDS_PER_RUN=30
+SEED0=1
+OUT=""
+while [[ $# -gt 0 ]]; do
+  case $1 in
+    --workload) WORKLOAD=$2; shift 2 ;;
+    --pairs) PAIRS=$2; shift 2 ;;
+    --seconds) SECONDS_PER_RUN=$2; shift 2 ;;
+    --seed0) SEED0=$2; shift 2 ;;
+    --out) OUT=$2; shift 2 ;;
+    *) usage ;;
+  esac
+done
+
+ROOT=$(git rev-parse --show-toplevel)
+TMP=$(mktemp -d "${TMPDIR:-/tmp}/perfbench_ab.XXXXXX")
+BASE="$TMP/base"
+cleanup() {
+  git -C "$ROOT" worktree remove --force "$BASE" > /dev/null 2>&1 || true
+  git -C "$ROOT" worktree prune > /dev/null 2>&1 || true
+  rm -rf "$TMP"
+}
+trap cleanup EXIT
+git -C "$ROOT" worktree add --detach "$BASE" "$BASE_REV" > /dev/null
+
+RESULTS="$TMP/results"
+mkdir -p "$RESULTS"
+
+# run_side DIR NAME PAIR SEED: one benchmark run; keeps its last output line.
+run_side() {
+  local dir=$1 name=$2 pair=$3 seed=$4
+  echo "pair $pair/$PAIRS: $name (seed $seed)" >&2
+  (cd "$dir" && python3 perfbench/run.py --workload "$WORKLOAD" \
+       --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 \
+       2> /dev/null | tail -n 1) > "$RESULTS/$name.$pair.json"
+}
+
+echo "building base ($BASE_REV) and change ($ROOT)" >&2
+for dir in "$BASE" "$ROOT"; do
+  (cd "$dir" && python3 perfbench/run.py --workload "$WORKLOAD" --seed 0 \
+       --seconds 1 --trace 0 > /dev/null 2>&1) ||
+    { echo "perfbench_ab: build or run failed in $dir" >&2; exit 1; }
+done
+
+for ((i = 1; i <= PAIRS; ++i)); do
+  seed=$((SEED0 + i - 1))
+  if ((i % 2 == 1)); then
+    run_side "$BASE" base "$i" "$seed"
+    run_side "$ROOT" change "$i" "$seed"
+  else
+    run_side "$ROOT" change "$i" "$seed"
+    run_side "$BASE" base "$i" "$seed"
+  fi
+done
+
+if [[ -n $OUT ]]; then
+  mkdir -p "$OUT"
+  cp "$RESULTS"/*.json "$OUT"/
+fi
+
+python3 - "$ROOT/BENCHMARK.json" "$RESULTS" "$PAIRS" "$WORKLOAD" \
+    "$BASE_REV" <<'EOF'
+import json
+import statistics
+import sys
+
+spec_path, results, pairs, workload, base_rev = sys.argv[1:]
+pairs = int(pairs)
+spec = json.load(open(spec_path))
+
+
+def load(side, i):
+    with open("%s/%s.%d.json" % (results, side, i)) as f:
+        return json.loads(f.read())
+
+
+runs = {side: [load(side, i) for i in range(1, pairs + 1)]
+        for side in ("base", "change")}
+for side, rs in runs.items():
+    bad = [i + 1 for i, r in enumerate(rs)
+           if not r.get("correct") or r.get("failed", 0)]
+    if bad:
+        print("WARNING: %s runs %s report incorrect or failed statements"
+              % (side, bad))
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+print("workload %s, %d pairs, base %s vs working tree" %
+      (workload, pairs, base_rev))
+print("%-24s %-30s %-30s %8s %6s  %s" %
+      ("metric", "base median [q1, q3]", "change median [q1, q3]",
+       "delta", "wins", "claim"))
+need = -(-9 * pairs // 10)  # ceil(0.9 * pairs)
+for metric in spec["end_to_end"]:
+    name = metric["name"]
+    lower = metric["better"] == "lower"
+    b = [r["metrics"][name]["value"] for r in runs["base"]]
+    c = [r["metrics"][name]["value"] for r in runs["change"]]
+    bq, cq = quartiles(b), quartiles(c)
+    wins = sum((cv < bv) if lower else (cv > bv) for bv, cv in zip(b, c))
+    gap = (bq[1] - cq[1]) if lower else (cq[1] - bq[1])
+    holds = wins >= need and gap > bq[2] - bq[0]
+    delta = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
+    print("%-24s %-30s %-30s %+7.1f%% %3d/%-2d  %s" %
+          (name, "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
+           "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), delta, wins, pairs,
+           "holds" if holds else "no"))
+EOF
