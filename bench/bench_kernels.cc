@@ -267,7 +267,7 @@ BatchedResult BenchBatched(int64_t side, int64_t inserts, size_t batch,
                            int reps) {
   const Shape shape = Shape::Cube(2, side);
   WorkloadGenerator gen(shape, 131);
-  DdcCore core(2, side, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, side, DdcOptions{}, nullptr);
   for (int64_t i = 0; i < inserts; ++i) {
     core.Add(gen.UniformCell(), gen.Value(-9, 9));
   }
@@ -447,7 +447,7 @@ int Run() {
   double sweep_base = single.opt.ops;
 
   // Dense (implicit-offset Eytzinger slab) layout at the default fanout.
-  BcTree dense_tree(capacity, 8, nullptr, BcLayout::kDense);
+  BcTree dense_tree(capacity, 8, BcLayout::kDense);
   PopulateTree(dense_tree, capacity);
   const DescentPair dense = BenchDescent(dense_tree, positions, reps);
   add_row("bctree sum", "f=8 dense", dense);

@@ -1,5 +1,6 @@
 #include "bctree/bc_tree.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bit_util.h"
@@ -9,6 +10,35 @@
 namespace ddc {
 
 namespace {
+
+// A node is an opaque handle to one aligned arena slab:
+//   [ f x int64_t sums ][ f x Node* children ]   (interior)
+//   [ f x int64_t sums ]                         (leaf)
+// Whether a node is a leaf is implied by its span (span == fanout), so no
+// flag is stored and the two shapes share one handle type.
+struct Node;
+
+int64_t* Sums(Node* node) { return reinterpret_cast<int64_t*>(node); }
+const int64_t* Sums(const Node* node) {
+  return reinterpret_cast<const int64_t*>(node);
+}
+Node** Children(Node* node, int fanout) {
+  return reinterpret_cast<Node**>(reinterpret_cast<int64_t*>(node) + fanout);
+}
+Node* const* Children(const Node* node, int fanout) {
+  return reinterpret_cast<Node* const*>(
+      reinterpret_cast<const int64_t*>(node) + fanout);
+}
+
+void CountRead(OpCounters* counters, int64_t n) {
+  if (counters != nullptr) counters->values_read += n;
+}
+void CountWrite(OpCounters* counters, int64_t n) {
+  if (counters != nullptr) counters->values_written += n;
+}
+void CountNode(OpCounters* counters) {
+  if (counters != nullptr) ++counters->nodes_visited;
+}
 
 // Smallest power-of-two alignment that keeps a sum array of `sums_bytes`
 // inside one cache line (or line-aligned when it fills one or more whole
@@ -20,438 +50,516 @@ size_t NodeSlabAlign(size_t sums_bytes) {
   return align;
 }
 
-}  // namespace
-
-BcTree::BcTree(int64_t capacity, int fanout, Arena* arena, BcLayout layout)
-    : capacity_(capacity), fanout_(fanout), layout_(layout) {
-  DDC_CHECK(capacity_ >= 1);
-  DDC_CHECK(fanout_ >= 2);
-  if (arena == nullptr) {
-    owned_arena_ = std::make_unique<Arena>();
-    arena = owned_arena_.get();
-  }
-  arena_ = arena;
-  height_ = 1;
-  root_span_ = fanout_;
-  while (root_span_ < capacity_) {
-    root_span_ *= fanout_;
-    ++height_;
-  }
-  log2_fanout_ = IsPowerOfTwo(fanout_) ? FloorLog2(fanout_) : -1;
-  if (layout_ == BcLayout::kDense) {
-    // BFS slot count of the full conceptual tree: 1 + f + ... + f^(h-1).
-    int64_t level_slots = 1;
-    for (int level = 0; level < height_; ++level) {
-      dense_slots_ += level_slots;
-      level_slots *= fanout_;
-    }
-  }
-}
-
-BcTree::Node* BcTree::NewNode(bool is_leaf) {
-  const size_t f = static_cast<size_t>(fanout_);
+// Allocates a node slab (leaves carry no child array), zeroed, aligned so
+// the sum array never straddles a cache line.
+Node* NewNode(const BcShape& s, Arena* arena, bool is_leaf) {
+  const size_t f = static_cast<size_t>(s.fanout);
   const size_t sums_bytes = f * sizeof(int64_t);
   const size_t bytes = is_leaf ? sums_bytes : sums_bytes + f * sizeof(Node*);
-  void* slab = arena_->Allocate(bytes, NodeSlabAlign(sums_bytes));
+  void* slab = arena->Allocate(bytes, NodeSlabAlign(sums_bytes));
   std::memset(slab, 0, bytes);
   // The cache-line contract: a node's sum array either fits entirely inside
   // one 64-byte line or starts exactly on a line boundary.
   DDC_DCHECK(sums_bytes >= 64
                  ? reinterpret_cast<uintptr_t>(slab) % 64 == 0
                  : reinterpret_cast<uintptr_t>(slab) % 64 + sums_bytes <= 64);
-  allocated_entries_ += fanout_;
   return static_cast<Node*>(slab);
 }
 
-void BcTree::EnsureDense() {
-  if (dense_ != nullptr) return;
-  const size_t entries =
-      static_cast<size_t>(dense_slots_) * static_cast<size_t>(fanout_);
-  dense_ = static_cast<int64_t*>(
-      arena_->AllocateAligned(entries * sizeof(int64_t)));
-  std::memset(dense_, 0, entries * sizeof(int64_t));
-  allocated_entries_ += dense_slots_ * fanout_;
+int64_t* NewDense(const BcShape& s, Arena* arena) {
+  const size_t entries = static_cast<size_t>(s.DenseSlots()) *
+                         static_cast<size_t>(s.fanout);
+  auto* dense = static_cast<int64_t*>(
+      arena->AllocateAligned(entries * sizeof(int64_t)));
+  std::memset(dense, 0, entries * sizeof(int64_t));
+  return dense;
 }
 
 // ---------------------------------------------------------------------------
-// BuildFrom.
+// Bulk build.
 
-BcTree::Node* BcTree::BuildRange(const std::vector<int64_t>& values,
-                                 int64_t lo, int64_t span,
-                                 int64_t* subtree_total) {
+// Builds the subtree covering values[lo, lo+span); returns nullptr when the
+// range is entirely zero. Sets *subtree_total.
+Node* BuildRange(const BcShape& s, Arena* arena,
+                 const std::vector<int64_t>& values, int64_t lo, int64_t span,
+                 int64_t* subtree_total) {
   *subtree_total = 0;
   const int64_t limit = static_cast<int64_t>(values.size());
   if (lo >= limit) return nullptr;
-  if (span == fanout_) {
+  if (span == s.fanout) {
     // Leaf: materialize only if some entry is nonzero. The values are
     // contiguous, so total and occupancy are two vectorizable passes.
-    const int64_t count = std::min<int64_t>(fanout_, limit - lo);
+    const int64_t count = std::min<int64_t>(s.fanout, limit - lo);
     const int64_t* src = values.data() + lo;
     *subtree_total = kernels::Sum(src, static_cast<size_t>(count));
     int64_t any_bits = 0;
     for (int64_t i = 0; i < count; ++i) any_bits |= src[i];
     if (any_bits == 0) return nullptr;
-    Node* node = NewNode(/*is_leaf=*/true);
-    std::memcpy(NodeSums(node), src,
-                static_cast<size_t>(count) * sizeof(int64_t));
+    Node* node = NewNode(s, arena, /*is_leaf=*/true);
+    std::memcpy(Sums(node), src, static_cast<size_t>(count) * sizeof(int64_t));
     return node;
   }
 
   // Interior: build the children first (into stack temporaries) so all-zero
   // subtrees never allocate arena memory.
-  const int64_t child_span = span / fanout_;
-  std::vector<Node*> kids(static_cast<size_t>(fanout_), nullptr);
-  std::vector<int64_t> totals(static_cast<size_t>(fanout_), 0);
+  const int64_t child_span = span / s.fanout;
+  std::vector<Node*> kids(static_cast<size_t>(s.fanout), nullptr);
+  std::vector<int64_t> totals(static_cast<size_t>(s.fanout), 0);
   bool any_child = false;
-  for (int64_t i = 0; i < fanout_; ++i) {
+  for (int64_t i = 0; i < s.fanout; ++i) {
     kids[static_cast<size_t>(i)] =
-        BuildRange(values, lo + i * child_span, child_span,
+        BuildRange(s, arena, values, lo + i * child_span, child_span,
                    &totals[static_cast<size_t>(i)]);
     any_child |= (kids[static_cast<size_t>(i)] != nullptr);
     *subtree_total += totals[static_cast<size_t>(i)];
   }
   if (!any_child) return nullptr;
-  Node* node = NewNode(/*is_leaf=*/false);
-  std::memcpy(NodeSums(node), totals.data(),
-              static_cast<size_t>(fanout_) * sizeof(int64_t));
-  std::memcpy(NodeChildren(node), kids.data(),
-              static_cast<size_t>(fanout_) * sizeof(Node*));
+  Node* node = NewNode(s, arena, /*is_leaf=*/false);
+  std::memcpy(Sums(node), totals.data(),
+              static_cast<size_t>(s.fanout) * sizeof(int64_t));
+  std::memcpy(Children(node, s.fanout), kids.data(),
+              static_cast<size_t>(s.fanout) * sizeof(Node*));
   return node;
 }
 
-void BcTree::BuildFromDense(const std::vector<int64_t>& values) {
-  EnsureDense();
-  const int64_t f = fanout_;
-  // Leaf level: slots [first_leaf, dense_slots_), leaf i holds values
+// Fills an all-zero dense slab from `values`; returns the tree total.
+int64_t BuildDense(const BcShape& s, int64_t* dense,
+                   const std::vector<int64_t>& values) {
+  const int64_t f = s.fanout;
+  // Leaf level: slots [first_leaf, slots), leaf i holds values
   // [i*f, (i+1)*f).
-  const int64_t num_leaves = root_span_ / f;
-  const int64_t first_leaf = dense_slots_ - num_leaves;
+  const int64_t first_leaf = s.DenseSlots() - s.root_span / f;
   const int64_t limit = static_cast<int64_t>(values.size());
   for (int64_t i = 0; i * f < limit; ++i) {
     const int64_t count = std::min<int64_t>(f, limit - i * f);
-    std::memcpy(dense_ + (first_leaf + i) * f, values.data() + i * f,
+    std::memcpy(dense + (first_leaf + i) * f, values.data() + i * f,
                 static_cast<size_t>(count) * sizeof(int64_t));
   }
   // Interior levels, bottom-up: each STS is the (vectorized) total of the
   // child slot it summarizes.
   for (int64_t slot = first_leaf - 1; slot >= 0; --slot) {
-    int64_t* sums = dense_ + slot * f;
+    int64_t* sums = dense + slot * f;
     const int64_t first_child = slot * f + 1;
     for (int64_t c = 0; c < f; ++c) {
-      sums[c] = kernels::Sum(dense_ + (first_child + c) * f,
-                             static_cast<size_t>(f));
+      sums[c] =
+          kernels::Sum(dense + (first_child + c) * f, static_cast<size_t>(f));
     }
   }
-  total_ = kernels::Sum(dense_, static_cast<size_t>(f));
-}
-
-void BcTree::BuildFrom(const std::vector<int64_t>& values) {
-  DDC_CHECK(root_ == nullptr && dense_ == nullptr && total_ == 0);
-  DDC_CHECK(static_cast<int64_t>(values.size()) <= capacity_);
-  if (layout_ == BcLayout::kDense) {
-    BuildFromDense(values);
-    return;
-  }
-  int64_t total = 0;
-  root_ = BuildRange(values, 0, root_span_, &total);
-  total_ = total;
+  return kernels::Sum(dense, static_cast<size_t>(f));
 }
 
 // ---------------------------------------------------------------------------
-// Update path.
+// Update descents. Each starts at an existing root.
 
+// Optimized descent, specialized on whether the fanout supports shift/mask
+// child addressing.
 template <bool kPow2>
-void BcTree::AddFast(int64_t index, int64_t delta) {
-  if (root_ == nullptr) root_ = NewNode(/*is_leaf=*/height_ == 1);
-  Node* node = root_;
+void AddFast(const BcShape& s, Arena* arena, OpCounters* counters,
+             Node* node, int64_t index, int64_t delta) {
   int64_t offset = index;
-  int shift = kPow2 ? log2_fanout_ * (height_ - 1) : 0;
-  int64_t child_span = root_span_ / fanout_;
-  for (int level = height_; level > 1; --level) {
-    CountNode();
+  int shift = kPow2 ? s.log2_fanout * (s.height - 1) : 0;
+  int64_t child_span = s.root_span / s.fanout;
+  for (int level = s.height; level > 1; --level) {
+    CountNode(counters);
     size_t child;
     if constexpr (kPow2) {
       child = static_cast<size_t>(offset >> shift);
       offset &= (int64_t{1} << shift) - 1;
-      shift -= log2_fanout_;
+      shift -= s.log2_fanout;
     } else {
       child = static_cast<size_t>(offset / child_span);
       offset %= child_span;
-      child_span /= fanout_;
+      child_span /= s.fanout;
     }
     // One STS adjusted per visited node (the subtree containing the changed
     // cell), exactly as in the paper's bottom-up walkthrough.
-    NodeSums(node)[child] += delta;
-    CountWrite(1);
-    Node*& slot = NodeChildren(node)[child];
-    if (slot == nullptr) slot = NewNode(/*is_leaf=*/level == 2);
+    Sums(node)[child] += delta;
+    CountWrite(counters, 1);
+    Node*& slot = Children(node, s.fanout)[child];
+    if (slot == nullptr) slot = NewNode(s, arena, /*is_leaf=*/level == 2);
     node = slot;
   }
-  CountNode();
-  NodeSums(node)[static_cast<size_t>(offset)] += delta;
-  CountWrite(1);
+  CountNode(counters);
+  Sums(node)[static_cast<size_t>(offset)] += delta;
+  CountWrite(counters, 1);
 }
 
-void BcTree::AddScalarRef(int64_t index, int64_t delta) {
-  if (root_ == nullptr) root_ = NewNode(/*is_leaf=*/height_ == 1);
-  Node* node = root_;
-  int64_t span = root_span_;
+// The pre-optimization scalar reference descent (verbatim seed shape:
+// per-level div/mod). Reached via kernels::ForceScalar; bit-exact with the
+// fast path by construction, which kernel_layout_test verifies.
+void AddScalarRef(const BcShape& s, Arena* arena, OpCounters* counters,
+                  Node* node, int64_t index, int64_t delta) {
+  int64_t span = s.root_span;
   int64_t offset = index;
-  while (span > fanout_) {
-    CountNode();
-    const int64_t child_span = span / fanout_;
+  while (span > s.fanout) {
+    CountNode(counters);
+    const int64_t child_span = span / s.fanout;
     const size_t child = static_cast<size_t>(offset / child_span);
-    NodeSums(node)[child] += delta;
-    CountWrite(1);
-    Node*& slot = NodeChildren(node)[child];
-    if (slot == nullptr) slot = NewNode(/*is_leaf=*/child_span == fanout_);
+    Sums(node)[child] += delta;
+    CountWrite(counters, 1);
+    Node*& slot = Children(node, s.fanout)[child];
+    if (slot == nullptr) {
+      slot = NewNode(s, arena, /*is_leaf=*/child_span == s.fanout);
+    }
     node = slot;
     offset %= child_span;
     span = child_span;
   }
-  CountNode();
-  NodeSums(node)[static_cast<size_t>(offset)] += delta;
-  CountWrite(1);
+  CountNode(counters);
+  Sums(node)[static_cast<size_t>(offset)] += delta;
+  CountWrite(counters, 1);
 }
 
-void BcTree::AddDense(int64_t index, int64_t delta) {
-  EnsureDense();
-  const int64_t f = fanout_;
+// Dense-layout (implicit-addressing) update.
+void AddDense(const BcShape& s, OpCounters* counters, int64_t* dense,
+              int64_t index, int64_t delta) {
+  const int64_t f = s.fanout;
   int64_t slot = 0;
   int64_t offset = index;
-  int shift = log2_fanout_ > 0 ? log2_fanout_ * (height_ - 1) : 0;
-  int64_t child_span = root_span_ / f;
-  for (int level = height_; level > 1; --level) {
-    CountNode();
+  int shift = s.log2_fanout > 0 ? s.log2_fanout * (s.height - 1) : 0;
+  int64_t child_span = s.root_span / f;
+  for (int level = s.height; level > 1; --level) {
+    CountNode(counters);
     int64_t child;
-    if (log2_fanout_ > 0) {
+    if (s.log2_fanout > 0) {
       child = offset >> shift;
       offset &= (int64_t{1} << shift) - 1;
-      shift -= log2_fanout_;
+      shift -= s.log2_fanout;
     } else {
       child = offset / child_span;
       offset %= child_span;
       child_span /= f;
     }
-    dense_[slot * f + child] += delta;
-    CountWrite(1);
+    dense[slot * f + child] += delta;
+    CountWrite(counters, 1);
     slot = slot * f + 1 + child;
   }
-  CountNode();
-  dense_[slot * f + offset] += delta;
-  CountWrite(1);
-}
-
-void BcTree::Add(int64_t index, int64_t delta) {
-  DDC_CHECK(index >= 0 && index < capacity_);
-  if (delta == 0) return;
-  total_ += delta;
-  if (layout_ == BcLayout::kDense) {
-    AddDense(index, delta);
-    return;
-  }
-  if (kernels::UseScalar()) {
-    AddScalarRef(index, delta);
-    return;
-  }
-  if (log2_fanout_ > 0) {
-    AddFast<true>(index, delta);
-  } else {
-    AddFast<false>(index, delta);
-  }
+  CountNode(counters);
+  dense[slot * f + offset] += delta;
+  CountWrite(counters, 1);
 }
 
 // ---------------------------------------------------------------------------
-// Query path.
+// Query descents.
 
 template <bool kPow2>
-int64_t BcTree::CumulativeSumFast(int64_t index) const {
-  const Node* node = root_;
+int64_t CumulativeSumFast(const BcShape& s, OpCounters* counters,
+                          const Node* node, int64_t index) {
   int64_t offset = index;
-  int shift = kPow2 ? log2_fanout_ * (height_ - 1) : 0;
-  int64_t child_span = root_span_ / fanout_;
+  int shift = kPow2 ? s.log2_fanout * (s.height - 1) : 0;
+  int64_t child_span = s.root_span / s.fanout;
   int64_t sum = 0;
-  const size_t f = static_cast<size_t>(fanout_);
-  for (int level = height_; level > 1; --level) {
-    CountNode();
+  const size_t f = static_cast<size_t>(s.fanout);
+  for (int level = s.height; level > 1; --level) {
+    CountNode(counters);
     size_t child;
     if constexpr (kPow2) {
       child = static_cast<size_t>(offset >> shift);
       offset &= (int64_t{1} << shift) - 1;
-      shift -= log2_fanout_;
+      shift -= s.log2_fanout;
     } else {
       child = static_cast<size_t>(offset / child_span);
       offset %= child_span;
-      child_span /= fanout_;
+      child_span /= s.fanout;
     }
     // Every STS preceding the descended branch, as one predicated line scan.
-    sum += kernels::MaskedPrefixSum(NodeSums(node), f, child);
-    CountRead(static_cast<int64_t>(child));
-    const Node* next = NodeChildren(node)[child];
+    sum += kernels::MaskedPrefixSum(Sums(node), f, child);
+    CountRead(counters, static_cast<int64_t>(child));
+    const Node* next = Children(node, s.fanout)[child];
     if (next == nullptr) return sum;  // Unmaterialized subtree: all zero.
     node = next;
   }
-  CountNode();
-  sum += kernels::MaskedPrefixSum(NodeSums(node), f,
+  CountNode(counters);
+  sum += kernels::MaskedPrefixSum(Sums(node), f,
                                   static_cast<size_t>(offset) + 1);
-  CountRead(offset + 1);
+  CountRead(counters, offset + 1);
   return sum;
 }
 
-int64_t BcTree::CumulativeSumScalarRef(int64_t index) const {
-  const Node* node = root_;
-  int64_t span = root_span_;
+// Scalar reference of CumulativeSumFast (seed shape: per-level div/mod,
+// early-terminating per-entry STS loop).
+int64_t CumulativeSumScalarRef(const BcShape& s, OpCounters* counters,
+                               const Node* node, int64_t index) {
+  int64_t span = s.root_span;
   int64_t offset = index;
   int64_t sum = 0;
   while (true) {
-    CountNode();
-    if (span == fanout_) {
+    CountNode(counters);
+    if (span == s.fanout) {
       // Leaf: sum of the individual row values up to and including `offset`.
       for (int64_t i = 0; i <= offset; ++i) {
-        sum += NodeSums(node)[static_cast<size_t>(i)];
+        sum += Sums(node)[static_cast<size_t>(i)];
       }
-      CountRead(offset + 1);
+      CountRead(counters, offset + 1);
       return sum;
     }
-    const int64_t child_span = span / fanout_;
+    const int64_t child_span = span / s.fanout;
     const size_t child = static_cast<size_t>(offset / child_span);
     // Add every STS preceding the branch we descend.
     for (size_t i = 0; i < child; ++i) {
-      sum += NodeSums(node)[i];
+      sum += Sums(node)[i];
     }
-    CountRead(static_cast<int64_t>(child));
-    if (NodeChildren(node)[child] == nullptr) {
+    CountRead(counters, static_cast<int64_t>(child));
+    if (Children(node, s.fanout)[child] == nullptr) {
       return sum;  // Unmaterialized subtree: all zero.
     }
-    node = NodeChildren(node)[child];
+    node = Children(node, s.fanout)[child];
     offset %= child_span;
     span = child_span;
   }
 }
 
-int64_t BcTree::CumulativeSumDense(int64_t index) const {
-  if (dense_ == nullptr) return 0;
-  const int64_t f = fanout_;
+int64_t CumulativeSumDense(const BcShape& s, OpCounters* counters,
+                           const int64_t* dense, int64_t index) {
+  const int64_t f = s.fanout;
   int64_t slot = 0;
   int64_t offset = index;
-  int shift = log2_fanout_ > 0 ? log2_fanout_ * (height_ - 1) : 0;
-  int64_t child_span = root_span_ / f;
+  int shift = s.log2_fanout > 0 ? s.log2_fanout * (s.height - 1) : 0;
+  int64_t child_span = s.root_span / f;
   int64_t sum = 0;
-  for (int level = height_; level > 1; --level) {
-    CountNode();
+  for (int level = s.height; level > 1; --level) {
+    CountNode(counters);
     int64_t child;
-    if (log2_fanout_ > 0) {
+    if (s.log2_fanout > 0) {
       child = offset >> shift;
       offset &= (int64_t{1} << shift) - 1;
-      shift -= log2_fanout_;
+      shift -= s.log2_fanout;
     } else {
       child = offset / child_span;
       offset %= child_span;
       child_span /= f;
     }
-    sum += kernels::MaskedPrefixSum(dense_ + slot * f, static_cast<size_t>(f),
+    sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
                                     static_cast<size_t>(child));
-    CountRead(child);
+    CountRead(counters, child);
     slot = slot * f + 1 + child;
   }
-  CountNode();
-  sum += kernels::MaskedPrefixSum(dense_ + slot * f, static_cast<size_t>(f),
+  CountNode(counters);
+  sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
                                   static_cast<size_t>(offset) + 1);
-  CountRead(offset + 1);
+  CountRead(counters, offset + 1);
   return sum;
 }
 
-int64_t BcTree::CumulativeSum(int64_t index) const {
-  DDC_CHECK(index >= 0 && index < capacity_);
-  if (layout_ == BcLayout::kDense) return CumulativeSumDense(index);
-  if (root_ == nullptr) return 0;
-  if (kernels::UseScalar()) return CumulativeSumScalarRef(index);
-  if (log2_fanout_ > 0) return CumulativeSumFast<true>(index);
-  return CumulativeSumFast<false>(index);
-}
-
-int64_t BcTree::ValueDense(int64_t index) const {
-  if (dense_ == nullptr) return 0;
-  const int64_t f = fanout_;
-  int64_t slot = 0;
-  int64_t offset = index;
-  int64_t child_span = root_span_ / f;
-  for (int level = height_; level > 1; --level) {
-    const int64_t child = offset / child_span;
-    offset %= child_span;
-    child_span /= f;
-    slot = slot * f + 1 + child;
-  }
-  CountRead(1);
-  return dense_[slot * f + offset];
-}
-
-int64_t BcTree::Value(int64_t index) const {
-  DDC_CHECK(index >= 0 && index < capacity_);
-  if (layout_ == BcLayout::kDense) return ValueDense(index);
-  if (root_ == nullptr) return 0;
-  const Node* node = root_;
-  int64_t span = root_span_;
-  int64_t offset = index;
-  while (span > fanout_) {
-    const int64_t child_span = span / fanout_;
-    const size_t child = static_cast<size_t>(offset / child_span);
-    if (NodeChildren(node)[child] == nullptr) return 0;
-    node = NodeChildren(node)[child];
-    offset %= child_span;
-    span = child_span;
-  }
-  CountRead(1);
-  return NodeSums(node)[static_cast<size_t>(offset)];
-}
-
 // ---------------------------------------------------------------------------
-// Invariant checking.
+// Cold walks.
 
-int64_t BcTree::NodeTotal(const Node* node) const {
-  int64_t total = 0;
-  for (int64_t i = 0; i < fanout_; ++i) {
-    total += NodeSums(node)[static_cast<size_t>(i)];
+int64_t CountNodes(const BcShape& s, const Node* node, int64_t span) {
+  if (span == s.fanout) return 1;
+  const int64_t child_span = span / s.fanout;
+  int64_t count = 1;
+  for (int64_t i = 0; i < s.fanout; ++i) {
+    const Node* child = Children(node, s.fanout)[static_cast<size_t>(i)];
+    if (child != nullptr) count += CountNodes(s, child, child_span);
   }
-  return total;
+  return count;
 }
 
-bool BcTree::CheckNode(const Node* node, int64_t span) const {
-  if (span == fanout_) return true;  // Leaf: nothing below to cross-check.
-  const int64_t child_span = span / fanout_;
-  for (int64_t i = 0; i < fanout_; ++i) {
-    const Node* child = NodeChildren(node)[static_cast<size_t>(i)];
-    const int64_t sts = NodeSums(node)[static_cast<size_t>(i)];
+bool CheckNode(const BcShape& s, const Node* node, int64_t span) {
+  if (span == s.fanout) return true;  // Leaf: nothing below to cross-check.
+  const int64_t child_span = span / s.fanout;
+  const size_t f = static_cast<size_t>(s.fanout);
+  for (size_t i = 0; i < f; ++i) {
+    const Node* child = Children(node, s.fanout)[i];
+    const int64_t sts = Sums(node)[i];
     if (child == nullptr) {
       if (sts != 0) return false;
       continue;
     }
-    if (NodeTotal(child) != sts) return false;
-    if (!CheckNode(child, child_span)) return false;
+    if (kernels::Sum(Sums(child), f) != sts) return false;
+    if (!CheckNode(s, child, child_span)) return false;
   }
   return true;
 }
 
-bool BcTree::CheckInvariants() const {
-  if (layout_ == BcLayout::kDense) {
-    if (dense_ == nullptr) return total_ == 0;
-    const int64_t f = fanout_;
-    if (kernels::Sum(dense_, static_cast<size_t>(f)) != total_) return false;
-    const int64_t first_leaf = dense_slots_ - root_span_ / f;
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// BcShape.
+
+BcShape BcShape::Of(int64_t capacity, int fanout, BcLayout layout) {
+  DDC_DCHECK(capacity >= 1 && fanout >= 2);
+  BcShape s;
+  s.capacity = capacity;
+  s.fanout = fanout;
+  s.layout = layout;
+  if (IsPowerOfTwo(fanout)) {
+    // The smallest height with fanout^height >= capacity: ceil(bits / log2 f)
+    // for capacity <= 2^bits, and at least one level.
+    s.log2_fanout = FloorLog2(fanout);
+    const int bits = capacity <= 1 ? 0 : FloorLog2(capacity - 1) + 1;
+    s.height = bits <= s.log2_fanout
+                   ? 1
+                   : (bits + s.log2_fanout - 1) / s.log2_fanout;
+    s.root_span = int64_t{1} << (s.log2_fanout * s.height);
+    return s;
+  }
+  s.height = 1;
+  s.root_span = fanout;
+  while (s.root_span < capacity) {
+    s.root_span *= fanout;
+    ++s.height;
+  }
+  return s;
+}
+
+int64_t BcShape::DenseSlots() const {
+  int64_t slots = 0;
+  int64_t level_slots = 1;
+  for (int level = 0; level < height; ++level) {
+    slots += level_slots;
+    level_slots *= fanout;
+  }
+  return slots;
+}
+
+// ---------------------------------------------------------------------------
+// BcFace.
+
+void BcFace::Add(const BcShape& shape, Arena* arena, OpCounters* counters,
+                 int64_t index, int64_t delta) {
+  DDC_CHECK(index >= 0 && index < shape.capacity);
+  if (delta == 0) return;
+  total_ += delta;
+  if (shape.layout == BcLayout::kDense) {
+    if (root_ == nullptr) root_ = NewDense(shape, arena);
+    AddDense(shape, counters, static_cast<int64_t*>(root_), index, delta);
+    return;
+  }
+  if (root_ == nullptr) {
+    root_ = NewNode(shape, arena, /*is_leaf=*/shape.height == 1);
+  }
+  Node* root = static_cast<Node*>(root_);
+  if (kernels::UseScalar()) {
+    AddScalarRef(shape, arena, counters, root, index, delta);
+  } else if (shape.log2_fanout > 0) {
+    AddFast<true>(shape, arena, counters, root, index, delta);
+  } else {
+    AddFast<false>(shape, arena, counters, root, index, delta);
+  }
+}
+
+int64_t BcFace::CumulativeSum(const BcShape& shape, OpCounters* counters,
+                              int64_t index) const {
+  DDC_CHECK(index >= 0 && index < shape.capacity);
+  if (root_ == nullptr) return 0;
+  if (shape.layout == BcLayout::kDense) {
+    return CumulativeSumDense(shape, counters,
+                              static_cast<const int64_t*>(root_), index);
+  }
+  const Node* root = static_cast<const Node*>(root_);
+  if (kernels::UseScalar()) {
+    return CumulativeSumScalarRef(shape, counters, root, index);
+  }
+  if (shape.log2_fanout > 0) {
+    return CumulativeSumFast<true>(shape, counters, root, index);
+  }
+  return CumulativeSumFast<false>(shape, counters, root, index);
+}
+
+int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
+                      int64_t index) const {
+  DDC_CHECK(index >= 0 && index < shape.capacity);
+  if (root_ == nullptr) return 0;
+  const int64_t f = shape.fanout;
+  int64_t offset = index;
+  int64_t child_span = shape.root_span / f;
+  if (shape.layout == BcLayout::kDense) {
+    const auto* dense = static_cast<const int64_t*>(root_);
+    int64_t slot = 0;
+    for (int level = shape.height; level > 1; --level) {
+      const int64_t child = offset / child_span;
+      offset %= child_span;
+      child_span /= f;
+      slot = slot * f + 1 + child;
+    }
+    CountRead(counters, 1);
+    return dense[slot * f + offset];
+  }
+  const Node* node = static_cast<const Node*>(root_);
+  for (int level = shape.height; level > 1; --level) {
+    const size_t child = static_cast<size_t>(offset / child_span);
+    node = Children(node, shape.fanout)[child];
+    if (node == nullptr) return 0;
+    offset %= child_span;
+    child_span /= f;
+  }
+  CountRead(counters, 1);
+  return Sums(node)[static_cast<size_t>(offset)];
+}
+
+void BcFace::BuildFrom(const BcShape& shape, Arena* arena,
+                       const std::vector<int64_t>& values) {
+  DDC_CHECK(root_ == nullptr && total_ == 0);
+  DDC_CHECK(static_cast<int64_t>(values.size()) <= shape.capacity);
+  if (shape.layout == BcLayout::kDense) {
+    auto* dense = NewDense(shape, arena);
+    root_ = dense;
+    total_ = BuildDense(shape, dense, values);
+    return;
+  }
+  int64_t total = 0;
+  root_ = BuildRange(shape, arena, values, 0, shape.root_span, &total);
+  total_ = total;
+}
+
+int64_t BcFace::StorageCells(const BcShape& shape) const {
+  if (root_ == nullptr) return 0;
+  if (shape.layout == BcLayout::kDense) {
+    return shape.DenseSlots() * shape.fanout;
+  }
+  return CountNodes(shape, static_cast<const Node*>(root_), shape.root_span) *
+         shape.fanout;
+}
+
+bool BcFace::CheckInvariants(const BcShape& shape) const {
+  if (root_ == nullptr) return total_ == 0;
+  const int64_t f = shape.fanout;
+  if (shape.layout == BcLayout::kDense) {
+    const auto* dense = static_cast<const int64_t*>(root_);
+    if (kernels::Sum(dense, static_cast<size_t>(f)) != total_) return false;
+    const int64_t first_leaf = shape.DenseSlots() - shape.root_span / f;
     for (int64_t slot = 0; slot < first_leaf; ++slot) {
       for (int64_t c = 0; c < f; ++c) {
         const int64_t child_slot = slot * f + 1 + c;
-        if (dense_[slot * f + c] !=
-            kernels::Sum(dense_ + child_slot * f, static_cast<size_t>(f))) {
+        if (dense[slot * f + c] !=
+            kernels::Sum(dense + child_slot * f, static_cast<size_t>(f))) {
           return false;
         }
       }
     }
     return true;
   }
-  if (root_ == nullptr) return total_ == 0;
-  if (NodeTotal(root_) != total_) return false;
-  return CheckNode(root_, root_span_);
+  const Node* root = static_cast<const Node*>(root_);
+  if (kernels::Sum(Sums(root), static_cast<size_t>(f)) != total_) {
+    return false;
+  }
+  return CheckNode(shape, root, shape.root_span);
+}
+
+// ---------------------------------------------------------------------------
+// BcTree.
+
+BcTree::BcTree(int64_t capacity, int fanout, BcLayout layout) {
+  DDC_CHECK(capacity >= 1);
+  DDC_CHECK(fanout >= 2);
+  shape_ = BcShape::Of(capacity, fanout, layout);
+}
+
+void BcTree::BuildFrom(const std::vector<int64_t>& values) {
+  face_.BuildFrom(shape_, &arena_, values);
+}
+
+void BcTree::Add(int64_t index, int64_t delta) {
+  face_.Add(shape_, &arena_, counters_, index, delta);
+}
+
+int64_t BcTree::CumulativeSum(int64_t index) const {
+  return face_.CumulativeSum(shape_, counters_, index);
+}
+
+int64_t BcTree::Value(int64_t index) const {
+  return face_.Value(shape_, counters_, index);
 }
 
 }  // namespace ddc

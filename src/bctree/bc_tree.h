@@ -19,6 +19,16 @@
 // behaviour Section 5 relies on while keeping the paper's node layout
 // (per-entry STS, data in the leaves, bottom-up update of one STS per level).
 //
+// State and shape are split. A BcShape (fanout, height, root span, layout)
+// follows from (capacity, fanout, layout) by bit arithmetic, so it is never
+// stored per tree: the owner derives it and passes it in. A BcFace is the
+// tree's own state — the root (or dense slab) pointer and the running total,
+// 16 trivially destructible bytes — so the DDC keeps its 1-D faces inline
+// in its face arrays with no per-tree object, vtable or arena cleanup. The
+// arena nodes come from and the counters costs go to are also passed in by
+// the owner. BcTree is the standalone form: a CumulativeStore1D that owns an
+// arena and one BcFace and runs the same descents.
+//
 // Memory layout (cache-conscious, see DESIGN.md §13). A node is one arena
 // slab: f subtree sums followed, for interior nodes, by f child pointers.
 // The slab is aligned so the sum array never straddles a cache line — at the
@@ -45,17 +55,75 @@
 #define DDC_BCTREE_BC_TREE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bctree/cumulative_store.h"
 #include "common/arena.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
 // Node placement strategy; see the header comment.
 enum class BcLayout { kSparse, kDense };
 
+// The shape of a B_c tree over `capacity` keys: everything a descent needs
+// besides the tree's own state.
+struct BcShape {
+  int64_t capacity = 0;
+  int64_t root_span = 0;  // fanout^height, the first such power >= capacity.
+  int fanout = 0;
+  int log2_fanout = -1;   // log2(fanout) when a power of two, else -1.
+  int height = 0;         // Levels including the leaf level (>= 1).
+  BcLayout layout = BcLayout::kSparse;
+
+  // O(1) bit arithmetic for power-of-two fanouts (the default 8), a
+  // log_f(capacity) loop otherwise. capacity >= 1, fanout >= 2.
+  static BcShape Of(int64_t capacity, int fanout, BcLayout layout);
+
+  // Dense layout: BFS slot count of the full conceptual tree,
+  // 1 + f + ... + f^(height-1).
+  int64_t DenseSlots() const;
+};
+
+// One B_c tree's own state; see the header comment. Every operation takes
+// the tree's shape; mutations take the arena its nodes come from; `counters`
+// (may be null) receives the node visits and value reads/writes.
+class BcFace {
+ public:
+  void Add(const BcShape& shape, Arena* arena, OpCounters* counters,
+           int64_t index, int64_t delta);
+  int64_t CumulativeSum(const BcShape& shape, OpCounters* counters,
+                        int64_t index) const;
+  int64_t Value(const BcShape& shape, OpCounters* counters,
+                int64_t index) const;
+  int64_t TotalSum() const { return total_; }
+
+  // Bulk-builds the tree bottom-up from `values` (one per index; shorter
+  // vectors are zero-extended). The tree must be empty. Writes each stored
+  // entry exactly once — O(capacity) instead of O(capacity log capacity)
+  // repeated Adds — and (in the sparse layout) materializes only subtrees
+  // with nonzero content. Subtree totals accumulate through the vectorized
+  // block-sum kernel.
+  void BuildFrom(const BcShape& shape, Arena* arena,
+                 const std::vector<int64_t>& values);
+
+  // Stored entries currently allocated (f per materialized node, or the
+  // whole dense slab). Computed by walking the tree.
+  int64_t StorageCells(const BcShape& shape) const;
+
+  // Verifies the STS invariant over all materialized nodes: every interior
+  // entry equals the total of the child subtree it summarizes. Returns true
+  // when consistent. Test-support API.
+  bool CheckInvariants(const BcShape& shape) const;
+
+ private:
+  // The sparse layout's root node or the dense layout's slab (the shape's
+  // layout says which); null while the tree is all zero.
+  void* root_ = nullptr;
+  int64_t total_ = 0;
+};
+
+// A standalone B_c tree: one BcFace plus the arena and shape it runs with.
 class BcTree final : public CumulativeStore1D {
  public:
   // Tuned on the bench_kernels fanout sweep (7/8/15/16): 8 sums * 8 bytes =
@@ -65,110 +133,36 @@ class BcTree final : public CumulativeStore1D {
   static constexpr int kDefaultFanout = 8;
 
   // Creates an all-zero tree holding `capacity` row sums. `fanout` is the
-  // maximum number of children per node (>= 2). Nodes are allocated from
-  // `arena` when given (not owned; must outlive the tree), otherwise from a
-  // private arena.
+  // maximum number of children per node (>= 2).
   explicit BcTree(int64_t capacity, int fanout = kDefaultFanout,
-                  Arena* arena = nullptr, BcLayout layout = BcLayout::kSparse);
+                  BcLayout layout = BcLayout::kSparse);
 
   BcTree(const BcTree&) = delete;
   BcTree& operator=(const BcTree&) = delete;
 
-  // Bulk-builds the tree bottom-up from `values` (one per index; shorter
-  // vectors are zero-extended). The tree must be empty. Writes each stored
-  // entry exactly once — O(capacity) instead of O(capacity log capacity)
-  // repeated Adds — and (in the sparse layout) materializes only subtrees
-  // with nonzero content. Subtree totals accumulate through the vectorized
-  // block-sum kernel.
+  // See BcFace::BuildFrom.
   void BuildFrom(const std::vector<int64_t>& values);
 
   void Add(int64_t index, int64_t delta) override;
   int64_t CumulativeSum(int64_t index) const override;
   int64_t Value(int64_t index) const override;
-  int64_t TotalSum() const override { return total_; }
-  int64_t capacity() const override { return capacity_; }
-  int64_t StorageCells() const override { return allocated_entries_; }
+  int64_t TotalSum() const override { return face_.TotalSum(); }
+  int64_t capacity() const override { return shape_.capacity; }
+  int64_t StorageCells() const override { return face_.StorageCells(shape_); }
 
-  int fanout() const { return fanout_; }
-  BcLayout layout() const { return layout_; }
+  int fanout() const { return shape_.fanout; }
+  BcLayout layout() const { return shape_.layout; }
 
   // Height of the (conceptual) tree: number of levels including the leaf
   // level; a single-leaf tree has height 1.
-  int height() const { return height_; }
+  int height() const { return shape_.height; }
 
-  // Verifies the STS invariant over all materialized nodes: every interior
-  // entry equals the total of the child subtree it summarizes. Returns true
-  // when consistent. Test-support API.
-  bool CheckInvariants() const;
+  bool CheckInvariants() const { return face_.CheckInvariants(shape_); }
 
  private:
-  // A node is an opaque pointer to one aligned arena slab:
-  //   [ f x int64_t sums ][ f x Node* children ]   (interior)
-  //   [ f x int64_t sums ]                         (leaf)
-  // Whether a node is a leaf is implied by its span (span == fanout), so no
-  // flag is stored and the two shapes share one handle type.
-  struct Node;
-
-  int64_t* NodeSums(Node* node) const {
-    return reinterpret_cast<int64_t*>(node);
-  }
-  const int64_t* NodeSums(const Node* node) const {
-    return reinterpret_cast<const int64_t*>(node);
-  }
-  Node** NodeChildren(Node* node) const {
-    return reinterpret_cast<Node**>(reinterpret_cast<int64_t*>(node) +
-                                    fanout_);
-  }
-  Node* const* NodeChildren(const Node* node) const {
-    return reinterpret_cast<Node* const*>(
-        reinterpret_cast<const int64_t*>(node) + fanout_);
-  }
-
-  // Allocates a node slab (leaves carry no child array), zeroed, aligned so
-  // the sum array never straddles a cache line. Counts the f stored entries.
-  Node* NewNode(bool is_leaf);
-
-  // Optimized descents, specialized on whether the fanout supports
-  // shift/mask child addressing.
-  template <bool kPow2>
-  void AddFast(int64_t index, int64_t delta);
-  template <bool kPow2>
-  int64_t CumulativeSumFast(int64_t index) const;
-
-  // The pre-optimization scalar reference descents (verbatim seed shape:
-  // per-level div/mod, early-terminating per-entry STS loop). Reached via
-  // kernels::ForceScalar; bit-exact with the fast paths by construction,
-  // which kernel_layout_test verifies.
-  void AddScalarRef(int64_t index, int64_t delta);
-  int64_t CumulativeSumScalarRef(int64_t index) const;
-
-  // Dense-layout (implicit-addressing) operations.
-  void EnsureDense();
-  void AddDense(int64_t index, int64_t delta);
-  int64_t CumulativeSumDense(int64_t index) const;
-  int64_t ValueDense(int64_t index) const;
-  void BuildFromDense(const std::vector<int64_t>& values);
-
-  // Builds the subtree covering values[lo, lo+span); returns nullptr when
-  // the range is entirely zero. Sets *subtree_total.
-  Node* BuildRange(const std::vector<int64_t>& values, int64_t lo,
-                   int64_t span, int64_t* subtree_total);
-  bool CheckNode(const Node* node, int64_t span) const;
-  int64_t NodeTotal(const Node* node) const;
-
-  int64_t capacity_;
-  int fanout_;
-  BcLayout layout_;
-  int height_;
-  int64_t root_span_;  // fanout_^(height_-1) * fanout_ covers >= capacity_
-  int log2_fanout_;    // log2(fanout_) when a power of two, else -1.
-  int64_t total_ = 0;
-  int64_t allocated_entries_ = 0;
-  std::unique_ptr<Arena> owned_arena_;  // Set only for standalone trees.
-  Arena* arena_;
-  Node* root_ = nullptr;       // Sparse layout.
-  int64_t* dense_ = nullptr;   // Dense layout: dense_slots_ * fanout_ sums.
-  int64_t dense_slots_ = 0;    // (fanout^height - 1) / (fanout - 1).
+  BcShape shape_;
+  Arena arena_;
+  BcFace face_;
 };
 
 }  // namespace ddc

@@ -14,10 +14,12 @@
 //   * Growth and shrink re-rooting build the new core in a *fresh* arena and
 //     drop the old one wholesale, so a re-rooted cube never carries dead
 //     nodes from its previous life.
-//   * Objects with non-trivial destructors (Fenwick and B_c trees, nested
-//     cores) register their destructor; destructors run in reverse
-//     registration order when the arena dies. Trivially destructible types
-//     skip registration entirely, which is the common case by design.
+//   * Objects with non-trivial destructors register their destructor;
+//     destructors run in reverse registration order when the arena dies.
+//     Trivially destructible types skip registration entirely, which is the
+//     case for every DDC structure by design: nodes, boxes, face arrays
+//     (with their B_c faces inline), nested face cores and leaf slabs. Only
+//     the Fenwick-tree ablation's faces register one.
 //
 // Not thread-safe: an arena belongs to one cube, and cubes require external
 // synchronization for writes (the concurrent facades hold exclusive locks
@@ -141,6 +143,8 @@ class Arena {
   // Total bytes reserved from the heap across all blocks.
   size_t bytes_reserved() const { return bytes_total_; }
   size_t num_blocks() const { return blocks_.size(); }
+  // Destructors registered by Create() (non-trivially destructible objects).
+  size_t num_cleanups() const { return cleanups_.size(); }
 
  private:
   // Blocks start small (one node-rich page) and double up to a cap, so tiny

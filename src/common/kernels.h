@@ -183,10 +183,13 @@ inline int64_t Sum(const int64_t* v, size_t n) {
 }
 
 // Portable branchless masked prefix sum over 8 entries: predication by
-// arithmetic mask instead of a data-dependent loop bound.
+// arithmetic mask instead of a data-dependent loop bound. The loop is
+// unrolled explicitly: left to the inliner's size budget, GCC keeps it a
+// loop once the kernel is inlined into a large descent.
 inline int64_t MaskedPrefixSum8(const int64_t* v, size_t count) {
   const int64_t c = static_cast<int64_t>(count);
   uint64_t sum = 0;
+#pragma GCC unroll 8
   for (int64_t i = 0; i < 8; ++i) {
     sum += static_cast<uint64_t>(v[i] & -static_cast<int64_t>(i < c));
   }

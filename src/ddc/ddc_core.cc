@@ -1,6 +1,7 @@
 #include "ddc/ddc_core.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -56,17 +57,20 @@ DdcCore::BatchTls& DdcCore::GetBatchTls() {
 }
 
 // Every box of a d >= 3 cube holds d nested face cores, so the core header
-// is the per-face fixed cost; keep it within two cache lines.
+// is the per-face fixed cost; keep it within two cache lines, and owning
+// nothing, so a nested core registers no arena cleanup. A 2-D box holds its
+// two B_c faces inline.
 static_assert(sizeof(DdcCore) <= 128);
+static_assert(std::is_trivially_destructible_v<DdcCore>);
+static_assert(std::is_trivially_destructible_v<BcFace>);
+static_assert(sizeof(FaceStore) <= 24);
 
-size_t DdcCore::update_scratch_bytes() const {
-  if (write_scratch_ == nullptr) return 0;
-  const WriteScratch& s = *write_scratch_;
-  return s.items.capacity() * sizeof(UpdateItem) +
-         s.sorted.capacity() * sizeof(UpdateItem) +
-         s.begin.capacity() * sizeof(size_t) +
-         s.cursor.capacity() * sizeof(size_t) +
-         s.deltas.capacity() * sizeof(int64_t);
+size_t DdcCore::WriteScratch::bytes() const {
+  return items.capacity() * sizeof(UpdateItem) +
+         sorted.capacity() * sizeof(UpdateItem) +
+         begin.capacity() * sizeof(size_t) +
+         cursor.capacity() * sizeof(size_t) +
+         deltas.capacity() * sizeof(int64_t);
 }
 
 obs::Counter& DdcCore::ObsValuesRead() {
@@ -99,14 +103,12 @@ DdcCore::DdcCore(int dims, int64_t side, const DdcOptions& options,
   DDC_CHECK(dims_ >= 1 && dims_ <= kMaxDims);
   DDC_CHECK(side_ >= 2 && IsPowerOfTwo(side_));
   DDC_CHECK(options_.elide_levels >= 0 && options_.elide_levels < 62);
+  DDC_CHECK(options_.use_fenwick || options_.bc_fanout >= 2);
+  DDC_CHECK(arena != nullptr);
   num_children_ = 1u << dims_;
   min_box_side_ = std::min<int64_t>(side_, int64_t{1}
                                                << (options_.elide_levels + 1));
   leaf_shift_ = FloorLog2(min_box_side_);
-  if (arena == nullptr) {
-    owned_arena_ = std::make_unique<Arena>();
-    arena = owned_arena_.get();
-  }
   arena_ = arena;
 }
 
@@ -120,15 +122,13 @@ DdcCore::Node* DdcCore::EnsureNode(Node** slot) {
 }
 
 DdcCore::BoxData* DdcCore::EnsureBox(Node* node, uint32_t mask,
-                                     int64_t box_side) {
+                                     const FaceStore::Env& env) {
   BoxData* box = &node->boxes[mask];
   if (!box->present) {
     box->present = true;
     if (dims_ > 1) {
       box->faces = arena_->CreateArray<FaceStore>(static_cast<size_t>(dims_));
-      for (int j = 0; j < dims_; ++j) {
-        box->faces[j].Init(arena_, dims_ - 1, box_side, options_, counters_);
-      }
+      for (int j = 0; j < dims_; ++j) box->faces[j].Init(env, options_);
     }
   }
   return box;
@@ -143,28 +143,29 @@ int64_t* DdcCore::EnsureRaw(Node* node, uint32_t mask) {
   return slot;
 }
 
-void DdcCore::AddToFaces(BoxData* box, const Coord* offset, int64_t delta) {
+void DdcCore::AddToFaces(BoxData* box, const FaceStore::Env& env,
+                         const Coord* offset, int64_t delta) {
   // One point update per row-sum group: the dimension-j line sum through
   // the updated cell changes by delta (Section 4.2).
   if (dims_ == 1) return;  // 1-D boxes have no faces.
   if (dims_ == 2) {
-    box->faces[0].AddLine(offset[1], delta);
-    box->faces[1].AddLine(offset[0], delta);
+    box->faces[0].AddLine(env, offset[1], delta);
+    box->faces[1].AddLine(env, offset[0], delta);
     return;
   }
   Coord transverse[kMaxDims];
   for (int j = 0; j < dims_; ++j) {
     TransverseInto(offset, dims_, j, transverse);
-    box->faces[j].Add(transverse, delta);
+    box->faces[j].Add(env, transverse, delta);
   }
 }
 
-int64_t DdcCore::ReadFace(const BoxData& box, int j,
-                          const Coord* clamped) const {
-  if (dims_ == 2) return box.faces[j].PrefixSumLine(clamped[1 - j]);
+int64_t DdcCore::ReadFace(const BoxData& box, const FaceStore::Env& env,
+                          int j, const Coord* clamped) const {
+  if (dims_ == 2) return box.faces[j].PrefixSumLine(env, clamped[1 - j]);
   Coord transverse[kMaxDims];
   TransverseInto(clamped, dims_, j, transverse);
-  return box.faces[j].PrefixSum(transverse);
+  return box.faces[j].PrefixSum(env, transverse);
 }
 
 void DdcCore::Add(const Cell& cell, int64_t delta) {
@@ -206,10 +207,11 @@ void DdcCore::AddRec(Node* node, int64_t node_side, Coord* offset,
       }
     }
 
-    BoxData* box = EnsureBox(node, mask, k);
+    const FaceStore::Env env = FaceEnv(k);
+    BoxData* box = EnsureBox(node, mask, env);
     box->subtotal += delta;
     CountWrite(1);
-    AddToFaces(box, offset, delta);
+    AddToFaces(box, env, offset, delta);
 
     if (k <= min_box_side_) {
       int64_t* raw = EnsureRaw(node, mask);
@@ -241,13 +243,14 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
       box_offset[ui] -= k;
     }
   }
-  BoxData* box = EnsureBox(node, mask, k);
+  const FaceStore::Env env = FaceEnv(k);
+  BoxData* box = EnsureBox(node, mask, env);
   box->subtotal += delta;
   CountWrite(1);
   for (int j = 0; j < dims_ && dims_ > 1; ++j) {
     Cell transverse(static_cast<size_t>(dims_ - 1));
     TransverseInto(box_offset.data(), dims_, j, transverse.data());
-    box->faces[j].Add(transverse.data(), delta);
+    box->faces[j].Add(env, transverse.data(), delta);
   }
   if (k > min_box_side_) {
     if (node->child_nodes == nullptr) {
@@ -264,7 +267,8 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
 }
 
 void DdcCore::AddBatch(std::span<const Cell> cells,
-                       std::span<const int64_t> deltas) {
+                       std::span<const int64_t> deltas,
+                       WriteScratch& scratch) {
   DDC_CHECK(cells.size() == deltas.size());
   if (cells.empty()) return;
   if (side_ <= min_box_side_) {
@@ -289,10 +293,6 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
   // grown capacity instead of paying a heap round-trip per batch. Items are
   // never destroyed between batches, so each one's offset Cell keeps its
   // storage too and filling an item allocates nothing.
-  if (write_scratch_ == nullptr) {
-    write_scratch_ = std::make_unique<WriteScratch>();
-  }
-  WriteScratch& scratch = *write_scratch_;
   std::vector<UpdateItem>& items = scratch.items;
   size_t count = 0;
   for (size_t q = 0; q < cells.size(); ++q) {
@@ -327,6 +327,7 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
   // the batched query descent.
   CountNode(node);
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   for (UpdateItem& item : items) {
     uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
@@ -372,7 +373,7 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
       for (const UpdateItem& item : group) group_sum += item.delta;
     }
     lo = hi;
-    BoxData* box = EnsureBox(node, mask, k);
+    BoxData* box = EnsureBox(node, mask, env);
     box->subtotal += group_sum;  // One write absorbs the whole group.
     CountWrite(1);
 
@@ -380,7 +381,7 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
     // dimension-j line land on one face cell, Section 4.2, but finding the
     // shared lines costs more than the allocation-free adds it would save.)
     for (const UpdateItem& item : group) {
-      AddToFaces(box, item.offset.data(), item.delta);
+      AddToFaces(box, env, item.offset.data(), item.delta);
     }
   }
 
@@ -449,6 +450,7 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
                                     const Cell& anchor,
                                     const MdArray<int64_t>& array) {
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   int64_t total = 0;
   for (uint32_t mask = 0; mask < num_children_; ++mask) {
     Cell box_anchor = anchor;
@@ -483,11 +485,11 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
     total += box_total;
     if (!any_nonzero) continue;
 
-    BoxData* box = EnsureBox(node, mask, k);
+    BoxData* box = EnsureBox(node, mask, env);
     box->subtotal = box_total;
     CountWrite(1);
     for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-      box->faces[j].BuildFromDense(line_sums[static_cast<size_t>(j)]);
+      box->faces[j].BuildFromDense(env, line_sums[static_cast<size_t>(j)]);
     }
 
     if (k > min_box_side_) {
@@ -534,6 +536,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
   while (true) {
     CountNode(node);
     const int64_t k = node_side / 2;
+    const FaceStore::Env env = FaceEnv(k);
     // The child containing the target: the one box the Figure 10 walk
     // classifies as "covered". It is descended after the other boxes.
     uint32_t home_mask = 0;
@@ -579,7 +582,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
         // The needed row-sum value has coordinate first_beyond maxed; read
         // it from that face as a (d-1)-dimensional prefix query.
         CountFaceLookup();
-        sum += ReadFace(node->boxes[mask], first_beyond, clamped);
+        sum += ReadFace(node->boxes[mask], env, first_beyond, clamped);
       }
     }
 
@@ -608,6 +611,7 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
                                     const Coord* offset_in_node) const {
   CountNode(node);
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   int64_t sum = 0;
   Cell clamped(static_cast<size_t>(dims_));
   for (uint32_t mask = 0; mask < num_children_; ++mask) {
@@ -654,7 +658,7 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
       Cell transverse(static_cast<size_t>(dims_ - 1));
       TransverseInto(clamped.data(), dims_, first_beyond, transverse.data());
       sum += node->boxes[mask].faces[first_beyond].PrefixSum(
-          transverse.data());
+          env, transverse.data());
     }
   }
   return sum;
@@ -706,6 +710,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
   // shared visit is the point of batching.
   CountNode(node);
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   Coord clamped[kMaxDims];
   for (size_t q = 0; q < items.size(); ++q) {
     BatchItem& item = items[q];
@@ -752,7 +757,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
         CountRead(1);
       } else {
         CountFaceLookup();
-        *item.out += ReadFace(node->boxes[mask], first_beyond, clamped);
+        *item.out += ReadFace(node->boxes[mask], env, first_beyond, clamped);
       }
     }
 
@@ -904,13 +909,14 @@ int64_t DdcCore::StorageCells() const {
 
 int64_t DdcCore::NodeStorage(const Node* node, int64_t node_side) const {
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   int64_t total = 0;
   for (uint32_t mask = 0; mask < num_children_; ++mask) {
     const BoxData& box = node->boxes[mask];
     if (!box.present) continue;
     total += 1;  // Subtotal.
     for (int j = 0; j < dims_ && dims_ > 1; ++j) {
-      total += box.faces[j].StorageCells();
+      total += box.faces[j].StorageCells(env);
     }
     if (k <= min_box_side_) {
       if (node->child_raw != nullptr && node->child_raw[mask] != nullptr) {
@@ -946,10 +952,15 @@ void DdcCore::NodeStats(const Node* node, int64_t node_side,
                         DdcStats* stats) const {
   ++stats->nodes;
   const int64_t k = node_side / 2;
+  const FaceStore::Env env = FaceEnv(k);
   for (uint32_t mask = 0; mask < num_children_; ++mask) {
-    if (!node->boxes[mask].present) continue;
+    const BoxData& box = node->boxes[mask];
+    if (!box.present) continue;
     ++stats->boxes;
-    if (dims_ > 1) stats->face_stores += dims_;
+    for (int j = 0; j < dims_ && dims_ > 1; ++j) {
+      ++stats->face_stores;
+      box.faces[j].CountFaces(env, stats);
+    }
     if (k <= min_box_side_) {
       if (node->child_raw != nullptr && node->child_raw[mask] != nullptr) {
         LeafStats(node->child_raw[mask], stats);

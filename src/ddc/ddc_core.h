@@ -34,18 +34,18 @@
 // min_box_side^d int64_t values, addressed row-major by shifts, so the
 // leaf pointer in a node's child array is the data itself. The descents
 // key faces through fixed-size stack arrays that nested face cores rebase
-// in place, so a nested core carries no scratch and never heap-allocates;
-// only a core called through AddBatch lazily grows a write-scratch block.
-// The arena is either owned (standalone cores, as in the tests) or borrowed
-// from the enclosing cube (nested face cores, DynamicDataCube); see
-// DESIGN.md §8 for the lifetime rules.
+// in place, so a nested core carries no scratch and never heap-allocates.
+// A DdcCore owns nothing and is trivially destructible: nested face cores
+// live in their enclosing cube's arena and register no cleanup there. The
+// top level of a face hierarchy is an OwnedDdcCore, which also holds the
+// arena and the AddBatch write scratch; see DESIGN.md §8 for the lifetime
+// rules.
 
 #ifndef DDC_DDC_DDC_CORE_H_
 #define DDC_DDC_DDC_CORE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,8 +60,9 @@
 
 namespace ddc {
 
-// Structural statistics of a DdcCore's primary tree (nested face structures
-// contribute to StorageCells() but are not broken out here).
+// Structural statistics of a DdcCore. The first six fields describe the
+// primary tree only; the last two count the whole face hierarchy, nested
+// face cores included, recursively.
 struct DdcStats {
   int64_t nodes = 0;          // Materialized tree nodes.
   int64_t boxes = 0;          // Materialized overlay boxes.
@@ -69,6 +70,8 @@ struct DdcStats {
   int64_t raw_cells = 0;      // Cells held in leaf blocks.
   int64_t face_stores = 0;    // Face structures (d per materialized box).
   int64_t nonzero_cells = 0;  // Populated cells of A.
+  int64_t bc_faces = 0;       // 1-D B_c-tree faces, at every nesting depth.
+  int64_t nested_cores = 0;   // Nested face cores, at every nesting depth.
 };
 
 class DdcCore {
@@ -79,12 +82,10 @@ class DdcCore {
 
   // `side` must be a power of two >= 2. `counters` (may be null) receives
   // cost accounting for every operation, including work done inside nested
-  // structures; it is not owned. Structure memory comes from `arena` when
-  // given (not owned; must outlive the core), otherwise from a private
-  // arena — growth re-rooting relies on the former to retire an entire old
-  // tree by dropping one arena.
+  // structures; it is not owned. All structure memory comes from `arena`
+  // (not owned; must outlive the core).
   DdcCore(int dims, int64_t side, const DdcOptions& options,
-          OpCounters* counters, Arena* arena = nullptr);
+          OpCounters* counters, Arena* arena);
 
   DdcCore(const DdcCore&) = delete;
   DdcCore& operator=(const DdcCore&) = delete;
@@ -104,15 +105,6 @@ class DdcCore {
   // return; nothing is copied and nothing is allocated.
   void AddInPlace(Coord* key, int64_t delta);
   int64_t PrefixSumInPlace(Coord* key) const;
-
-  // A[cells[i]] += deltas[i] for the whole batch in one walk — the Figure 12
-  // propagation run once per node group instead of once per update: updates
-  // descending through the same child share each node visit and the
-  // group's box subtotal absorbs one grouped write per level. Equivalent
-  // to calling Add in a loop (callers wanting same-cell coalescing do it
-  // beforehand; duplicates are merely slower here, not wrong).
-  // deltas.size() must equal cells.size().
-  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas);
 
   // Bulk-builds the cube from a dense array (shape must be the cube's
   // domain). The cube must be empty. A single bottom-up pass writes each
@@ -150,14 +142,8 @@ class DdcCore {
   // Structural statistics (computed by traversal).
   DdcStats Stats() const;
 
-  // The arena this core allocates from (owned or borrowed).
+  // The arena this core allocates from.
   Arena* arena() const { return arena_; }
-
-  // Heap bytes currently held by the reusable write-path scratch (items
-  // buffer + counting-sort workspace); 0 until the first AddBatch. Test
-  // support: repeated same-shaped AddBatch calls must not grow this — the
-  // scratch-reuse contract.
-  size_t update_scratch_bytes() const;
 
   // Number of tree levels a full root-to-leaf descent visits (the raw leaf
   // block counts as one level): log2(side / min_box_side) + 1. Queries and
@@ -178,6 +164,45 @@ class DdcCore {
   void set_node_visit_listener(const NodeVisitListener* listener) {
     node_visit_listener_ = listener;
   }
+
+ protected:
+  // One in-flight update of an AddBatch: the target offset, rebased as the
+  // walk descends, its delta, and the cached home-child mask.
+  struct UpdateItem {
+    Cell offset;
+    int64_t delta;
+    uint32_t home;
+  };
+
+  // The write-path counterpart of BatchScratch: the items buffer and the
+  // counting-sort workspace. Shared across every node of one AddBatch walk
+  // and — writes are externally synchronized — kept by the OwnedDdcCore
+  // that batches, so consecutive ApplyBatch calls reuse the grown capacity
+  // instead of reallocating per batch. Nested face cores (which only see
+  // AddInPlace) never need one.
+  struct WriteScratch {
+    std::vector<UpdateItem> items;
+    std::vector<UpdateItem> sorted;
+    std::vector<size_t> begin;
+    std::vector<size_t> cursor;
+    // Contiguous per-item deltas in counting-sorted order, so a group's
+    // subtotal is one vectorized block sum instead of a strided struct
+    // walk. Refilled per node; only used for groups worth the extra pass.
+    std::vector<int64_t> deltas;
+
+    // Heap bytes currently held by the buffers.
+    size_t bytes() const;
+  };
+
+  // A[cells[i]] += deltas[i] for the whole batch in one walk — the Figure 12
+  // propagation run once per node group instead of once per update: updates
+  // descending through the same child share each node visit and the
+  // group's box subtotal absorbs one grouped write per level. Equivalent
+  // to calling Add in a loop (callers wanting same-cell coalescing do it
+  // beforehand; duplicates are merely slower here, not wrong).
+  // deltas.size() must equal cells.size().
+  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas,
+                WriteScratch& scratch);
 
  private:
   struct Node;
@@ -233,33 +258,8 @@ class DdcCore {
   struct BatchTls;
   static BatchTls& GetBatchTls();
 
-  // One in-flight update of an AddBatch: the target offset, rebased as the
-  // walk descends, its delta, and the cached home-child mask.
-  struct UpdateItem {
-    Cell offset;
-    int64_t delta;
-    uint32_t home;
-  };
-
-  // The write-path counterpart of BatchScratch: the items buffer and the
-  // counting-sort workspace. Shared across every node of one AddBatch walk
-  // and — writes are externally synchronized — kept by the core so
-  // consecutive ApplyBatch calls reuse the grown capacity instead of
-  // reallocating per batch. Created by the first AddBatch, so nested face
-  // cores (which only see AddInPlace) never carry one.
-  struct WriteScratch {
-    std::vector<UpdateItem> items;
-    std::vector<UpdateItem> sorted;
-    std::vector<size_t> begin;
-    std::vector<size_t> cursor;
-    // Contiguous per-item deltas in counting-sorted order, so a group's
-    // subtotal is one vectorized block sum instead of a strided struct
-    // walk. Refilled per node; only used for groups worth the extra pass.
-    std::vector<int64_t> deltas;
-  };
-
   Node* EnsureNode(Node** slot);
-  BoxData* EnsureBox(Node* node, uint32_t mask, int64_t box_side);
+  BoxData* EnsureBox(Node* node, uint32_t mask, const FaceStore::Env& env);
   int64_t* EnsureRaw(Node* node, uint32_t mask);
 
   // Leaf blocks: zero-initialized arena slabs of min_box_side^d values,
@@ -274,13 +274,23 @@ class DdcCore {
     return arena_->CreateArray<int64_t>(static_cast<size_t>(LeafCells()));
   }
 
+  // What every face of a box of side `box_side` shares: its kind, the B_c
+  // shape (bit arithmetic on the side and options), this core's arena and
+  // counters. Derived once per descent level, never stored per face.
+  FaceStore::Env FaceEnv(int64_t box_side) const {
+    return FaceStore::MakeEnv(dims_ - 1, box_side, options_, arena_,
+                              counters_);
+  }
+
   // The d face writes of one point update (Section 4.2), and the one face
   // read a partially covered box contributes (Figure 10). `offset` is
   // box-local; a 2-D core keys its 1-D faces by the other coordinate, a
   // deeper core builds the transverse key in a stack array that the nested
-  // face core then rebases in place.
-  void AddToFaces(BoxData* box, const Coord* offset, int64_t delta);
-  int64_t ReadFace(const BoxData& box, int j, const Coord* clamped) const;
+  // face core then rebases in place. `env` is FaceEnv of the box's side.
+  void AddToFaces(BoxData* box, const FaceStore::Env& env,
+                  const Coord* offset, int64_t delta);
+  int64_t ReadFace(const BoxData& box, const FaceStore::Env& env, int j,
+                   const Coord* clamped) const;
 
   // Single-update descent (Figure 12), one box per level. Rebases `offset`
   // (dims_ coordinates, caller scratch) in place as it descends.
@@ -369,8 +379,9 @@ class DdcCore {
     if (obs::CostLedger* l = obs::ActiveLedger()) ++l->face_lookups;
   }
 
-  // Every nested face is a DdcCore, so its header is kept small: no inline
-  // scratch, narrow fields first (sizeof(DdcCore) is pinned at <= 128).
+  // Every nested face is a DdcCore, so its header is kept small and owns
+  // nothing: no scratch, no arena, narrow fields first (sizeof(DdcCore) is
+  // pinned at <= 128 and the type is trivially destructible).
   int dims_;
   uint32_t num_children_;
   int leaf_shift_;  // log2(min_box_side_).
@@ -380,15 +391,49 @@ class DdcCore {
   OpCounters* counters_;
   int64_t total_ = 0;
   const NodeVisitListener* node_visit_listener_ = nullptr;
-  std::unique_ptr<Arena> owned_arena_;  // Set only for standalone cores.
   Arena* arena_;
   // Exactly one of root_ / root_raw_ is set once data exists: root_raw_ when
   // side_ <= min_box_side_ (the whole cube is one leaf block).
   Node* root_ = nullptr;
   int64_t* root_raw_ = nullptr;
-  // Write-path scratch, created by the first AddBatch and reused across
-  // AddBatch/ApplyBatch calls (writes are externally synchronized).
-  std::unique_ptr<WriteScratch> write_scratch_;
+};
+
+namespace internal {
+
+// OwnedDdcCore's arena, held in a base class so it is constructed before
+// the DdcCore base that allocates from it (and destroyed after it).
+struct ArenaOwner {
+  Arena owned_arena;
+};
+
+}  // namespace internal
+
+// A top-level DdcCore: it owns what nested face cores do without — the
+// arena the whole face hierarchy lives in, and the write scratch AddBatch
+// reuses across batches. DynamicDataCube's primary tree, its range-add
+// overlay trees and standalone cores (tests, benches) are OwnedDdcCores;
+// nested face cores are bare DdcCores inside the owner's arena. Dropping
+// the owner frees the whole hierarchy wholesale, which growth re-rooting
+// relies on to retire an old tree.
+class OwnedDdcCore : private internal::ArenaOwner, public DdcCore {
+ public:
+  OwnedDdcCore(int dims, int64_t side, const DdcOptions& options,
+               OpCounters* counters)
+      : DdcCore(dims, side, options, counters, &owned_arena) {}
+
+  // See DdcCore::AddBatch; runs on this core's reusable write scratch.
+  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas) {
+    DdcCore::AddBatch(cells, deltas, scratch_);
+  }
+
+  // Heap bytes currently held by the reusable write-path scratch (items
+  // buffer + counting-sort workspace); 0 until the first AddBatch. Test
+  // support: repeated same-shaped AddBatch calls must not grow this — the
+  // scratch-reuse contract.
+  size_t update_scratch_bytes() const { return scratch_.bytes(); }
+
+ private:
+  WriteScratch scratch_;
 };
 
 }  // namespace ddc

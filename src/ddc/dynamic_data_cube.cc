@@ -133,11 +133,10 @@ struct DynamicDataCube::RangeOverlay {
   // truth: re-rooting rebuilds every tree from it (the per-tree stored
   // values depend on local coordinates, which a re-root changes).
   std::unordered_map<Cell, int64_t, CellHash> corners;
-  // Tree memory, retired wholesale on re-root like the primary arena.
-  std::unique_ptr<Arena> arena;
   // 2^d trees, built by the first fold (empty until then); index T's bit i
-  // set means dimension i contributes -p_i.
-  std::vector<std::unique_ptr<DdcCore>> trees;
+  // set means dimension i contributes -p_i. Each owns its arena, so a
+  // rebuild retires the old trees wholesale, like the primary tree.
+  std::vector<std::unique_ptr<OwnedDdcCore>> trees;
 
   size_t size() const { return delta.size(); }
   size_t pending() const { return size() - folded; }
@@ -194,9 +193,8 @@ DynamicDataCube::DynamicDataCube(int dims, int64_t initial_side,
     : dims_(dims),
       options_(options),
       origin_(std::move(origin)),
-      arena_(std::make_unique<Arena>()),
-      core_(std::make_unique<DdcCore>(dims, initial_side, options,
-                                      CountersPtr(), arena_.get())) {
+      core_(std::make_unique<OwnedDdcCore>(dims, initial_side, options,
+                                           CountersPtr())) {
   DDC_CHECK(static_cast<int>(origin_.size()) == dims_);
 }
 
@@ -231,17 +229,16 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin) {
   const int64_t old_side = side();
   obs::TraceSpan span("ddc.reroot", old_side, new_side, &ReRootNsHist());
   if (obs::Enabled()) ReRootCounter().Increment();
-  // Re-root into a fresh arena: the retired tree (old nodes, faces, leaf
-  // blocks) is freed wholesale when the old arena is dropped below.
-  auto new_arena = std::make_unique<Arena>();
-  auto new_core = std::make_unique<DdcCore>(dims_, new_side, options_,
-                                            CountersPtr(), new_arena.get());
+  // Re-root into a fresh core and arena: the retired tree (old nodes,
+  // faces, leaf blocks) is freed wholesale when the old core drops its
+  // arena below.
+  auto new_core = std::make_unique<OwnedDdcCore>(dims_, new_side, options_,
+                                                 CountersPtr());
   const Cell shift = CellSub(origin_, new_origin);
   core_->ForEachNonZero([&](const Cell& local, int64_t value) {
     new_core->Add(CellAdd(local, shift), value);
   });
-  core_ = std::move(new_core);    // Retires the old core first...
-  arena_ = std::move(new_arena);  // ...then drops its backing arena.
+  core_ = std::move(new_core);
   origin_ = std::move(new_origin);
   ReattachListener();
   // The overlay trees store local-coordinate-dependent values, so the new
@@ -399,10 +396,7 @@ void DynamicDataCube::FoldDownToCrossover() {
   RangeOverlay& o = *overlay_;
   const size_t bound = static_cast<size_t>(Crossover(dims_, side()));
   while (o.pending() > bound) {
-    if (o.trees.empty()) {
-      o.arena = std::make_unique<Arena>();
-      o.trees = NewOverlayTrees(o.arena.get());
-    }
+    if (o.trees.empty()) o.trees = NewOverlayTrees();
     // Fold the oldest pending entry: its 2^d corner deltas join the global
     // map (the durable truth) and land in every tree.
     std::vector<Cell> corners;
@@ -419,16 +413,16 @@ void DynamicDataCube::FoldDownToCrossover() {
   }
 }
 
-std::vector<std::unique_ptr<DdcCore>> DynamicDataCube::NewOverlayTrees(
-    Arena* arena) const {
-  std::vector<std::unique_ptr<DdcCore>> trees;
+std::vector<std::unique_ptr<OwnedDdcCore>> DynamicDataCube::NewOverlayTrees()
+    const {
+  std::vector<std::unique_ptr<OwnedDdcCore>> trees;
   const uint32_t num_trees = 1u << dims_;
   trees.reserve(num_trees);
   for (uint32_t t = 0; t < num_trees; ++t) {
     // Overlay descents deliberately skip the op counters: the Table 2 /
     // op-count experiments measure the primary tree's costs.
-    trees.push_back(std::make_unique<DdcCore>(dims_, side(), options_,
-                                              /*counters=*/nullptr, arena));
+    trees.push_back(std::make_unique<OwnedDdcCore>(dims_, side(), options_,
+                                                   /*counters=*/nullptr));
   }
   return trees;
 }
@@ -644,9 +638,7 @@ void DynamicDataCube::PendingPrefixBatchLocal(std::span<const Cell> locals,
 
 void DynamicDataCube::RebuildOverlay() {
   if (overlay_ == nullptr || overlay_->trees.empty()) return;
-  overlay_->trees.clear();  // Retire the old trees before their arena.
-  overlay_->arena = std::make_unique<Arena>();
-  overlay_->trees = NewOverlayTrees(overlay_->arena.get());
+  overlay_->trees = NewOverlayTrees();
   std::vector<Cell> corners;
   std::vector<int64_t> deltas;
   corners.reserve(overlay_->corners.size());

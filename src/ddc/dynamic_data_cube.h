@@ -202,9 +202,9 @@ class DynamicDataCube : public CubeInterface {
     return options_.enable_counters ? &counters_ : nullptr;
   }
   void ReattachListener();
-  // The one re-root body: rebuilds the tree into a fresh arena+core of
-  // `new_side` anchored at `new_origin`, re-inserting every nonzero cell,
-  // then swaps the pair in (retiring the old tree wholesale), restores the
+  // The one re-root body: rebuilds the tree into a fresh core (and arena)
+  // of `new_side` anchored at `new_origin`, re-inserting every nonzero cell,
+  // then swaps it in (retiring the old tree wholesale), restores the
   // node-visit listener, and bumps ReRootEpoch(). Growth and both shrink
   // paths funnel through here.
   void ReRootInto(int64_t new_side, Cell new_origin);
@@ -221,8 +221,8 @@ class DynamicDataCube : public CubeInterface {
   // coordinates) of journal entry `entry`.
   template <typename Fn>
   void ForEachJournalCorner(size_t entry, const Fn& fn) const;
-  // 2^d empty overlay trees of the current side, allocating from `arena`.
-  std::vector<std::unique_ptr<DdcCore>> NewOverlayTrees(Arena* arena) const;
+  // 2^d empty overlay trees of the current side.
+  std::vector<std::unique_ptr<OwnedDdcCore>> NewOverlayTrees() const;
   // Lands difference-array deltas at GLOBAL corners in every overlay tree,
   // restricted to the current domain (see RangeOverlay in the .cc).
   void LandCorners(std::span<const Cell> globals,
@@ -249,11 +249,9 @@ class DynamicDataCube : public CubeInterface {
   int dims_;
   DdcOptions options_;
   Cell origin_;
-  // All structure memory for core_ lives in arena_; re-rooting replaces both
-  // together so an entire retired tree is freed by dropping one arena.
-  // Declared before core_ so the core is destroyed first.
-  std::unique_ptr<Arena> arena_;
-  std::unique_ptr<DdcCore> core_;
+  // All structure memory for the tree lives in core_'s own arena, so
+  // re-rooting frees an entire retired tree by replacing core_.
+  std::unique_ptr<OwnedDdcCore> core_;
   int64_t growth_doublings_ = 0;
   int64_t reroots_ = 0;
   DdcCore::NodeVisitListener node_visit_listener_;

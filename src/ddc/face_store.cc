@@ -2,106 +2,158 @@
 
 #include <vector>
 
-#include "bctree/bc_tree.h"
 #include "bctree/fenwick_tree.h"
 #include "common/check.h"
 #include "ddc/ddc_core.h"
 
 namespace ddc {
 
-void FaceStore::Init(Arena* arena, int transverse_dims, int64_t side,
-                     const DdcOptions& options, OpCounters* counters) {
-  DDC_CHECK(transverse_dims >= 1);
-  DDC_CHECK(side >= 2);
-  DDC_DCHECK(bc_ == nullptr && fenwick_ == nullptr && nested_ == nullptr);
-  if (transverse_dims == 1) {
-    // The Section 4.1 base case: individual row sums in a B_c tree (or a
-    // Fenwick tree under the ablation option).
-    if (options.use_fenwick) {
-      fenwick_ = arena->Create<FenwickTree>(side);
-      fenwick_->set_counters(counters);
-    } else {
-      bc_ = arena->Create<BcTree>(
-          side, options.bc_fanout, arena,
-          options.bc_dense ? BcLayout::kDense : BcLayout::kSparse);
-      bc_->set_counters(counters);
-    }
-    return;
-  }
-  // Section 4.2's secondary trees: a nested (d-1)-dimensional cube sharing
-  // the owning cube's arena.
-  nested_ = arena->Create<DdcCore>(transverse_dims, side, options, counters,
-                                   arena);
-}
+namespace {
 
-FaceStore::Owned FaceStore::Create(int transverse_dims, int64_t side,
-                                   const DdcOptions& options,
-                                   OpCounters* counters) {
-  Owned owned;
-  owned.arena = std::make_unique<Arena>();
-  owned.store = owned.arena->Create<FaceStore>();
-  owned.store->Init(owned.arena.get(), transverse_dims, side, options,
-                    counters);
-  return owned;
-}
-
-void FaceStore::Add(Coord* y, int64_t delta) {
-  if (nested_ != nullptr) {
-    nested_->AddInPlace(y, delta);
-    return;
-  }
-  AddLine(y[0], delta);
-}
-
-int64_t FaceStore::PrefixSum(Coord* y) const {
-  if (nested_ != nullptr) return nested_->PrefixSumInPlace(y);
-  return PrefixSumLine(y[0]);
-}
-
-void FaceStore::AddLine(Coord y, int64_t delta) {
-  DDC_DCHECK(nested_ == nullptr);
-  if (bc_ != nullptr) {
-    bc_->Add(y, delta);
-  } else {
-    fenwick_->Add(y, delta);
-  }
-}
-
-int64_t FaceStore::PrefixSumLine(Coord y) const {
-  DDC_DCHECK(nested_ == nullptr);
-  if (bc_ != nullptr) return bc_->CumulativeSum(y);
-  return fenwick_->CumulativeSum(y);
-}
-
-int64_t FaceStore::StorageCells() const {
-  if (nested_ != nullptr) return nested_->StorageCells();
-  if (bc_ != nullptr) return bc_->StorageCells();
-  return fenwick_->StorageCells();
-}
-
-void FaceStore::BuildFromDense(const MdArray<int64_t>& line_sums) {
-  if (nested_ != nullptr) {
-    nested_->BuildFromArray(line_sums);
-    return;
-  }
+// The dense 1-D line-sum array as a plain vector, for the 1-D bulk loaders.
+std::vector<int64_t> LineValues(const MdArray<int64_t>& line_sums) {
   DDC_CHECK(line_sums.dims() == 1);
-  if (bc_ != nullptr) {
-    std::vector<int64_t> values(
-        static_cast<size_t>(line_sums.shape().extent(0)));
-    for (int64_t i = 0; i < line_sums.size(); ++i) {
-      values[static_cast<size_t>(i)] = line_sums.at_linear(i);
-    }
-    bc_->BuildFrom(values);
-    return;
-  }
-  // Fenwick: one O(capacity) propagation pass instead of a loop of
-  // O(log capacity) Adds.
   std::vector<int64_t> values(
       static_cast<size_t>(line_sums.shape().extent(0)));
   for (int64_t i = 0; i < line_sums.size(); ++i) {
     values[static_cast<size_t>(i)] = line_sums.at_linear(i);
   }
-  fenwick_->BuildFrom(values);
+  return values;
+}
+
+}  // namespace
+
+FaceStore::Env FaceStore::MakeEnv(int transverse_dims, int64_t side,
+                                  const DdcOptions& options, Arena* arena,
+                                  OpCounters* counters) {
+  Env env;
+  env.transverse_dims = transverse_dims;
+  env.side = side;
+  env.arena = arena;
+  env.counters = counters;
+  if (transverse_dims >= 2) {
+    // Section 4.2's secondary trees: nested (d-1)-dimensional cubes.
+    env.kind = Kind::kNested;
+  } else if (options.use_fenwick) {
+    env.kind = Kind::kFenwick;
+  } else {
+    // The Section 4.1 base case: individual row sums in a B_c tree. (A 1-D
+    // cube's boxes have no faces; its Env is never used.)
+    env.kind = Kind::kBcTree;
+    if (transverse_dims == 1) {
+      env.bc = BcShape::Of(side, options.bc_fanout,
+                           options.bc_dense ? BcLayout::kDense
+                                            : BcLayout::kSparse);
+    }
+  }
+  return env;
+}
+
+void FaceStore::Init(const Env& env, const DdcOptions& options) {
+  DDC_CHECK(env.transverse_dims >= 1);
+  DDC_CHECK(env.side >= 2);
+  switch (env.kind) {
+    case Kind::kBcTree:
+      return;
+    case Kind::kFenwick:
+      fenwick_ = env.arena->Create<FenwickTree>(env.side);
+      fenwick_->set_counters(env.counters);
+      return;
+    case Kind::kNested:
+      // Shares the owning cube's arena; trivially destructible, so it
+      // registers no cleanup.
+      nested_ = env.arena->Create<DdcCore>(env.transverse_dims, env.side,
+                                           options, env.counters, env.arena);
+      return;
+  }
+}
+
+FaceStore::Owned FaceStore::Create(int transverse_dims, int64_t side,
+                                   const DdcOptions& options,
+                                   OpCounters* counters) {
+  DDC_CHECK(options.use_fenwick || options.bc_fanout >= 2);
+  Owned owned;
+  owned.arena_ = std::make_unique<Arena>();
+  owned.env_ = MakeEnv(transverse_dims, side, options, owned.arena_.get(),
+                       counters);
+  owned.store_ = owned.arena_->Create<FaceStore>();
+  owned.store_->Init(owned.env_, options);
+  return owned;
+}
+
+void FaceStore::Add(const Env& env, Coord* y, int64_t delta) {
+  if (env.kind == Kind::kNested) {
+    nested_->AddInPlace(y, delta);
+    return;
+  }
+  AddLine(env, y[0], delta);
+}
+
+int64_t FaceStore::PrefixSum(const Env& env, Coord* y) const {
+  if (env.kind == Kind::kNested) return nested_->PrefixSumInPlace(y);
+  return PrefixSumLine(env, y[0]);
+}
+
+void FaceStore::AddLine(const Env& env, Coord y, int64_t delta) {
+  DDC_DCHECK(env.kind != Kind::kNested);
+  if (env.kind == Kind::kBcTree) {
+    bc_.Add(env.bc, env.arena, env.counters, y, delta);
+  } else {
+    fenwick_->Add(y, delta);
+  }
+}
+
+int64_t FaceStore::PrefixSumLine(const Env& env, Coord y) const {
+  DDC_DCHECK(env.kind != Kind::kNested);
+  if (env.kind == Kind::kBcTree) {
+    return bc_.CumulativeSum(env.bc, env.counters, y);
+  }
+  return fenwick_->CumulativeSum(y);
+}
+
+int64_t FaceStore::StorageCells(const Env& env) const {
+  switch (env.kind) {
+    case Kind::kBcTree:
+      return bc_.StorageCells(env.bc);
+    case Kind::kFenwick:
+      return fenwick_->StorageCells();
+    case Kind::kNested:
+      return nested_->StorageCells();
+  }
+  return 0;
+}
+
+void FaceStore::CountFaces(const Env& env, DdcStats* stats) const {
+  switch (env.kind) {
+    case Kind::kBcTree:
+      ++stats->bc_faces;
+      return;
+    case Kind::kFenwick:
+      return;
+    case Kind::kNested: {
+      const DdcStats inner = nested_->Stats();
+      stats->nested_cores += 1 + inner.nested_cores;
+      stats->bc_faces += inner.bc_faces;
+      return;
+    }
+  }
+}
+
+void FaceStore::BuildFromDense(const Env& env,
+                               const MdArray<int64_t>& line_sums) {
+  switch (env.kind) {
+    case Kind::kBcTree:
+      bc_.BuildFrom(env.bc, env.arena, LineValues(line_sums));
+      return;
+    case Kind::kFenwick:
+      // One O(capacity) propagation pass instead of a loop of
+      // O(log capacity) Adds.
+      fenwick_->BuildFrom(LineValues(line_sums));
+      return;
+    case Kind::kNested:
+      nested_->BuildFromArray(line_sums);
+      return;
+  }
 }
 
 }  // namespace ddc

@@ -22,16 +22,18 @@
 // Add(transverse(off), delta): the line sum through the updated cell changes
 // by delta.
 //
-// Layout: a FaceStore is a small non-virtual tagged handle (three pointers,
-// trivially destructible) so the d faces of an overlay box can sit inline
-// in one arena array next to the box's subtotal. BcTree is final, so the
-// common B_c-tree path binds its calls directly instead of dispatching
-// through CumulativeStore1D. The pointed-to store lives in the same arena
-// and dies with it. Keys are passed as bare coordinate arrays the caller
-// treats as scratch: a nested face core rebases the key in place as it
-// descends instead of copying it, so neither side allocates. One-
-// dimensional faces (the faces of a 2-D box) take their single coordinate
-// by value through AddLine / PrefixSumLine.
+// Layout: a FaceStore is 16 trivially destructible bytes, so the d faces of
+// an overlay box sit inline in one arena array next to the box's subtotal.
+// A B_c face is held in place as its BcFace (root pointer plus total); a
+// Fenwick or nested face is a pointer to a store in the same arena, which
+// dies with it. Which of the three a face is, and everything shared by all
+// faces of one side — the B_c shape, the arena, the counters — is not
+// stored per face: the owning core passes it on every call as an Env. Keys
+// are passed as bare coordinate arrays the caller treats as scratch: a
+// nested face core rebases the key in place as it descends instead of
+// copying it, so neither side allocates. One-dimensional faces (the faces
+// of a 2-D box) take their single coordinate by value through AddLine /
+// PrefixSumLine.
 
 #ifndef DDC_DDC_FACE_STORE_H_
 #define DDC_DDC_FACE_STORE_H_
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "bctree/bc_tree.h"
 #include "common/arena.h"
 #include "common/cell.h"
 #include "common/md_array.h"
@@ -47,61 +50,91 @@
 
 namespace ddc {
 
-class BcTree;
 class DdcCore;
 class FenwickTree;
+struct DdcStats;
 
 class FaceStore {
  public:
-  // An empty handle; Init() before use. Default-constructible so arrays of
-  // faces can be carved out of an arena in one allocation.
+  enum class Kind : uint8_t { kBcTree, kFenwick, kNested };
+
+  // What every face of one side shares, supplied by the owning core.
+  struct Env {
+    Kind kind;
+    int transverse_dims;  // d - 1.
+    int64_t side;
+    BcShape bc;           // The B_c tree shape over `side` (kBcTree only).
+    Arena* arena;         // Backs B_c nodes and Fenwick / nested stores.
+    OpCounters* counters;  // May be null.
+  };
+
+  // The Env of faces with `transverse_dims` (= d-1) dimensions of extent
+  // `side`, allocating from `arena` (not owned; must outlive the faces) and
+  // counting into `counters`.
+  static Env MakeEnv(int transverse_dims, int64_t side,
+                     const DdcOptions& options, Arena* arena,
+                     OpCounters* counters);
+
+  // An empty (all-zero) face. Default-constructible so arrays of faces can
+  // be carved out of an arena in one allocation; a B_c face needs nothing
+  // more.
   FaceStore() = default;
 
-  // Initializes the store for a face with `transverse_dims` (= d-1)
-  // dimensions of extent `side`. All backing memory comes from `arena`
-  // (not owned; must outlive the store). `counters` routes cost accounting
-  // to the owning cube; may be null.
-  void Init(Arena* arena, int transverse_dims, int64_t side,
-            const DdcOptions& options, OpCounters* counters);
-
-  // Convenience for standalone stores (tests): a fresh store plus the arena
-  // backing it.
-  struct Owned {
-    std::unique_ptr<Arena> arena;
-    FaceStore* store = nullptr;  // Lives in *arena.
-    FaceStore* operator->() { return store; }
-    const FaceStore* operator->() const { return store; }
-  };
-  static Owned Create(int transverse_dims, int64_t side,
-                      const DdcOptions& options, OpCounters* counters);
+  // Creates the Fenwick tree or nested core a kFenwick / kNested face
+  // points to; a no-op for kBcTree.
+  void Init(const Env& env, const DdcOptions& options);
 
   // Adds `delta` to the line sum at transverse position `y` (d-1 coords,
   // each in [0, side)). `y` is scratch: a nested face rebases it in place,
   // so its contents are unspecified on return.
-  void Add(Coord* y, int64_t delta);
+  void Add(const Env& env, Coord* y, int64_t delta);
 
   // Returns F_j at `y`: the cumulative row sum over transverse prefix
   // [0 .. y]. Same scratch contract for `y` as Add.
-  int64_t PrefixSum(Coord* y) const;
+  int64_t PrefixSum(const Env& env, Coord* y) const;
 
   // Add / PrefixSum for a one-dimensional face (d-1 == 1), keyed by its
   // single transverse coordinate.
-  void AddLine(Coord y, int64_t delta);
-  int64_t PrefixSumLine(Coord y) const;
+  void AddLine(const Env& env, Coord y, int64_t delta);
+  int64_t PrefixSumLine(const Env& env, Coord y) const;
 
-  int64_t StorageCells() const;
+  int64_t StorageCells(const Env& env) const;
+
+  // Adds this face to the hierarchy census: one B_c face, or one nested
+  // core plus everything inside it.
+  void CountFaces(const Env& env, DdcStats* stats) const;
 
   // Bulk-builds the store from the dense line-sum array G_j (shape: d-1
   // dimensions of extent `side`). The store must be empty. Used by the
   // bottom-up bulk loader.
-  void BuildFromDense(const MdArray<int64_t>& line_sums);
+  void BuildFromDense(const Env& env, const MdArray<int64_t>& line_sums);
+
+  // A standalone store (tests): one face plus the arena and Env backing it.
+  class Owned {
+   public:
+    void Add(Coord* y, int64_t delta) { store_->Add(env_, y, delta); }
+    int64_t PrefixSum(Coord* y) const { return store_->PrefixSum(env_, y); }
+    int64_t StorageCells() const { return store_->StorageCells(env_); }
+    void BuildFromDense(const MdArray<int64_t>& line_sums) {
+      store_->BuildFromDense(env_, line_sums);
+    }
+
+   private:
+    friend class FaceStore;
+    std::unique_ptr<Arena> arena_;
+    Env env_;
+    FaceStore* store_ = nullptr;  // Lives in *arena_.
+  };
+  static Owned Create(int transverse_dims, int64_t side,
+                      const DdcOptions& options, OpCounters* counters);
 
  private:
-  // Exactly one is set after Init: bc_ (1-D faces), fenwick_ (1-D ablation),
-  // or nested_ (d-1 >= 2).
-  BcTree* bc_ = nullptr;
-  FenwickTree* fenwick_ = nullptr;
-  DdcCore* nested_ = nullptr;
+  // Env::kind says which member is live.
+  union {
+    BcFace bc_{};
+    FenwickTree* fenwick_;
+    DdcCore* nested_;
+  };
 };
 
 }  // namespace ddc

@@ -7,7 +7,8 @@
 //     geometric growth of the arena's bookkeeping vectors);
 //   * once the touched cells exist, Add / AddBatch / PrefixSum /
 //     PrefixSumBatch allocate nothing;
-//   * a DdcCore header (one per nested face) stays within 128 bytes.
+//   * a DdcCore header (one per nested face) stays within 128 bytes, and a
+//     face (a B_c tree held inline) within 24.
 
 #include <atomic>
 #include <cstdint>
@@ -73,8 +74,9 @@ int64_t CountAllocations(Fn&& fn) {
 }
 
 // Allowance for the arena's two bookkeeping vectors (block list and
-// cleanup list), which grow geometrically: at most one reallocation per
-// doubling each. The same-sized warm-up batch leaves each list about as
+// cleanup list; DDC structures register no cleanups, so in practice only
+// the block list grows), which grow geometrically: at most one
+// reallocation per doubling each. The same-sized warm-up batch leaves each list about as
 // long as the measured batch grows it, so the batch measures 1-2
 // reallocations in total.
 constexpr int64_t kBookkeepingSlack = 16;
@@ -106,7 +108,7 @@ TEST_P(AllocFreeTest, MaterializingBatchCostsOnlyArenaBlocks) {
   const Geometry g = GetParam();
   DdcOptions options;
   options.elide_levels = g.elide_levels;
-  DdcCore core(g.dims, g.side, options, nullptr);
+  OwnedDdcCore core(g.dims, g.side, options, nullptr);
   const size_t batch = 256;
   const std::vector<int64_t> deltas(batch, 3);
 
@@ -132,7 +134,7 @@ TEST_P(AllocFreeTest, MaterializedCellsAllocateNothing) {
   const Geometry g = GetParam();
   DdcOptions options;
   options.elide_levels = g.elide_levels;
-  DdcCore core(g.dims, g.side, options, nullptr);
+  OwnedDdcCore core(g.dims, g.side, options, nullptr);
   const std::vector<Cell> cells = RandomCells(128, 0, g.side);
   std::vector<int64_t> deltas(cells.size());
   for (size_t i = 0; i < deltas.size(); ++i) {
@@ -167,7 +169,8 @@ TEST_P(AllocFreeTest, MaterializedCellsAllocateNothing) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, AllocFreeTest,
-    ::testing::Values(Geometry{3, 64, 0}, Geometry{3, 64, 1},
+    ::testing::Values(Geometry{2, 256, 0}, Geometry{2, 256, 1},
+                      Geometry{3, 64, 0}, Geometry{3, 64, 1},
                       Geometry{4, 16, 0}, Geometry{4, 16, 1}),
     [](const ::testing::TestParamInfo<Geometry>& info) {
       return "d" + std::to_string(info.param.dims) + "_side" +
@@ -178,6 +181,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AllocFreeLayoutTest, CoreHeaderFitsTwoCacheLines) {
   // Every box of a d >= 3 cube holds d nested cores.
   EXPECT_LE(sizeof(DdcCore), 128u);
+  // Every box of a 2-D cube (or nested 2-D face core) holds two B_c faces.
+  EXPECT_LE(sizeof(FaceStore), 24u);
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cell.h"
 #include "common/thread_pool.h"
+#include "ddc/ddc_core.h"
 
 namespace ddc {
 namespace {
@@ -58,6 +61,46 @@ TEST(ArenaTest, RegisteredDestructorsRunInReverseOrder) {
     EXPECT_TRUE(destroyed.empty());
   }
   EXPECT_EQ(destroyed, (std::vector<int>{3, 2, 1}));
+}
+
+TEST(ArenaTest, TriviallyDestructibleObjectsRegisterNoCleanup) {
+  Arena arena;
+  struct Pod {
+    int64_t a = 1;
+  };
+  arena.Create<Pod>();
+  arena.CreateArray<int64_t>(4);
+  EXPECT_EQ(arena.num_cleanups(), 0u);
+  arena.Create<std::vector<int64_t>>();
+  EXPECT_EQ(arena.num_cleanups(), 1u);
+}
+
+// Every DDC structure — nodes, boxes, face arrays with their inline B_c
+// faces, nested face cores, leaf slabs — is trivially destructible, so a
+// cube's arena carries no cleanup list however many faces it materializes.
+TEST(ArenaTest, DdcFaceHierarchyRegistersNoCleanups) {
+  for (const bool dense : {false, true}) {
+    for (const int dims : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message() << "dims=" << dims
+                                      << " bc_dense=" << dense);
+      DdcOptions options;
+      options.bc_dense = dense;
+      const int64_t side = 16;
+      OwnedDdcCore core(dims, side, options, nullptr);
+      std::mt19937_64 rng(static_cast<uint64_t>(dims));
+      std::uniform_int_distribution<int64_t> coord(0, side - 1);
+      std::vector<Cell> cells(64, Cell(static_cast<size_t>(dims)));
+      for (Cell& cell : cells) {
+        for (Coord& c : cell) c = coord(rng);
+      }
+      const std::vector<int64_t> deltas(cells.size(), 1);
+      core.AddBatch(cells, deltas);
+      const DdcStats stats = core.Stats();
+      EXPECT_GT(stats.bc_faces, 0);
+      EXPECT_EQ(stats.nested_cores > 0, dims >= 3);
+      EXPECT_EQ(core.arena()->num_cleanups(), 0u);
+    }
+  }
 }
 
 TEST(ArenaTest, OwningObjectsReleaseTheirHeapMemory) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/shape.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -28,7 +29,7 @@ TEST(DdcCoreTest, PaperWalkthrough) {
 }
 
 TEST(DdcCoreTest, EmptyCube) {
-  DdcCore core(3, 16, DdcOptions{}, nullptr);
+  OwnedDdcCore core(3, 16, DdcOptions{}, nullptr);
   EXPECT_EQ(core.PrefixSum({15, 15, 15}), 0);
   EXPECT_EQ(core.Get({0, 0, 0}), 0);
   EXPECT_EQ(core.TotalSum(), 0);
@@ -36,7 +37,7 @@ TEST(DdcCoreTest, EmptyCube) {
 }
 
 TEST(DdcCoreTest, TotalSumIsMaintained) {
-  DdcCore core(2, 32, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, 32, DdcOptions{}, nullptr);
   core.Add({0, 0}, 5);
   core.Add({31, 31}, 7);
   core.Add({16, 3}, -2);
@@ -62,7 +63,7 @@ TEST_P(DdcCoreRandomTest, AgreesWithNaive) {
   options.bc_fanout = p.bc_fanout;
   const Shape shape = Shape::Cube(p.dims, p.side);
   NaiveCube naive(shape);
-  DdcCore core(p.dims, p.side, options, nullptr);
+  OwnedDdcCore core(p.dims, p.side, options, nullptr);
   WorkloadGenerator gen(shape, static_cast<uint64_t>(
                                    p.dims * 7919 + p.side * 13 +
                                    p.elide_levels * 3 + (p.use_fenwick ? 1 : 0)));
@@ -100,13 +101,13 @@ TEST(DdcCoreTest, ElisionLevelsAreAnswerEquivalent) {
   std::vector<UpdateOp> ops = gen.UniformUpdates(200, -9, 9);
 
   DdcOptions base;
-  DdcCore reference(2, 64, base, nullptr);
+  OwnedDdcCore reference(2, 64, base, nullptr);
   for (const UpdateOp& op : ops) reference.Add(op.cell, op.delta);
 
   for (int h = 1; h <= 5; ++h) {
     DdcOptions options;
     options.elide_levels = h;
-    DdcCore core(2, 64, options, nullptr);
+    OwnedDdcCore core(2, 64, options, nullptr);
     for (const UpdateOp& op : ops) core.Add(op.cell, op.delta);
     WorkloadGenerator probes(shape, 100 + static_cast<uint64_t>(h));
     for (int i = 0; i < 100; ++i) {
@@ -128,7 +129,7 @@ TEST(DdcCoreTest, ElisionSavesStorage) {
   for (int h = 0; h <= 3; ++h) {
     DdcOptions options;
     options.elide_levels = h;
-    DdcCore core(2, 64, options, nullptr);
+    OwnedDdcCore core(2, 64, options, nullptr);
     for (const UpdateOp& op : ops) core.Add(op.cell, op.delta);
     EXPECT_LT(core.StorageCells(), prev) << "h=" << h;
     prev = core.StorageCells();
@@ -137,7 +138,7 @@ TEST(DdcCoreTest, ElisionSavesStorage) {
 
 TEST(DdcCoreTest, ForEachNonZeroEnumeratesExactly) {
   const Shape shape = Shape::Cube(2, 32);
-  DdcCore core(2, 32, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, 32, DdcOptions{}, nullptr);
   std::map<std::pair<Coord, Coord>, int64_t> reference;
   WorkloadGenerator gen(shape, 17);
   for (int i = 0; i < 100; ++i) {
@@ -159,7 +160,7 @@ TEST(DdcCoreTest, ForEachNonZeroEnumeratesExactly) {
 // not the domain (Section 5's clustered-data claim).
 TEST(DdcCoreTest, ClusteredDataStaysSparse) {
   const int64_t side = 4096;
-  DdcCore core(2, side, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, side, DdcOptions{}, nullptr);
   ClusteredGenerator gen(Shape::Cube(2, side), 4, 0.002, 23);
   for (int i = 0; i < 1000; ++i) {
     core.Add(gen.NextCell(), 1);
@@ -174,7 +175,7 @@ TEST(DdcCoreTest, ClusteredDataStaysSparse) {
 // bound O(log^2 n) with modest constants.
 TEST(DdcCoreTest, PolylogCosts) {
   OpCounters counters;
-  DdcCore core(2, 1024, DdcOptions{}, &counters);
+  OwnedDdcCore core(2, 1024, DdcOptions{}, &counters);
   WorkloadGenerator gen(Shape::Cube(2, 1024), 31);
   for (const UpdateOp& op : gen.UniformUpdates(400, 1, 9)) {
     core.Add(op.cell, op.delta);
@@ -197,11 +198,69 @@ TEST(DdcCoreTest, PolylogCosts) {
 TEST(DdcCoreTest, MinBoxSideClamping) {
   DdcOptions options;
   options.elide_levels = 10;  // Larger than the tree: whole cube raw.
-  DdcCore core(2, 16, options, nullptr);
+  OwnedDdcCore core(2, 16, options, nullptr);
   EXPECT_EQ(core.min_box_side(), 16);
   core.Add({3, 3}, 5);
   EXPECT_EQ(core.PrefixSum({15, 15}), 5);
   EXPECT_EQ(core.StorageCells(), 256);  // One dense raw block.
+}
+
+// Closed-form structure of a fully dense cube at elide_levels 0 (smallest
+// boxes of side 2): every region of side n, n/2, ..., 4 is a node holding
+// 2^d boxes.
+int64_t DenseNodes(int dims, int64_t side) {
+  int64_t nodes = 0;
+  int64_t per_level = 1;
+  for (int64_t s = side; s >= 4; s /= 2) {
+    nodes += per_level;
+    per_level <<= dims;
+  }
+  return nodes;
+}
+
+int64_t DenseBoxes(int dims, int64_t side) {
+  return DenseNodes(dims, side) << dims;
+}
+
+DdcStats FullyDenseStats(int dims, int64_t side) {
+  OwnedDdcCore core(dims, side, DdcOptions{}, nullptr);
+  const Shape shape = Shape::Cube(dims, side);
+  Cell cell(static_cast<size_t>(dims), 0);
+  do {
+    core.Add(cell, 1);
+  } while (shape.NextCell(&cell));
+  return core.Stats();
+}
+
+TEST(DdcCoreTest, StatsCountTheFaceHierarchyOfADense2DCube) {
+  // Each box holds two 1-D B_c faces and no nested cores.
+  const DdcStats stats = FullyDenseStats(2, 32);
+  EXPECT_EQ(stats.nodes, 85);  // 1 + 4 + 16 + 64.
+  EXPECT_EQ(stats.nodes, DenseNodes(2, 32));
+  EXPECT_EQ(stats.boxes, DenseBoxes(2, 32));
+  EXPECT_EQ(stats.face_stores, 2 * stats.boxes);
+  EXPECT_EQ(stats.bc_faces, 2 * stats.boxes);
+  EXPECT_EQ(stats.nested_cores, 0);
+  EXPECT_EQ(stats.nonzero_cells, 32 * 32);
+}
+
+TEST(DdcCoreTest, StatsCountTheFaceHierarchyOfADense3DCube) {
+  // Each box of side k holds three nested 2-D cores of side k, each itself
+  // fully dense (all line sums are positive) with two B_c faces per box.
+  const int64_t side = 16;
+  const DdcStats stats = FullyDenseStats(3, side);
+  int64_t bc_faces = 0;
+  int64_t boxes_at_level = 8;
+  for (int64_t node_side = side; node_side >= 4; node_side /= 2) {
+    bc_faces += boxes_at_level * 3 * 2 * DenseBoxes(2, node_side / 2);
+    boxes_at_level *= 8;
+  }
+  EXPECT_EQ(stats.boxes, DenseBoxes(3, side));
+  EXPECT_EQ(stats.boxes, 584);  // 8 * (1 + 8 + 64).
+  EXPECT_EQ(stats.face_stores, 3 * stats.boxes);
+  EXPECT_EQ(stats.nested_cores, 3 * stats.boxes);
+  EXPECT_EQ(stats.bc_faces, bc_faces);
+  EXPECT_EQ(stats.bc_faces, 2496);  // 8*6*20 + 64*6*4; side-2 cores are raw.
 }
 
 }  // namespace

@@ -76,6 +76,8 @@ TEST_F(DdcToolTest, LoadCsvAndInfo) {
   ASSERT_EQ(Run({"info", cube_path_}, &out), 0);
   EXPECT_NE(out.find("total sum:     35"), std::string::npos);
   EXPECT_NE(out.find("nonzero cells: 3"), std::string::npos);
+  EXPECT_NE(out.find("bc faces:"), std::string::npos);
+  EXPECT_NE(out.find("nested cores:  0"), std::string::npos);
 }
 
 TEST_F(DdcToolTest, ExportReimportsIdentically) {
@@ -188,6 +190,11 @@ TEST_F(DdcToolTest, StatsRendersUnifiedMetricSurface) {
   EXPECT_NE(out.find("_p99 "), std::string::npos);
   // The range-add journal scan counter (DESIGN.md §12).
   EXPECT_NE(out.find("ddc_query_overlay_journal_boxes"), std::string::npos);
+  // The workload cube's face-hierarchy census (2-D: B_c faces, no nested
+  // cores).
+  EXPECT_NE(out.find("ddc_structure_bc_faces "), std::string::npos);
+  EXPECT_EQ(out.find("ddc_structure_bc_faces 0\n"), std::string::npos);
+  EXPECT_NE(out.find("ddc_structure_nested_cores 0\n"), std::string::npos);
 
   // JSON form carries the same namespaces, dotted, with percentiles.
   ASSERT_EQ(Run({"stats", "--ops", "200", "--format", "json"}, &out), 0);

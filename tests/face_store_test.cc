@@ -38,16 +38,17 @@ class ReferenceFace {
 // FaceStore keys are caller scratch (a nested face rebases them in place),
 // so each call gets its own copy of the cell.
 void AddAt(FaceStore::Owned& store, Cell y, int64_t delta) {
-  store->Add(y.data(), delta);
+  store.Add(y.data(), delta);
 }
 int64_t PrefixAt(const FaceStore::Owned& store, Cell y) {
-  return store->PrefixSum(y.data());
+  return store.PrefixSum(y.data());
 }
 
 struct FaceParam {
   int transverse_dims;
   int64_t side;
   bool use_fenwick;
+  bool bc_dense = false;
 };
 
 class FaceStoreTest : public ::testing::TestWithParam<FaceParam> {};
@@ -56,6 +57,7 @@ TEST_P(FaceStoreTest, MatchesReferenceOnRandomOps) {
   const FaceParam p = GetParam();
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
+  options.bc_dense = p.bc_dense;
   FaceStore::Owned store =
       FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
   ReferenceFace reference(p.transverse_dims, p.side);
@@ -80,6 +82,7 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
   const FaceParam p = GetParam();
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
+  options.bc_dense = p.bc_dense;
   const Shape shape = Shape::Cube(p.transverse_dims, p.side);
   MdArray<int64_t> dense(shape);
   std::mt19937_64 rng(99);
@@ -87,7 +90,7 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
   dense.ForEach([&](const Cell&, int64_t& v) { v = value(rng); });
 
   auto bulk = FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
-  bulk->BuildFromDense(dense);
+  bulk.BuildFromDense(dense);
   auto incremental =
       FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
   dense.ForEach([&](const Cell& c, const int64_t& v) {
@@ -106,12 +109,27 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FaceParam{1, 2, false}, FaceParam{1, 16, false},
                       FaceParam{1, 16, true}, FaceParam{2, 4, false},
                       FaceParam{2, 8, false}, FaceParam{3, 4, false},
-                      FaceParam{3, 4, true}));
+                      FaceParam{3, 4, true}, FaceParam{1, 2, false, true},
+                      FaceParam{1, 64, false, true},
+                      FaceParam{2, 8, false, true},
+                      FaceParam{3, 8, false, true}));
 
 TEST(FaceStoreTest, EmptyStoreAnswersZero) {
   auto store = FaceStore::Create(2, 8, DdcOptions{}, nullptr);
   EXPECT_EQ(PrefixAt(store, {7, 7}), 0);
-  EXPECT_EQ(store->StorageCells(), 0);
+  EXPECT_EQ(store.StorageCells(), 0);
+}
+
+TEST(FaceStoreTest, DenseBcFaceAllocatesItsWholeSlabOnFirstTouch) {
+  DdcOptions options;
+  options.bc_dense = true;
+  auto store = FaceStore::Create(1, 64, options, nullptr);
+  EXPECT_EQ(store.StorageCells(), 0);
+  AddAt(store, {5}, 2);
+  // Fanout 8 over 64 keys: a root and 8 leaves of 8 entries each.
+  EXPECT_EQ(store.StorageCells(), 9 * 8);
+  EXPECT_EQ(PrefixAt(store, {4}), 0);
+  EXPECT_EQ(PrefixAt(store, {63}), 2);
 }
 
 TEST(FaceStoreTest, CountersRouteToOwner) {

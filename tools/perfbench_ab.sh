@@ -10,18 +10,19 @@
 # way the benchmark does (perfbench/run.py, into that side's .bench_build/).
 # Pair i runs `python3 perfbench/run.py --workload W --seed K+i-1
 # --seconds S --trace 0` once per side, alternating which side goes first so
-# host drift does not favour either. Defaults: durable_ingest, 10 pairs,
-# 30 s, seed0 1.
+# host drift does not favour either. `--workload all` runs every workload
+# of BENCHMARK.json in turn, each with the same pairs and seeds. Defaults:
+# durable_ingest, 10 pairs, 30 s, seed0 1.
 #
-# For every end-to-end metric of BENCHMARK.json the summary prints each
-# side's median and quartiles, how many pairs the change won, and whether a
-# gain would count as a claim: the change wins at least 9 in 10 pairs and
-# its median beats the base median by more than the base's interquartile
-# range. `--out DIR` keeps the raw per-run JSON lines.
+# For every end-to-end metric of BENCHMARK.json the summary prints, per
+# workload, each side's median and quartiles, how many pairs the change
+# won, and whether a gain would count as a claim: the change wins at least
+# 9 in 10 pairs and its median beats the base median by more than the
+# base's interquartile range. `--out DIR` keeps the raw per-run JSON lines.
 
 set -euo pipefail
 
-usage() { sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 1 ]] || usage
 BASE_REV=$1
@@ -43,6 +44,14 @@ while [[ $# -gt 0 ]]; do
 done
 
 ROOT=$(git rev-parse --show-toplevel)
+if [[ $WORKLOAD == all ]]; then
+  mapfile -t WORKLOADS < <(python3 -c '
+import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]:
+    print(w["name"])' "$ROOT/BENCHMARK.json")
+else
+  WORKLOADS=("$WORKLOAD")
+fi
 TMP=$(mktemp -d "${TMPDIR:-/tmp}/perfbench_ab.XXXXXX")
 BASE="$TMP/base"
 cleanup() {
@@ -56,31 +65,34 @@ git -C "$ROOT" worktree add --detach "$BASE" "$BASE_REV" > /dev/null
 RESULTS="$TMP/results"
 mkdir -p "$RESULTS"
 
-# run_side DIR NAME PAIR SEED: one benchmark run; keeps its last output line.
+# run_side WORKLOAD DIR NAME PAIR SEED: one benchmark run; keeps its last
+# output line.
 run_side() {
-  local dir=$1 name=$2 pair=$3 seed=$4
-  echo "pair $pair/$PAIRS: $name (seed $seed)" >&2
-  (cd "$dir" && python3 perfbench/run.py --workload "$WORKLOAD" \
+  local workload=$1 dir=$2 name=$3 pair=$4 seed=$5
+  echo "$workload pair $pair/$PAIRS: $name (seed $seed)" >&2
+  (cd "$dir" && python3 perfbench/run.py --workload "$workload" \
        --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 \
-       2> /dev/null | tail -n 1) > "$RESULTS/$name.$pair.json"
+       2> /dev/null | tail -n 1) > "$RESULTS/$workload.$name.$pair.json"
 }
 
 echo "building base ($BASE_REV) and change ($ROOT)" >&2
 for dir in "$BASE" "$ROOT"; do
-  (cd "$dir" && python3 perfbench/run.py --workload "$WORKLOAD" --seed 0 \
-       --seconds 1 --trace 0 > /dev/null 2>&1) ||
+  (cd "$dir" && python3 perfbench/run.py --workload "${WORKLOADS[0]}" \
+       --seed 0 --seconds 1 --trace 0 > /dev/null 2>&1) ||
     { echo "perfbench_ab: build or run failed in $dir" >&2; exit 1; }
 done
 
-for ((i = 1; i <= PAIRS; ++i)); do
-  seed=$((SEED0 + i - 1))
-  if ((i % 2 == 1)); then
-    run_side "$BASE" base "$i" "$seed"
-    run_side "$ROOT" change "$i" "$seed"
-  else
-    run_side "$ROOT" change "$i" "$seed"
-    run_side "$BASE" base "$i" "$seed"
-  fi
+for workload in "${WORKLOADS[@]}"; do
+  for ((i = 1; i <= PAIRS; ++i)); do
+    seed=$((SEED0 + i - 1))
+    if ((i % 2 == 1)); then
+      run_side "$workload" "$BASE" base "$i" "$seed"
+      run_side "$workload" "$ROOT" change "$i" "$seed"
+    else
+      run_side "$workload" "$ROOT" change "$i" "$seed"
+      run_side "$workload" "$BASE" base "$i" "$seed"
+    fi
+  done
 done
 
 if [[ -n $OUT ]]; then
@@ -88,7 +100,8 @@ if [[ -n $OUT ]]; then
   cp "$RESULTS"/*.json "$OUT"/
 fi
 
-python3 - "$ROOT/BENCHMARK.json" "$RESULTS" "$PAIRS" "$WORKLOAD" \
+for workload in "${WORKLOADS[@]}"; do
+python3 - "$ROOT/BENCHMARK.json" "$RESULTS" "$PAIRS" "$workload" \
     "$BASE_REV" <<'EOF'
 import json
 import statistics
@@ -100,7 +113,7 @@ spec = json.load(open(spec_path))
 
 
 def load(side, i):
-    with open("%s/%s.%d.json" % (results, side, i)) as f:
+    with open("%s/%s.%s.%d.json" % (results, workload, side, i)) as f:
         return json.loads(f.read())
 
 
@@ -139,4 +152,6 @@ for metric in spec["end_to_end"]:
           (name, "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
            "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), delta, wins, pairs,
            "holds" if holds else "no"))
+print()
 EOF
+done
