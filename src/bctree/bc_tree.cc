@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/bit_util.h"
 #include "common/check.h"
@@ -416,56 +417,78 @@ int64_t BcShape::DenseSlots() const {
 // ---------------------------------------------------------------------------
 // BcFace.
 
+// The root slot doubles as an inline face's entry 0.
+static_assert(sizeof(intptr_t) == sizeof(int64_t));
+static_assert(sizeof(BcFace) == 16);
+static_assert(std::is_trivially_destructible_v<BcFace>);
+
 void BcFace::Add(const BcShape& shape, Arena* arena, OpCounters* counters,
                  int64_t index, int64_t delta) {
   DDC_CHECK(index >= 0 && index < shape.capacity);
   if (delta == 0) return;
   total_ += delta;
-  if (shape.layout == BcLayout::kDense) {
-    if (root_ == nullptr) root_ = NewDense(shape, arena);
-    AddDense(shape, counters, static_cast<int64_t*>(root_), index, delta);
+  if (shape.is_inline()) {
+    // The face is its own leaf: entry 1 lives only in the total.
+    CountNode(counters);
+    if (index == 0) slot_ += delta;
+    CountWrite(counters, 1);
     return;
   }
-  if (root_ == nullptr) {
-    root_ = NewNode(shape, arena, /*is_leaf=*/shape.height == 1);
+  if (shape.layout == BcLayout::kDense) {
+    if (slot_ == 0) set_root(NewDense(shape, arena));
+    AddDense(shape, counters, root<int64_t>(), index, delta);
+    return;
   }
-  Node* root = static_cast<Node*>(root_);
+  if (slot_ == 0) {
+    set_root(NewNode(shape, arena, /*is_leaf=*/shape.height == 1));
+  }
+  Node* root_node = root<Node>();
   if (kernels::UseScalar()) {
-    AddScalarRef(shape, arena, counters, root, index, delta);
+    AddScalarRef(shape, arena, counters, root_node, index, delta);
   } else if (shape.log2_fanout > 0) {
-    AddFast<true>(shape, arena, counters, root, index, delta);
+    AddFast<true>(shape, arena, counters, root_node, index, delta);
   } else {
-    AddFast<false>(shape, arena, counters, root, index, delta);
+    AddFast<false>(shape, arena, counters, root_node, index, delta);
   }
 }
 
 int64_t BcFace::CumulativeSum(const BcShape& shape, OpCounters* counters,
                               int64_t index) const {
   DDC_CHECK(index >= 0 && index < shape.capacity);
-  if (root_ == nullptr) return 0;
-  if (shape.layout == BcLayout::kDense) {
-    return CumulativeSumDense(shape, counters,
-                              static_cast<const int64_t*>(root_), index);
+  if (shape.is_inline()) {
+    if (empty_inline()) return 0;
+    CountNode(counters);
+    CountRead(counters, index + 1);
+    return index == 0 ? slot_ : total_;
   }
-  const Node* root = static_cast<const Node*>(root_);
+  if (slot_ == 0) return 0;
+  if (shape.layout == BcLayout::kDense) {
+    return CumulativeSumDense(shape, counters, root<const int64_t>(), index);
+  }
+  const Node* root_node = root<const Node>();
   if (kernels::UseScalar()) {
-    return CumulativeSumScalarRef(shape, counters, root, index);
+    return CumulativeSumScalarRef(shape, counters, root_node, index);
   }
   if (shape.log2_fanout > 0) {
-    return CumulativeSumFast<true>(shape, counters, root, index);
+    return CumulativeSumFast<true>(shape, counters, root_node, index);
   }
-  return CumulativeSumFast<false>(shape, counters, root, index);
+  return CumulativeSumFast<false>(shape, counters, root_node, index);
 }
 
 int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
                       int64_t index) const {
   DDC_CHECK(index >= 0 && index < shape.capacity);
-  if (root_ == nullptr) return 0;
+  if (shape.is_inline()) {
+    if (empty_inline()) return 0;
+    CountRead(counters, 1);
+    return index == 0 ? slot_ : total_ - slot_;
+  }
+  if (slot_ == 0) return 0;
   const int64_t f = shape.fanout;
   int64_t offset = index;
   int64_t child_span = shape.root_span / f;
   if (shape.layout == BcLayout::kDense) {
-    const auto* dense = static_cast<const int64_t*>(root_);
+    const int64_t* dense = root<const int64_t>();
     int64_t slot = 0;
     for (int level = shape.height; level > 1; --level) {
       const int64_t child = offset / child_span;
@@ -476,7 +499,7 @@ int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
     CountRead(counters, 1);
     return dense[slot * f + offset];
   }
-  const Node* node = static_cast<const Node*>(root_);
+  const Node* node = root<const Node>();
   for (int level = shape.height; level > 1; --level) {
     const size_t child = static_cast<size_t>(offset / child_span);
     node = Children(node, shape.fanout)[child];
@@ -490,33 +513,40 @@ int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
 
 void BcFace::BuildFrom(const BcShape& shape, Arena* arena,
                        const std::vector<int64_t>& values) {
-  DDC_CHECK(root_ == nullptr && total_ == 0);
+  DDC_CHECK(slot_ == 0 && total_ == 0);
   DDC_CHECK(static_cast<int64_t>(values.size()) <= shape.capacity);
+  if (shape.is_inline()) {
+    for (const int64_t v : values) total_ += v;
+    if (!values.empty()) slot_ = values[0];
+    return;
+  }
   if (shape.layout == BcLayout::kDense) {
     auto* dense = NewDense(shape, arena);
-    root_ = dense;
+    set_root(dense);
     total_ = BuildDense(shape, dense, values);
     return;
   }
   int64_t total = 0;
-  root_ = BuildRange(shape, arena, values, 0, shape.root_span, &total);
+  set_root(BuildRange(shape, arena, values, 0, shape.root_span, &total));
   total_ = total;
 }
 
 int64_t BcFace::StorageCells(const BcShape& shape) const {
-  if (root_ == nullptr) return 0;
+  if (shape.is_inline()) return empty_inline() ? 0 : shape.capacity;
+  if (slot_ == 0) return 0;
   if (shape.layout == BcLayout::kDense) {
     return shape.DenseSlots() * shape.fanout;
   }
-  return CountNodes(shape, static_cast<const Node*>(root_), shape.root_span) *
-         shape.fanout;
+  return CountNodes(shape, root<const Node>(), shape.root_span) * shape.fanout;
 }
 
 bool BcFace::CheckInvariants(const BcShape& shape) const {
-  if (root_ == nullptr) return total_ == 0;
+  // An inline face of capacity 1 has no entry 1: its total is entry 0.
+  if (shape.is_inline()) return shape.capacity == 2 || total_ == slot_;
+  if (slot_ == 0) return total_ == 0;
   const int64_t f = shape.fanout;
   if (shape.layout == BcLayout::kDense) {
-    const auto* dense = static_cast<const int64_t*>(root_);
+    const int64_t* dense = root<const int64_t>();
     if (kernels::Sum(dense, static_cast<size_t>(f)) != total_) return false;
     const int64_t first_leaf = shape.DenseSlots() - shape.root_span / f;
     for (int64_t slot = 0; slot < first_leaf; ++slot) {
@@ -530,11 +560,11 @@ bool BcFace::CheckInvariants(const BcShape& shape) const {
     }
     return true;
   }
-  const Node* root = static_cast<const Node*>(root_);
-  if (kernels::Sum(Sums(root), static_cast<size_t>(f)) != total_) {
+  const Node* root_node = root<const Node>();
+  if (kernels::Sum(Sums(root_node), static_cast<size_t>(f)) != total_) {
     return false;
   }
-  return CheckNode(shape, root, shape.root_span);
+  return CheckNode(shape, root_node, shape.root_span);
 }
 
 // ---------------------------------------------------------------------------

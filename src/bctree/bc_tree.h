@@ -22,12 +22,20 @@
 // State and shape are split. A BcShape (fanout, height, root span, layout)
 // follows from (capacity, fanout, layout) by bit arithmetic, so it is never
 // stored per tree: the owner derives it and passes it in. A BcFace is the
-// tree's own state — the root (or dense slab) pointer and the running total,
+// tree's own state — the root (or dense slab) address and the running total,
 // 16 trivially destructible bytes — so the DDC keeps its 1-D faces inline
 // in its face arrays with no per-tree object, vtable or arena cleanup. The
 // arena nodes come from and the counters costs go to are also passed in by
 // the owner. BcTree is the standalone form: a CumulativeStore1D that owns an
 // arena and one BcFace and runs the same descents.
+//
+// Inline faces. A shape of capacity <= 2 (the faces of the DDC's side-2
+// boxes, the most numerous of all) allocates no node: the root slot holds
+// entry 0 and the total holds entry 0 + entry 1, so the face is its own
+// 16-byte leaf instead of a pointer to a fanout-wide one. It records the
+// counts a one-leaf tree records (one node visit, the same values read and
+// written), and a face whose entries are both zero answers 0 with no visit,
+// as an unmaterialized tree does.
 //
 // Memory layout (cache-conscious, see DESIGN.md §13). A node is one arena
 // slab: f subtree sums followed, for interior nodes, by f child pointers.
@@ -76,6 +84,11 @@ struct BcShape {
   int height = 0;         // Levels including the leaf level (>= 1).
   BcLayout layout = BcLayout::kSparse;
 
+  // Largest capacity whose faces hold their entries inline (see the header
+  // comment); such a shape has no nodes, whatever its layout.
+  static constexpr int64_t kInlineCapacity = 2;
+  bool is_inline() const { return capacity <= kInlineCapacity; }
+
   // O(1) bit arithmetic for power-of-two fanouts (the default 8), a
   // log_f(capacity) loop otherwise. capacity >= 1, fanout >= 2.
   static BcShape Of(int64_t capacity, int fanout, BcLayout layout);
@@ -108,7 +121,8 @@ class BcFace {
                  const std::vector<int64_t>& values);
 
   // Stored entries currently allocated (f per materialized node, or the
-  // whole dense slab). Computed by walking the tree.
+  // whole dense slab; an inline face holds its capacity's entries once
+  // either is nonzero). Computed by walking the tree.
   int64_t StorageCells(const BcShape& shape) const;
 
   // Verifies the STS invariant over all materialized nodes: every interior
@@ -117,10 +131,19 @@ class BcFace {
   bool CheckInvariants(const BcShape& shape) const;
 
  private:
-  // The sparse layout's root node or the dense layout's slab (the shape's
-  // layout says which); null while the tree is all zero.
-  void* root_ = nullptr;
-  int64_t total_ = 0;
+  bool empty_inline() const { return slot_ == 0 && total_ == 0; }
+  template <typename T>
+  T* root() const {
+    return reinterpret_cast<T*>(slot_);
+  }
+  void set_root(void* root) { slot_ = reinterpret_cast<intptr_t>(root); }
+
+  // A tree shape: the address of the sparse layout's root node or of the
+  // dense layout's slab (the shape's layout says which), 0 while the tree is
+  // all zero. An inline shape: entry 0. An integer, so both readings are
+  // well defined.
+  intptr_t slot_ = 0;
+  int64_t total_ = 0;  // Sum of all entries.
 };
 
 // A standalone B_c tree: one BcFace plus the arena and shape it runs with.

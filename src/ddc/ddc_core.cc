@@ -56,14 +56,15 @@ DdcCore::BatchTls& DdcCore::GetBatchTls() {
   return tls;
 }
 
-// Every box of a d >= 3 cube holds d nested face cores, so the core header
-// is the per-face fixed cost; keep it within two cache lines, and owning
-// nothing, so a nested core registers no arena cleanup. A 2-D box holds its
-// two B_c faces inline.
+// Every box of a d >= 3 cube larger than a leaf block holds d nested face
+// cores, so the core header is the per-face fixed cost; keep it within two
+// cache lines, and owning nothing, so a nested core registers no arena
+// cleanup. A 2-D box holds its two B_c faces inline, and the smallest boxes
+// of a d >= 3 cube point straight at their faces' leaf slabs.
 static_assert(sizeof(DdcCore) <= 128);
 static_assert(std::is_trivially_destructible_v<DdcCore>);
 static_assert(std::is_trivially_destructible_v<BcFace>);
-static_assert(sizeof(FaceStore) <= 24);
+static_assert(sizeof(FaceStore) == 16);
 
 size_t DdcCore::WriteScratch::bytes() const {
   return items.capacity() * sizeof(UpdateItem) +
@@ -428,18 +429,9 @@ void DdcCore::BuildFromArray(const MdArray<int64_t>& array) {
   DDC_CHECK(total_ == 0 && root_ == nullptr && root_raw_ == nullptr);
   DDC_CHECK(array.shape() == Shape::Cube(dims_, side_));
   if (side_ <= min_box_side_) {
-    int64_t total = 0;
-    bool any_nonzero = false;
-    array.ForEach([&](const Cell&, const int64_t& v) {
-      total += v;
-      any_nonzero |= (v != 0);
-    });
-    if (any_nonzero) {
-      // The root leaf has the array's extents and row-major order.
-      root_raw_ = NewLeaf();
-      std::copy_n(array.data(), array.size(), root_raw_);
-    }
-    total_ = total;
+    // The root leaf has the array's extents and row-major order.
+    root_raw_ = LeafFromArray(arena_, array);
+    total_ = kernels::Sum(array.data(), static_cast<size_t>(array.size()));
     return;
   }
   EnsureNode(&root_);
@@ -819,22 +811,38 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
   }
 }
 
-int64_t DdcCore::RawPrefix(const int64_t* raw, const Coord* offset) const {
-  if (kernels::UseScalar()) return RawPrefixScalarRef(raw, offset);
-  CountNode(raw);  // A leaf block is one secondary-storage unit.
+int64_t* DdcCore::LeafFromArray(Arena* arena, const MdArray<int64_t>& array) {
+  const int64_t* values = array.data();
+  const int64_t* end = values + array.size();
+  if (std::all_of(values, end, [](int64_t v) { return v == 0; })) {
+    return nullptr;
+  }
+  auto* raw = arena->CreateArray<int64_t>(static_cast<size_t>(array.size()));
+  std::copy(values, end, raw);
+  return raw;
+}
+
+int64_t DdcCore::RawPrefix(const int64_t* raw, int dims, int shift,
+                           const Coord* offset, OpCounters* counters,
+                           const NodeVisitListener* listener) {
+  if (kernels::UseScalar()) {
+    return RawPrefixScalarRef(raw, dims, shift, offset, counters, listener);
+  }
+  // A leaf block is one secondary-storage unit.
+  CountNode(counters, listener, raw);
   // Row-major leaf blocks keep the innermost dimension contiguous, so the
   // Section 4.4 dominance sum is an odometer over the outer dimensions with
   // one vectorized block sum per inner run. Counter semantics match the
   // scalar reference: one node, one read per cell summed.
-  const int inner = dims_ - 1;
+  const int inner = dims - 1;
   const size_t run = static_cast<size_t>(offset[inner]) + 1;
   int64_t sum = 0;
   int64_t reads = 0;
   Coord cursor[kMaxDims] = {};
   while (true) {
-    sum += kernels::Sum(raw + LeafIndex(cursor), run);
+    sum += kernels::Sum(raw + LeafIndex(cursor, dims, shift), run);
     reads += static_cast<int64_t>(run);
-    int dim = dims_ - 2;
+    int dim = dims - 2;
     while (dim >= 0) {
       if (++cursor[dim] <= offset[dim]) break;
       cursor[dim] = 0;
@@ -842,20 +850,23 @@ int64_t DdcCore::RawPrefix(const int64_t* raw, const Coord* offset) const {
     }
     if (dim < 0) break;
   }
-  CountRead(reads);
+  CountRead(counters, reads);
   return sum;
 }
 
-int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw,
-                                    const Coord* offset) const {
-  CountNode(raw);  // A leaf block is one secondary-storage unit.
+int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw, int dims, int shift,
+                                    const Coord* offset,
+                                    OpCounters* counters,
+                                    const NodeVisitListener* listener) {
+  // A leaf block is one secondary-storage unit.
+  CountNode(counters, listener, raw);
   int64_t sum = 0;
-  Cell cursor(static_cast<size_t>(dims_), 0);
+  Cell cursor(static_cast<size_t>(dims), 0);
   int64_t reads = 0;
   while (true) {
-    sum += raw[LeafIndex(cursor.data())];
+    sum += raw[LeafIndex(cursor.data(), dims, shift)];
     ++reads;
-    int dim = dims_ - 1;
+    int dim = dims - 1;
     while (dim >= 0) {
       size_t ud = static_cast<size_t>(dim);
       if (++cursor[ud] <= offset[ud]) break;
@@ -864,7 +875,7 @@ int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw,
     }
     if (dim < 0) break;
   }
-  CountRead(reads);
+  CountRead(counters, reads);
   return sum;
 }
 
@@ -932,6 +943,8 @@ int64_t DdcCore::NodeStorage(const Node* node, int64_t node_side) const {
 
 DdcStats DdcCore::Stats() const {
   DdcStats stats;
+  stats.arena_bytes_used = static_cast<int64_t>(arena_->bytes_used());
+  stats.arena_bytes_reserved = static_cast<int64_t>(arena_->bytes_reserved());
   if (root_raw_ != nullptr) {
     LeafStats(root_raw_, &stats);
     return stats;

@@ -12,7 +12,8 @@
 //     target" costs O(1));
 //   * d FaceStores — the cumulative row-sum groups, each a (d-1)-dimensional
 //     prefix structure (B_c tree when one-dimensional, nested DdcCore
-//     otherwise);
+//     otherwise, or a bare leaf slab when the face is no larger than a leaf
+//     block);
 //   * a child: either a deeper Node (while the child boxes would still be
 //     larger than the Section 4.4 elision threshold) or a raw block of A
 //     cells of side k (the leaf level; with elide_levels == h the raw blocks
@@ -32,9 +33,13 @@
 // array allocated on first use); a descent therefore walks tightly packed
 // memory. A raw leaf block is a bare zero-initialized arena slab of
 // min_box_side^d int64_t values, addressed row-major by shifts, so the
-// leaf pointer in a node's child array is the data itself. The descents
-// key faces through fixed-size stack arrays that nested face cores rebase
-// in place, so a nested core carries no scratch and never heap-allocates.
+// leaf pointer in a node's child array is the data itself. The slab
+// addressing and the dominance sum over a slab are static helpers, shared
+// with FaceStore's leaf faces (the faces of the smallest boxes of a d >= 3
+// cube), so one implementation serves every leaf slab in the hierarchy.
+// The descents key faces through fixed-size stack arrays that nested face
+// cores rebase in place, so a nested core carries no scratch and never
+// heap-allocates.
 // A DdcCore owns nothing and is trivially destructible: nested face cores
 // live in their enclosing cube's arena and register no cleanup there. The
 // top level of a face hierarchy is an OwnedDdcCore, which also holds the
@@ -61,8 +66,10 @@
 namespace ddc {
 
 // Structural statistics of a DdcCore. The first six fields describe the
-// primary tree only; the last two count the whole face hierarchy, nested
-// face cores included, recursively.
+// primary tree only; the next three count the whole face hierarchy, nested
+// face cores included, recursively; the arena fields cover the core's
+// arena, which its nested faces share (DynamicDataCube::Stats adds its
+// range-add overlay trees' arenas).
 struct DdcStats {
   int64_t nodes = 0;          // Materialized tree nodes.
   int64_t boxes = 0;          // Materialized overlay boxes.
@@ -72,6 +79,9 @@ struct DdcStats {
   int64_t nonzero_cells = 0;  // Populated cells of A.
   int64_t bc_faces = 0;       // 1-D B_c-tree faces, at every nesting depth.
   int64_t nested_cores = 0;   // Nested face cores, at every nesting depth.
+  int64_t leaf_faces = 0;     // Bare leaf-slab faces, at every nesting depth.
+  int64_t arena_bytes_used = 0;      // Arena::bytes_used().
+  int64_t arena_bytes_reserved = 0;  // Arena::bytes_reserved().
 };
 
 class DdcCore {
@@ -166,6 +176,9 @@ class DdcCore {
   }
 
  protected:
+  // FaceStore's leaf faces share the leaf-slab helpers and cost accounting.
+  friend class FaceStore;
+
   // One in-flight update of an AddBatch: the target offset, rebased as the
   // walk descends, its delta, and the cached home-child mask.
   struct UpdateItem {
@@ -263,16 +276,13 @@ class DdcCore {
   int64_t* EnsureRaw(Node* node, uint32_t mask);
 
   // Leaf blocks: zero-initialized arena slabs of min_box_side^d values,
-  // row-major (last coordinate contiguous) and indexed by shifts.
+  // row-major (last coordinate contiguous) and indexed by shifts. The
+  // member forms run the static helpers at this core's leaf shape.
   int64_t LeafCells() const { return int64_t{1} << (leaf_shift_ * dims_); }
   int64_t LeafIndex(const Coord* offset) const {
-    int64_t index = 0;
-    for (int i = 0; i < dims_; ++i) index = (index << leaf_shift_) | offset[i];
-    return index;
+    return LeafIndex(offset, dims_, leaf_shift_);
   }
-  int64_t* NewLeaf() {
-    return arena_->CreateArray<int64_t>(static_cast<size_t>(LeafCells()));
-  }
+  int64_t* NewLeaf() { return NewLeaf(arena_, dims_, leaf_shift_); }
 
   // What every face of a box of side `box_side` shares: its kind, the B_c
   // shape (bit arithmetic on the side and options), this core's arena and
@@ -325,13 +335,40 @@ class DdcCore {
                          std::span<BatchItem> items,
                          BatchScratch& scratch) const;
 
-  // Sums raw-block cells over the component-wise range [0 .. offset] — the
-  // Section 4.4 space-opt leaf sum. The optimized path runs the vectorized
-  // block-sum kernel over each contiguous innermost run; the scalar
-  // reference (seed shape: full odometer, one LinearIndex per cell) is kept
-  // for the kernels::ForceScalar contract.
-  int64_t RawPrefix(const int64_t* raw, const Coord* offset) const;
-  int64_t RawPrefixScalarRef(const int64_t* raw, const Coord* offset) const;
+  // RawPrefix (below) over one of this core's leaf blocks.
+  int64_t RawPrefix(const int64_t* raw, const Coord* offset) const {
+    return RawPrefix(raw, dims_, leaf_shift_, offset, counters_,
+                     node_visit_listener_);
+  }
+
+  // Leaf-slab helpers for a slab of `dims` coordinates of extent
+  // 2^`shift` each. LeafIndex is the row-major index of `offset`; NewLeaf
+  // carves a zeroed slab out of `arena`; LeafFromArray copies `array` (the
+  // slab's own extents and order) into a new slab, or returns null when
+  // the array is all zero.
+  static int64_t LeafIndex(const Coord* offset, int dims, int shift) {
+    int64_t index = 0;
+    for (int i = 0; i < dims; ++i) index = (index << shift) | offset[i];
+    return index;
+  }
+  static int64_t* NewLeaf(Arena* arena, int dims, int shift) {
+    return arena->CreateArray<int64_t>(size_t{1} << (shift * dims));
+  }
+  static int64_t* LeafFromArray(Arena* arena, const MdArray<int64_t>& array);
+
+  // Sums slab cells over the component-wise range [0 .. offset] — the
+  // Section 4.4 space-opt leaf sum — counting one node visit (reported to
+  // `listener`, may be null) and one read per cell summed. The optimized
+  // path runs the vectorized block-sum kernel over each contiguous
+  // innermost run; the scalar reference (seed shape: full odometer, one
+  // LinearIndex per cell) is kept for the kernels::ForceScalar contract.
+  static int64_t RawPrefix(const int64_t* raw, int dims, int shift,
+                           const Coord* offset, OpCounters* counters,
+                           const NodeVisitListener* listener);
+  static int64_t RawPrefixScalarRef(const int64_t* raw, int dims, int shift,
+                                    const Coord* offset,
+                                    OpCounters* counters,
+                                    const NodeVisitListener* listener);
 
   int64_t NodeStorage(const Node* node, int64_t node_side) const;
   void NodeStats(const Node* node, int64_t node_side, DdcStats* stats) const;
@@ -350,26 +387,34 @@ class DdcCore {
   static obs::Counter& ObsNodesVisited();
   static obs::Counter& ObsFaceLookups();
 
-  // The Count* members also fold into the calling thread's CostLedger (when
-  // one is installed) at exactly the sites that mirror into the registry —
-  // the equality EXPLAIN ANALYZE's differential test relies on.
-  void CountRead(int64_t n) const {
-    if (counters_ != nullptr) counters_->values_read += n;
+  // The Count* functions also fold into the calling thread's CostLedger
+  // (when one is installed) at exactly the sites that mirror into the
+  // registry — the equality EXPLAIN ANALYZE's differential test relies on.
+  // The static forms take the counters (and visit listener) explicitly, for
+  // the static leaf helpers and FaceStore's leaf faces; the members count
+  // into this core's.
+  static void CountRead(OpCounters* counters, int64_t n) {
+    if (counters != nullptr) counters->values_read += n;
     if (obs::Enabled()) ObsValuesRead().Add(n);
     if (obs::CostLedger* l = obs::ActiveLedger()) l->values_read += n;
   }
-  void CountWrite(int64_t n) const {
-    if (counters_ != nullptr) counters_->values_written += n;
+  static void CountWrite(OpCounters* counters, int64_t n) {
+    if (counters != nullptr) counters->values_written += n;
     if (obs::Enabled()) ObsValuesWritten().Add(n);
     if (obs::CostLedger* l = obs::ActiveLedger()) l->values_written += n;
   }
-  void CountNode(const void* node_identity) const {
-    if (counters_ != nullptr) ++counters_->nodes_visited;
+  static void CountNode(OpCounters* counters,
+                        const NodeVisitListener* listener,
+                        const void* node_identity) {
+    if (counters != nullptr) ++counters->nodes_visited;
     if (obs::Enabled()) ObsNodesVisited().Increment();
     if (obs::CostLedger* l = obs::ActiveLedger()) ++l->nodes_visited;
-    if (node_visit_listener_ != nullptr && *node_visit_listener_) {
-      (*node_visit_listener_)(node_identity);
-    }
+    if (listener != nullptr && *listener) (*listener)(node_identity);
+  }
+  void CountRead(int64_t n) const { CountRead(counters_, n); }
+  void CountWrite(int64_t n) const { CountWrite(counters_, n); }
+  void CountNode(const void* node_identity) const {
+    CountNode(counters_, node_visit_listener_, node_identity);
   }
   // Face-store consultations (the faces[...].PrefixSum branches of the
   // Figure 10 descent). Ledger + registry only; OpCounters already see the
@@ -379,9 +424,10 @@ class DdcCore {
     if (obs::CostLedger* l = obs::ActiveLedger()) ++l->face_lookups;
   }
 
-  // Every nested face is a DdcCore, so its header is kept small and owns
-  // nothing: no scratch, no arena, narrow fields first (sizeof(DdcCore) is
-  // pinned at <= 128 and the type is trivially destructible).
+  // Every face of a d >= 3 box larger than a leaf block is a nested
+  // DdcCore, so its header is kept small and owns nothing: no scratch, no
+  // arena, narrow fields first (sizeof(DdcCore) is pinned at <= 128 and the
+  // type is trivially destructible).
   int dims_;
   uint32_t num_children_;
   int leaf_shift_;  // log2(min_box_side_).
@@ -393,7 +439,8 @@ class DdcCore {
   const NodeVisitListener* node_visit_listener_ = nullptr;
   Arena* arena_;
   // Exactly one of root_ / root_raw_ is set once data exists: root_raw_ when
-  // side_ <= min_box_side_ (the whole cube is one leaf block).
+  // side_ <= min_box_side_ (the whole cube is one leaf block; only a
+  // top-level core, since such a face is a FaceStore leaf face instead).
   Node* root_ = nullptr;
   int64_t* root_raw_ = nullptr;
 };

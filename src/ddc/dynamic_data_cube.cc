@@ -650,6 +650,19 @@ void DynamicDataCube::RebuildOverlay() {
   LandCorners(corners, deltas);
 }
 
+DdcStats DynamicDataCube::Stats() const {
+  DdcStats stats = core_->Stats();
+  if (overlay_ != nullptr) {
+    for (const auto& tree : overlay_->trees) {
+      stats.arena_bytes_used += static_cast<int64_t>(
+          tree->arena()->bytes_used());
+      stats.arena_bytes_reserved += static_cast<int64_t>(
+          tree->arena()->bytes_reserved());
+    }
+  }
+  return stats;
+}
+
 int64_t DynamicDataCube::StorageCells() const {
   int64_t cells = core_->StorageCells();
   if (overlay_ != nullptr) {

@@ -155,8 +155,9 @@ class DynamicDataCube : public CubeInterface {
   // current origin.
   void ShrinkToFit(int64_t min_side = 2) override;
 
-  // Structural statistics of the primary tree.
-  DdcStats Stats() const { return core_->Stats(); }
+  // Structural statistics of the primary tree; the arena bytes also cover
+  // the range-add overlay trees.
+  DdcStats Stats() const;
 
   // Planned shape of a RangeSumBatch call: runs only the phase-1 corner
   // decomposition (no tree descent, no mutation of any counter), so EXPLAIN

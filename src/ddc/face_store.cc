@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "bctree/fenwick_tree.h"
+#include "common/bit_util.h"
 #include "common/check.h"
 #include "ddc/ddc_core.h"
 
@@ -32,8 +33,12 @@ FaceStore::Env FaceStore::MakeEnv(int transverse_dims, int64_t side,
   env.arena = arena;
   env.counters = counters;
   if (transverse_dims >= 2) {
-    // Section 4.2's secondary trees: nested (d-1)-dimensional cubes.
-    env.kind = Kind::kNested;
+    // Section 4.2's secondary trees: nested (d-1)-dimensional cubes. A face
+    // no larger than a leaf block would be a cube that is one raw slab, so
+    // it is that slab.
+    const bool leaf = side <= (int64_t{1} << (options.elide_levels + 1));
+    env.kind = leaf ? Kind::kLeaf : Kind::kNested;
+    env.leaf_shift = FloorLog2(side);
   } else if (options.use_fenwick) {
     env.kind = Kind::kFenwick;
   } else {
@@ -54,6 +59,9 @@ void FaceStore::Init(const Env& env, const DdcOptions& options) {
   DDC_CHECK(env.side >= 2);
   switch (env.kind) {
     case Kind::kBcTree:
+      return;
+    case Kind::kLeaf:
+      leaf_ = nullptr;
       return;
     case Kind::kFenwick:
       fenwick_ = env.arena->Create<FenwickTree>(env.side);
@@ -82,20 +90,43 @@ FaceStore::Owned FaceStore::Create(int transverse_dims, int64_t side,
 }
 
 void FaceStore::Add(const Env& env, Coord* y, int64_t delta) {
-  if (env.kind == Kind::kNested) {
-    nested_->AddInPlace(y, delta);
-    return;
+  switch (env.kind) {
+    case Kind::kNested:
+      nested_->AddInPlace(y, delta);
+      return;
+    case Kind::kLeaf:
+      // One slab visit and one value written: the counts of the one-leaf
+      // nested core this face stands in for.
+      if (delta == 0) return;
+      if (leaf_ == nullptr) {
+        leaf_ = DdcCore::NewLeaf(env.arena, env.transverse_dims,
+                                 env.leaf_shift);
+      }
+      DdcCore::CountNode(env.counters, nullptr, leaf_);
+      leaf_[DdcCore::LeafIndex(y, env.transverse_dims, env.leaf_shift)] +=
+          delta;
+      DdcCore::CountWrite(env.counters, 1);
+      return;
+    default:
+      AddLine(env, y[0], delta);
   }
-  AddLine(env, y[0], delta);
 }
 
 int64_t FaceStore::PrefixSum(const Env& env, Coord* y) const {
-  if (env.kind == Kind::kNested) return nested_->PrefixSumInPlace(y);
-  return PrefixSumLine(env, y[0]);
+  switch (env.kind) {
+    case Kind::kNested:
+      return nested_->PrefixSumInPlace(y);
+    case Kind::kLeaf:
+      if (leaf_ == nullptr) return 0;
+      return DdcCore::RawPrefix(leaf_, env.transverse_dims, env.leaf_shift, y,
+                                env.counters, nullptr);
+    default:
+      return PrefixSumLine(env, y[0]);
+  }
 }
 
 void FaceStore::AddLine(const Env& env, Coord y, int64_t delta) {
-  DDC_DCHECK(env.kind != Kind::kNested);
+  DDC_DCHECK(env.kind == Kind::kBcTree || env.kind == Kind::kFenwick);
   if (env.kind == Kind::kBcTree) {
     bc_.Add(env.bc, env.arena, env.counters, y, delta);
   } else {
@@ -104,7 +135,7 @@ void FaceStore::AddLine(const Env& env, Coord y, int64_t delta) {
 }
 
 int64_t FaceStore::PrefixSumLine(const Env& env, Coord y) const {
-  DDC_DCHECK(env.kind != Kind::kNested);
+  DDC_DCHECK(env.kind == Kind::kBcTree || env.kind == Kind::kFenwick);
   if (env.kind == Kind::kBcTree) {
     return bc_.CumulativeSum(env.bc, env.counters, y);
   }
@@ -119,6 +150,9 @@ int64_t FaceStore::StorageCells(const Env& env) const {
       return fenwick_->StorageCells();
     case Kind::kNested:
       return nested_->StorageCells();
+    case Kind::kLeaf:
+      if (leaf_ == nullptr) return 0;
+      return int64_t{1} << (env.leaf_shift * env.transverse_dims);
   }
   return 0;
 }
@@ -130,10 +164,14 @@ void FaceStore::CountFaces(const Env& env, DdcStats* stats) const {
       return;
     case Kind::kFenwick:
       return;
+    case Kind::kLeaf:
+      ++stats->leaf_faces;
+      return;
     case Kind::kNested: {
       const DdcStats inner = nested_->Stats();
       stats->nested_cores += 1 + inner.nested_cores;
       stats->bc_faces += inner.bc_faces;
+      stats->leaf_faces += inner.leaf_faces;
       return;
     }
   }
@@ -152,6 +190,10 @@ void FaceStore::BuildFromDense(const Env& env,
       return;
     case Kind::kNested:
       nested_->BuildFromArray(line_sums);
+      return;
+    case Kind::kLeaf:
+      DDC_CHECK(leaf_ == nullptr);
+      leaf_ = DdcCore::LeafFromArray(env.arena, line_sums);
       return;
   }
 }

@@ -16,7 +16,9 @@
 // and point updates:
 //
 //   * d-1 == 1: a B_c tree (Section 4.1) or, for ablation, a Fenwick tree;
-//   * d-1 >= 2: a nested (d-1)-dimensional Dynamic Data Cube.
+//   * d-1 >= 2: a nested (d-1)-dimensional Dynamic Data Cube, or — when the
+//     face is no larger than the nested cube's leaf block, so that cube
+//     would be one raw slab — that slab itself (a leaf face).
 //
 // Reading a row-sum value is PrefixSum(y); updating A[anchor + off] is
 // Add(transverse(off), delta): the line sum through the updated cell changes
@@ -24,11 +26,19 @@
 //
 // Layout: a FaceStore is 16 trivially destructible bytes, so the d faces of
 // an overlay box sit inline in one arena array next to the box's subtotal.
-// A B_c face is held in place as its BcFace (root pointer plus total); a
-// Fenwick or nested face is a pointer to a store in the same arena, which
-// dies with it. Which of the three a face is, and everything shared by all
-// faces of one side — the B_c shape, the arena, the counters — is not
-// stored per face: the owning core passes it on every call as an Env. Keys
+// Each shape has one representation, chosen by the Env:
+//
+//   face                    | storage                       | loads to data
+//   B_c, capacity <= 2      | entries inline in the BcFace  | 0
+//   B_c, capacity > 2       | BcFace root -> arena nodes    | 1 per level
+//   leaf (d-1 >= 2, small)  | pointer -> side^(d-1) slab    | 1
+//   nested (d-1 >= 2)       | pointer -> DdcCore (<= 128 B) | 1 + its tree
+//   Fenwick (ablation)      | pointer -> FenwickTree        | 2
+//
+// Every pointed-to store lives in the owning cube's arena and dies with it.
+// Which kind a face is, and everything shared by all faces of one side —
+// the B_c shape, the leaf shift, the arena, the counters — is not stored
+// per face: the owning core passes it on every call as an Env. Keys
 // are passed as bare coordinate arrays the caller treats as scratch: a
 // nested face core rebases the key in place as it descends instead of
 // copying it, so neither side allocates. One-dimensional faces (the faces
@@ -56,15 +66,16 @@ struct DdcStats;
 
 class FaceStore {
  public:
-  enum class Kind : uint8_t { kBcTree, kFenwick, kNested };
+  enum class Kind : uint8_t { kBcTree, kFenwick, kNested, kLeaf };
 
   // What every face of one side shares, supplied by the owning core.
   struct Env {
     Kind kind;
     int transverse_dims;  // d - 1.
+    int leaf_shift;       // log2(side) (kLeaf only).
     int64_t side;
     BcShape bc;           // The B_c tree shape over `side` (kBcTree only).
-    Arena* arena;         // Backs B_c nodes and Fenwick / nested stores.
+    Arena* arena;         // Backs B_c nodes, leaf slabs and pointed stores.
     OpCounters* counters;  // May be null.
   };
 
@@ -81,7 +92,8 @@ class FaceStore {
   FaceStore() = default;
 
   // Creates the Fenwick tree or nested core a kFenwick / kNested face
-  // points to; a no-op for kBcTree.
+  // points to; a leaf face's slab and a B_c face's nodes come with their
+  // first nonzero write.
   void Init(const Env& env, const DdcOptions& options);
 
   // Adds `delta` to the line sum at transverse position `y` (d-1 coords,
@@ -100,8 +112,8 @@ class FaceStore {
 
   int64_t StorageCells(const Env& env) const;
 
-  // Adds this face to the hierarchy census: one B_c face, or one nested
-  // core plus everything inside it.
+  // Adds this face to the hierarchy census: one B_c face, one leaf face, or
+  // one nested core plus everything inside it.
   void CountFaces(const Env& env, DdcStats* stats) const;
 
   // Bulk-builds the store from the dense line-sum array G_j (shape: d-1
@@ -134,6 +146,7 @@ class FaceStore {
     BcFace bc_{};
     FenwickTree* fenwick_;
     DdcCore* nested_;
+    int64_t* leaf_;  // Null until the first nonzero write.
   };
 };
 

@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <vector>
 
@@ -237,9 +238,11 @@ class Parser {
   const Token& Prev() const { return tokens_[index_ - 1]; }
 
   std::nullopt_t Fail(const std::string& message) {
-    const size_t position =
-        AtEnd() ? (tokens_.empty() ? 0 : tokens_.back().position)
-                : Peek().position;
+    return FailAt(AtEnd() ? (tokens_.empty() ? 0 : tokens_.back().position)
+                          : Peek().position,
+                  message);
+  }
+  std::nullopt_t FailAt(size_t position, const std::string& message) {
     *error_ = message + " (near byte " + std::to_string(position) + ")";
     return std::nullopt;
   }
@@ -280,9 +283,15 @@ class Parser {
     }
     const Token& token = Next();
     char* end = nullptr;
+    errno = 0;
     const long long parsed = std::strtoll(token.raw.c_str(), &end, 10);
     if (token.raw.empty() || *end != '\0') {
       Fail("expected integer, got '" + token.raw + "'");
+      return false;
+    }
+    // strtoll saturates an out-of-range literal and reports only via errno.
+    if (errno == ERANGE) {
+      FailAt(token.position, "integer out of range");
       return false;
     }
     *value = parsed;

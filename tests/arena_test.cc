@@ -76,8 +76,9 @@ TEST(ArenaTest, TriviallyDestructibleObjectsRegisterNoCleanup) {
 }
 
 // Every DDC structure — nodes, boxes, face arrays with their inline B_c
-// faces, nested face cores, leaf slabs — is trivially destructible, so a
-// cube's arena carries no cleanup list however many faces it materializes.
+// faces, nested face cores, leaf slabs and leaf faces — is trivially
+// destructible, so a cube's arena carries no cleanup list however many faces
+// it materializes.
 TEST(ArenaTest, DdcFaceHierarchyRegistersNoCleanups) {
   for (const bool dense : {false, true}) {
     for (const int dims : {2, 3, 4}) {
@@ -97,7 +98,8 @@ TEST(ArenaTest, DdcFaceHierarchyRegistersNoCleanups) {
       core.AddBatch(cells, deltas);
       const DdcStats stats = core.Stats();
       EXPECT_GT(stats.bc_faces, 0);
-      EXPECT_EQ(stats.nested_cores > 0, dims >= 3);
+      // >= 2-D faces: nested cores, or bare leaf slabs at side 2.
+      EXPECT_EQ(stats.nested_cores + stats.leaf_faces > 0, dims >= 3);
       EXPECT_EQ(core.arena()->num_cleanups(), 0u);
     }
   }

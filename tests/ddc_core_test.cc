@@ -222,45 +222,102 @@ int64_t DenseBoxes(int dims, int64_t side) {
   return DenseNodes(dims, side) << dims;
 }
 
-DdcStats FullyDenseStats(int dims, int64_t side) {
+// Stored values of a fully dense face over `dims` transverse dimensions
+// of extent k (every line sum positive): a 1-D face of capacity <= 2 holds
+// its k entries inline, a larger one is a sparse fanout-8 B_c tree with
+// every leaf and interior node materialized; a side-2 face of >= 2
+// dimensions is one bare leaf slab, a larger one a nested dense core.
+int64_t DenseCoreCells(int dims, int64_t side);
+int64_t DenseFaceCells(int dims, int64_t k) {
+  if (dims == 1) {
+    if (k <= 2) return k;
+    int64_t nodes = 0;
+    int64_t span = 8;
+    do {
+      nodes += (k + span - 1) / span;
+      span *= 8;
+    } while (span / 8 < k);
+    return nodes * 8;
+  }
+  if (k == 2) return int64_t{1} << dims;
+  return DenseCoreCells(dims, k);
+}
+
+// Stored values of a fully dense core at elide_levels 0: per level, one
+// subtotal and d faces per box, plus the side^d cells of the leaf blocks.
+int64_t DenseCoreCells(int dims, int64_t side) {
+  int64_t cells = 0;
+  int64_t boxes = int64_t{1} << dims;
+  for (int64_t k = side / 2; k >= 2; k /= 2) {
+    cells += boxes * (1 + dims * DenseFaceCells(dims - 1, k));
+    boxes <<= dims;
+  }
+  int64_t leaf_cells = 1;
+  for (int i = 0; i < dims; ++i) leaf_cells *= side;
+  return cells + leaf_cells;
+}
+
+struct DenseCore {
+  DdcStats stats;
+  int64_t storage_cells;
+};
+
+DenseCore FullyDense(int dims, int64_t side) {
   OwnedDdcCore core(dims, side, DdcOptions{}, nullptr);
   const Shape shape = Shape::Cube(dims, side);
   Cell cell(static_cast<size_t>(dims), 0);
   do {
     core.Add(cell, 1);
   } while (shape.NextCell(&cell));
-  return core.Stats();
+  return {core.Stats(), core.StorageCells()};
 }
 
 TEST(DdcCoreTest, StatsCountTheFaceHierarchyOfADense2DCube) {
   // Each box holds two 1-D B_c faces and no nested cores.
-  const DdcStats stats = FullyDenseStats(2, 32);
+  const DenseCore dense = FullyDense(2, 32);
+  const DdcStats& stats = dense.stats;
   EXPECT_EQ(stats.nodes, 85);  // 1 + 4 + 16 + 64.
   EXPECT_EQ(stats.nodes, DenseNodes(2, 32));
   EXPECT_EQ(stats.boxes, DenseBoxes(2, 32));
   EXPECT_EQ(stats.face_stores, 2 * stats.boxes);
   EXPECT_EQ(stats.bc_faces, 2 * stats.boxes);
   EXPECT_EQ(stats.nested_cores, 0);
+  EXPECT_EQ(stats.leaf_faces, 0);
   EXPECT_EQ(stats.nonzero_cells, 32 * 32);
+  // 340 subtotals; faces 4*2*24 + 16*2*8 + 64*2*8 + 256*2*2 (the side-2
+  // faces inline); 1024 leaf cells.
+  EXPECT_EQ(dense.storage_cells, DenseCoreCells(2, 32));
+  EXPECT_EQ(dense.storage_cells, 3860);
 }
 
 TEST(DdcCoreTest, StatsCountTheFaceHierarchyOfADense3DCube) {
-  // Each box of side k holds three nested 2-D cores of side k, each itself
-  // fully dense (all line sums are positive) with two B_c faces per box.
+  // Each box of side k >= 4 holds three nested 2-D cores of side k, each
+  // itself fully dense (all line sums are positive) with two B_c faces per
+  // box; each side-2 box holds three bare 2x2 leaf faces.
   const int64_t side = 16;
-  const DdcStats stats = FullyDenseStats(3, side);
+  const DenseCore dense = FullyDense(3, side);
+  const DdcStats& stats = dense.stats;
   int64_t bc_faces = 0;
   int64_t boxes_at_level = 8;
   for (int64_t node_side = side; node_side >= 4; node_side /= 2) {
     bc_faces += boxes_at_level * 3 * 2 * DenseBoxes(2, node_side / 2);
     boxes_at_level *= 8;
   }
+  // The last node level, (side/4)^3 nodes of 8 side-2 boxes each.
+  const int64_t side2_boxes = (side / 4) * (side / 4) * (side / 4) * 8;
   EXPECT_EQ(stats.boxes, DenseBoxes(3, side));
   EXPECT_EQ(stats.boxes, 584);  // 8 * (1 + 8 + 64).
   EXPECT_EQ(stats.face_stores, 3 * stats.boxes);
-  EXPECT_EQ(stats.nested_cores, 3 * stats.boxes);
+  EXPECT_EQ(stats.nested_cores, 3 * (stats.boxes - side2_boxes));
+  EXPECT_EQ(stats.nested_cores, 216);  // 3 * (8 + 64).
+  EXPECT_EQ(stats.leaf_faces, 3 * side2_boxes);
+  EXPECT_EQ(stats.leaf_faces, 1536);  // 3 * 512.
   EXPECT_EQ(stats.bc_faces, bc_faces);
-  EXPECT_EQ(stats.bc_faces, 2496);  // 8*6*20 + 64*6*4; side-2 cores are raw.
+  EXPECT_EQ(stats.bc_faces, 2496);  // 8*6*20 + 64*6*4.
+  // 584 subtotals; faces 8*3*212 + 64*3*36 + 512*3*4 (nested side-8 and
+  // side-4 cores, bare side-2 slabs); 4096 leaf cells.
+  EXPECT_EQ(dense.storage_cells, DenseCoreCells(3, side));
+  EXPECT_EQ(dense.storage_cells, 22824);
 }
 
 }  // namespace

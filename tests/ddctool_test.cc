@@ -78,6 +78,24 @@ TEST_F(DdcToolTest, LoadCsvAndInfo) {
   EXPECT_NE(out.find("nonzero cells: 3"), std::string::npos);
   EXPECT_NE(out.find("bc faces:"), std::string::npos);
   EXPECT_NE(out.find("nested cores:  0"), std::string::npos);
+  EXPECT_NE(out.find("leaf faces:    0"), std::string::npos);
+  EXPECT_NE(out.find("arena bytes:   "), std::string::npos);
+  EXPECT_EQ(out.find("arena bytes:   0 used"), std::string::npos);
+}
+
+TEST_F(DdcToolTest, InfoCensusOfA3DCube) {
+  // Side 8 at elide 0: the side-4 boxes' faces are nested 2-D cores, the
+  // side-2 boxes' faces bare leaf slabs.
+  ASSERT_EQ(Run({"create", "--dims", "3", "--side", "8", cube_path_}), 0);
+  ASSERT_EQ(Run({"add", cube_path_, "1", "2", "3", "5"}), 0);
+  std::string out;
+  ASSERT_EQ(Run({"info", cube_path_}, &out), 0);
+  // One box per level on the cell's path: 3 faces each.
+  EXPECT_NE(out.find("nested cores:  3 "), std::string::npos) << out;
+  EXPECT_NE(out.find("leaf faces:    3 "), std::string::npos) << out;
+  // The nested side-4 cores each hold one side-2 box with two inline faces.
+  EXPECT_NE(out.find("bc faces:      6 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("arena bytes:   0 used"), std::string::npos) << out;
 }
 
 TEST_F(DdcToolTest, ExportReimportsIdentically) {
@@ -195,6 +213,12 @@ TEST_F(DdcToolTest, StatsRendersUnifiedMetricSurface) {
   EXPECT_NE(out.find("ddc_structure_bc_faces "), std::string::npos);
   EXPECT_EQ(out.find("ddc_structure_bc_faces 0\n"), std::string::npos);
   EXPECT_NE(out.find("ddc_structure_nested_cores 0\n"), std::string::npos);
+  EXPECT_NE(out.find("ddc_structure_leaf_faces 0\n"), std::string::npos);
+  EXPECT_NE(out.find("ddc_structure_arena_bytes_used "), std::string::npos);
+  EXPECT_EQ(out.find("ddc_structure_arena_bytes_used 0\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("ddc_structure_arena_bytes_reserved "),
+            std::string::npos);
 
   // JSON form carries the same namespaces, dotted, with percentiles.
   ASSERT_EQ(Run({"stats", "--ops", "200", "--format", "json"}, &out), 0);

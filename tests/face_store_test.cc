@@ -49,6 +49,7 @@ struct FaceParam {
   int64_t side;
   bool use_fenwick;
   bool bc_dense = false;
+  int elide_levels = 0;
 };
 
 class FaceStoreTest : public ::testing::TestWithParam<FaceParam> {};
@@ -58,6 +59,7 @@ TEST_P(FaceStoreTest, MatchesReferenceOnRandomOps) {
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
   options.bc_dense = p.bc_dense;
+  options.elide_levels = p.elide_levels;
   FaceStore::Owned store =
       FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
   ReferenceFace reference(p.transverse_dims, p.side);
@@ -83,6 +85,7 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
   options.bc_dense = p.bc_dense;
+  options.elide_levels = p.elide_levels;
   const Shape shape = Shape::Cube(p.transverse_dims, p.side);
   MdArray<int64_t> dense(shape);
   std::mt19937_64 rng(99);
@@ -112,7 +115,69 @@ INSTANTIATE_TEST_SUITE_P(
                       FaceParam{3, 4, true}, FaceParam{1, 2, false, true},
                       FaceParam{1, 64, false, true},
                       FaceParam{2, 8, false, true},
-                      FaceParam{3, 8, false, true}));
+                      FaceParam{3, 8, false, true},
+                      // Leaf faces: no larger than the nested leaf block.
+                      FaceParam{2, 2, false}, FaceParam{3, 2, false},
+                      FaceParam{2, 4, false, false, 1},
+                      // Nested again once the face outgrows the block.
+                      FaceParam{2, 8, false, false, 1}));
+
+// A face of >= 2 transverse dimensions no larger than a leaf block
+// (side <= 2^(elide_levels+1)) is one bare slab of side^(d-1) values: it
+// answers every dominance sum of the line-sum array, and stores exactly the
+// slab once written.
+TEST(FaceStoreTest, LeafFacesAreOneSlab) {
+  const FaceParam leaves[] = {FaceParam{2, 2, false}, FaceParam{3, 2, false},
+                              FaceParam{2, 4, false, false, 1}};
+  for (const FaceParam& p : leaves) {
+    SCOPED_TRACE(testing::Message() << "dims=" << p.transverse_dims
+                                    << " side=" << p.side
+                                    << " elide=" << p.elide_levels);
+    DdcOptions options;
+    options.elide_levels = p.elide_levels;
+    Arena arena;
+    EXPECT_EQ(FaceStore::MakeEnv(p.transverse_dims, p.side, options, &arena,
+                                 nullptr)
+                  .kind,
+              FaceStore::Kind::kLeaf);
+    EXPECT_EQ(FaceStore::MakeEnv(p.transverse_dims, p.side * 2, options,
+                                 &arena, nullptr)
+                  .kind,
+              FaceStore::Kind::kNested);
+
+    OpCounters counters;
+    auto store =
+        FaceStore::Create(p.transverse_dims, p.side, options, &counters);
+    ReferenceFace reference(p.transverse_dims, p.side);
+    const Shape shape = Shape::Cube(p.transverse_dims, p.side);
+    EXPECT_EQ(store.StorageCells(), 0);
+    EXPECT_EQ(PrefixAt(store, shape.CellAt(shape.num_cells() - 1)), 0);
+    EXPECT_EQ(counters.nodes_visited, 0);  // Unwritten: nothing to visit.
+
+    std::mt19937_64 rng(static_cast<uint64_t>(p.transverse_dims * 10 +
+                                              p.side));
+    std::uniform_int_distribution<int64_t> pick(0, shape.num_cells() - 1);
+    std::uniform_int_distribution<int64_t> delta(-9, 9);
+    for (int op = 0; op < 60; ++op) {
+      const Cell y = shape.CellAt(pick(rng));
+      int64_t d = delta(rng);
+      if (d == 0) d = 5;  // Every write lands.
+      counters.Reset();
+      AddAt(store, y, d);
+      // One slab visit and one value written, as the nested core whose
+      // single leaf block this face replaces.
+      EXPECT_EQ(counters.nodes_visited, 1);
+      EXPECT_EQ(counters.values_written, 1);
+      reference.Add(y, d);
+      Cell probe(static_cast<size_t>(p.transverse_dims), 0);
+      do {
+        ASSERT_EQ(PrefixAt(store, probe), reference.PrefixSum(probe))
+            << CellToString(probe) << " op " << op;
+      } while (shape.NextCell(&probe));
+      EXPECT_EQ(store.StorageCells(), shape.num_cells());
+    }
+  }
+}
 
 TEST(FaceStoreTest, EmptyStoreAnswersZero) {
   auto store = FaceStore::Create(2, 8, DdcOptions{}, nullptr);

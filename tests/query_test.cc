@@ -93,6 +93,62 @@ TEST(QueryParserTest, RejectsMalformedQueries) {
   EXPECT_NE(error.find("near byte"), std::string::npos);
 }
 
+// Integer literals at the int64 limits parse; one past either limit is an
+// error at the literal's byte offset (strtoll would saturate it silently).
+TEST(QueryParserTest, RejectsOutOfRangeIntegers) {
+  const std::string kMax = "9223372036854775807";
+  const std::string kMin = "-9223372036854775808";
+  const std::string kPastMax = "9223372036854775808";
+  const std::string kPastMin = "-9223372036854775809";
+  std::string error;
+
+  // A delta.
+  auto st = ParseStatement("ADD AT [1, 2] = " + kMax, &error);
+  ASSERT_TRUE(st.has_value()) << error;
+  EXPECT_EQ(st->write->mutations[0].delta, INT64_MAX);
+  st = ParseStatement("ADD AT [1, 2] = " + kMin, &error);
+  ASSERT_TRUE(st.has_value()) << error;
+  EXPECT_EQ(st->write->mutations[0].delta, INT64_MIN);
+  EXPECT_FALSE(ParseStatement("ADD AT [1, 2] = " + kPastMax, &error));
+  EXPECT_EQ(error, "integer out of range (near byte 16)");
+  EXPECT_FALSE(ParseStatement("ADD AT [1, 2] = " + kPastMin, &error));
+  EXPECT_EQ(error, "integer out of range (near byte 16)");
+  EXPECT_FALSE(
+      ParseStatement("ADD AT [1, 2] = 99999999999999999999", &error));
+  EXPECT_EQ(error, "integer out of range (near byte 16)");
+
+  // A coordinate.
+  st = ParseStatement("ADD AT [" + kMin + ", " + kMax + "] = 1", &error);
+  ASSERT_TRUE(st.has_value()) << error;
+  EXPECT_EQ(st->write->mutations[0].cell, (Cell{INT64_MIN, INT64_MAX}));
+  EXPECT_FALSE(ParseStatement("ADD AT [1, " + kPastMax + "] = 1", &error));
+  EXPECT_EQ(error, "integer out of range (near byte 11)");
+  EXPECT_FALSE(ParseStatement("ADD AT [" + kPastMin + ", 1] = 1", &error));
+  EXPECT_EQ(error, "integer out of range (near byte 8)");
+
+  // A range bound.
+  auto q = ParseQuery("SUM WHERE d0 IN [" + kMin + ", " + kMax + "]", &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  EXPECT_EQ(q->predicates[0].lo, INT64_MIN);
+  EXPECT_EQ(q->predicates[0].hi, INT64_MAX);
+  EXPECT_FALSE(
+      ParseQuery("SUM WHERE d0 IN [-99999999999999999999, 5]", &error));
+  EXPECT_EQ(error, "integer out of range (near byte 17)");
+  EXPECT_FALSE(ParseQuery("SUM WHERE d0 IN [5, " + kPastMax + "]", &error));
+  EXPECT_EQ(error, "integer out of range (near byte 20)");
+
+  // A GROUP BY size.
+  q = ParseQuery("SUM GROUP BY d0 SIZE " + kMax, &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  EXPECT_EQ(q->group_by->group_size, INT64_MAX);
+  EXPECT_FALSE(ParseQuery("SUM GROUP BY d0 SIZE " + kPastMax, &error));
+  EXPECT_EQ(error, "integer out of range (near byte 21)");
+  EXPECT_FALSE(ParseQuery("SUM GROUP BY d0 SIZE " + kMin, &error));
+  EXPECT_NE(error.find("SIZE must be >= 1"), std::string::npos);
+  EXPECT_FALSE(ParseQuery("SUM GROUP BY d0 SIZE " + kPastMin, &error));
+  EXPECT_EQ(error, "integer out of range (near byte 21)");
+}
+
 // ---------- Executor ----------
 
 void FillSales(MeasureCube* cube) {

@@ -326,6 +326,9 @@ int CmdInfo(const std::vector<std::string>& args, std::ostream& out,
       << "face stores:   " << stats.face_stores << "\n"
       << "bc faces:      " << stats.bc_faces << " (all nesting depths)\n"
       << "nested cores:  " << stats.nested_cores << " (all nesting depths)\n"
+      << "leaf faces:    " << stats.leaf_faces << " (all nesting depths)\n"
+      << "arena bytes:   " << stats.arena_bytes_used << " used, "
+      << stats.arena_bytes_reserved << " reserved\n"
       << "leaf blocks:   " << stats.raw_blocks << " (" << stats.raw_cells
       << " cells)\n"
       << "options:       fanout=" << cube->options().bc_fanout
@@ -377,8 +380,9 @@ int CmdShrink(const std::vector<std::string>& args, std::ostream& out,
 namespace {
 
 // Publishes a cube's structure census as ddc.structure.* gauges, so the
-// stats surface shows the face hierarchy (B_c faces and nested face cores
-// at every depth) next to the cost counters.
+// stats surface shows the face hierarchy (B_c faces, nested face cores and
+// leaf faces at every depth) and the arena bytes behind it next to the cost
+// counters.
 void PublishStructure(const DdcStats& stats) {
   if (!obs::Enabled()) return;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
@@ -388,6 +392,11 @@ void PublishStructure(const DdcStats& stats) {
   registry.GetGauge("ddc.structure.face_stores")->Set(stats.face_stores);
   registry.GetGauge("ddc.structure.bc_faces")->Set(stats.bc_faces);
   registry.GetGauge("ddc.structure.nested_cores")->Set(stats.nested_cores);
+  registry.GetGauge("ddc.structure.leaf_faces")->Set(stats.leaf_faces);
+  registry.GetGauge("ddc.structure.arena_bytes_used")
+      ->Set(stats.arena_bytes_used);
+  registry.GetGauge("ddc.structure.arena_bytes_reserved")
+      ->Set(stats.arena_bytes_reserved);
 }
 
 // The deterministic mixed workload behind `ddctool stats`: touches every

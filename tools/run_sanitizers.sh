@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and AddressSanitizer (with
 # UndefinedBehaviorSanitizer) and runs the `sanitize`-labelled concurrency
-# tests under each. Any race, leak or undefined behaviour fails the run.
+# tests under each; the address run also runs the `storage`-labelled suites
+# (face layouts and the differential walls over them). Any race, leak or
+# undefined behaviour fails the run.
 # Usage:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
@@ -24,6 +26,10 @@ SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
                   kernel_layout_test ddctool
                   sharded_drain_test
                   cached_cube_test cache_invalidation_property_test)
+# The targets behind `ctest -L storage`, built and run by the address run
+# only (keep in sync with tests/CMakeLists.txt).
+STORAGE_TARGETS=(bctree_test face_store_test ddc_core_test arena_test
+                 deep_dims_test cubes_equivalence_test paper_conformance_test)
 
 # Sanitizer runs exercise the SIMD dispatch paths too: DDC_NATIVE=ON (the
 # default here, on top of the sanitizer flags) compiles the AVX2 kernels on
@@ -34,10 +40,18 @@ DDC_NATIVE="${DDC_NATIVE:-ON}"
 
 run_one() {
   local kind="$1"
-  local dir="build-${kind:0:1}san"  # build-tsan / build-asan
+  local dir labels targets
   case "$kind" in
-    thread)  dir=build-tsan ;;
-    address) dir=build-asan ;;
+    thread)
+      dir=build-tsan
+      labels="sanitize|fault"
+      targets=("${SANITIZE_TARGETS[@]}")
+      ;;
+    address)
+      dir=build-asan
+      labels="sanitize|fault|storage"
+      targets=("${SANITIZE_TARGETS[@]}" "${STORAGE_TARGETS[@]}")
+      ;;
     *) echo "unknown sanitizer '$kind' (want thread|address)" >&2; exit 2 ;;
   esac
   echo "=== ${kind} sanitizer: configuring ${dir} ==="
@@ -48,14 +62,14 @@ run_one() {
   cmake -B "$dir" -S . -DDDC_SANITIZE="$kind" -DDDC_FAULTS=ON \
         -DDDC_NATIVE="$DDC_NATIVE" > /dev/null
   echo "=== ${kind} sanitizer: building ==="
-  cmake --build "$dir" -j "$(nproc)" --target "${SANITIZE_TARGETS[@]}"
-  echo "=== ${kind} sanitizer: running ctest -L 'sanitize|fault' ==="
+  cmake --build "$dir" -j "$(nproc)" --target "${targets[@]}"
+  echo "=== ${kind} sanitizer: running ctest -L '${labels}' ==="
   # halt_on_error makes the first report fail the test instead of merely
   # printing; second_deadlock_stack improves lock-order reports.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --test-dir "$dir" -L "sanitize|fault" --output-on-failure
+    ctest --test-dir "$dir" -L "$labels" --output-on-failure
 }
 
 if [ "$#" -eq 0 ]; then
