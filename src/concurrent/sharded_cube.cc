@@ -364,20 +364,29 @@ bool ShardedCube::ApplyBatch(std::span<const Mutation> ops) {
     }
   }
 
-  // One pool index per touched shard (a single group runs inline on the
-  // caller). Each group lands whole under its shard's exclusive lock, which
-  // is what makes the batch atomic per shard. The caller participates, and
-  // a task holds exactly one shard lock and never waits on the pool, so a
-  // busy pool delays the groups but cannot deadlock them. Pool workers do
-  // not see the caller's thread-local ledger: each task fills a private
-  // slot, merged below.
-  std::vector<obs::CostLedger> slots(active != nullptr ? touched.size() : 0);
-  ThreadPool::Shared().ParallelFor(touched.size(), [&](size_t k) {
-    obs::ScopedCostLedger scope(active != nullptr ? &slots[k] : nullptr);
+  // Each group lands whole under its shard's exclusive lock, which is what
+  // makes the batch atomic per shard.
+  const auto apply_group = [&](size_t k) {
     const size_t s = static_cast<size_t>(touched[k]);
     WriteShard(touched[k], [&](DynamicDataCube& cube) {
       cube.ApplyBatch(groups[s]);
     });
+  };
+  if (ops.size() < kPoolMinBatch) {
+    // Below the crossover the caller runs every group itself, in ascending
+    // shard order, into its own ledger.
+    for (size_t k = 0; k < touched.size(); ++k) apply_group(k);
+    return true;
+  }
+  // One pool index per touched shard (a single group runs inline on the
+  // caller). The caller participates, and a task holds exactly one shard
+  // lock and never waits on the pool, so a busy pool delays the groups but
+  // cannot deadlock them. Pool workers do not see the caller's thread-local
+  // ledger: each task fills a private slot, merged below.
+  std::vector<obs::CostLedger> slots(active != nullptr ? touched.size() : 0);
+  ThreadPool::Shared().ParallelFor(touched.size(), [&](size_t k) {
+    obs::ScopedCostLedger scope(active != nullptr ? &slots[k] : nullptr);
+    apply_group(k);
   });
   for (const obs::CostLedger& l : slots) MergeLedger(*active, l);
   return true;

@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "query/query.h"
 
@@ -13,12 +14,12 @@ namespace ddc {
 // Parses `text` into a Query. On failure returns nullopt and describes the
 // problem (with its token position) in *error. Write statements are a parse
 // error here; use ParseStatement.
-std::optional<Query> ParseQuery(const std::string& text, std::string* error);
+std::optional<Query> ParseQuery(std::string_view text, std::string* error);
 
 // Parses `text` into a Statement — a read query or an ADD/SET write (the
 // leading keyword decides). On failure returns nullopt and describes the
 // problem in *error.
-std::optional<Statement> ParseStatement(const std::string& text,
+std::optional<Statement> ParseStatement(std::string_view text,
                                         std::string* error);
 
 }  // namespace ddc

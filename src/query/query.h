@@ -9,7 +9,7 @@
 //   where     := "WHERE" pred ("AND" pred)*
 //   pred      := dim "IN" "[" int "," int "]"
 //              | dim "=" int
-//   dim       := "d" int                               -- d0, d1, ...
+//   dim       := "d" digits                            -- d0, d1, ... d19
 //   write     := ("ADD" | "SET") target ("," target)*
 //   target    := "AT" "[" int ("," int)* "]" "=" int
 //              | int "IN" "[" int ("," int)* ".." int ("," int)* "]"

@@ -1,19 +1,22 @@
-// Heap-allocation contract of the DDC write and read paths.
+// Heap-allocation contract of the DDC write and read paths and of the
+// statement parser.
 //
 // This binary replaces the global operator new with a counting one, so it
-// is built as its own test executable. It pins three layout properties:
+// is built as its own test executable. It pins four properties:
 //   * leaf blocks are arena slabs and nested face cores carry no heap
 //     scratch, so materializing new cells costs only arena blocks (plus the
 //     geometric growth of the arena's bookkeeping vectors);
 //   * once the touched cells exist, Add / AddBatch / PrefixSum /
 //     PrefixSumBatch allocate nothing;
 //   * a DdcCore header (one per nested face) stays within 128 bytes, and a
-//     face (a B_c tree held inline) within 24.
+//     face (a B_c tree held inline) within 24;
+//   * parsing a statement allocates only the Statement it returns.
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "common/cell.h"
 #include "ddc/ddc_core.h"
 #include "ddc/ddc_options.h"
+#include "query/parser.h"
 
 namespace {
 
@@ -183,6 +187,34 @@ TEST(AllocFreeLayoutTest, CoreHeaderFitsTwoCacheLines) {
   EXPECT_LE(sizeof(DdcCore), 128u);
   // Every box of a 2-D cube (or nested 2-D face core) holds two B_c faces.
   EXPECT_LE(sizeof(FaceStore), 24u);
+}
+
+// The parser lexes tokens as views into the text, so a statement costs
+// only what it holds: a point write its batch (sized once) and one Cell per
+// target, reserved to the first target's arity (the first one grows to it),
+// and a read its predicate list.
+TEST(AllocFreeParseTest, StatementAllocatesOnlyWhatItHolds) {
+  constexpr int64_t kTargets = 32;
+  std::string write = "ADD";
+  for (int64_t i = 0; i < kTargets; ++i) {
+    write += (i == 0 ? " AT [" : ", AT [") + std::to_string(i * 31 % 1024) +
+             ", " + std::to_string(i * 17 % 1024) + "] = " +
+             std::to_string(i - 5);
+  }
+  const std::string read = "SUM WHERE d0 IN [12, 400] AND d1 IN [3, 77]";
+  std::string error;
+
+  std::optional<Statement> st;
+  EXPECT_LE(CountAllocations([&] { st = ParseStatement(write, &error); }),
+            kTargets + 2);
+  ASSERT_TRUE(st.has_value()) << error;
+  ASSERT_EQ(st->write->mutations.size(), static_cast<size_t>(kTargets));
+  EXPECT_EQ(st->write->mutations[31].cell, (Cell{31 * 31 % 1024, 31 * 17}));
+
+  st.reset();
+  EXPECT_LE(CountAllocations([&] { st = ParseStatement(read, &error); }), 2);
+  ASSERT_TRUE(st.has_value()) << error;
+  EXPECT_EQ(QueryToString(*st->query), read);
 }
 
 }  // namespace

@@ -250,18 +250,21 @@ TEST(Explain, ShardedReadRecordsFanOutInLedger) {
   EXPECT_EQ(ledger.shard_subqueries, 4);
 }
 
-// A multi-shard ApplyBatch hands its groups to pool workers, which do not
-// see the caller's thread-local ledger; their private slots must still
-// merge so the ledger equals the registry deltas. A walker holding every
-// shard's shared lock pins the caller's lane on its first group until the
-// pool helpers have started, so the remaining groups run on workers.
+// A multi-shard ApplyBatch of at least ShardedCube::kPoolMinBatch
+// mutations hands its groups to pool workers, which do not see the caller's
+// thread-local ledger; their private slots must still merge so the ledger
+// equals the registry deltas. A walker holding every shard's shared lock
+// pins the caller's lane on its first group until the pool helpers have
+// started, so the remaining groups run on workers.
 TEST(Explain, ShardedPooledWriteLedgerEqualsRegistryDeltas) {
   if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
   ShardedCube cube(2, 16, 4);
   cube.Add({0, 0}, 1);
   MutationBatch batch;
-  for (int64_t i = 0; i < 16; ++i) {
-    batch.push_back(Mutation{{i, (i * 5) % 16}, 1 + i % 3, MutationKind::kAdd});
+  for (int64_t i = 0; i < static_cast<int64_t>(ShardedCube::kPoolMinBatch);
+       ++i) {
+    batch.push_back(
+        Mutation{{i % 16, (i * 5) % 16}, 1 + i % 3, MutationKind::kAdd});
   }
   batch.push_back(MakeRangeAdd({1, 2}, {14, 3}, 2));
 

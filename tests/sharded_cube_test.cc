@@ -6,17 +6,29 @@
 
 #include "concurrent/sharded_cube.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
 #include "naive/naive_cube.h"
+#include "obs/metrics.h"
 #include "test_seed.h"
 
 namespace ddc {
 namespace {
+
+// Gives the shared pool workers even on a single-core host, so the pooled
+// batch path is checked everywhere. `overwrite=0` keeps an explicit
+// operator override; runs before ThreadPool::Shared() is first constructed.
+const int kForcePoolThreads = [] {
+  setenv("DDC_POOL_THREADS", "3", /*overwrite=*/0);
+  return 0;
+}();
 
 TEST(ShardedCubeTest, SingleThreadedSemantics) {
   ShardedCube cube(2, 16, 4);
@@ -204,6 +216,51 @@ TEST(ShardedCubeTest, SingleShardMatchesCoarse) {
     ASSERT_EQ(single.RangeSum(box), coarse.RangeSum(box)) << "seed " << seed;
   }
   EXPECT_EQ(single.TotalSum(), coarse.TotalSum());
+}
+
+// A batch below kPoolMinBatch runs every shard group on the caller: no
+// pool helper starts, and each start records one queue-wait sample. From
+// kPoolMinBatch up a multi-shard batch hands groups to the pool again.
+// Both land exactly.
+TEST(ShardedCubeTest, SmallBatchesRunOnTheCaller) {
+  obs::SetEnabled(true);
+  if (!obs::Enabled()) GTEST_SKIP() << "built with DDC_OBS=OFF";
+  if (ThreadPool::Shared().num_threads() == 0) {
+    GTEST_SKIP() << "DDC_POOL_THREADS=0 leaves the pool without workers";
+  }
+  const obs::Histogram& helper_starts =
+      *obs::MetricsRegistry::Default().GetHistogram(
+          "threadpool.task.queue_wait_ns");
+  ShardedCube cube(2, 64, 4);
+  NaiveCube oracle(Shape::Cube(2, 64));
+  // Cells spread over all four slabs.
+  const auto batch_of = [](size_t n) {
+    MutationBatch batch;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t k = static_cast<int64_t>(i);
+      batch.push_back(Mutation{
+          {(k * 7) % 64, (k * 13) % 64}, 1 + k % 5, MutationKind::kAdd});
+    }
+    return batch;
+  };
+
+  const MutationBatch small = batch_of(ShardedCube::kPoolMinBatch - 1);
+  int64_t starts = helper_starts.Count();
+  ASSERT_TRUE(cube.ApplyBatch(small));
+  EXPECT_EQ(helper_starts.Count(), starts);
+
+  const MutationBatch large = batch_of(ShardedCube::kPoolMinBatch);
+  starts = helper_starts.Count();
+  ASSERT_TRUE(cube.ApplyBatch(large));
+  EXPECT_GT(helper_starts.Count(), starts);
+
+  ASSERT_TRUE(oracle.ApplyBatch(small));
+  ASSERT_TRUE(oracle.ApplyBatch(large));
+  for (int64_t x = 0; x < 64; x += 8) {
+    const Box box{{x, 0}, {std::min<int64_t>(x + 11, 63), 40}};
+    EXPECT_EQ(cube.RangeSum(box), oracle.RangeSum(box));
+  }
+  EXPECT_EQ(cube.TotalSum(), oracle.RangeSum(Box{{0, 0}, {63, 63}}));
 }
 
 }  // namespace

@@ -35,9 +35,11 @@
 namespace ddc {
 namespace {
 
-// Multi-shard ApplyBatch runs its shard groups on the shared pool; give the
-// pool real workers even on a single-core host so those groups race the
-// readers from other threads. `overwrite=0` keeps an explicit operator
+// A multi-shard ApplyBatch of at least ShardedCube::kPoolMinBatch mutations
+// runs its shard groups on the shared pool; give the pool real workers even
+// on a single-core host so those groups race the readers from other
+// threads. The writers below alternate such batches with small ones, which
+// run every group on the caller. `overwrite=0` keeps an explicit operator
 // override; runs before ThreadPool::Shared() is first constructed.
 const int kForcePoolThreads = [] {
   setenv("DDC_POOL_THREADS", "3", /*overwrite=*/0);
@@ -47,6 +49,8 @@ const int kForcePoolThreads = [] {
 constexpr int kWriters = 3;
 constexpr int kReaders = 3;
 constexpr int64_t kSide = 64;
+constexpr int64_t kPoolBatch =
+    static_cast<int64_t>(ShardedCube::kPoolMinBatch);
 
 TEST(ShardedStressTest, MixedWorkloadQuiescesToShadow) {
   const uint64_t seed = TestSeed(777001);
@@ -82,7 +86,8 @@ TEST(ShardedStressTest, MixedWorkloadQuiescesToShadow) {
           shadow.Set(c, value);
         } else {
           std::vector<UpdateOp> batch;
-          const int64_t batch_size = gen.Value(2, 24);
+          const int64_t batch_size =
+              gen.Value(2, 24) + (i % 2 == 0 ? kPoolBatch : 0);
           for (int64_t b = 0; b < batch_size; ++b) {
             batch.push_back({own_cell(), gen.Value(-9, 9), UpdateKind::kAdd});
           }
@@ -351,21 +356,34 @@ TEST(ShardedStressTest, CallerExecutedLockingUnderEveryOperation) {
             batch.push_back(MakeRangeSet(lo, hi, gen.Value(-2, 2)));
           }
         }
+        // Every other batch is padded with point adds past the pool
+        // crossover.
+        for (int64_t b = 0; i % 2 == 0 && b < kPoolBatch; ++b) {
+          Cell lo, hi;
+          band_box(&lo, &hi);
+          batch.push_back(Mutation{lo, gen.Value(-9, 9), MutationKind::kAdd});
+        }
         ASSERT_TRUE(cube.ApplyBatch(batch));
         history.insert(history.end(), batch.begin(), batch.end());
       }
     });
   }
   // Filler between a pair's two adds widens the window a torn group would
-  // expose: cells (8k + 1 .. 8k + 6, kPairY + 1), still in slab k.
+  // expose: cells (8k + 1 .. 8k + 6, kPairY + 1 + 3m), still in slab k and
+  // never on pair_b's row. Even batches carry enough filler to reach the
+  // pool, odd ones run on the caller.
   constexpr int kFiller = 6;
-  auto filler = [](int k, int j) { return Cell{8 * k + 1 + j, kPairY + 1}; };
+  constexpr int kPoolFiller = static_cast<int>(kPoolBatch) / kShards;
+  auto filler = [](int k, int j) {
+    return Cell{8 * k + 1 + j % 6, kPairY + 1 + 3 * (j / 6)};
+  };
+  auto fillers_in = [&](int i) { return i % 2 == 0 ? kPoolFiller : kFiller; };
   spawn([&] {
     for (int i = 0; i < kPairBatches; ++i) {
       MutationBatch batch;
       for (int k = 0; k < kShards; ++k) {
         batch.push_back(Mutation{pair_a(k), 1, MutationKind::kAdd});
-        for (int j = 0; j < kFiller; ++j) {
+        for (int j = 0; j < fillers_in(i); ++j) {
           batch.push_back(Mutation{filler(k, j), 1, MutationKind::kAdd});
         }
         batch.push_back(Mutation{pair_b(k), 1, MutationKind::kAdd});
@@ -452,7 +470,9 @@ TEST(ShardedStressTest, CallerExecutedLockingUnderEveryOperation) {
   for (int k = 0; k < kShards; ++k) {
     shadow.Add(pair_a(k), kPairBatches);
     shadow.Add(pair_b(k), kPairBatches);
-    for (int j = 0; j < kFiller; ++j) shadow.Add(filler(k, j), kPairBatches);
+    for (int i = 0; i < kPairBatches; ++i) {
+      for (int j = 0; j < fillers_in(i); ++j) shadow.Add(filler(k, j), 1);
+    }
   }
   const Box all{{0, 0}, {kDomain - 1, kDomain - 1}};
   EXPECT_EQ(cube.TotalSum(), shadow.RangeSum(all)) << "seed " << seed;

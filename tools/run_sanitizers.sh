@@ -2,8 +2,8 @@
 # Builds the tree under ThreadSanitizer and AddressSanitizer (with
 # UndefinedBehaviorSanitizer) and runs the `sanitize`-labelled concurrency
 # tests under each; the address run also runs the `storage`-labelled suites
-# (face layouts and the differential walls over them). Any race, leak or
-# undefined behaviour fails the run.
+# (face layouts and the differential walls over them) and the `parser`
+# suite. Any race, leak or undefined behaviour fails the run.
 # Usage:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
@@ -30,6 +30,9 @@ SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
 # only (keep in sync with tests/CMakeLists.txt).
 STORAGE_TARGETS=(bctree_test face_store_test ddc_core_test arena_test
                  deep_dims_test cubes_equivalence_test paper_conformance_test)
+# The target behind `ctest -L parser` (the parser holds views into the
+# caller's text), also built and run by the address run only.
+PARSER_TARGETS=(query_test)
 
 # Sanitizer runs exercise the SIMD dispatch paths too: DDC_NATIVE=ON (the
 # default here, on top of the sanitizer flags) compiles the AVX2 kernels on
@@ -49,8 +52,9 @@ run_one() {
       ;;
     address)
       dir=build-asan
-      labels="sanitize|fault|storage"
-      targets=("${SANITIZE_TARGETS[@]}" "${STORAGE_TARGETS[@]}")
+      labels="sanitize|fault|storage|parser"
+      targets=("${SANITIZE_TARGETS[@]}" "${STORAGE_TARGETS[@]}"
+               "${PARSER_TARGETS[@]}")
       ;;
     *) echo "unknown sanitizer '$kind' (want thread|address)" >&2; exit 2 ;;
   esac
