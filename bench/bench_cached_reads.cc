@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "cache/cached_cube.h"
 #include "common/mutation.h"
 #include "common/table_printer.h"
@@ -344,11 +345,14 @@ int Run() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"cached_reads\",\n"
-               "  \"smoke\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"speedup_cached_p50_2d\": %.3f,\n"
                "  \"speedup_write_p50_2d\": %.3f,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, read_headline, write_headline);
+               read_headline, write_headline);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     // speedup_* keys are all higher-is-better for the regression gate:

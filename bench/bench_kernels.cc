@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "bctree/bc_tree.h"
 #include "bctree/fenwick_tree.h"
 #include "common/kernels.h"
@@ -547,7 +548,10 @@ int Run() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"kernels\",\n"
-               "  \"smoke\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"native\": %d,\n"
                // Only the median-based headline ratios carry gated
                // ("speedup_*") names. The mean- and p99-based variants are
@@ -572,7 +576,7 @@ int Run() {
                "  \"batched_scalar_ops\": %.0f,\n"
                "  \"batched_opt_ops\": %.0f,\n"
                "  \"fanout_sweep\": [\n",
-               smoke ? 1 : 0, native, speedup_single,
+               native, speedup_single,
                single.opt.ops / single.scalar.ops,
                static_cast<double>(single.scalar.p99_ns) /
                    static_cast<double>(single.opt.p99_ns),

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "common/range.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
@@ -343,15 +344,17 @@ int Run() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"query_batch\",\n"
-               "  \"smoke\": %d,\n"
-               "  \"hardware_threads\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"pool_threads\": %d,\n"
                "  \"speedup_batched_vs_single_2d\": %.3f,\n"
                "  \"speedup_parallel_vs_single_2d\": %.3f,\n"
                "  \"introspection_overhead_p50\": %.4f,\n"
                "  \"introspection_gate_skipped\": %d,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, hardware, pool_threads, headline_batched,
+               pool_threads, headline_batched,
                headline_parallel, gate.overhead_p50, gate.skipped ? 1 : 0);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "common/range.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
@@ -359,10 +360,13 @@ int Run() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"range_update\",\n"
-               "  \"smoke\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"speedup_range_vs_loop_2d\": %.3f,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, headline);
+               headline);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     // speedup_range_p50/p99 compare per-op latencies (looped over range, so

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_host.h"
 #include "common/cube_interface.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
@@ -421,17 +422,19 @@ int RunConcurrencySweep(bool smoke) {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"throughput\",\n"
-               "  \"smoke\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"dims\": %d,\n"
                "  \"domain_side\": %lld,\n"
                "  \"ops_per_thread\": %d,\n"
-               "  \"hardware_threads\": %d,\n"
                "  \"max_bench_threads\": %d,\n"
                "  \"oversubscription_factor\": %.2f,\n"
                "  \"write_batch\": %zu,\n"
                "  \"query_side_fraction\": %.3f,\n",
-               smoke ? 1 : 0, kConcDims, static_cast<long long>(params.side),
-               params.ops_per_thread, hardware, max_threads, oversubscription,
+               kConcDims, static_cast<long long>(params.side),
+               params.ops_per_thread, max_threads, oversubscription,
                kWriteBatch, kQuerySideFraction);
   if (gate_skipped) {
     // The key is present only when the gate is skipped, so

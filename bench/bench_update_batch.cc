@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_host.h"
 #include "common/mutation.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
@@ -203,10 +204,13 @@ int Run() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"update_batch\",\n"
-               "  \"smoke\": %d,\n"
+               "  \"smoke\": %d,\n",
+               smoke ? 1 : 0);
+  WriteHostJson(out);
+  std::fprintf(out,
                "  \"speedup_batched_vs_looped_2d\": %.3f,\n"
                "  \"configs\": [\n",
-               smoke ? 1 : 0, headline);
+               headline);
   for (size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     // The speedup_batched_p* keys compare tail latencies (looped over

@@ -81,6 +81,17 @@ inline bool BatchWellFormed(std::span<const Mutation> batch, int dims) {
   return true;
 }
 
+// True iff range mutation `m` covers no cell (lo[i] > hi[i] in some
+// dimension). Reads the corners in place, so unlike m.box().IsEmpty() it
+// allocates nothing. Precondition: m.is_range() and the mutation is well
+// formed.
+inline bool RangeIsEmpty(const Mutation& m) {
+  for (size_t d = 0; d < m.cell.size(); ++d) {
+    if (m.cell[d] > m.hi[d]) return true;
+  }
+  return false;
+}
+
 // The box of cells a mutation can change: the degenerate one-cell box for
 // point kinds, the carried box for range kinds. This is the "dirty box" the
 // query-result cache intersects against cached entries — a mutation whose
@@ -104,18 +115,9 @@ inline bool BatchDirtyBounds(std::span<const Mutation> batch, Box* bounds) {
   // allocations each — measurable against the batch apply itself.
   bool any = false;
   for (const Mutation& m : batch) {
+    if (m.is_range() && RangeIsEmpty(m)) continue;
     const Cell& lo = m.cell;
     const Cell& hi = m.is_range() ? m.hi : m.cell;
-    if (m.is_range()) {
-      bool empty = false;
-      for (size_t d = 0; d < lo.size(); ++d) {
-        if (lo[d] > hi[d]) {
-          empty = true;
-          break;
-        }
-      }
-      if (empty) continue;
-    }
     if (!any) {
       bounds->lo = lo;
       bounds->hi = hi;

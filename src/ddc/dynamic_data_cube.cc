@@ -268,6 +268,15 @@ void DynamicDataCube::EnsureContains(const Cell& cell) {
   }
 }
 
+void DynamicDataCube::GrowFor(const Mutation& m) {
+  if (!m.is_range()) {
+    EnsureContains(m.cell);
+  } else if (m.delta != 0 && !RangeIsEmpty(m)) {
+    EnsureContains(m.cell);
+    EnsureContains(m.hi);
+  }
+}
+
 void DynamicDataCube::ShrinkToFit(int64_t min_side) {
   DDC_CHECK(min_side >= 2 && IsPowerOfTwo(min_side));
   // Bounding box of the populated cells.
@@ -490,18 +499,8 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
   // Grow first: the shared descents below need every cell in-domain, and a
   // re-root mid-descent would invalidate already-rebased local offsets.
   // This is also what makes a batch straddling growth correct: geometry is
-  // settled before any delta lands. Range boxes grow only when they will
-  // materialize values (nonzero range-add / range-set); a zero-valued or
-  // empty range op clips to the domain instead, so `SET 0 IN [huge box]`
-  // cannot balloon the domain.
-  for (const Mutation& m : batch) {
-    if (!m.is_range()) {
-      EnsureContains(m.cell);
-    } else if (m.delta != 0 && !m.box().IsEmpty()) {
-      EnsureContains(m.cell);
-      EnsureContains(m.hi);
-    }
-  }
+  // settled before any delta lands.
+  for (const Mutation& m : batch) GrowFor(m);
 
   if (obs::Enabled()) {
     // Fold the executed mutations into the hot-range sketch (a point op is

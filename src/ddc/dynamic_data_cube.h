@@ -148,6 +148,16 @@ class DynamicDataCube : public CubeInterface {
   // Grows the domain (if needed) until `cell` is inside it.
   void EnsureContains(const Cell& cell);
 
+  // The growth rule ApplyBatch runs over its whole batch before any value
+  // lands: a point always grows the domain to contain its cell; a range
+  // grows it to contain its box only when the box is non-empty and the
+  // value nonzero (a zero or empty range op clips to the domain instead,
+  // so `SET 0 IN [huge box]` cannot balloon it). A caller that hands one
+  // logical batch over in several ApplyBatch calls runs this over the
+  // whole batch first, so it re-roots exactly as one call would.
+  // Precondition: `m` is well formed for dims().
+  void GrowFor(const Mutation& m);
+
   // The inverse of growth: rebuilds the cube into the smallest power-of-two
   // domain (side >= min_side) containing every nonzero cell. Useful after
   // mass deletions or when data has drifted away from the original domain.

@@ -293,8 +293,9 @@ TEST(ShardedStressTest, CrossShardReadsSeeMonotoneTotals) {
 // Every locking path at once on one cube: four band writers issue
 // multi-shard ApplyBatch calls mixing point and range kinds that grow the
 // shards past their initial side, a pair writer keeps two cells per shard
-// equal through multi-shard batches, and a RangeSumBatch reader, a
-// ForEachNonZero walker and a ShrinkToFit loop race them (eight threads).
+// equal through multi-shard batches (some of whose groups span two apply
+// slices), and a RangeSumBatch reader, a ForEachNonZero walker and a
+// ShrinkToFit loop race them (eight threads).
 // Checks: no deadlock (a watchdog aborts the binary), every snapshot sees
 // each shard's pair equal (per-shard batch atomicity), and the end state
 // equals a NaiveCube replay of the writers' histories.
@@ -369,15 +370,21 @@ TEST(ShardedStressTest, CallerExecutedLockingUnderEveryOperation) {
     });
   }
   // Filler between a pair's two adds widens the window a torn group would
-  // expose: cells (8k + 1 .. 8k + 6, kPairY + 1 + 3m), still in slab k and
-  // never on pair_b's row. Even batches carry enough filler to reach the
-  // pool, odd ones run on the caller.
+  // expose: cells (8k + 1 .. 8k + 6, kPairY + 1 + 3m) for m < 11, still in
+  // slab k and never on pair_b's row. Even batches carry enough filler to
+  // reach the pool, odd ones run on the caller, and every 250th carries a
+  // slice of filler per shard, so each group's pair_a and pair_b land in
+  // different slices of its one exclusive hold.
   constexpr int kFiller = 6;
   constexpr int kPoolFiller = static_cast<int>(kPoolBatch) / kShards;
+  constexpr int kSliceFiller = static_cast<int>(ShardedCube::kApplySlice);
   auto filler = [](int k, int j) {
-    return Cell{8 * k + 1 + j % 6, kPairY + 1 + 3 * (j / 6)};
+    return Cell{8 * k + 1 + j % 6, kPairY + 1 + 3 * ((j / 6) % 11)};
   };
-  auto fillers_in = [&](int i) { return i % 2 == 0 ? kPoolFiller : kFiller; };
+  auto fillers_in = [&](int i) {
+    if (i % 250 == 125) return kSliceFiller;
+    return i % 2 == 0 ? kPoolFiller : kFiller;
+  };
   spawn([&] {
     for (int i = 0; i < kPairBatches; ++i) {
       MutationBatch batch;
