@@ -82,6 +82,22 @@ struct DdcStats {
   int64_t leaf_faces = 0;     // Bare leaf-slab faces, at every nesting depth.
   int64_t arena_bytes_used = 0;      // Arena::bytes_used().
   int64_t arena_bytes_reserved = 0;  // Arena::bytes_reserved().
+
+  // Field-wise sum, for the stats of several cubes (ShardedCube's shards).
+  DdcStats& operator+=(const DdcStats& o) {
+    nodes += o.nodes;
+    boxes += o.boxes;
+    raw_blocks += o.raw_blocks;
+    raw_cells += o.raw_cells;
+    face_stores += o.face_stores;
+    nonzero_cells += o.nonzero_cells;
+    bc_faces += o.bc_faces;
+    nested_cores += o.nested_cores;
+    leaf_faces += o.leaf_faces;
+    arena_bytes_used += o.arena_bytes_used;
+    arena_bytes_reserved += o.arena_bytes_reserved;
+    return *this;
+  }
 };
 
 class DdcCore {
