@@ -17,77 +17,28 @@
 // so the regression gate's higher-is-better convention holds: 1.0 means
 // free, and the smoke floor of 0.952 caps the overhead at ~5%.
 //
-// Writes BENCH_cached_reads.json (override with DDC_BENCH_JSON). Setting
+// Both phases time their two sides interleaved (bench/harness.h). Writes
+// BENCH_cached_reads.json (override with DDC_BENCH_JSON). Setting
 // DDC_BENCH_SMOKE shrinks the sizes; in smoke mode the binary enforces the
 // acceptance floors itself — exit nonzero unless the 2-D read speedup is
 // >= 5.0x and the 2-D write ratio is >= 0.952 — so the bench_smoke gate is
 // a hard bound, not only a baseline ratio check.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_host.h"
 #include "cache/cached_cube.h"
 #include "common/mutation.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 
 namespace ddc {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// Exact percentile of a sample vector (nearest-rank); sorts in place.
-int64_t ExactPercentile(std::vector<int64_t>& samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  size_t rank = static_cast<size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  return samples[rank - 1];
-}
-
-struct LatencyResult {
-  int64_t p50_ns = 0;  // Per-sweep (or per-batch) wall latency
-  int64_t p99_ns = 0;  // percentiles, exact over the rep samples.
-  int64_t min_ns = 0;
-};
-
-// Times `fn` for `reps` samples; `prep` runs untimed before each sample
-// (the write phase uses it to refill the resident set the timed batch is
-// about to invalidate).
-template <typename Prep, typename Fn>
-LatencyResult MeasureLatency(int reps, const Prep& prep, const Fn& fn) {
-  prep();
-  fn();  // Warm-up: faults in every node / populates the cache.
-  std::vector<int64_t> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    prep();
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-  }
-  LatencyResult result;
-  result.min_ns = *std::min_element(samples.begin(), samples.end());
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
-}
 
 // Rank-skewed pool selection: u^3 concentrates ~88% of draws in the first
 // half of the pool and ~42% in the first tenth — repeated dashboard
@@ -112,14 +63,16 @@ struct ConfigResult {
   int64_t side;
   size_t pool;
   size_t sweep;
-  int reps;
   int64_t inserts;
-  LatencyResult uncached;
-  LatencyResult cached;
+  bench::Summary uncached;
+  bench::Summary cached;
   double hit_ratio = 0;
-  LatencyResult write_uncached;
-  LatencyResult write_cached;
+  bench::Summary write_uncached;
+  bench::Summary write_cached;
   double write_ratio = 0;  // Median of per-pair bare/cached ratios.
+  double read_speedup() const {
+    return bench::Ratio(uncached.p50_ns, cached.p50_ns);
+  }
 };
 
 ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
@@ -129,7 +82,6 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
   result.side = side;
   result.pool = pool_size;
   result.sweep = sweep;
-  result.reps = reps;
   result.inserts = inserts;
 
   const Shape shape = Shape::Cube(dims, side);
@@ -160,24 +112,20 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
                         .max_pinned = 0,
                     });
 
-  volatile int64_t sink = 0;  // Keeps the read loops from folding away.
-  result.uncached = MeasureLatency(reps, [] {}, [&] {
-    int64_t acc = 0;
-    for (size_t idx : seq) acc += bare.RangeSum(pool[idx]);
-    sink = acc;
-  });
-  result.cached = MeasureLatency(reps, [] {}, [&] {
-    int64_t acc = 0;
-    for (size_t idx : seq) acc += cached.RangeSum(pool[idx]);
-    sink = acc;
-  });
-  (void)sink;
+  // The cached arm's warm-up sweep populates the cache.
+  const auto sweep_of = [&](auto& cube) {
+    return [&] {
+      int64_t acc = 0;
+      for (size_t idx : seq) acc += cube.RangeSum(pool[idx]);
+      bench::Keep(acc);
+    };
+  };
+  const std::vector<bench::Summary> reads = bench::Interleave(
+      {{reps, sweep_of(bare)}, {reps, sweep_of(cached)}});
+  result.uncached = reads[0];
+  result.cached = reads[1];
   const CacheStats stats = cached.Stats();
-  result.hit_ratio =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) /
-                static_cast<double>(stats.hits + stats.misses);
+  result.hit_ratio = bench::Ratio(stats.hits, stats.hits + stats.misses);
 
   // Write phase: the same ingest-shaped 256-point batch, bare vs through
   // the cache. The resident set is refilled untimed before every cached
@@ -192,14 +140,19 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
   std::vector<Box> resident(pool.begin(),
                             pool.begin() + std::min<size_t>(64, pool_size));
   // The two write timings are interleaved rep by rep (alternating which
-  // side goes first) rather than run as separate phases: frequency
-  // scaling, thermal drift, and scheduler noise then land on both sides
-  // of the ratio equally, and the headline write ratio is the MEDIAN OF
+  // side goes first), and the headline write ratio is the MEDIAN OF
   // PER-PAIR RATIOS — each pair's two applies run back to back, so a
   // ratio-of-medians' residual drift bias cancels pair by pair. The bare
   // side runs the same untimed reads between reps as the cached side's
-  // refill, so both timed applies also start from the same cache/TLB
-  // state — the ratio prices the invalidation pass alone.
+  // refill.
+  //
+  // This phase keeps its own pairing loop and its upper-middle median
+  // instead of bench::Interleave: see ROADMAP item 1. Alternating the first
+  // side runs each side twice in a row at every other round boundary, and
+  // the second run finds its data still cached, so the per-pair ratios
+  // fall into two modes (~0.75 and ~1.2) and this median sits between
+  // them. Timed A B A B ... through the harness, the 2-D ratio reads ~0.95,
+  // at the 0.952 floor, and the gate would fail about half its runs.
   const auto bare_prep = [&] {
     for (const Box& box : resident) (void)bare.RangeSum(box);
   };
@@ -207,11 +160,9 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
     for (const Box& box : resident) (void)cached.RangeSum(box);
   };
   const auto time_one = [](const auto& fn) {
-    const auto start = std::chrono::steady_clock::now();
+    const int64_t start = bench::NowNs();
     fn();
-    const auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-        .count();
+    return bench::NowNs() - start;
   };
   bare_prep();
   bare.ApplyBatch(wbatch);  // Warm-up: faults in every node.
@@ -223,9 +174,6 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
   const int write_reps = reps * 2;
   std::vector<int64_t> bare_samples, cached_samples;
   std::vector<double> pair_ratios;
-  bare_samples.reserve(static_cast<size_t>(write_reps));
-  cached_samples.reserve(static_cast<size_t>(write_reps));
-  pair_ratios.reserve(static_cast<size_t>(write_reps));
   for (int r = 0; r < write_reps; ++r) {
     int64_t bare_ns = 0;
     int64_t cached_ns = 0;
@@ -245,27 +193,15 @@ ConfigResult RunConfig(int dims, int64_t side, size_t pool_size,
     pair_ratios.push_back(static_cast<double>(bare_ns) /
                           static_cast<double>(cached_ns));
   }
-  const auto summarize = [](std::vector<int64_t>& samples) {
-    LatencyResult r;
-    r.min_ns = *std::min_element(samples.begin(), samples.end());
-    r.p50_ns = ExactPercentile(samples, 0.50);
-    r.p99_ns = ExactPercentile(samples, 0.99);
-    return r;
-  };
-  result.write_uncached = summarize(bare_samples);
-  result.write_cached = summarize(cached_samples);
+  result.write_uncached = bench::Summarize(bare_samples);
+  result.write_cached = bench::Summarize(cached_samples);
   std::sort(pair_ratios.begin(), pair_ratios.end());
   result.write_ratio = pair_ratios[pair_ratios.size() / 2];
   return result;
 }
 
-double Ratio(int64_t numer, int64_t denom) {
-  return denom == 0 ? 0.0
-                    : static_cast<double>(numer) / static_cast<double>(denom);
-}
-
 int Run() {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::Smoke();
   struct Geometry {
     int dims;
     int64_t side;
@@ -298,8 +234,7 @@ int Run() {
     // scheduler hiccup without letting a real regression hide — a
     // regressed build fails every attempt.
     const auto score = [](const ConfigResult& c) {
-      return std::min(Ratio(c.uncached.p50_ns, c.cached.p50_ns) / 5.0,
-                      c.write_ratio / 0.952);
+      return std::min(c.read_speedup() / 5.0, c.write_ratio / 0.952);
     };
     for (int attempt = 0; attempt < 2 && score(r) < 1.0; ++attempt) {
       const ConfigResult retry =
@@ -314,8 +249,7 @@ int Run() {
              static_cast<double>(r.uncached.p50_ns) / 1000.0, 1),
          TablePrinter::FormatDouble(
              static_cast<double>(r.cached.p50_ns) / 1000.0, 1),
-         TablePrinter::FormatDouble(
-             Ratio(r.uncached.p50_ns, r.cached.p50_ns), 2),
+         TablePrinter::FormatDouble(r.read_speedup(), 2),
          TablePrinter::FormatDouble(r.hit_ratio, 3),
          TablePrinter::FormatDouble(r.write_ratio, 2)});
   }
@@ -325,7 +259,7 @@ int Run() {
   double write_headline = 0;
   for (const ConfigResult& r : results) {
     if (r.dims == 2) {
-      read_headline = Ratio(r.uncached.p50_ns, r.cached.p50_ns);
+      read_headline = r.read_speedup();
       write_headline = r.write_ratio;
     }
   }
@@ -333,59 +267,37 @@ int Run() {
   std::printf("2-D bare vs cached write ratio (median of pairs): %.3f\n\n",
               write_headline);
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_cached_reads.json";
-  }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"cached_reads\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"speedup_cached_p50_2d\": %.3f,\n"
-               "  \"speedup_write_p50_2d\": %.3f,\n"
-               "  \"configs\": [\n",
-               read_headline, write_headline);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
+  bench::Json json("cached_reads");
+  json.Num("speedup_cached_p50_2d", read_headline)
+      .Num("speedup_write_p50_2d", write_headline)
+      .Array("configs");
+  for (const ConfigResult& r : results) {
     // speedup_* keys are all higher-is-better for the regression gate:
     // reads as uncached-over-cached (big is fast), writes likewise as
     // bare-over-cached (1.0 is free, the floor caps the overhead).
-    std::fprintf(
-        out,
-        "    {\"dims\": %d, \"side\": %lld, \"pool\": %zu, \"sweep\": %zu, "
-        "\"reps\": %d, \"inserts\": %lld,\n"
-        "     \"uncached_p50_ns\": %lld, \"uncached_p99_ns\": %lld, "
-        "\"uncached_min_ns\": %lld, \"cached_p50_ns\": %lld, "
-        "\"cached_p99_ns\": %lld, \"cached_min_ns\": %lld,\n"
-        "     \"speedup_cached_p50\": %.3f, \"speedup_cached_p99\": %.3f, "
-        "\"hit_ratio\": %.4f,\n"
-        "     \"write_uncached_p50_ns\": %lld, \"write_cached_p50_ns\": "
-        "%lld, \"speedup_write_p50\": %.3f}%s\n",
-        r.dims, static_cast<long long>(r.side), r.pool, r.sweep, r.reps,
-        static_cast<long long>(r.inserts),
-        static_cast<long long>(r.uncached.p50_ns),
-        static_cast<long long>(r.uncached.p99_ns),
-        static_cast<long long>(r.uncached.min_ns),
-        static_cast<long long>(r.cached.p50_ns),
-        static_cast<long long>(r.cached.p99_ns),
-        static_cast<long long>(r.cached.min_ns),
-        Ratio(r.uncached.p50_ns, r.cached.p50_ns),
-        Ratio(r.uncached.p99_ns, r.cached.p99_ns), r.hit_ratio,
-        static_cast<long long>(r.write_uncached.p50_ns),
-        static_cast<long long>(r.write_cached.p50_ns), r.write_ratio,
-        i + 1 == results.size() ? "" : ",");
+    json.Object()
+        .Int("dims", r.dims)
+        .Int("side", r.side)
+        .Int("pool", static_cast<int64_t>(r.pool))
+        .Int("sweep", static_cast<int64_t>(r.sweep))
+        .Int("reps", r.cached.reps())
+        .Int("inserts", r.inserts)
+        .Int("uncached_p50_ns", r.uncached.p50_ns)
+        .Int("uncached_p99_ns", r.uncached.p99_ns)
+        .Int("uncached_min_ns", r.uncached.min_ns)
+        .Int("cached_p50_ns", r.cached.p50_ns)
+        .Int("cached_p99_ns", r.cached.p99_ns)
+        .Int("cached_min_ns", r.cached.min_ns)
+        .Num("speedup_cached_p50", r.read_speedup())
+        .Num("speedup_cached_p99",
+             bench::Ratio(r.uncached.p99_ns, r.cached.p99_ns))
+        .Num("hit_ratio", r.hit_ratio, 4)
+        .Int("write_uncached_p50_ns", r.write_uncached.p50_ns)
+        .Int("write_cached_p50_ns", r.write_cached.p50_ns)
+        .Num("speedup_write_p50", r.write_ratio)
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
 
   // Acceptance floors, enforced where the regression gate can see them.
   if (smoke && read_headline < 5.0) {

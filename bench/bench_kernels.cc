@@ -28,19 +28,16 @@
 //   dense layout      : BcLayout::kDense (implicit-offset slab) vs sparse.
 //
 // Every scalar/optimized pair is also checked for bit-exact agreement; any
-// mismatch exits 2 regardless of mode. Writes BENCH_kernels.json (override
-// with DDC_BENCH_JSON). DDC_BENCH_SMOKE shrinks sizes for the ctest gate.
+// mismatch exits 2 regardless of mode. Each comparison's sides are timed
+// interleaved (bench/harness.h). Writes BENCH_kernels.json (override with
+// DDC_BENCH_JSON). DDC_BENCH_SMOKE shrinks sizes for the ctest gate.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_host.h"
 #include "bctree/bc_tree.h"
 #include "bctree/fenwick_tree.h"
 #include "common/kernels.h"
@@ -49,56 +46,44 @@
 #include "common/workload.h"
 #include "ddc/ddc_core.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 
 namespace ddc {
 namespace {
 
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// Exact percentile of a sample vector (nearest-rank); sorts in place.
-int64_t ExactPercentile(std::vector<int64_t>& samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  size_t rank = static_cast<size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  return samples[rank - 1];
-}
-
+// One timed side of a scalar-vs-optimized comparison.
 struct LatencyResult {
   double ops = 0;      // Mean descents/sec over the measured reps.
   int64_t p50_ns = 0;  // Per-rep wall latency percentiles (one rep = one
   int64_t p99_ns = 0;  // full pass over the query set).
-  int64_t check = 0;   // Accumulated result checksum (bit-exactness proof).
+  int64_t check = 0;   // Last pass's result checksum (bit-exactness proof).
 };
 
-template <typename Fn>
-LatencyResult MeasureLatency(size_t ops_per_rep, int reps, const Fn& fn) {
-  LatencyResult result;
-  result.check = fn();  // Warm-up: faults in every node the pass touches.
-  std::vector<int64_t> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  int64_t sink = 0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    sink += fn();
-    const auto end = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
+// A pass returning its checksum, and whether it runs the scalar reference
+// kernels.
+struct Pass {
+  std::function<int64_t()> fn;
+  bool scalar = false;
+};
+
+// Times the passes interleaved, `ops_per_rep` operations each.
+std::vector<LatencyResult> MeasurePasses(size_t ops_per_rep, int reps,
+                                         const std::vector<Pass>& passes) {
+  std::vector<LatencyResult> results(passes.size());
+  std::vector<bench::Arm> arms;
+  for (size_t i = 0; i < passes.size(); ++i) {
+    arms.push_back({reps, [&, i] {
+                      kernels::ScopedForceScalar force(passes[i].scalar);
+                      results[i].check = passes[i].fn();
+                    }});
   }
-  if (sink == 42) std::printf(" ");  // Defeat dead-code elimination.
-  int64_t total_ns = 0;
-  for (int64_t s : samples) total_ns += s;
-  result.ops = static_cast<double>(reps) * static_cast<double>(ops_per_rep) /
-               (static_cast<double>(total_ns) * 1e-9);
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
+  const std::vector<bench::Summary> timed = bench::Interleave(arms);
+  for (size_t i = 0; i < passes.size(); ++i) {
+    results[i].ops = timed[i].PerSec(static_cast<double>(ops_per_rep));
+    results[i].p50_ns = timed[i].p50_ns;
+    results[i].p99_ns = timed[i].p99_ns;
+  }
+  return results;
 }
 
 // Deterministic value stream; avoids pulling WorkloadGenerator into the
@@ -137,6 +122,8 @@ std::vector<int64_t> MakePositions(int64_t capacity, size_t count,
 }
 
 struct DescentPair {
+  explicit DescentPair(const std::vector<LatencyResult>& timed)
+      : scalar(timed[0]), opt(timed[1]), exact(scalar.check == opt.check) {}
   LatencyResult scalar;
   LatencyResult opt;
   bool exact = false;
@@ -146,19 +133,13 @@ struct DescentPair {
 // vs optimized, on the same tree.
 DescentPair BenchDescent(BcTree& tree, const std::vector<int64_t>& positions,
                          int reps) {
-  DescentPair pair;
   auto pass = [&]() {
     int64_t check = 0;
     for (int64_t p : positions) check += tree.CumulativeSum(p);
     return check;
   };
-  {
-    kernels::ScopedForceScalar force(true);
-    pair.scalar = MeasureLatency(positions.size(), reps, pass);
-  }
-  pair.opt = MeasureLatency(positions.size(), reps, pass);
-  pair.exact = pair.scalar.check == pair.opt.check;
-  return pair;
+  return DescentPair(
+      MeasurePasses(positions.size(), reps, {{pass, true}, {pass, false}}));
 }
 
 // BcTree update descents: applies a delta stream, scalar vs optimized, then
@@ -169,23 +150,19 @@ DescentPair BenchUpdate(int64_t capacity, int fanout,
   BcTree opt_tree(capacity, fanout);
   PopulateTree(scalar_tree, capacity);
   PopulateTree(opt_tree, capacity);
-  DescentPair pair;
-  auto pass = [](BcTree& tree, const std::vector<int64_t>& pos) {
-    int64_t delta = 1;
-    for (int64_t p : pos) {
-      tree.Add(p, delta);
-      delta = -delta;
-    }
-    return tree.TotalSum();
+  auto pass = [&](BcTree& tree) {
+    return [&] {
+      int64_t delta = 1;
+      for (int64_t p : positions) {
+        tree.Add(p, delta);
+        delta = -delta;
+      }
+      return tree.TotalSum();
+    };
   };
-  {
-    kernels::ScopedForceScalar force(true);
-    pair.scalar = MeasureLatency(positions.size(), reps,
-                                 [&] { return pass(scalar_tree, positions); });
-  }
-  pair.opt = MeasureLatency(positions.size(), reps,
-                            [&] { return pass(opt_tree, positions); });
-  pair.exact = pair.scalar.check == pair.opt.check;
+  DescentPair pair(MeasurePasses(
+      positions.size(), reps,
+      {{pass(scalar_tree), true}, {pass(opt_tree), false}}));
   for (int64_t p : positions) {
     if (scalar_tree.CumulativeSum(p) != opt_tree.CumulativeSum(p)) {
       pair.exact = false;
@@ -239,20 +216,21 @@ BatchedResult BenchBatchedUpdate(int64_t side, int64_t inserts, size_t batch,
         Mutation{std::move(cell), gen.Value(-9, 9), MutationKind::kAdd});
   }
 
-  BatchedResult result;
-  {
-    kernels::ScopedForceScalar force(true);
-    result.scalar_looped = MeasureLatency(batch, reps, [&]() {
-      for (const Mutation& m : batch_muts) scalar_cube.Add(m.cell, m.delta);
-      return int64_t{0};
-    });
-  }
-  result.opt_batched = MeasureLatency(batch, reps, [&]() {
+  auto looped = [&]() {
+    for (const Mutation& m : batch_muts) scalar_cube.Add(m.cell, m.delta);
+    return int64_t{0};
+  };
+  auto batched = [&]() {
     opt_cube.ApplyBatch(batch_muts);
     return int64_t{0};
-  });
-  // Both cubes absorbed the same stream (warm-up + reps passes each); their
-  // answers must be bit-identical everywhere we sample.
+  };
+  const std::vector<LatencyResult> timed =
+      MeasurePasses(batch, reps, {{looped, true}, {batched, false}});
+  BatchedResult result;
+  result.scalar_looped = timed[0];
+  result.opt_batched = timed[1];
+  // Both cubes absorbed the same stream (warm-up + one pass per round
+  // each); their answers must be bit-identical everywhere we sample.
   result.exact = true;
   for (const Mutation& m : batch_muts) {
     if (scalar_cube.PrefixSum(m.cell) != opt_cube.PrefixSum(m.cell)) {
@@ -291,7 +269,6 @@ BatchedResult BenchBatched(int64_t side, int64_t inserts, size_t batch,
   }
   std::vector<int64_t> out(batch, 0);
 
-  BatchedResult result;
   auto looped = [&]() {
     int64_t check = 0;
     for (const Cell& cell : cells) check += core.PrefixSum(cell);
@@ -303,12 +280,12 @@ BatchedResult BenchBatched(int64_t side, int64_t inserts, size_t batch,
     for (int64_t v : out) check += v;
     return check;
   };
-  {
-    kernels::ScopedForceScalar force(true);
-    result.scalar_looped = MeasureLatency(batch, reps, looped);
-  }
-  result.opt_looped = MeasureLatency(batch, reps, looped);
-  result.opt_batched = MeasureLatency(batch, reps, batched);
+  const std::vector<LatencyResult> timed = MeasurePasses(
+      batch, reps, {{looped, true}, {looped, false}, {batched, false}});
+  BatchedResult result;
+  result.scalar_looped = timed[0];
+  result.opt_looped = timed[1];
+  result.opt_batched = timed[2];
   result.exact = result.scalar_looped.check == result.opt_batched.check &&
                  result.scalar_looped.check == result.opt_looped.check;
   return result;
@@ -331,19 +308,13 @@ DescentPair BenchLeafSums(int64_t side, int elide_levels, int64_t inserts,
   cells.reserve(queries);
   for (size_t i = 0; i < queries; ++i) cells.push_back(gen.UniformCell());
 
-  DescentPair pair;
   auto pass = [&]() {
     int64_t check = 0;
     for (const Cell& cell : cells) check += cube.PrefixSum(cell);
     return check;
   };
-  {
-    kernels::ScopedForceScalar force(true);
-    pair.scalar = MeasureLatency(queries, reps, pass);
-  }
-  pair.opt = MeasureLatency(queries, reps, pass);
-  pair.exact = pair.scalar.check == pair.opt.check;
-  return pair;
+  return DescentPair(
+      MeasurePasses(queries, reps, {{pass, true}, {pass, false}}));
 }
 
 // FenwickTree bulk build: BuildFrom's single O(n) propagation pass vs the
@@ -353,36 +324,32 @@ DescentPair BenchFenwickBuild(int64_t capacity, int reps) {
   std::vector<int64_t> values(static_cast<size_t>(capacity));
   Lcg gen(17);
   for (auto& v : values) v = gen.Value(-9, 9);
-  DescentPair pair;
-  pair.scalar =
-      MeasureLatency(static_cast<size_t>(capacity), reps, [&]() {
-        FenwickTree tree(capacity);
-        for (int64_t i = 0; i < capacity; ++i) {
-          tree.Add(i, values[static_cast<size_t>(i)]);
-        }
-        return tree.CumulativeSum(capacity - 1);
-      });
-  pair.opt = MeasureLatency(static_cast<size_t>(capacity), reps, [&]() {
+  auto looped = [&]() {
+    FenwickTree tree(capacity);
+    for (int64_t i = 0; i < capacity; ++i) {
+      tree.Add(i, values[static_cast<size_t>(i)]);
+    }
+    return tree.CumulativeSum(capacity - 1);
+  };
+  auto bulk = [&]() {
     FenwickTree tree(capacity);
     tree.BuildFrom(values);
     return tree.CumulativeSum(capacity - 1);
-  });
-  pair.exact = pair.scalar.check == pair.opt.check;
-  return pair;
+  };
+  return DescentPair(MeasurePasses(static_cast<size_t>(capacity), reps,
+                                   {{looped, false}, {bulk, false}}));
 }
 
 double P50Speedup(const DescentPair& pair) {
-  return static_cast<double>(pair.scalar.p50_ns) /
-         static_cast<double>(pair.opt.p50_ns);
+  return bench::Ratio(pair.scalar.p50_ns, pair.opt.p50_ns);
 }
 
 double P50Speedup(const BatchedResult& result) {
-  return static_cast<double>(result.scalar_looped.p50_ns) /
-         static_cast<double>(result.opt_batched.p50_ns);
+  return bench::Ratio(result.scalar_looped.p50_ns, result.opt_batched.p50_ns);
 }
 
 int Run() {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::Smoke();
 #if defined(DDC_KERNELS_AVX2)
   const int native = 1;
 #else
@@ -522,9 +489,7 @@ int Run() {
   // reference.
   const double speedup_single = P50Speedup(single);
   const double speedup_batched = P50Speedup(batched_update);
-  const double speedup_batched_query =
-      static_cast<double>(batched.scalar_looped.p50_ns) /
-      static_cast<double>(batched.opt_batched.p50_ns);
+  const double speedup_batched_query = P50Speedup(batched);
   std::printf("single-descent speedup (p50): %.2fx   batched-descent "
               "speedup (p50): %.2fx   batched-query speedup (p50): %.2fx\n",
               speedup_single, speedup_batched, speedup_batched_query);
@@ -536,74 +501,43 @@ int Run() {
   }
   std::printf("scalar/optimized checksums: bit-exact\n\n");
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_kernels.json";
+  bench::Json json("kernels");
+  // Only the median-based headline ratios carry gated ("speedup_*") names.
+  // The mean- and p99-based variants are recorded for reference under
+  // non-gated "gain" names: on this host a single scheduler spike relocates
+  // a mean by 2x and a p99 ratio by 10x run-to-run, so gating them at any
+  // tolerance just manufactures flakes.
+  json.Int("native", native)
+      .Num("speedup_single", speedup_single)
+      .Num("single_gain_mean", single.opt.ops / single.scalar.ops)
+      .Num("single_gain_p99", bench::Ratio(single.scalar.p99_ns,
+                                           single.opt.p99_ns))
+      .Num("speedup_batched", speedup_batched)
+      .Num("batched_gain_mean", batched_update.opt_batched.ops /
+                                    batched_update.scalar_looped.ops)
+      .Num("batched_gain_p99",
+           bench::Ratio(batched_update.scalar_looped.p99_ns,
+                        batched_update.opt_batched.p99_ns))
+      .Num("speedup_batched_query", speedup_batched_query)
+      .Num("speedup_batched_kernels_only",
+           batched.opt_looped.ops / batched.scalar_looped.ops)
+      .Num("speedup_update", update.opt.ops / update.scalar.ops)
+      .Num("speedup_leaf_sums", leaf.opt.ops / leaf.scalar.ops)
+      .Num("speedup_fenwick_build", fenwick.opt.ops / fenwick.scalar.ops)
+      .Num("dense_rel_vs_sparse", dense.opt.ops / single.opt.ops)
+      .Num("single_scalar_ops", single.scalar.ops, 0)
+      .Num("single_opt_ops", single.opt.ops, 0)
+      .Num("batched_scalar_ops", batched_update.scalar_looped.ops, 0)
+      .Num("batched_opt_ops", batched_update.opt_batched.ops, 0)
+      .Array("fanout_sweep");
+  for (const auto& [fanout, ops] : sweep) {
+    json.Object()
+        .Int("fanout", fanout)
+        .Num("opt_ops", ops, 0)
+        .Num("rel_vs_8", ops / sweep_base)
+        .End();
   }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"kernels\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"native\": %d,\n"
-               // Only the median-based headline ratios carry gated
-               // ("speedup_*") names. The mean- and p99-based variants are
-               // recorded for reference under non-gated "gain" names: on
-               // this host a single scheduler spike relocates a mean by 2x
-               // and a p99 ratio by 10x run-to-run, so gating them at any
-               // tolerance just manufactures flakes.
-               "  \"speedup_single\": %.3f,\n"
-               "  \"single_gain_mean\": %.3f,\n"
-               "  \"single_gain_p99\": %.3f,\n"
-               "  \"speedup_batched\": %.3f,\n"
-               "  \"batched_gain_mean\": %.3f,\n"
-               "  \"batched_gain_p99\": %.3f,\n"
-               "  \"speedup_batched_query\": %.3f,\n"
-               "  \"speedup_batched_kernels_only\": %.3f,\n"
-               "  \"speedup_update\": %.3f,\n"
-               "  \"speedup_leaf_sums\": %.3f,\n"
-               "  \"speedup_fenwick_build\": %.3f,\n"
-               "  \"dense_rel_vs_sparse\": %.3f,\n"
-               "  \"single_scalar_ops\": %.0f,\n"
-               "  \"single_opt_ops\": %.0f,\n"
-               "  \"batched_scalar_ops\": %.0f,\n"
-               "  \"batched_opt_ops\": %.0f,\n"
-               "  \"fanout_sweep\": [\n",
-               native, speedup_single,
-               single.opt.ops / single.scalar.ops,
-               static_cast<double>(single.scalar.p99_ns) /
-                   static_cast<double>(single.opt.p99_ns),
-               speedup_batched,
-               batched_update.opt_batched.ops /
-                   batched_update.scalar_looped.ops,
-               static_cast<double>(batched_update.scalar_looped.p99_ns) /
-                   static_cast<double>(batched_update.opt_batched.p99_ns),
-               speedup_batched_query,
-               batched.opt_looped.ops / batched.scalar_looped.ops,
-               update.opt.ops / update.scalar.ops,
-               leaf.opt.ops / leaf.scalar.ops,
-               fenwick.opt.ops / fenwick.scalar.ops,
-               dense.opt.ops / single.opt.ops, single.scalar.ops,
-               single.opt.ops, batched_update.scalar_looped.ops,
-               batched_update.opt_batched.ops);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"fanout\": %d, \"opt_ops\": %.0f, "
-                 "\"rel_vs_8\": %.3f}%s\n",
-                 sweep[i].first, sweep[i].second,
-                 sweep[i].second / sweep_base,
-                 i + 1 == sweep.size() ? "" : ",");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
 
   // Acceptance floors, enforced where the regression gate can see them.
   if (smoke && speedup_single < 1.5) {

@@ -16,33 +16,24 @@
 // well under a second — used by the `bench_smoke` ctest regression gate.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_host.h"
 #include "common/range.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/workload_recorder.h"
 
 namespace ddc {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 // Contiguous slabs along dimension 0 over a common body box — the shape the
 // OLAP executor actually batches (GroupBy materializes one slice per group
@@ -70,62 +61,22 @@ std::vector<Box> MakeQueryBatch(WorkloadGenerator& gen, int dims,
   return boxes;
 }
 
-// Exact percentile of a sample vector (nearest-rank); sorts in place.
-int64_t ExactPercentile(std::vector<int64_t>& samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  size_t rank = static_cast<size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  return samples[rank - 1];
-}
-
-struct LatencyResult {
-  double qps = 0;      // Mean throughput over the measured reps.
-  int64_t p50_ns = 0;  // Per-batch wall latency percentiles, computed
-  int64_t p99_ns = 0;  // exactly from the per-rep samples (no log-bucket
-  int64_t min_ns = 0;  // quantization — these feed the regression gate).
-};
-
-template <typename Fn>
-LatencyResult MeasureLatency(size_t batch_size, int reps, const Fn& fn) {
-  fn();  // Warm-up (and first-touch of any lazily built structure).
-  std::vector<int64_t> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-  }
-  int64_t total_ns = 0;
-  for (int64_t s : samples) total_ns += s;
-  LatencyResult result;
-  result.qps = static_cast<double>(reps) * static_cast<double>(batch_size) /
-               (static_cast<double>(total_ns) * 1e-9);
-  result.min_ns = *std::min_element(samples.begin(), samples.end());
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
-}
-
 struct ConfigResult {
   int dims;
   int64_t side;
   size_t batch_size;
-  int reps;
   int64_t inserts;
-  LatencyResult single;
-  LatencyResult batched;
-  LatencyResult parallel;
+  bench::Summary single;
+  bench::Summary batched;
+  bench::Summary parallel;
+  double qps(const bench::Summary& mode) const {
+    return mode.PerSec(static_cast<double>(batch_size));
+  }
 };
 
 ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
                        int64_t inserts) {
-  ConfigResult result{dims, side, batch_size, reps, inserts, {}, {}, {}};
+  ConfigResult result{dims, side, batch_size, inserts, {}, {}, {}};
   const Shape shape = Shape::Cube(dims, side);
   WorkloadGenerator gen(shape, 97);
 
@@ -140,21 +91,25 @@ ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
 
   const std::vector<Box> boxes = MakeQueryBatch(gen, dims, side, batch_size);
   std::vector<int64_t> out(boxes.size());
-  volatile int64_t sink = 0;
-
-  result.single = MeasureLatency(batch_size, reps, [&] {
-    int64_t local = 0;
-    for (const Box& box : boxes) local += cube.RangeSum(box);
-    sink = sink + local;
-  });
-  result.batched = MeasureLatency(batch_size, reps, [&] {
-    cube.RangeSumBatch(boxes, out);
-    sink = sink + out[0];
-  });
-  result.parallel = MeasureLatency(batch_size, reps, [&] {
-    concurrent.RangeSumBatch(boxes, out);
-    sink = sink + out[0];
-  });
+  const std::vector<bench::Summary> timed = bench::Interleave(
+      {{reps,
+        [&] {
+          int64_t local = 0;
+          for (const Box& box : boxes) local += cube.RangeSum(box);
+          bench::Keep(local);
+        }},
+       {reps,
+        [&] {
+          cube.RangeSumBatch(boxes, out);
+          bench::Keep(out[0]);
+        }},
+       {reps, [&] {
+          concurrent.RangeSumBatch(boxes, out);
+          bench::Keep(out[0]);
+        }}});
+  result.single = timed[0];
+  result.batched = timed[1];
+  result.parallel = timed[2];
   return result;
 }
 
@@ -165,8 +120,8 @@ ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
 // baseline. Both legs run with observability enabled (the registry counters
 // predate this machinery and are budgeted separately); the OFF leg turns
 // heatmap recording off and installs no ledger, the ON leg records and runs
-// under a ScopedCostLedger. The two legs are sampled INTERLEAVED — one OFF
-// rep, one ON rep, repeat — so clock-frequency drift, cache evictions and
+// under a ScopedCostLedger. The two legs are sampled interleaved
+// (bench::Interleave), so clock-frequency drift, cache evictions and
 // scheduler noise hit both legs identically and cancel in the ratio;
 // measuring the legs as two sequential blocks showed swings of -11%..+8%
 // on an otherwise idle host. Best-of-N attempts on top so one hiccup
@@ -205,51 +160,25 @@ GateResult RunIntrospectionGate(int reps) {
   }
   const std::vector<Box> boxes = MakeQueryBatch(gen, dims, side, batch);
   std::vector<int64_t> out(boxes.size());
-  volatile int64_t sink = 0;
-
-  const auto run_plain = [&] {
+  const auto plain = [&] {
     cube.RangeSumBatch(boxes, out);
-    sink = sink + out[0];
+    bench::Keep(out[0]);
   };
-  const auto run_instrumented = [&] {
+  const auto instrumented = [&] {
     obs::CostLedger ledger;
     obs::ScopedCostLedger scope(&ledger);
     cube.RangeSumBatch(boxes, out);
-    sink = sink + out[0] + ledger.nodes_visited;
+    bench::Keep(out[0] + ledger.nodes_visited);
   };
 
   constexpr int kAttempts = 5;
   double best = 1e9;
-  std::vector<int64_t> off_samples, on_samples;
-  off_samples.reserve(static_cast<size_t>(reps));
-  on_samples.reserve(static_cast<size_t>(reps));
   for (int a = 0; a < kAttempts && best > kLimit; ++a) {
-    obs::WorkloadRecorder::SetRecording(false);
-    run_plain();  // Warm both paths before timing.
-    obs::WorkloadRecorder::SetRecording(true);
-    run_instrumented();
-    off_samples.clear();
-    on_samples.clear();
-    for (int r = 0; r < reps; ++r) {
-      obs::WorkloadRecorder::SetRecording(false);
-      const uint64_t t0 = obs::NowNanos();
-      run_plain();
-      const uint64_t t1 = obs::NowNanos();
-      obs::WorkloadRecorder::SetRecording(true);
-      const uint64_t t2 = obs::NowNanos();
-      run_instrumented();
-      const uint64_t t3 = obs::NowNanos();
-      off_samples.push_back(static_cast<int64_t>(t1 - t0));
-      on_samples.push_back(static_cast<int64_t>(t3 - t2));
-    }
-    const int64_t off_p50 = ExactPercentile(off_samples, 0.50);
-    const int64_t on_p50 = ExactPercentile(on_samples, 0.50);
-    const double overhead =
-        off_p50 > 0 ? static_cast<double>(on_p50) /
-                              static_cast<double>(off_p50) -
-                          1.0
-                    : 0.0;
-    best = std::min(best, overhead);
+    const std::vector<bench::Summary> legs = bench::Interleave(
+        {{reps, plain, [] { obs::WorkloadRecorder::SetRecording(false); }},
+         {reps, instrumented,
+          [] { obs::WorkloadRecorder::SetRecording(true); }}});
+    best = std::min(best, bench::Ratio(legs[1].p50_ns, legs[0].p50_ns) - 1.0);
   }
   obs::WorkloadRecorder::SetRecording(true);
   gate.overhead_p50 = best;
@@ -258,7 +187,7 @@ GateResult RunIntrospectionGate(int reps) {
 }
 
 int Run() {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::Smoke();
   struct Geometry {
     int dims;
     int64_t side;
@@ -279,7 +208,7 @@ int Run() {
                                     {2, 1024, 512, 20, 20000},
                                     {3, 64, 256, 20, 20000}};
 
-  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  const int hardware = bench::HardwareThreads();
   const int pool_threads = ThreadPool::Shared().num_threads();
   std::printf("== Batched range-sum executor (queries/sec)%s — "
               "%d hw threads, %d pool workers ==\n",
@@ -296,11 +225,11 @@ int Run() {
     table.AddRow(
         {std::to_string(r.dims), std::to_string(r.side),
          std::to_string(r.batch_size),
-         TablePrinter::FormatDouble(r.single.qps, 0),
-         TablePrinter::FormatDouble(r.batched.qps, 0),
-         TablePrinter::FormatDouble(r.parallel.qps, 0),
-         TablePrinter::FormatDouble(r.batched.qps / r.single.qps, 2),
-         TablePrinter::FormatDouble(r.parallel.qps / r.single.qps, 2),
+         TablePrinter::FormatDouble(r.qps(r.single), 0),
+         TablePrinter::FormatDouble(r.qps(r.batched), 0),
+         TablePrinter::FormatDouble(r.qps(r.parallel), 0),
+         TablePrinter::FormatDouble(r.qps(r.batched) / r.qps(r.single), 2),
+         TablePrinter::FormatDouble(r.qps(r.parallel) / r.qps(r.single), 2),
          TablePrinter::FormatDouble(
              static_cast<double>(r.batched.p99_ns) / 1000.0, 1)});
   }
@@ -311,8 +240,8 @@ int Run() {
   double headline_parallel = 0;
   for (const ConfigResult& r : results) {
     if (r.dims == 2) {
-      headline_batched = r.batched.qps / r.single.qps;
-      headline_parallel = r.parallel.qps / r.single.qps;
+      headline_batched = r.qps(r.batched) / r.qps(r.single);
+      headline_parallel = r.qps(r.parallel) / r.qps(r.single);
     }
   }
   std::printf("2-D batched vs single-query speedup: %.2fx "
@@ -329,76 +258,48 @@ int Run() {
                 gate.overhead_p50 * 100.0, gate.pass ? "PASS" : "FAIL");
   }
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_query_batch.json";
-  }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
   // introspection_overhead_p50 deliberately avoids the "speedup"/"ratio"
   // key substrings: it is gated here by exit code, not by the baseline
   // comparison in check_bench_regression.py.
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"query_batch\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"pool_threads\": %d,\n"
-               "  \"speedup_batched_vs_single_2d\": %.3f,\n"
-               "  \"speedup_parallel_vs_single_2d\": %.3f,\n"
-               "  \"introspection_overhead_p50\": %.4f,\n"
-               "  \"introspection_gate_skipped\": %d,\n"
-               "  \"configs\": [\n",
-               pool_threads, headline_batched,
-               headline_parallel, gate.overhead_p50, gate.skipped ? 1 : 0);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
+  bench::Json json("query_batch");
+  json.Int("pool_threads", pool_threads)
+      .Num("speedup_batched_vs_single_2d", headline_batched)
+      .Num("speedup_parallel_vs_single_2d", headline_parallel)
+      .Num("introspection_overhead_p50", gate.overhead_p50, 4)
+      .Int("introspection_gate_skipped", gate.skipped ? 1 : 0)
+      .Array("configs");
+  for (const ConfigResult& r : results) {
     // The speedup_batched_p* keys compare tail latencies (single over
     // batched, so higher still means batching wins); the regression gate
     // applies its wider --p99-tolerance band to the p99 one. The parallel
     // path's p99 is embedded raw but deliberately NOT emitted as a gated
-    // ratio: at smoke reps it is the max of a handful of samples, and one
-    // scheduler hiccup on a small host fails the gate spuriously.
-    std::fprintf(
-        out,
-        "    {\"dims\": %d, \"side\": %lld, \"batch\": %zu, \"reps\": %d, "
-        "\"inserts\": %lld, \"single_qps\": %.1f, \"batched_qps\": %.1f, "
-        "\"parallel_qps\": %.1f, \"speedup_batched\": %.3f, "
-        "\"speedup_parallel\": %.3f,\n"
-        "     \"single_p50_ns\": %lld, \"single_p99_ns\": %lld, "
-        "\"single_min_ns\": %lld, \"batched_p50_ns\": %lld, "
-        "\"batched_p99_ns\": %lld, \"batched_min_ns\": %lld, "
-        "\"parallel_p50_ns\": %lld, \"parallel_p99_ns\": %lld, "
-        "\"parallel_min_ns\": %lld,\n"
-        "     \"speedup_batched_p50\": %.3f, \"speedup_batched_p99\": %.3f}"
-        "%s\n",
-        r.dims, static_cast<long long>(r.side), r.batch_size, r.reps,
-        static_cast<long long>(r.inserts), r.single.qps, r.batched.qps,
-        r.parallel.qps, r.batched.qps / r.single.qps,
-        r.parallel.qps / r.single.qps,
-        static_cast<long long>(r.single.p50_ns),
-        static_cast<long long>(r.single.p99_ns),
-        static_cast<long long>(r.single.min_ns),
-        static_cast<long long>(r.batched.p50_ns),
-        static_cast<long long>(r.batched.p99_ns),
-        static_cast<long long>(r.batched.min_ns),
-        static_cast<long long>(r.parallel.p50_ns),
-        static_cast<long long>(r.parallel.p99_ns),
-        static_cast<long long>(r.parallel.min_ns),
-        static_cast<double>(r.single.p50_ns) /
-            static_cast<double>(r.batched.p50_ns),
-        static_cast<double>(r.single.p99_ns) /
-            static_cast<double>(r.batched.p99_ns),
-        i + 1 == results.size() ? "" : ",");
+    // ratio: one scheduler hiccup on a small host moves it enough to fail
+    // the gate spuriously.
+    json.Object()
+        .Int("dims", r.dims)
+        .Int("side", r.side)
+        .Int("batch", static_cast<int64_t>(r.batch_size))
+        .Int("reps", r.batched.reps())
+        .Int("inserts", r.inserts)
+        .Num("single_qps", r.qps(r.single), 1)
+        .Num("batched_qps", r.qps(r.batched), 1)
+        .Num("parallel_qps", r.qps(r.parallel), 1)
+        .Num("speedup_batched", r.qps(r.batched) / r.qps(r.single))
+        .Num("speedup_parallel", r.qps(r.parallel) / r.qps(r.single));
+    for (const auto& [name, mode] :
+         {std::pair{"single", &r.single}, std::pair{"batched", &r.batched},
+          std::pair{"parallel", &r.parallel}}) {
+      json.Int(std::string(name) + "_p50_ns", mode->p50_ns)
+          .Int(std::string(name) + "_p99_ns", mode->p99_ns)
+          .Int(std::string(name) + "_min_ns", mode->min_ns);
+    }
+    json.Num("speedup_batched_p50",
+             bench::Ratio(r.single.p50_ns, r.batched.p50_ns))
+        .Num("speedup_batched_p99",
+             bench::Ratio(r.single.p99_ns, r.batched.p99_ns))
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
   if (!gate.pass) {
     std::fprintf(stderr,
                  "introspection overhead gate FAILED: p50 overhead %.1f%% "

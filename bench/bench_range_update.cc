@@ -15,79 +15,29 @@
 // 3-D side 64; plus range-add latency below the crossover (journal append)
 // and past it (append + one fold), to show that no range-add stalls.
 //
-// Writes BENCH_range_update.json (override the path with DDC_BENCH_JSON).
-// Setting DDC_BENCH_SMOKE shrinks boxes and rep counts so the whole run
-// finishes in well under a second — used by the `bench_smoke` ctest
+// The two ways are timed interleaved (bench/harness.h). Writes
+// BENCH_range_update.json (override the path with DDC_BENCH_JSON). Setting
+// DDC_BENCH_SMOKE shrinks boxes and rep counts for the `bench_smoke` ctest
 // regression gate. In smoke mode the binary also enforces the acceptance
 // floor itself: it exits nonzero unless the 2-D side-1024 configuration
 // shows range-add >= 10x the point loop.
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "bench_host.h"
 #include "common/range.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 
 namespace ddc {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// Exact percentile of a sample vector (nearest-rank); sorts in place.
-int64_t ExactPercentile(std::vector<int64_t>& samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  size_t rank = static_cast<size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  return samples[rank - 1];
-}
-
-struct LatencyResult {
-  double cells_per_sec = 0;  // Covered cells written per second.
-  int64_t p50_ns = 0;        // Per-operation wall latency percentiles (the
-  int64_t p99_ns = 0;        // whole box counts as one operation), computed
-  int64_t min_ns = 0;        // exactly from the per-rep samples.
-};
-
-template <typename Fn>
-LatencyResult MeasureLatency(int64_t cells_per_rep, int reps, const Fn& fn) {
-  fn();  // Warm-up: materializes every node/corner the op will ever touch.
-  std::vector<int64_t> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-  }
-  int64_t total_ns = 0;
-  for (int64_t s : samples) total_ns += s;
-  LatencyResult result;
-  result.cells_per_sec = static_cast<double>(reps) *
-                         static_cast<double>(cells_per_rep) /
-                         (static_cast<double>(total_ns) * 1e-9);
-  result.min_ns = *std::min_element(samples.begin(), samples.end());
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
-}
 
 // Read-side rows: one cube receives range-adds in three stages; reads are
 // timed after each stage, writes during the last two.
@@ -95,7 +45,7 @@ struct ReadRow {
   int64_t live_range_adds = 0;
   int64_t overlay_trees = 0;  // From PlanRangeSumBatch: 0 until the fold.
   int64_t journal_boxes = 0;  // Pending entries each corner scans.
-  LatencyResult read;
+  bench::Summary read;
 };
 
 struct OverlayResult {
@@ -103,25 +53,9 @@ struct OverlayResult {
   int64_t side;
   int64_t crossover;
   std::vector<ReadRow> rows;
-  LatencyResult journal_write;  // Range-adds that only append.
-  LatencyResult fold_write;     // Range-adds that append and fold one.
+  bench::Summary journal_write;  // Range-adds that only append.
+  bench::Summary fold_write;     // Range-adds that append and fold one.
 };
-
-// Exact percentiles of per-op samples (the cells_per_sec field is unused).
-LatencyResult Summarize(std::vector<int64_t> samples) {
-  LatencyResult result;
-  if (samples.empty()) return result;
-  result.min_ns = *std::min_element(samples.begin(), samples.end());
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
-}
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 OverlayResult RunOverlayConfig(int dims, int64_t side, int64_t inserts,
                                int read_reps) {
@@ -154,18 +88,16 @@ OverlayResult RunOverlayConfig(int dims, int64_t side, int64_t inserts,
         cube.PlanRangeSumBatch(std::span<const Box>(&first, 1));
     row.overlay_trees = plan.overlay_trees;
     row.journal_boxes = plan.overlay_journal_boxes;
-    std::vector<int64_t> samples;
-    samples.reserve(static_cast<size_t>(read_reps));
-    for (int r = 0; r <= read_reps; ++r) {
-      const Box box = r == 0 ? first : random_box();
-      int64_t out = 0;
-      const int64_t start = NowNs();
-      cube.RangeSumBatch(std::span<const Box>(&box, 1),
-                         std::span<int64_t>(&out, 1));
-      const int64_t end = NowNs();
-      if (r > 0) samples.push_back(end - start);  // r == 0 warms up.
-    }
-    row.read = Summarize(std::move(samples));
+    Box box;  // A fresh one for every read, drawn untimed.
+    row.read = bench::Interleave({{read_reps,
+                                   [&] {
+                                     int64_t out = 0;
+                                     cube.RangeSumBatch(
+                                         std::span<const Box>(&box, 1),
+                                         std::span<int64_t>(&out, 1));
+                                     bench::Keep(out);
+                                   },
+                                   [&] { box = random_box(); }}})[0];
     return row;
   };
   const auto add_until = [&](int64_t total, std::vector<int64_t>* journal,
@@ -175,9 +107,9 @@ OverlayResult RunOverlayConfig(int dims, int64_t side, int64_t inserts,
       const Box box = random_box();
       const int64_t delta = gen.Value(1, 9);
       const int64_t pending = cube.PendingRangeAdds();
-      const int64_t start = NowNs();
+      const int64_t start = bench::NowNs();
       cube.RangeAdd(box, delta);
-      const int64_t end = NowNs();
+      const int64_t end = bench::NowNs();
       (pending == result.crossover ? fold : journal)->push_back(end - start);
     }
   };
@@ -189,8 +121,8 @@ OverlayResult RunOverlayConfig(int dims, int64_t side, int64_t inserts,
     add_until(live, &journal_writes, &fold_writes);
     result.rows.push_back(measure_reads(live));
   }
-  result.journal_write = Summarize(std::move(journal_writes));
-  result.fold_write = Summarize(std::move(fold_writes));
+  result.journal_write = bench::Summarize(std::move(journal_writes));
+  result.fold_write = bench::Summarize(std::move(fold_writes));
   return result;
 }
 
@@ -199,10 +131,10 @@ struct ConfigResult {
   int64_t side;
   int64_t box_side;
   int64_t box_cells;
-  int looped_reps;
-  int range_reps;
-  LatencyResult looped;
-  LatencyResult range;
+  bench::Summary looped;
+  bench::Summary range;
+  double looped_cells_per_sec() const { return looped.PerSec(box_cells); }
+  double range_cells_per_sec() const { return range.PerSec(box_cells); }
 };
 
 ConfigResult RunConfig(int dims, int64_t side, int64_t box_side,
@@ -211,21 +143,21 @@ ConfigResult RunConfig(int dims, int64_t side, int64_t box_side,
   result.dims = dims;
   result.side = side;
   result.box_side = box_side;
-  const Shape shape = Shape::Cube(dims, side);
-  WorkloadGenerator gen(shape, 97);
-
-  // Two cubes with identical sparse pre-population (so descents meet real
-  // tree structure, not a single lazily-materialized path). Every op stays
+  // Cubes with identical sparse pre-population (so descents meet real tree
+  // structure, not a single lazily-materialized path). Every op stays
   // inside the seed domain: values accumulate, geometry never changes, so
   // no re-roots perturb the timing.
-  DynamicDataCube looped_cube(dims, side);
-  DynamicDataCube range_cube(dims, side);
-  for (int64_t i = 0; i < inserts; ++i) {
-    const Cell cell = gen.UniformCell();
-    const int64_t delta = gen.Value(-9, 9);
-    looped_cube.Add(cell, delta);
-    range_cube.Add(cell, delta);
-  }
+  const auto populated = [&] {
+    auto cube = std::make_unique<DynamicDataCube>(dims, side);
+    WorkloadGenerator gen(Shape::Cube(dims, side), 97);
+    for (int64_t i = 0; i < inserts; ++i) {
+      const Cell cell = gen.UniformCell();
+      cube->Add(cell, gen.Value(-9, 9));
+    }
+    return cube;
+  };
+  const std::unique_ptr<DynamicDataCube> looped_cube = populated();
+  std::unique_ptr<DynamicDataCube> range_cube;
 
   // The box: anchored off-origin so corner coordinates are non-trivial.
   Box box{UniformCell(dims, side / 4), UniformCell(dims, side / 4)};
@@ -234,18 +166,28 @@ ConfigResult RunConfig(int dims, int64_t side, int64_t box_side,
   }
   result.box_cells = box.NumCells();
 
-  result.looped = MeasureLatency(result.box_cells, looped_reps, [&] {
-    ForEachCellInBox(box, [&](const Cell& cell) { looped_cube.Add(cell, 1); });
-  });
-  result.range = MeasureLatency(result.box_cells, range_reps,
-                                [&] { range_cube.RangeAdd(box, 1); });
-  result.looped_reps = looped_reps;
-  result.range_reps = range_reps;
+  // Range-adds pile up in the journal and fold past the crossover, so the
+  // range side starts over on a fresh cube every range_reps runs: a
+  // topped-up smoke phase then sees the same journal depths and share of
+  // folds as the requested reps.
+  int range_runs = 0;
+  const std::vector<bench::Summary> timed = bench::Interleave(
+      {{looped_reps,
+        [&] {
+          ForEachCellInBox(
+              box, [&](const Cell& cell) { looped_cube->Add(cell, 1); });
+        }},
+       {range_reps, [&] { range_cube->RangeAdd(box, 1); },
+        [&] {
+          if (range_runs++ % (range_reps + 1) == 0) range_cube = populated();
+        }}});
+  result.looped = timed[0];
+  result.range = timed[1];
   return result;
 }
 
 int Run() {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::Smoke();
   struct Geometry {
     int dims;
     int64_t side;
@@ -281,10 +223,10 @@ int Run() {
     table.AddRow(
         {std::to_string(r.dims), std::to_string(r.side),
          std::to_string(r.box_side), std::to_string(r.box_cells),
-         TablePrinter::FormatDouble(r.looped.cells_per_sec, 0),
-         TablePrinter::FormatDouble(r.range.cells_per_sec, 0),
+         TablePrinter::FormatDouble(r.looped_cells_per_sec(), 0),
+         TablePrinter::FormatDouble(r.range_cells_per_sec(), 0),
          TablePrinter::FormatDouble(
-             r.range.cells_per_sec / r.looped.cells_per_sec, 1),
+             r.range_cells_per_sec() / r.looped_cells_per_sec(), 1),
          TablePrinter::FormatDouble(
              static_cast<double>(r.range.p99_ns) / 1000.0, 1)});
   }
@@ -325,7 +267,7 @@ int Run() {
            TablePrinter::FormatDouble(
                static_cast<double>(row.read.p99_ns) / 1000.0, 2)});
     }
-    const auto write_row = [&](const char* kind, const LatencyResult& w,
+    const auto write_row = [&](const char* kind, const bench::Summary& w,
                                int64_t ops) {
       write_table.AddRow(
           {std::to_string(o.dims), std::to_string(o.side), kind,
@@ -344,104 +286,70 @@ int Run() {
   // Headline: the 2-D configuration's range-over-looped speedup.
   double headline = 0;
   for (const ConfigResult& r : results) {
-    if (r.dims == 2) headline = r.range.cells_per_sec / r.looped.cells_per_sec;
+    if (r.dims == 2) {
+      headline = r.range_cells_per_sec() / r.looped_cells_per_sec();
+    }
   }
   std::printf("2-D range-add vs point-loop speedup: %.1fx\n\n", headline);
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_range_update.json";
-  }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"range_update\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"speedup_range_vs_loop_2d\": %.3f,\n"
-               "  \"configs\": [\n",
-               headline);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
+  bench::Json json("range_update");
+  json.Num("speedup_range_vs_loop_2d", headline).Array("configs");
+  for (const ConfigResult& r : results) {
     // speedup_range_p50/p99 compare per-op latencies (looped over range, so
     // higher still means the range path wins); the regression gate applies
     // its wider --p99-tolerance band to the p99 one.
-    std::fprintf(
-        out,
-        "    {\"dims\": %d, \"side\": %lld, \"box_side\": %lld, "
-        "\"box_cells\": %lld, \"looped_reps\": %d, \"range_reps\": %d,\n"
-        "     \"looped_cells_per_sec\": %.1f, \"range_cells_per_sec\": %.1f, "
-        "\"speedup_range\": %.3f,\n"
-        "     \"looped_p50_ns\": %lld, \"looped_p99_ns\": %lld, "
-        "\"looped_min_ns\": %lld, \"range_p50_ns\": %lld, "
-        "\"range_p99_ns\": %lld, \"range_min_ns\": %lld,\n"
-        "     \"speedup_range_p50\": %.3f, \"speedup_range_p99\": %.3f}%s\n",
-        r.dims, static_cast<long long>(r.side),
-        static_cast<long long>(r.box_side),
-        static_cast<long long>(r.box_cells), r.looped_reps, r.range_reps,
-        r.looped.cells_per_sec, r.range.cells_per_sec,
-        r.range.cells_per_sec / r.looped.cells_per_sec,
-        static_cast<long long>(r.looped.p50_ns),
-        static_cast<long long>(r.looped.p99_ns),
-        static_cast<long long>(r.looped.min_ns),
-        static_cast<long long>(r.range.p50_ns),
-        static_cast<long long>(r.range.p99_ns),
-        static_cast<long long>(r.range.min_ns),
-        static_cast<double>(r.looped.p50_ns) /
-            static_cast<double>(r.range.p50_ns),
-        static_cast<double>(r.looped.p99_ns) /
-            static_cast<double>(r.range.p99_ns),
-        i + 1 == results.size() ? "" : ",");
+    json.Object()
+        .Int("dims", r.dims)
+        .Int("side", r.side)
+        .Int("box_side", r.box_side)
+        .Int("box_cells", r.box_cells)
+        .Int("looped_reps", r.looped.reps())
+        .Int("range_reps", r.range.reps())
+        .Num("looped_cells_per_sec", r.looped_cells_per_sec(), 1)
+        .Num("range_cells_per_sec", r.range_cells_per_sec(), 1)
+        .Num("speedup_range",
+             r.range_cells_per_sec() / r.looped_cells_per_sec())
+        .Int("looped_p50_ns", r.looped.p50_ns)
+        .Int("looped_p99_ns", r.looped.p99_ns)
+        .Int("looped_min_ns", r.looped.min_ns)
+        .Int("range_p50_ns", r.range.p50_ns)
+        .Int("range_p99_ns", r.range.p99_ns)
+        .Int("range_min_ns", r.range.min_ns)
+        .Num("speedup_range_p50", bench::Ratio(r.looped.p50_ns, r.range.p50_ns))
+        .Num("speedup_range_p99", bench::Ratio(r.looped.p99_ns, r.range.p99_ns))
+        .End();
   }
   // ratio_read_* compare the read p50 with no range-add against the journal
   // regime (Crossover - 1 pending) and the folded regime (2 x Crossover
   // applied); higher is better, so the regression gate catches an overlay
   // read path that slows down relative to the bare cube.
-  std::fprintf(out, "  ],\n  \"overlay\": [\n");
-  for (size_t i = 0; i < overlays.size(); ++i) {
-    const OverlayResult& o = overlays[i];
-    std::fprintf(out,
-                 "    {\"dims\": %d, \"side\": %lld, \"crossover\": %lld,\n"
-                 "     \"reads\": [\n",
-                 o.dims, static_cast<long long>(o.side),
-                 static_cast<long long>(o.crossover));
-    for (size_t r = 0; r < o.rows.size(); ++r) {
-      const ReadRow& row = o.rows[r];
-      std::fprintf(out,
-                   "       {\"live_range_adds\": %lld, \"overlay_trees\": "
-                   "%lld, \"journal_boxes\": %lld, \"read_p50_ns\": %lld, "
-                   "\"read_p99_ns\": %lld}%s\n",
-                   static_cast<long long>(row.live_range_adds),
-                   static_cast<long long>(row.overlay_trees),
-                   static_cast<long long>(row.journal_boxes),
-                   static_cast<long long>(row.read.p50_ns),
-                   static_cast<long long>(row.read.p99_ns),
-                   r + 1 == o.rows.size() ? "" : ",");
+  json.End().Array("overlay");
+  for (const OverlayResult& o : overlays) {
+    json.Object()
+        .Int("dims", o.dims)
+        .Int("side", o.side)
+        .Int("crossover", o.crossover)
+        .Array("reads");
+    for (const ReadRow& row : o.rows) {
+      json.Object()
+          .Int("live_range_adds", row.live_range_adds)
+          .Int("overlay_trees", row.overlay_trees)
+          .Int("journal_boxes", row.journal_boxes)
+          .Int("read_p50_ns", row.read.p50_ns)
+          .Int("read_p99_ns", row.read.p99_ns)
+          .End();
     }
-    const double bare = static_cast<double>(o.rows[0].read.p50_ns);
-    std::fprintf(
-        out,
-        "     ],\n"
-        "     \"ratio_read_journal\": %.3f, \"ratio_read_folded\": %.3f,\n"
-        "     \"journal_write_p50_ns\": %lld, \"journal_write_p99_ns\": %lld, "
-        "\"fold_write_p50_ns\": %lld, \"fold_write_p99_ns\": %lld}%s\n",
-        bare / static_cast<double>(o.rows[1].read.p50_ns),
-        bare / static_cast<double>(o.rows[2].read.p50_ns),
-        static_cast<long long>(o.journal_write.p50_ns),
-        static_cast<long long>(o.journal_write.p99_ns),
-        static_cast<long long>(o.fold_write.p50_ns),
-        static_cast<long long>(o.fold_write.p99_ns),
-        i + 1 == overlays.size() ? "" : ",");
+    const int64_t bare = o.rows[0].read.p50_ns;
+    json.End()
+        .Num("ratio_read_journal", bench::Ratio(bare, o.rows[1].read.p50_ns))
+        .Num("ratio_read_folded", bench::Ratio(bare, o.rows[2].read.p50_ns))
+        .Int("journal_write_p50_ns", o.journal_write.p50_ns)
+        .Int("journal_write_p99_ns", o.journal_write.p99_ns)
+        .Int("fold_write_p50_ns", o.fold_write.p50_ns)
+        .Int("fold_write_p99_ns", o.fold_write.p99_ns)
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
 
   // Acceptance floor, enforced where the regression gate can see it.
   if (smoke && headline < 10.0) {

@@ -18,43 +18,37 @@
 // (override the path with DDC_BENCH_JSON).
 //
 // Honesty rule: the sharded-vs-coarse speedup is a scaling claim, and a
-// single-hardware-thread host cannot measure scaling — every curve is a
-// pure scheduling artifact there. On such hosts the speedup keys are
+// process with one usable CPU (a 1-core host, or `taskset -c 0`) cannot
+// measure scaling — every curve is a pure scheduling artifact there. Then
+// the speedup keys are
 // omitted entirely and the JSON carries "gate_skipped": true instead; the
 // regression gate (tools/check_bench_regression.py --skip-if-key) turns
 // that into a ctest SKIP rather than a green "passed" that asserted
 // nothing. Setting DDC_BENCH_SMOKE shrinks the sweep for the
-// `bench_smoke_throughput` gate; in smoke mode on a multi-core host the
+// `bench_smoke_throughput` gate; in smoke mode with several usable CPUs the
 // binary also enforces the sharded>=coarse floor itself (nonzero exit).
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_host.h"
 #include "common/cube_interface.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 #include "naive/naive_cube.h"
 #include "prefix/prefix_sum_cube.h"
 #include "rps/relative_prefix_sum_cube.h"
 
 namespace ddc {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 double MeasureOpsPerSec(CubeInterface* cube, const Shape& shape,
                         double update_fraction, int ops, uint64_t seed) {
@@ -79,7 +73,7 @@ double MeasureOpsPerSec(CubeInterface* cube, const Shape& shape,
   }
 
   int64_t sink = 0;
-  const auto start = std::chrono::steady_clock::now();
+  const int64_t start = bench::NowNs();
   for (const Op& op : trace) {
     if (op.is_update) {
       cube->Add(op.cell, op.delta);
@@ -87,10 +81,9 @@ double MeasureOpsPerSec(CubeInterface* cube, const Shape& shape,
       sink += cube->RangeSum(op.box);
     }
   }
-  const auto end = std::chrono::steady_clock::now();
-  (void)sink;
-  const double seconds = std::chrono::duration<double>(end - start).count();
-  return static_cast<double>(ops) / seconds;
+  const int64_t elapsed = bench::NowNs() - start;
+  bench::Keep(sink);
+  return static_cast<double>(ops) * 1e9 / static_cast<double>(elapsed);
 }
 
 void RunMixSweep(int64_t n) {
@@ -209,110 +202,106 @@ std::vector<TraceOp> MakeTrace(const ConcParams& params,
   return trace;
 }
 
-// One timed run on a fresh, identically pre-populated cube. Returns ops/sec
-// aggregated over all threads.
-double MeasureConcurrentTput(const ConcParams& params, Impl impl,
-                             int num_shards, int threads,
-                             double update_fraction, uint64_t seed) {
-  std::unique_ptr<ConcurrentCube> coarse;
-  std::unique_ptr<ShardedCube> sharded;
-  if (impl == Impl::kCoarse) {
-    coarse = std::make_unique<ConcurrentCube>(kConcDims, params.side);
-  } else {
-    sharded =
-        std::make_unique<ShardedCube>(kConcDims, params.side, num_shards);
-  }
-  WorkloadGenerator seed_gen(Shape::Cube(kConcDims, params.side), 1);
-  for (const UpdateOp& op :
-       seed_gen.UniformUpdates(params.prepopulate, 1, 9)) {
-    if (coarse) {
-      coarse->Add(op.cell, op.delta);
+// One timed run on a fresh, identically pre-populated cube. The
+// constructor builds the cube and the per-thread traces and starts the
+// threads, which spin until Go() releases them and waits for them to finish.
+class ConcurrentRun {
+ public:
+  ConcurrentRun(const ConcParams& params, Impl impl, int num_shards,
+                int threads, double update_fraction, uint64_t seed)
+      : impl_(impl) {
+    if (impl == Impl::kCoarse) {
+      coarse_ = std::make_unique<ConcurrentCube>(kConcDims, params.side);
     } else {
-      sharded->Add(op.cell, op.delta);
+      sharded_ =
+          std::make_unique<ShardedCube>(kConcDims, params.side, num_shards);
+    }
+    WorkloadGenerator seed_gen(Shape::Cube(kConcDims, params.side), 1);
+    for (const UpdateOp& op :
+         seed_gen.UniformUpdates(params.prepopulate, 1, 9)) {
+      if (coarse_) {
+        coarse_->Add(op.cell, op.delta);
+      } else {
+        sharded_->Add(op.cell, op.delta);
+      }
+    }
+    for (int t = 0; t < threads; ++t) {
+      traces_.push_back(
+          MakeTrace(params, update_fraction, seed + 31u * (t + 1)));
+    }
+    for (int t = 0; t < threads; ++t) {
+      pool_.emplace_back([this, t] { Work(traces_[static_cast<size_t>(t)]); });
+    }
+  }
+  ~ConcurrentRun() { Go(); }
+  ConcurrentRun(const ConcurrentRun&) = delete;
+  ConcurrentRun& operator=(const ConcurrentRun&) = delete;
+
+  void Go() {
+    go_.store(true, std::memory_order_release);
+    for (std::thread& worker : pool_) {
+      if (worker.joinable()) worker.join();
     }
   }
 
-  std::vector<std::vector<TraceOp>> traces;
-  traces.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    traces.push_back(MakeTrace(params, update_fraction, seed + 31u * (t + 1)));
-  }
-
-  std::atomic<bool> go{false};
-  std::atomic<int64_t> sink{0};
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t]() {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      int64_t local = 0;
-      std::vector<UpdateOp> batch;
-      batch.reserve(kWriteBatch);
-      for (const TraceOp& op : traces[static_cast<size_t>(t)]) {
-        if (op.is_update) {
-          switch (impl) {
-            case Impl::kCoarse:
-              coarse->Add(op.cell, op.delta);
-              break;
-            case Impl::kSharded:
-              sharded->Add(op.cell, op.delta);
-              break;
-            case Impl::kShardedBatched:
-              batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
-              if (batch.size() >= kWriteBatch) {
-                sharded->ApplyBatch(batch);
-                batch.clear();
-              }
-              break;
-          }
-        } else {
-          local += coarse ? coarse->RangeSum(op.box)
-                          : sharded->RangeSum(op.box);
+ private:
+  void Work(const std::vector<TraceOp>& trace) {
+    while (!go_.load(std::memory_order_acquire)) {
+    }
+    int64_t local = 0;
+    std::vector<UpdateOp> batch;
+    batch.reserve(kWriteBatch);
+    for (const TraceOp& op : trace) {
+      if (op.is_update) {
+        switch (impl_) {
+          case Impl::kCoarse:
+            coarse_->Add(op.cell, op.delta);
+            break;
+          case Impl::kSharded:
+            sharded_->Add(op.cell, op.delta);
+            break;
+          case Impl::kShardedBatched:
+            batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
+            if (batch.size() >= kWriteBatch) {
+              sharded_->ApplyBatch(batch);
+              batch.clear();
+            }
+            break;
         }
+      } else {
+        local += coarse_ ? coarse_->RangeSum(op.box)
+                         : sharded_->RangeSum(op.box);
       }
-      if (!batch.empty()) sharded->ApplyBatch(batch);
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
+    }
+    if (!batch.empty()) sharded_->ApplyBatch(batch);
+    bench::Keep(local);
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& worker : pool) worker.join();
-  const auto end = std::chrono::steady_clock::now();
-  (void)sink.load();
-  const double seconds = std::chrono::duration<double>(end - start).count();
-  return static_cast<double>(threads) * params.ops_per_thread / seconds;
-}
+  const Impl impl_;
+  std::unique_ptr<ConcurrentCube> coarse_;
+  std::unique_ptr<ShardedCube> sharded_;
+  std::vector<std::vector<TraceOp>> traces_;
+  std::atomic<bool> go_{false};
+  std::vector<std::thread> pool_;  // Last: joined before the rest goes.
+};
 
-// Repeated-run summary of one configuration. A first (discarded) warmup run
+// Order statistics of one configuration's runs (a first, untimed run
 // absorbs one-time costs — page faults, lazy tree materialization, thread
-// startup jitter — then the measured reps feed order statistics: the median
-// is the headline, min and p99 (max of the reps at this sample count) bound
-// the spread.
+// startup jitter): the median is the headline, min and p99 (the fastest run
+// at this sample count) bound the spread.
 struct TputStats {
   double median = 0;
   double min = 0;
   double p99 = 0;
+  int reps = 0;
 };
 
-TputStats MeasureConcurrentStats(const ConcParams& params, Impl impl,
-                                 int num_shards, int threads,
-                                 double update_fraction, uint64_t seed) {
-  (void)MeasureConcurrentTput(params, impl, num_shards, threads,
-                              update_fraction, seed);  // Warmup, discarded.
-  std::vector<double> reps;
-  reps.reserve(static_cast<size_t>(params.reps));
-  for (int r = 0; r < params.reps; ++r) {
-    reps.push_back(MeasureConcurrentTput(params, impl, num_shards, threads,
-                                         update_fraction, seed + 977u * r));
-  }
-  std::sort(reps.begin(), reps.end());
-  TputStats stats;
-  stats.min = reps.front();
-  stats.median = reps[reps.size() / 2];
-  stats.p99 = reps.back();
-  return stats;
+TputStats StatsOf(const bench::Summary& runs, double ops) {
+  const int64_t slowest =
+      *std::max_element(runs.samples.begin(), runs.samples.end());
+  return {ops * 1e9 / static_cast<double>(runs.p50_ns),
+          ops * 1e9 / static_cast<double>(slowest),
+          ops * 1e9 / static_cast<double>(runs.min_ns), runs.reps()};
 }
 
 struct CurvePoint {
@@ -325,12 +314,15 @@ struct CurvePoint {
 
 int RunConcurrencySweep(bool smoke) {
   const ConcParams params = ConcParamsFor(smoke);
-  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  // Parallelism is decided from the CPUs this process may run on, not the
+  // host's hardware threads: under `taskset -c 0` a 4-thread host runs
+  // every curve time-sliced on one CPU.
+  const int cpus = bench::AffinityCpus();
   std::printf(
-      "== Concurrent throughput (ops/sec), d=%d, n=%lld, %d hw threads%s "
-      "==\n",
-      kConcDims, static_cast<long long>(params.side), hardware,
-      smoke ? " [smoke]" : "");
+      "== Concurrent throughput (ops/sec), d=%d, n=%lld, %d usable CPUs of "
+      "%d hw threads%s ==\n",
+      kConcDims, static_cast<long long>(params.side), cpus,
+      bench::HardwareThreads(), smoke ? " [smoke]" : "");
 
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   struct Config {
@@ -345,17 +337,37 @@ int RunConcurrencySweep(bool smoke) {
 
   std::vector<CurvePoint> curve;
   for (double frac : {0.05, 0.5}) {
+    // At each thread count the five configurations are timed interleaved,
+    // each run on a fresh cube built by its untimed prep.
+    std::vector<std::vector<TputStats>> tput(configs.size());
+    for (int threads : thread_counts) {
+      std::vector<std::unique_ptr<ConcurrentRun>> live(configs.size());
+      std::vector<uint64_t> runs(configs.size(), 0);
+      std::vector<bench::Arm> arms;
+      for (size_t c = 0; c < configs.size(); ++c) {
+        arms.push_back({params.reps, [&, c] { live[c]->Go(); }, [&, c] {
+                          live[c].reset();
+                          live[c] = std::make_unique<ConcurrentRun>(
+                              params, configs[c].impl, configs[c].shards,
+                              threads, frac, 1234 + 977u * runs[c]++);
+                        }});
+      }
+      const std::vector<bench::Summary> timed = bench::Interleave(arms);
+      for (size_t c = 0; c < configs.size(); ++c) {
+        tput[c].push_back(
+            StatsOf(timed[c], static_cast<double>(threads) *
+                                  params.ops_per_thread));
+      }
+    }
     std::printf("-- update fraction %.0f%% --\n", frac * 100.0);
     TablePrinter table({"impl", "shards", "1 thr", "2 thr", "4 thr", "8 thr"});
-    for (const Config& config : configs) {
-      std::vector<std::string> row = {ImplName(config.impl),
-                                      std::to_string(config.shards)};
-      for (int threads : thread_counts) {
-        const TputStats tput = MeasureConcurrentStats(
-            params, config.impl, config.shards, threads, frac, 1234);
-        curve.push_back(
-            {config.impl, config.shards, threads, frac, tput});
-        row.push_back(TablePrinter::FormatDouble(tput.median, 0));
+    for (size_t c = 0; c < configs.size(); ++c) {
+      std::vector<std::string> row = {ImplName(configs[c].impl),
+                                      std::to_string(configs[c].shards)};
+      for (size_t t = 0; t < thread_counts.size(); ++t) {
+        curve.push_back({configs[c].impl, configs[c].shards,
+                         thread_counts[t], frac, tput[c][t]});
+        row.push_back(TablePrinter::FormatDouble(tput[c][t].median, 0));
       }
       table.AddRow(row);
     }
@@ -363,20 +375,20 @@ int RunConcurrencySweep(bool smoke) {
     std::printf("\n");
   }
 
-  // Scaling headline — only when the hardware can actually scale. On a
-  // single-hardware-thread host every multi-thread curve is a scheduling
-  // artifact (the threads time-slice one core), so printing a "speedup"
-  // would be measuring the scheduler, not the cube. In that case the
-  // speedup keys are omitted and the JSON says so via "gate_skipped".
+  // Scaling headline — only when the hardware can actually scale. With one
+  // usable CPU every multi-thread curve is a scheduling artifact (the
+  // threads time-slice one core), so printing a "speedup" would be
+  // measuring the scheduler, not the cube. In that case the speedup keys
+  // are omitted and the JSON says so via "gate_skipped".
   const int max_threads =
       *std::max_element(thread_counts.begin(), thread_counts.end());
-  const bool gate_skipped = hardware <= 1;
-  // The gate compares at the widest thread count the hardware genuinely
-  // runs in parallel, so the floor is a contention measurement even on
-  // hosts narrower than the widest curve.
+  const bool gate_skipped = cpus <= 1;
+  // The gate compares at the widest thread count the CPUs genuinely run in
+  // parallel, so the floor is a contention measurement even on hosts
+  // narrower than the widest curve.
   int gate_threads = 1;
   for (int t : thread_counts) {
-    if (t <= hardware && t > gate_threads) gate_threads = t;
+    if (t <= cpus && t > gate_threads) gate_threads = t;
   }
 
   double coarse_8t = 0, sharded_8t = 0, coarse_gate = 0, sharded_gate = 0;
@@ -396,8 +408,8 @@ int RunConcurrencySweep(bool smoke) {
       coarse_gate > 0 ? sharded_gate / coarse_gate : 0;
   if (gate_skipped) {
     std::printf(
-        "scaling GATE SKIPPED: 1 hardware thread — multi-thread curves "
-        "above are time-sliced, no speedup claim is made\n\n");
+        "scaling GATE SKIPPED: 1 usable CPU — multi-thread curves above are "
+        "time-sliced, no speedup claim is made\n\n");
   } else {
     std::printf(
         "read-heavy (95/5) %d-thread speedup, sharded S=8 vs coarse: "
@@ -405,65 +417,45 @@ int RunConcurrencySweep(bool smoke) {
         max_threads, speedup, gate_threads, gate_speedup);
   }
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_throughput.json";
-  }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  // Record the actual hardware and the over-subscription factor of the
-  // widest configuration so a reader (or the regression checker) can tell
-  // contention effects from scheduling artifacts.
-  const double oversubscription =
-      static_cast<double>(max_threads) / std::max(hardware, 1);
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"throughput\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"dims\": %d,\n"
-               "  \"domain_side\": %lld,\n"
-               "  \"ops_per_thread\": %d,\n"
-               "  \"max_bench_threads\": %d,\n"
-               "  \"oversubscription_factor\": %.2f,\n"
-               "  \"write_batch\": %zu,\n"
-               "  \"query_side_fraction\": %.3f,\n",
-               kConcDims, static_cast<long long>(params.side),
-               params.ops_per_thread, max_threads, oversubscription,
-               kWriteBatch, kQuerySideFraction);
+  // Record the over-subscription factor of the widest configuration so a
+  // reader (or the regression checker) can tell contention effects from
+  // scheduling artifacts.
+  bench::Json json("throughput");
+  json.Int("dims", kConcDims)
+      .Int("domain_side", params.side)
+      .Int("ops_per_thread", params.ops_per_thread)
+      .Int("max_bench_threads", max_threads)
+      .Num("oversubscription_factor",
+           static_cast<double>(max_threads) / std::max(cpus, 1), 2)
+      .Int("write_batch", static_cast<int64_t>(kWriteBatch))
+      .Num("query_side_fraction", kQuerySideFraction);
   if (gate_skipped) {
     // The key is present only when the gate is skipped, so
     // `check_bench_regression.py --skip-if-key gate_skipped` fires iff
     // either side of a comparison was produced on a can't-scale host.
-    std::fprintf(out, "  \"gate_skipped\": true,\n");
+    json.Bool("gate_skipped", true);
   } else {
-    std::fprintf(out,
-                 "  \"read_heavy_speedup_%dt_s8_vs_coarse\": %.3f,\n"
-                 "  \"gate_threads\": %d,\n"
-                 "  \"gate_speedup_s8_vs_coarse\": %.3f,\n",
-                 max_threads, speedup, gate_threads, gate_speedup);
+    json.Num("read_heavy_speedup_" + std::to_string(max_threads) +
+                 "t_s8_vs_coarse",
+             speedup)
+        .Int("gate_threads", gate_threads)
+        .Num("gate_speedup_s8_vs_coarse", gate_speedup);
   }
-  std::fprintf(out, "  \"curves\": [\n");
-  for (size_t i = 0; i < curve.size(); ++i) {
-    const CurvePoint& p = curve[i];
-    std::fprintf(out,
-                 "    {\"impl\": \"%s\", \"shards\": %d, \"threads\": %d, "
-                 "\"update_fraction\": %.2f, \"ops_per_sec\": %.1f, "
-                 "\"ops_per_sec_min\": %.1f, \"ops_per_sec_p99\": %.1f, "
-                 "\"reps\": %d, \"oversubscribed\": %s}%s\n",
-                 ImplName(p.impl), p.shards, p.threads, p.update_fraction,
-                 p.tput.median, p.tput.min, p.tput.p99, params.reps,
-                 p.threads > hardware ? "true" : "false",
-                 i + 1 == curve.size() ? "" : ",");
+  json.Array("curves");
+  for (const CurvePoint& p : curve) {
+    json.Object()
+        .Str("impl", ImplName(p.impl))
+        .Int("shards", p.shards)
+        .Int("threads", p.threads)
+        .Num("update_fraction", p.update_fraction, 2)
+        .Num("ops_per_sec", p.tput.median, 1)
+        .Num("ops_per_sec_min", p.tput.min, 1)
+        .Num("ops_per_sec_p99", p.tput.p99, 1)
+        .Int("reps", p.tput.reps)
+        .Bool("oversubscribed", p.threads > cpus)
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
 
   // Acceptance floor, enforced where the regression gate can see it: with
   // real parallelism available, the lock-striped sharded cube must at least
@@ -483,7 +475,7 @@ int RunConcurrencySweep(bool smoke) {
 }  // namespace ddc
 
 int main() {
-  const bool smoke = ddc::SmokeMode();
+  const bool smoke = ddc::bench::Smoke();
   if (!smoke) {
     ddc::RunMixSweep(256);
     ddc::RunMixSweep(512);

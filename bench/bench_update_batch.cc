@@ -10,35 +10,27 @@
 // shared descent visits each touched subtree once per level, which is
 // where the batched win comes from.
 //
-// Writes BENCH_update_batch.json (override the path with DDC_BENCH_JSON).
-// Setting DDC_BENCH_SMOKE shrinks every size so the whole run finishes in
-// well under a second — used by the `bench_smoke` ctest regression gate. In
+// The two modes are timed interleaved (bench/harness.h). Writes
+// BENCH_update_batch.json (override the path with DDC_BENCH_JSON). Setting
+// DDC_BENCH_SMOKE shrinks every size for the `bench_smoke` ctest regression
+// gate, and the harness then runs each phase for a fixed minimum time. In
 // smoke mode the binary also enforces the acceptance floor itself: it exits
 // nonzero unless the 2-D batch-1024 configuration shows batched >= 1.5x
 // looped, so the gate is a hard bound, not only a baseline ratio check.
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_host.h"
 #include "common/mutation.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
+#include "harness.h"
 
 namespace ddc {
 namespace {
-
-bool SmokeMode() {
-  const char* env = std::getenv("DDC_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 // Ingest-shaped point deltas: streaming writers overwhelmingly hit a small
 // working set of hot entities, with a uniform cold tail spreading the rest
@@ -63,61 +55,20 @@ MutationBatch MakeUpdateBatch(WorkloadGenerator& gen, size_t count) {
   return batch;
 }
 
-// Exact percentile of a sample vector (nearest-rank); sorts in place.
-int64_t ExactPercentile(std::vector<int64_t>& samples, double q) {
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double n = static_cast<double>(samples.size());
-  size_t rank = static_cast<size_t>(std::ceil(q * n));
-  if (rank < 1) rank = 1;
-  if (rank > samples.size()) rank = samples.size();
-  return samples[rank - 1];
-}
-
-struct LatencyResult {
-  double ups = 0;      // Mean mutations/sec over the measured reps.
-  int64_t p50_ns = 0;  // Per-batch wall latency percentiles, computed
-  int64_t p99_ns = 0;  // exactly from the per-rep samples — these feed the
-  int64_t min_ns = 0;  // regression gate.
-};
-
-template <typename Fn>
-LatencyResult MeasureLatency(size_t batch_size, int reps, const Fn& fn) {
-  fn();  // Warm-up: builds every node the batch will ever touch.
-  std::vector<int64_t> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto end = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-  }
-  int64_t total_ns = 0;
-  for (int64_t s : samples) total_ns += s;
-  LatencyResult result;
-  result.ups = static_cast<double>(reps) * static_cast<double>(batch_size) /
-               (static_cast<double>(total_ns) * 1e-9);
-  result.min_ns = *std::min_element(samples.begin(), samples.end());
-  result.p50_ns = ExactPercentile(samples, 0.50);
-  result.p99_ns = ExactPercentile(samples, 0.99);
-  return result;
-}
-
 struct ConfigResult {
   int dims;
   int64_t side;
   size_t batch_size;
-  int reps;
   int64_t inserts;
-  LatencyResult looped;
-  LatencyResult batched;
+  bench::Summary looped;
+  bench::Summary batched;
+  double looped_ups() const { return looped.PerSec(batch_size); }
+  double batched_ups() const { return batched.PerSec(batch_size); }
 };
 
 ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
                        int64_t inserts) {
-  ConfigResult result{dims, side, batch_size, reps, inserts, {}, {}};
+  ConfigResult result{dims, side, batch_size, inserts, {}, {}};
   const Shape shape = Shape::Cube(dims, side);
   WorkloadGenerator gen(shape, 97);
 
@@ -135,17 +86,18 @@ ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
 
   const MutationBatch batch = MakeUpdateBatch(gen, batch_size);
 
-  result.looped = MeasureLatency(batch_size, reps, [&] {
-    for (const Mutation& m : batch) looped_cube.Add(m.cell, m.delta);
-  });
-  result.batched = MeasureLatency(batch_size, reps, [&] {
-    batched_cube.ApplyBatch(batch);
-  });
+  const std::vector<bench::Summary> timed = bench::Interleave(
+      {{reps, [&] {
+          for (const Mutation& m : batch) looped_cube.Add(m.cell, m.delta);
+        }},
+       {reps, [&] { batched_cube.ApplyBatch(batch); }}});
+  result.looped = timed[0];
+  result.batched = timed[1];
   return result;
 }
 
 int Run() {
-  const bool smoke = SmokeMode();
+  const bool smoke = bench::Smoke();
   struct Geometry {
     int dims;
     int64_t side;
@@ -177,9 +129,10 @@ int Run() {
     results.push_back(r);
     table.AddRow({std::to_string(r.dims), std::to_string(r.side),
                   std::to_string(r.batch_size),
-                  TablePrinter::FormatDouble(r.looped.ups, 0),
-                  TablePrinter::FormatDouble(r.batched.ups, 0),
-                  TablePrinter::FormatDouble(r.batched.ups / r.looped.ups, 2),
+                  TablePrinter::FormatDouble(r.looped_ups(), 0),
+                  TablePrinter::FormatDouble(r.batched_ups(), 0),
+                  TablePrinter::FormatDouble(
+                      r.batched_ups() / r.looped_ups(), 2),
                   TablePrinter::FormatDouble(
                       static_cast<double>(r.batched.p99_ns) / 1000.0, 1)});
   }
@@ -188,62 +141,38 @@ int Run() {
   // Headline: the 2-D configuration's batched-over-looped speedup.
   double headline = 0;
   for (const ConfigResult& r : results) {
-    if (r.dims == 2) headline = r.batched.ups / r.looped.ups;
+    if (r.dims == 2) headline = r.batched_ups() / r.looped_ups();
   }
   std::printf("2-D batched vs looped update speedup: %.2fx\n\n", headline);
 
-  const char* json_path = std::getenv("DDC_BENCH_JSON");
-  if (json_path == nullptr || json_path[0] == '\0') {
-    json_path = "BENCH_update_batch.json";
-  }
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"update_batch\",\n"
-               "  \"smoke\": %d,\n",
-               smoke ? 1 : 0);
-  WriteHostJson(out);
-  std::fprintf(out,
-               "  \"speedup_batched_vs_looped_2d\": %.3f,\n"
-               "  \"configs\": [\n",
-               headline);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
+  bench::Json json("update_batch");
+  json.Num("speedup_batched_vs_looped_2d", headline).Array("configs");
+  for (const ConfigResult& r : results) {
     // The speedup_batched_p* keys compare tail latencies (looped over
     // batched, so higher still means batching wins); the regression gate
     // applies its wider --p99-tolerance band to the p99 one.
-    std::fprintf(
-        out,
-        "    {\"dims\": %d, \"side\": %lld, \"batch\": %zu, \"reps\": %d, "
-        "\"inserts\": %lld, \"looped_ups\": %.1f, \"batched_ups\": %.1f, "
-        "\"speedup_batched\": %.3f,\n"
-        "     \"looped_p50_ns\": %lld, \"looped_p99_ns\": %lld, "
-        "\"looped_min_ns\": %lld, \"batched_p50_ns\": %lld, "
-        "\"batched_p99_ns\": %lld, \"batched_min_ns\": %lld,\n"
-        "     \"speedup_batched_p50\": %.3f, \"speedup_batched_p99\": %.3f}"
-        "%s\n",
-        r.dims, static_cast<long long>(r.side), r.batch_size, r.reps,
-        static_cast<long long>(r.inserts), r.looped.ups, r.batched.ups,
-        r.batched.ups / r.looped.ups,
-        static_cast<long long>(r.looped.p50_ns),
-        static_cast<long long>(r.looped.p99_ns),
-        static_cast<long long>(r.looped.min_ns),
-        static_cast<long long>(r.batched.p50_ns),
-        static_cast<long long>(r.batched.p99_ns),
-        static_cast<long long>(r.batched.min_ns),
-        static_cast<double>(r.looped.p50_ns) /
-            static_cast<double>(r.batched.p50_ns),
-        static_cast<double>(r.looped.p99_ns) /
-            static_cast<double>(r.batched.p99_ns),
-        i + 1 == results.size() ? "" : ",");
+    json.Object()
+        .Int("dims", r.dims)
+        .Int("side", r.side)
+        .Int("batch", static_cast<int64_t>(r.batch_size))
+        .Int("reps", r.batched.reps())
+        .Int("inserts", r.inserts)
+        .Num("looped_ups", r.looped_ups(), 1)
+        .Num("batched_ups", r.batched_ups(), 1)
+        .Num("speedup_batched", r.batched_ups() / r.looped_ups())
+        .Int("looped_p50_ns", r.looped.p50_ns)
+        .Int("looped_p99_ns", r.looped.p99_ns)
+        .Int("looped_min_ns", r.looped.min_ns)
+        .Int("batched_p50_ns", r.batched.p50_ns)
+        .Int("batched_p99_ns", r.batched.p99_ns)
+        .Int("batched_min_ns", r.batched.min_ns)
+        .Num("speedup_batched_p50", bench::Ratio(r.looped.p50_ns,
+                                                 r.batched.p50_ns))
+        .Num("speedup_batched_p99", bench::Ratio(r.looped.p99_ns,
+                                                 r.batched.p99_ns))
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path);
+  if (!json.Write()) return 1;
 
   // Acceptance floor, enforced where the regression gate can see it.
   if (smoke && headline < 1.5) {
