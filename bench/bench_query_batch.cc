@@ -4,9 +4,10 @@
 //   single           : a loop of RangeSum calls (the pre-batching baseline),
 //   batched          : DynamicDataCube::RangeSumBatch (corner dedup + one
 //                      shared tree descent),
-//   batched_parallel : ConcurrentCube::RangeSumBatch (the whole batch in
-//                      one batched call under one shared lock; the row
-//                      prices the thread-safe facade against `batched`).
+//   batched_parallel : RangeSumBatch on a one-shard ShardedCube, the coarse
+//                      facade (the whole batch in one batched call under
+//                      one shared lock; the row prices the thread-safe
+//                      facade against `batched`).
 // The batch mixes rollup-style adjacent slices (the OLAP GroupBy shape,
 // where neighbouring slices share half their corner sets) with uniform
 // boxes, matching the executor's real traffic.
@@ -25,7 +26,7 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
+#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "harness.h"
 #include "obs/introspect.h"
@@ -81,7 +82,7 @@ ConfigResult RunConfig(int dims, int64_t side, size_t batch_size, int reps,
   WorkloadGenerator gen(shape, 97);
 
   DynamicDataCube cube(dims, side);
-  ConcurrentCube concurrent(dims, side);
+  ShardedCube concurrent(dims, side, 1);
   for (int64_t i = 0; i < inserts; ++i) {
     const Cell cell = gen.UniformCell();
     const int64_t delta = gen.Value(-9, 9);

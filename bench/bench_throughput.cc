@@ -10,9 +10,10 @@
 // (everything in between) is the reproduced shape.
 
 // Part 2 (below the paper sweep): concurrent throughput of the coarse
-// ConcurrentCube versus the lock-striped ShardedCube (one reader-writer lock
-// per shard, shard work run on the calling thread) across threads×shards, on
-// a read-heavy (95/5) and a write-heavy (50/50) mix, plus the batched write
+// configuration (a one-shard ShardedCube: one reader-writer lock over one
+// cube) versus the lock-striped ShardedCube (one reader-writer lock per
+// shard, shard work run on the calling thread) across threads×shards, on a
+// read-heavy (95/5) and a write-heavy (50/50) mix, plus the batched write
 // path.
 // Results are printed as tables and written to BENCH_throughput.json
 // (override the path with DDC_BENCH_JSON).
@@ -39,7 +40,6 @@
 #include "common/cube_interface.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "harness.h"
@@ -209,21 +209,12 @@ class ConcurrentRun {
  public:
   ConcurrentRun(const ConcParams& params, Impl impl, int num_shards,
                 int threads, double update_fraction, uint64_t seed)
-      : impl_(impl) {
-    if (impl == Impl::kCoarse) {
-      coarse_ = std::make_unique<ConcurrentCube>(kConcDims, params.side);
-    } else {
-      sharded_ =
-          std::make_unique<ShardedCube>(kConcDims, params.side, num_shards);
-    }
+      : batched_(impl == Impl::kShardedBatched),
+        cube_(kConcDims, params.side, num_shards) {
     WorkloadGenerator seed_gen(Shape::Cube(kConcDims, params.side), 1);
     for (const UpdateOp& op :
          seed_gen.UniformUpdates(params.prepopulate, 1, 9)) {
-      if (coarse_) {
-        coarse_->Add(op.cell, op.delta);
-      } else {
-        sharded_->Add(op.cell, op.delta);
-      }
+      cube_.Add(op.cell, op.delta);
     }
     for (int t = 0; t < threads; ++t) {
       traces_.push_back(
@@ -252,34 +243,24 @@ class ConcurrentRun {
     std::vector<UpdateOp> batch;
     batch.reserve(kWriteBatch);
     for (const TraceOp& op : trace) {
-      if (op.is_update) {
-        switch (impl_) {
-          case Impl::kCoarse:
-            coarse_->Add(op.cell, op.delta);
-            break;
-          case Impl::kSharded:
-            sharded_->Add(op.cell, op.delta);
-            break;
-          case Impl::kShardedBatched:
-            batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
-            if (batch.size() >= kWriteBatch) {
-              sharded_->ApplyBatch(batch);
-              batch.clear();
-            }
-            break;
-        }
+      if (!op.is_update) {
+        local += cube_.RangeSum(op.box);
+      } else if (!batched_) {
+        cube_.Add(op.cell, op.delta);
       } else {
-        local += coarse_ ? coarse_->RangeSum(op.box)
-                         : sharded_->RangeSum(op.box);
+        batch.push_back({op.cell, op.delta, UpdateKind::kAdd});
+        if (batch.size() >= kWriteBatch) {
+          cube_.ApplyBatch(batch);
+          batch.clear();
+        }
       }
     }
-    if (!batch.empty()) sharded_->ApplyBatch(batch);
+    if (!batch.empty()) cube_.ApplyBatch(batch);
     bench::Keep(local);
   }
 
-  const Impl impl_;
-  std::unique_ptr<ConcurrentCube> coarse_;
-  std::unique_ptr<ShardedCube> sharded_;
+  const bool batched_;
+  ShardedCube cube_;
   std::vector<std::vector<TraceOp>> traces_;
   std::atomic<bool> go_{false};
   std::vector<std::thread> pool_;  // Last: joined before the rest goes.

@@ -35,8 +35,8 @@
 //
 // Composition and threading: the wrapper borrows any CubeInterface and
 // inherits its thread-safety. Over a DynamicDataCube it is single-threaded
-// like the cube itself. Over a thread-safe backing cube (ShardedCube,
-// ConcurrentCube) it is fully thread-safe: cache state sits under one
+// like the cube itself. Over a thread-safe backing cube (ShardedCube, at
+// any shard count) it is fully thread-safe: cache state sits under one
 // mutex, and a pending-writer count plus a generation counter form the
 // insert guard — a miss computed concurrently with any writer or flush is
 // returned to the caller but never inserted, which closes the classic

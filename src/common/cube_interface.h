@@ -5,10 +5,10 @@
 // All structures answer the same queries over the same logical array A
 // (Section 2 of the paper); they differ only in cost. Integration tests and
 // benchmark harnesses exercise them uniformly through this interface. The
-// layers that compose over a cube — the lock-guarded facades
-// (ConcurrentCube, ShardedCube) and the query-result cache (CachedCube) —
-// implement it too, so the executor and the differential suites need one
-// code path for every stack.
+// layers that compose over a cube — the lock-guarded facade (ShardedCube;
+// one shard is the coarse configuration) and the query-result cache
+// (CachedCube) — implement it too, so the executor and the differential
+// suites need one code path for every stack.
 
 #ifndef DDC_COMMON_CUBE_INTERFACE_H_
 #define DDC_COMMON_CUBE_INTERFACE_H_

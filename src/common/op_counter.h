@@ -45,12 +45,12 @@ struct OpCounters {
   int64_t total_touched() const { return values_read + values_written; }
 };
 
-// Thread-safe operation statistics for the concurrent facades. Unlike
+// Thread-safe operation statistics for ShardedCube, kept per shard. Unlike
 // OpCounters these count whole operations (not stored values touched), so
 // they stay meaningful when many threads mutate them concurrently; every
 // field is an independent relaxed atomic — totals are exact once the
 // structure is quiesced, and monotone lower bounds while it is running.
-// Like OpCounters, this is a thin per-instance view: the facades mirror
+// Like OpCounters, this is a thin per-instance view: the facade mirrors
 // every event into the registry's sharded.* counters, so `ddctool stats`
 // and the renderers see one unified account (see src/obs/metrics.h).
 struct ConcurrentOpStats {
@@ -58,7 +58,8 @@ struct ConcurrentOpStats {
   std::atomic<int64_t> batches{0};        // ApplyBatch calls.
   std::atomic<int64_t> batched_ops{0};    // Ops applied through ApplyBatch.
   std::atomic<int64_t> point_reads{0};    // Get calls.
-  std::atomic<int64_t> range_queries{0};  // RangeSum/TotalSum calls.
+  // RangeSum/PrefixSum/TotalSum calls, and boxes of RangeSumBatch calls.
+  std::atomic<int64_t> range_queries{0};
   // Growth/shrink re-rootings: ShardedCube keeps each shard's re-root
   // epoch here, refreshed by the writer under the shard's exclusive lock.
   std::atomic<int64_t> reroots{0};

@@ -1,6 +1,5 @@
 // ThreadPool: a small fixed worker pool for fanning short leaf work out
-// across cores (ShardedCube's multi-shard write groups, ConcurrentCube's
-// kSet base-value reads).
+// across cores (ShardedCube's multi-shard write groups).
 //
 // Design constraints, in order:
 //   1. The caller always participates: ParallelFor pulls indices on the

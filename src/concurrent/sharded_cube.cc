@@ -138,14 +138,34 @@ void CopyInto(Mutation& to, const Mutation& from) {
   to.hi.assign(from.hi.begin(), from.hi.end());
 }
 
-// The routing scratch of ShardedCube::ApplyBatch, one per calling thread.
-// Every buffer keeps its capacity across calls, so a steady-state batch
-// routes without touching the heap. One instance per thread suffices: a
-// call never re-enters ApplyBatch on its own thread (shard work calls only
-// the shard cubes, and a pool task never waits on the pool).
+void CopyInto(Box& to, const Box& from) {
+  to.lo.assign(from.lo.begin(), from.lo.end());
+  to.hi.assign(from.hi.begin(), from.hi.end());
+}
+
+// Copies `from` clipped to [lo0, hi0] along dimension 0 into `to`.
+void ClipInto(Box& to, const Box& from, Coord lo0, Coord hi0) {
+  CopyInto(to, from);
+  to.lo[0] = lo0;
+  to.hi[0] = hi0;
+}
+
+// One clipped box of a RangeSumBatch call and the output it feeds.
+struct BoxPiece {
+  size_t query;
+  Box box;
+};
+
+// The routing scratch of ShardedCube::ApplyBatch (Piece = Mutation) and
+// RangeSumBatch (Piece = BoxPiece), one of each per calling thread. Every
+// buffer keeps its capacity across calls, so a steady-state batch routes
+// without touching the heap. One instance per thread suffices: a call
+// never re-enters its own entry point on its own thread (shard work calls
+// only the shard cubes, and a pool task never waits on the pool).
+template <typename Piece>
 struct RouteScratch {
-  // One routed mutation, in batch order: its shard, and `ref`, an index
-  // into the caller's batch or, from the batch's size up, into `pieces`.
+  // One routed item, in batch order: its shard, and `ref`, an index into
+  // the caller's batch or, from the batch's size up, into `pieces`.
   struct Routed {
     uint32_t shard;
     uint32_t ref;
@@ -157,10 +177,17 @@ struct RouteScratch {
   std::vector<size_t> begin;
   std::vector<size_t> cursor;
   std::vector<int> touched;  // Shards with a non-empty group, ascending.
-  // Rewritten range mutations (per-slab pieces, clipped zero range-sets).
-  // Slots from `pieces_used` up keep their Cells for the next call.
-  MutationBatch pieces;
+  // Rewritten items (per-slab pieces of a range or a box, clipped zero
+  // range-sets). Slots from `pieces_used` up keep their Cells for the next
+  // call.
+  std::vector<Piece> pieces;
   size_t pieces_used = 0;
+
+  void Reset(size_t items) {
+    routes.clear();
+    routes.reserve(items);  // Exact unless an item spans slabs.
+    pieces_used = 0;
+  }
 
   static RouteScratch& ThreadLocal() {
     thread_local RouteScratch scratch;
@@ -173,7 +200,7 @@ struct RouteScratch {
         {static_cast<uint32_t>(shard), static_cast<uint32_t>(ref)});
   }
 
-  Mutation& NextPiece() {
+  Piece& NextPiece() {
     if (pieces_used == pieces.size()) pieces.emplace_back();
     return pieces[pieces_used++];
   }
@@ -305,41 +332,25 @@ int ShardedCube::ShardOf(const Cell& cell) const {
   return static_cast<int>(FloorMod(SlabIndex(cell[0]), num_shards_));
 }
 
-std::vector<ShardedCube::SubQuery> ShardedCube::Decompose(
-    const Box& box) const {
-  std::vector<SubQuery> sub;
-  if (box.IsEmpty()) return sub;
+template <typename Fn>
+void ShardedCube::ForEachReadPiece(const Box& box, Fn&& fn) const {
+  if (box.IsEmpty()) return;
   const int64_t slab_lo = SlabIndex(box.lo[0]);
   const int64_t slab_hi = SlabIndex(box.hi[0]);
-  const int64_t span = slab_hi - slab_lo + 1;
-  if (span >= num_shards_) {
+  if (slab_hi - slab_lo + 1 >= num_shards_) {
     // Every shard owns slabs inside the box; clipping along dimension 0
     // buys nothing (each shard's cube only holds its own cells anyway).
-    sub.reserve(static_cast<size_t>(num_shards_));
-    for (int s = 0; s < num_shards_; ++s) {
-      sub.push_back({s, box});
-    }
-    return sub;
+    for (int s = 0; s < num_shards_; ++s) fn(s, box.lo[0], box.hi[0]);
+    return;
   }
   // Fewer slabs than shards: each intersecting slab belongs to a distinct
-  // shard. Clip the sub-box to the slab so the shard query touches only the
-  // relevant part of its domain.
-  sub.reserve(static_cast<size_t>(span));
+  // shard, whose piece is clipped to the slab so the shard query touches
+  // only the relevant part of its domain.
   for (int64_t slab = slab_lo; slab <= slab_hi; ++slab) {
-    SubQuery q;
-    q.shard = static_cast<int>(FloorMod(slab, num_shards_));
-    q.box = box;
-    q.box.lo[0] = std::max<Coord>(box.lo[0], slab * slab_width_);
-    q.box.hi[0] = std::min<Coord>(box.hi[0], slab * slab_width_ +
-                                                 slab_width_ - 1);
-    sub.push_back(std::move(q));
+    fn(static_cast<int>(FloorMod(slab, num_shards_)),
+       std::max<Coord>(box.lo[0], slab * slab_width_),
+       std::min<Coord>(box.hi[0], slab * slab_width_ + slab_width_ - 1));
   }
-  // Ascending shard index: the lock and billing order.
-  std::sort(sub.begin(), sub.end(),
-            [](const SubQuery& a, const SubQuery& b) {
-              return a.shard < b.shard;
-            });
-  return sub;
 }
 
 template <typename Fn>
@@ -423,10 +434,8 @@ bool ShardedCube::ApplyBatch(std::span<const Mutation> ops) {
   // shards target different cells and commute, and a range mutation splits
   // into disjoint per-slab pieces that inherit its position in each
   // shard's group.
-  RouteScratch& rs = RouteScratch::ThreadLocal();
-  rs.routes.clear();
-  rs.routes.reserve(ops.size());  // Exact unless a range spans slabs.
-  rs.pieces_used = 0;
+  RouteScratch<Mutation>& rs = RouteScratch<Mutation>::ThreadLocal();
+  rs.Reset(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     const Mutation& op = ops[i];
     if (!op.is_range()) {
@@ -565,34 +574,37 @@ int64_t ShardedCube::Get(const Cell& cell) const {
 }
 
 int64_t ShardedCube::PrefixSum(const Cell& cell) const {
-  return RangeSum(Box{DomainLo(), cell});
+  shards_[0].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
+  if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
+  int64_t sum = 0;
+  for (int s = 0; s < num_shards_; ++s) {
+    // The domain and the sum under one hold: a batch growing the shard's
+    // domain downward lands wholly before or after this read.
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      sum += cube.RangeSum(Box{cube.DomainLo(), cell});
+    });
+  }
+  return sum;
 }
 
 int64_t ShardedCube::RangeSum(const Box& box) const {
-  // Each piece is one single-box descent on its shard, as in
-  // ConcurrentCube::RangeSum.
+  // Each piece is one single-box descent on its shard; the query is billed
+  // to its lowest touched shard.
+  thread_local Box clip;
   int64_t sum = 0;
-  const auto sum_piece = [this, &sum](int s, const Box& piece) {
+  int lowest = num_shards_;
+  ForEachReadPiece(box, [&](int s, Coord lo0, Coord hi0) {
+    lowest = std::min(lowest, s);
+    const bool whole = lo0 == box.lo[0] && hi0 == box.hi[0];
+    if (!whole) ClipInto(clip, box, lo0, hi0);
     ReadShard(s, [&](const DynamicDataCube& cube) {
-      sum += cube.RangeSum(piece);
+      sum += cube.RangeSum(whole ? box : clip);
     });
-  };
-  const auto bill = [this](int s) {
-    shards_[static_cast<size_t>(s)].stats.range_queries.fetch_add(
-        1, std::memory_order_relaxed);
-    if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
-  };
-  if (!box.IsEmpty() && SlabIndex(box.lo[0]) == SlabIndex(box.hi[0])) {
-    // Single-slab fast path, the read-heavy common case: no decomposition
-    // vector.
-    const int s = static_cast<int>(FloorMod(SlabIndex(box.lo[0]), num_shards_));
-    bill(s);
-    sum_piece(s, box);
-    return sum;
-  }
-  const std::vector<SubQuery> sub = Decompose(box);
-  bill(sub.empty() ? 0 : sub[0].shard);
-  for (const SubQuery& q : sub) sum_piece(q.shard, q.box);
+  });
+  ConcurrentOpStats& billing =
+      shards_[static_cast<size_t>(lowest == num_shards_ ? 0 : lowest)].stats;
+  billing.range_queries.fetch_add(1, std::memory_order_relaxed);
+  if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
   return sum;
 }
 
@@ -603,56 +615,80 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
   obs::TraceSpan span("sharded.range_sum_batch",
                       static_cast<int64_t>(boxes.size()));
 
-  // Bucket the sub-queries of every box by owning shard. Each bucket is
-  // answered with one batched cube call, so corners shared between the
-  // batch's boxes dedup inside the shard.
-  struct ShardWork {
-    std::vector<Box> boxes;
-    std::vector<size_t> query;  // Parallel: which output each box feeds.
-    std::vector<int64_t> partial;
-  };
-  std::vector<ShardWork> work(static_cast<size_t>(num_shards_));
-  for (size_t q = 0; q < boxes.size(); ++q) {
-    out[q] = 0;
-    for (SubQuery& sub : Decompose(boxes[q])) {
-      ShardWork& w = work[static_cast<size_t>(sub.shard)];
-      w.boxes.push_back(std::move(sub.box));
-      w.query.push_back(q);
-    }
+  // Route the pieces of every box to their shards by index, in box order.
+  // Each group is answered with one batched cube call, so corners shared
+  // between the batch's boxes dedup inside the shard.
+  const size_t n = boxes.size();
+  RouteScratch<BoxPiece>& rs = RouteScratch<BoxPiece>::ThreadLocal();
+  rs.Reset(n);
+  for (size_t q = 0; q < n; ++q) {
+    const Box& box = boxes[q];
+    ForEachReadPiece(box, [&](int s, Coord lo0, Coord hi0) {
+      if (lo0 == box.lo[0] && hi0 == box.hi[0]) {
+        rs.Route(s, q);  // The whole box: routed in place.
+        return;
+      }
+      BoxPiece& piece = rs.NextPiece();
+      piece.query = q;
+      ClipInto(piece.box, box, lo0, hi0);
+      rs.Route(s, n + rs.pieces_used - 1);
+    });
   }
-  std::vector<int> shard_ids;  // Ascending: the lock and reporting order.
-  for (int s = 0; s < num_shards_; ++s) {
-    ShardWork& w = work[static_cast<size_t>(s)];
-    if (w.boxes.empty()) continue;
-    w.partial.resize(w.boxes.size());
-    shard_ids.push_back(s);
+  if (rs.routes.empty()) {
+    std::fill(out.begin(), out.end(), 0);
+    return;
   }
-  if (shard_ids.empty()) return;
+  rs.GroupByShard(num_shards_);
   if (obs::CostLedger* active = obs::ActiveLedger()) {
     // Decomposition shape; the per-shard descents below run on this thread
     // and fold into the same ledger directly.
-    active->shard_groups += static_cast<int64_t>(shard_ids.size());
-    for (int s : shard_ids) {
-      active->shard_subqueries +=
-          static_cast<int64_t>(work[static_cast<size_t>(s)].boxes.size());
-    }
+    active->shard_groups += static_cast<int64_t>(rs.touched.size());
+    active->shard_subqueries += static_cast<int64_t>(rs.routes.size());
   }
-
-  ConcurrentOpStats& billing =
-      shards_[static_cast<size_t>(shard_ids[0])].stats;
-  billing.range_queries.fetch_add(static_cast<int64_t>(boxes.size()),
-                                  std::memory_order_relaxed);
+  shards_[static_cast<size_t>(rs.touched[0])].stats.range_queries.fetch_add(
+      static_cast<int64_t>(n), std::memory_order_relaxed);
   if (obs::Enabled()) {
-    ShardedObs::Get().range_queries.Add(static_cast<int64_t>(boxes.size()));
+    ShardedObs::Get().range_queries.Add(static_cast<int64_t>(n));
   }
 
-  for (int s : shard_ids) {
-    ShardWork& w = work[static_cast<size_t>(s)];
-    ReadShard(s, [&](const DynamicDataCube& cube) {
-      cube.RangeSumBatch(w.boxes, w.partial);
+  // A group that is the whole batch, unclipped, reads the caller's boxes;
+  // when it is the only group it writes the caller's outputs too.
+  const auto whole = [&](std::span<const uint32_t> group) {
+    return group.size() == n &&
+           std::all_of(group.begin(), group.end(),
+                       [n](uint32_t ref) { return ref < n; });
+  };
+  if (rs.touched.size() == 1 && whole(rs.Group(rs.touched[0]))) {
+    ReadShard(rs.touched[0], [&](const DynamicDataCube& cube) {
+      cube.RangeSumBatch(boxes, out);
     });
-    for (size_t i = 0; i < w.boxes.size(); ++i) {
-      out[w.query[i]] += w.partial[i];
+    return;
+  }
+  struct Buffers {
+    std::vector<Box> gather;
+    std::vector<int64_t> partial;
+  };
+  thread_local Buffers buf;
+  const std::span<const BoxPiece> pieces(rs.pieces.data(), rs.pieces_used);
+  std::fill(out.begin(), out.end(), 0);
+  for (int s : rs.touched) {
+    const std::span<const uint32_t> group = rs.Group(s);
+    std::span<const Box> in = boxes;
+    if (!whole(group)) {
+      if (buf.gather.size() < group.size()) buf.gather.resize(group.size());
+      for (size_t k = 0; k < group.size(); ++k) {
+        CopyInto(buf.gather[k], group[k] < n ? boxes[group[k]]
+                                             : pieces[group[k] - n].box);
+      }
+      in = std::span<const Box>(buf.gather.data(), group.size());
+    }
+    buf.partial.resize(group.size());
+    ReadShard(s, [&](const DynamicDataCube& cube) {
+      cube.RangeSumBatch(in, buf.partial);
+    });
+    for (size_t k = 0; k < group.size(); ++k) {
+      out[group[k] < n ? group[k] : pieces[group[k] - n].query] +=
+          buf.partial[k];
     }
   }
 }

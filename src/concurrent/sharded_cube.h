@@ -1,11 +1,12 @@
 // ShardedCube: a lock-striped concurrent facade over the Dynamic Data Cube,
 // with every shard's work executed on the calling thread.
 //
-// The coarse ConcurrentCube serializes every writer against the whole cube.
 // ShardedCube partitions the domain along the highest-order dimension
 // (dimension 0) into S contiguous slabs of width `initial_side / S`, tiled
 // periodically across the (unbounded, growable) axis: the cell with first
-// coordinate c0 belongs to shard `floor(c0 / slab_width) mod S`.
+// coordinate c0 belongs to shard `floor(c0 / slab_width) mod S`. S = 1 is
+// the coarse configuration: one writer-preferring lock over one cube, every
+// batch reaching that cube whole.
 //
 // Execution model (caller-executed shards; see DESIGN.md §15)
 //   Each shard is an independent DynamicDataCube under its own
@@ -15,9 +16,10 @@
 //   handing them to another thread costs about as much as running them.
 //
 //   Lock rules (these are what make the facade deadlock-free):
-//     * Reads (Get, RangeSum, RangeSumBatch, TotalSum, StorageCells,
-//       DomainLo/Hi) run inline and hold one shard's shared lock at a time,
-//       visiting shards in ascending index order.
+//     * Reads (Get, RangeSum, PrefixSum, RangeSumBatch, TotalSum,
+//       StorageCells, DomainLo/Hi) run inline and hold one shard's shared
+//       lock at a time. RangeSum visits a box's pieces in slab order, the
+//       others visit shards in ascending index order.
 //     * ApplyBatch applies each shard group under that shard's exclusive
 //       lock, in batch order (in slices of at most kApplySlice mutations,
 //       all under the one hold). A batch below kPoolMinBatch mutations runs
@@ -59,7 +61,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/cell.h"
 #include "common/cube_interface.h"
@@ -74,8 +75,8 @@ namespace ddc {
 class ShardedCube : public CubeInterface {
  public:
   // `num_shards` >= 1; `options.enable_counters` is forced off. With
-  // num_shards == 1 the behaviour degenerates to the coarse ConcurrentCube:
-  // one reader-writer lock over one cube.
+  // num_shards == 1 this is the coarse facade: one reader-writer lock over
+  // one cube.
   ShardedCube(int dims, int64_t initial_side, int num_shards,
               DdcOptions options = {});
   ~ShardedCube() override;
@@ -113,7 +114,7 @@ class ShardedCube : public CubeInterface {
   // Groups of a multi-shard batch of at least kPoolMinBatch mutations run
   // in parallel on the shared pool; smaller batches run on the caller.
   // Range mutations are first decomposed along dimension 0 into exactly one
-  // sub-box per owned slab run — unlike the read path's whole-box shortcut,
+  // sub-box per owned slab run — unlike the read pieces' whole-box shortcut,
   // a write must hand each cell to exactly one shard, or the box would be
   // applied once per shard. The final state always equals sequential
   // application (mutations on different cells commute, mutations on the
@@ -152,14 +153,20 @@ class ShardedCube : public CubeInterface {
   // independent per shard (a shard only holds its own cells).
   int64_t Get(const Cell& cell) const override;  // One shard.
   int64_t RangeSum(const Box& box) const override;
-  // RangeSum(DomainLo() .. cell): there is no native prefix entry point, and
-  // a prefix sum is the range sum from the domain anchor. Costs a domain
-  // gather per call, so hot paths should call RangeSum with a box.
+  // The sum of every cell <= `cell`: each shard's part is the range sum
+  // from that shard's own DomainLo() to `cell`, read under one shared hold,
+  // so a batch that grows a shard's domain downward is seen whole or not at
+  // all (with S = 1 the read is linearizable). One descent per shard.
   int64_t PrefixSum(const Cell& cell) const override;
-  // Batched range sums: every box is decomposed, the sub-queries are
-  // grouped by shard, and each shard's group is answered with ONE batched
-  // cube call (corner dedup + shared descent inside the shard). Results
-  // equal per-box RangeSum; out.size() must equal boxes.size().
+  // Batched range sums: the pieces of every box are routed by index to
+  // their shards, into reused per-thread buffers, and each shard's group is
+  // answered with ONE batched cube call (corner dedup + shared descent
+  // inside the shard). A group that is the whole batch with no clipped box
+  // (S = 1, a one-box read, boxes spanning every shard) is handed the
+  // caller's span; other groups are gathered into a per-thread Box buffer
+  // that keeps its capacity, so a steady-state batch allocates nothing
+  // here. Results equal per-box RangeSum; out.size() must equal
+  // boxes.size().
   void RangeSumBatch(std::span<const Box> boxes,
                      std::span<int64_t> out) const override;
   int64_t TotalSum() const;                     // Sum of shard totals.
@@ -193,21 +200,18 @@ class ShardedCube : public CubeInterface {
   // its counters (defined in sharded_cube.cc).
   struct Shard;
 
-  // One slab-aligned piece of a cross-shard query.
-  struct SubQuery {
-    int shard;
-    Box box;
-  };
-
   // Index of the slab containing first-coordinate `c0` (floor division —
   // coordinates may be negative after growth).
   int64_t SlabIndex(Coord c0) const;
-  // Decomposes `box` into at most one sub-box per shard (clipped along
-  // dimension 0 to the slabs that shard owns inside the box). READ-ONLY
-  // decomposition: when the box spans every shard it passes the whole box
-  // to each (safe for sums — a shard only holds its own cells — but wrong
-  // for writes).
-  std::vector<SubQuery> Decompose(const Box& box) const;
+  // Read decomposition of `box`: fn(shard, piece_lo0, piece_hi0) once per
+  // shard owning a slab the box touches; nothing for an empty box. A box
+  // spanning at least num_shards slabs is passed whole to every shard, in
+  // ascending shard order (safe for sums — a shard only holds its own
+  // cells — but wrong for writes); a narrower one is clipped to each of
+  // its slabs, in ascending slab order, and each of its slabs belongs to a
+  // different shard. Allocates nothing.
+  template <typename Fn>
+  void ForEachReadPiece(const Box& box, Fn&& fn) const;
   // Write-exact decomposition of the dimension-0 extent [lo0, hi0]:
   // fn(shard, piece_lo0, piece_hi0) once per slab it intersects (adjacent
   // slabs of the same shard merged), covering every coordinate exactly

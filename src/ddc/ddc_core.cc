@@ -671,7 +671,7 @@ void DdcCore::PrefixSumBatch(std::span<const Cell> cells,
     std::fill(out.begin(), out.end(), int64_t{0});
     return;
   }
-  // PrefixSumBatch is const (ConcurrentCube runs it from parallel readers),
+  // PrefixSumBatch is const (ShardedCube runs it from parallel readers),
   // so reusable scratch lives in thread-local storage rather than in the
   // cube. The busy flag covers reentrancy (a nested cube's batch issued
   // from inside an outer batch): the inner call falls back to fresh local

@@ -273,8 +273,8 @@ class DdcCore {
   // fresh vectors per node, dominated the batch's cost on shallow trees).
   // Query scratch lives in a thread-local pool (see GetBatchTls) so
   // repeated PrefixSumBatch calls reuse capacity without making the const
-  // read path carry mutable state — ConcurrentCube runs parallel readers
-  // against one cube.
+  // read path carry mutable state — ShardedCube runs parallel readers
+  // against each shard cube.
   struct BatchScratch {
     std::vector<BatchItem> sorted;
     std::vector<size_t> begin;

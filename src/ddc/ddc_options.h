@@ -40,8 +40,8 @@ struct DdcOptions {
   bool use_fenwick = false;
 
   // When false, the cube does not record operation counters. Queries are
-  // then strictly const (no mutable state touched), which ConcurrentCube
-  // relies on to run readers in parallel under a shared lock.
+  // then strictly const (no mutable state touched), which ShardedCube
+  // relies on to run readers in parallel under a shard's shared lock.
   bool enable_counters = true;
 
   // The Section 4.4 space optimization: number of tree levels elided

@@ -14,7 +14,9 @@
 //   * parsing a statement allocates only the Statement it returns;
 //   * ShardedCube::ApplyBatch routes a batch without copying it: a small
 //     batch allocates nothing past its shard cubes' own batched applies,
-//     and a large one holds at most a few slices of scratch at once.
+//     and a large one holds at most a few slices of scratch at once;
+//   * ShardedCube::RangeSumBatch routes a batch without copying it either:
+//     it allocates nothing past its shard cubes' own batched reads.
 
 #include <malloc.h>
 
@@ -22,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
 #include <random>
@@ -333,6 +336,80 @@ TEST_F(AllocFreeShardedTest, RoutingAddsNothingToTheShardCubes) {
   for (int s = 0; s < 2; ++s) {
     for (const Mutation& m : groups_[s]) {
       EXPECT_EQ(sharded_.Get(m.cell), mirrors_[s].Get(m.cell));
+    }
+  }
+}
+
+// A steady-state RangeSumBatch allocates nothing in the shard layer at
+// S = 1 and S = 2: boxes are routed by index, a group that is the whole
+// batch reads the caller's span, and other groups gather into per-thread
+// buffers that keep their capacity. Covers one box inside one slab, one
+// box straddling both slabs and a 64-box batch. (A router that copied
+// every box into per-shard vectors made 33 allocations on the one-box read
+// against the shard cube's 25.)
+TEST(AllocFreeShardedReadTest, ReadRoutingAddsNothingToTheShardCubes) {
+  constexpr int64_t kSide = 1024;
+  std::mt19937_64 rng(20240607);
+  std::uniform_int_distribution<int64_t> coord(0, kSide - 1);
+  std::vector<Box> many;
+  for (int q = 0; q < 64; ++q) {
+    const int64_t x = coord(rng);
+    const int64_t y = coord(rng);
+    many.push_back(Box{{x, y},
+                       {std::min(kSide - 1, x + coord(rng) / 2),
+                        std::min(kSide - 1, y + coord(rng) / 2)}});
+  }
+  const std::vector<std::vector<Box>> batches = {
+      {Box{{10, 10}, {300, 900}}}, {Box{{100, 0}, {900, 1023}}}, many};
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    DdcOptions options;
+    options.enable_counters = false;  // As ShardedCube runs its shards.
+    ShardedCube sharded(2, kSide, shards);
+    std::vector<std::unique_ptr<DynamicDataCube>> mirrors;
+    for (int s = 0; s < shards; ++s) {
+      mirrors.push_back(std::make_unique<DynamicDataCube>(2, kSide, options));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const Cell cell{coord(rng), coord(rng)};
+      sharded.Add(cell, 1 + i % 7);
+      mirrors[static_cast<size_t>(sharded.ShardOf(cell))]->Add(cell,
+                                                               1 + i % 7);
+    }
+    for (const std::vector<Box>& boxes : batches) {
+      // Shard s's group: the boxes reaching its slabs, whole (no box of a
+      // side-1024 cube spans fewer slabs than shards and more than one).
+      std::vector<std::vector<Box>> groups(static_cast<size_t>(shards));
+      for (const Box& box : boxes) {
+        for (int s = sharded.ShardOf(box.lo); s <= sharded.ShardOf(box.hi);
+             ++s) {
+          groups[static_cast<size_t>(s)].push_back(box);
+        }
+      }
+      std::vector<std::vector<int64_t>> partial(groups.size());
+      std::vector<int64_t> out(boxes.size());
+      const auto read_mirrors = [&] {
+        for (size_t s = 0; s < groups.size(); ++s) {
+          partial[s].resize(groups[s].size());
+          mirrors[s]->RangeSumBatch(groups[s], partial[s]);
+        }
+      };
+      // Warm every scratch on both sides.
+      for (int round = 0; round < 2; ++round) {
+        sharded.RangeSumBatch(boxes, out);
+        read_mirrors();
+      }
+      const int64_t shard_cubes = CountAllocations(read_mirrors);
+      const int64_t routed =
+          CountAllocations([&] { sharded.RangeSumBatch(boxes, out); });
+      EXPECT_LE(routed, shard_cubes) << boxes.size() << " boxes";
+      for (size_t q = 0; q < boxes.size(); ++q) {
+        int64_t expected = 0;
+        for (const std::unique_ptr<DynamicDataCube>& mirror : mirrors) {
+          expected += mirror->RangeSum(boxes[q]);
+        }
+        EXPECT_EQ(out[q], expected) << boxes[q].ToString();
+      }
     }
   }
 }

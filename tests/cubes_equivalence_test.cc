@@ -16,7 +16,6 @@
 #include "cache/cached_cube.h"
 #include "common/cube_interface.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -34,7 +33,7 @@ enum class Kind {
   kDdcElided,
   kDdcFenwick,
   kSharded,
-  kConcurrent,
+  kSingleShard,  // The coarse configuration.
   kCachedDdc,
   kCachedSharded,
 };
@@ -59,8 +58,8 @@ std::string KindName(Kind kind) {
       return "DdcFenwick";
     case Kind::kSharded:
       return "Sharded";
-    case Kind::kConcurrent:
-      return "Concurrent";
+    case Kind::kSingleShard:
+      return "SingleShard";
     case Kind::kCachedDdc:
       return "CachedDdc";
     case Kind::kCachedSharded:
@@ -95,8 +94,8 @@ std::unique_ptr<CubeInterface> MakeCube(
     }
     case Kind::kSharded:
       return std::make_unique<ShardedCube>(dims, side, kShards);
-    case Kind::kConcurrent:
-      return std::make_unique<ConcurrentCube>(dims, side);
+    case Kind::kSingleShard:
+      return std::make_unique<ShardedCube>(dims, side, 1);
     case Kind::kCachedDdc:
       *backing = std::make_unique<DynamicDataCube>(dims, side);
       return std::make_unique<CachedCube>(backing->get());
@@ -213,7 +212,7 @@ std::vector<EquivalenceParam> AllParams() {
   const Kind kinds[] = {Kind::kPrefixSum,   Kind::kRelativePrefixSum,
                         Kind::kBasicDdc,    Kind::kDdc,
                         Kind::kDdcElided,   Kind::kDdcFenwick,
-                        Kind::kSharded,     Kind::kConcurrent,
+                        Kind::kSharded,     Kind::kSingleShard,
                         Kind::kCachedDdc,   Kind::kCachedSharded};
   const WorkloadKind workloads[] = {
       WorkloadKind::kUniform, WorkloadKind::kZipf, WorkloadKind::kClustered,

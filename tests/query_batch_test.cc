@@ -13,7 +13,6 @@
 #include "common/cube_interface.h"
 #include "common/range.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -23,9 +22,8 @@ namespace ddc {
 namespace {
 
 // The container running CI may report a single hardware thread, which would
-// leave the shared pool with zero workers and the parallel fan-out paths
-// (ConcurrentCube kSet resolution, ShardedCube per-shard write groups)
-// permanently inline.
+// leave the shared pool with zero workers and the parallel fan-out path
+// (ShardedCube's per-shard write groups) permanently inline.
 // Force real worker threads so those paths run cross-thread here (and under
 // TSan via the `sanitize` ctest label). `overwrite=0` keeps any explicit
 // operator override. Runs before main, i.e. before ThreadPool::Shared() is
@@ -149,19 +147,6 @@ TEST(QueryBatchTest, DefaultImplementationAndCrossOracle) {
   EXPECT_EQ(from_naive, from_ddc);
 }
 
-TEST(QueryBatchTest, ConcurrentCubeParallelFanOut) {
-  ConcurrentCube cube(2, 64);
-  const Shape shape = Shape::Cube(2, 64);
-  WorkloadGenerator gen(shape, 41);
-  for (int i = 0; i < 500; ++i) {
-    cube.Add(gen.UniformCell(), gen.Value(-9, 9));
-  }
-  // A large batch (one corner-deduplicating call under the shared lock).
-  ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 200));
-  // And a small one.
-  ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 3));
-}
-
 TEST(QueryBatchTest, ShardedCubeAcrossShardCounts) {
   for (int shards : {1, 3, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -174,6 +159,10 @@ TEST(QueryBatchTest, ShardedCubeAcrossShardCounts) {
     // Batches repeatedly, so both the cross-shard scatter/gather fan-out
     // and the single-shard path (boxes confined to one slab) get exercised.
     ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 60));
+    // A large batch (one corner-deduplicating call per shard) and a small
+    // one.
+    ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 200));
+    ExpectBatchMatchesLoop(cube, MakeBatch(gen, 2, 64, 3));
     Box slab_local;
     slab_local.lo = {1, 1};
     slab_local.hi = {2, 60};  // Narrow in dim 0: one shard.

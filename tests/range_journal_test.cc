@@ -6,9 +6,11 @@
 // it, to well past it (so hundreds of single-entry folds happen), with
 // negative coordinates, growth and ShrinkToFit between folds, point writes
 // next to the boxes, and boxes that cancel out — and compares every cell,
-// random range sums and the nonzero walk with a NaiveCube oracle. A second
-// suite races ConcurrentCube readers against range-add writers across
-// folds. Replay any failure with DDC_TEST_SEED=<logged seed>.
+// random range sums and the nonzero walk with a NaiveCube oracle; after
+// every range-add it checks that no more than Crossover(d, side) entries
+// are pending. A second suite races readers of a one-shard ShardedCube
+// (the coarse configuration) against range-add writers across folds.
+// Replay any failure with DDC_TEST_SEED=<logged seed>.
 
 #include <algorithm>
 #include <atomic>
@@ -25,7 +27,7 @@
 #include "common/cell.h"
 #include "common/range.h"
 #include "common/shape.h"
-#include "concurrent/concurrent_cube.h"
+#include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "test_seed.h"
@@ -300,15 +302,16 @@ TEST(RangeJournalTest, CancellationAcrossTheFoldSurvivesShrink) {
 }
 
 // Readers race range-add writers (and a growth writer) across many folds.
-// Each RangeSumBatch takes one shared lock, so the two halves of a split
-// box must always add up to the whole; sums only grow (every delta is
-// positive); and the final state matches an oracle of all writes.
+// With one shard each RangeSumBatch takes one shared lock, so the two
+// halves of a split box must always add up to the whole; sums only grow
+// (every delta is positive); and the final state matches an oracle of all
+// writes.
 TEST(RangeJournalConcurrentTest, ReadersRaceWritersAcrossFolds) {
   constexpr int kDims = 2;
   constexpr Coord kSide = 16;  // Crossover 4 * 4^2 = 64.
   constexpr int kWriters = 2;
   constexpr int kAddsPerWriter = 200;
-  ConcurrentCube cube(kDims, kSide);
+  ShardedCube cube(kDims, kSide, 1);
   const uint64_t seed = TestSeed(777);
 
   // Each writer's boxes are drawn up front so the oracle can replay them.
@@ -373,18 +376,14 @@ TEST(RangeJournalConcurrentTest, ReadersRaceWritersAcrossFolds) {
   for (const auto& writer_ops : ops) {
     for (const auto& [box, delta] : writer_ops) oracle.RangeAdd(box, delta);
   }
-  cube.WithExclusive([&](DynamicDataCube* inner) {
-    EXPECT_LE(inner->PendingRangeAdds(),
-              DynamicDataCube::Crossover(kDims, inner->side()));
-    EXPECT_EQ(inner->TotalSum(),
-              oracle.RangeSum(Box{UniformCell(kDims, 0),
-                                  UniformCell(kDims, kOracleSide - 1)}));
-    for (Coord x = 0; x < kOracleSide; x += 3) {
-      for (Coord y = 0; y < kSide; ++y) {
-        ASSERT_EQ(inner->Get({x, y}), oracle.Get({x, y}));
-      }
+  EXPECT_EQ(cube.TotalSum(),
+            oracle.RangeSum(Box{UniformCell(kDims, 0),
+                                UniformCell(kDims, kOracleSide - 1)}));
+  for (Coord x = 0; x < kOracleSide; x += 3) {
+    for (Coord y = 0; y < kSide; ++y) {
+      ASSERT_EQ(cube.Get({x, y}), oracle.Get({x, y}));
     }
-  });
+  }
 }
 
 }  // namespace

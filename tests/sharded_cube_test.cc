@@ -1,8 +1,8 @@
 // Single-threaded differential tests for ShardedCube: a random op stream is
-// applied in lockstep to ShardedCube, the coarse ConcurrentCube, and the
-// NaiveCube oracle, with answers compared every K ops. All randomness comes
-// from TestSeed, which logs the seed so any failure replays with
-// DDC_TEST_SEED=<seed>.
+// applied in lockstep to a multi-shard ShardedCube, the coarse one-shard
+// configuration, and the NaiveCube oracle, with answers compared every K
+// ops. All randomness comes from TestSeed, which logs the seed so any
+// failure replays with DDC_TEST_SEED=<seed>.
 
 #include "concurrent/sharded_cube.h"
 
@@ -18,7 +18,6 @@
 
 #include "common/thread_pool.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
 #include "obs/metrics.h"
@@ -53,6 +52,21 @@ TEST(ShardedCubeTest, SingleThreadedSemantics) {
   EXPECT_EQ(cube.TotalSum(), 18);
 }
 
+// The coarse configuration: one shard, one lock, one cube.
+TEST(ShardedCubeTest, SingleShardSemantics) {
+  ShardedCube cube(2, 16, 1);
+  EXPECT_EQ(cube.slab_width(), 16);
+  cube.Add({1, 2}, 10);
+  cube.Set({3, 4}, 5);
+  EXPECT_EQ(cube.Get({1, 2}), 10);
+  EXPECT_EQ(cube.TotalSum(), 15);
+  EXPECT_EQ(cube.RangeSum(Box{{0, 0}, {15, 15}}), 15);
+  cube.Add({1000, 1000}, 1);  // Growth under the lock.
+  EXPECT_EQ(cube.TotalSum(), 16);
+  EXPECT_EQ(cube.ShardOf({1000, 1000}), 0);
+  EXPECT_EQ(cube.PrefixSum({1000, 1000}), 16);
+}
+
 TEST(ShardedCubeTest, ShardMappingIsStableAndContiguous) {
   ShardedCube cube(2, 32, 8);
   EXPECT_EQ(cube.slab_width(), 4);
@@ -70,13 +84,13 @@ TEST(ShardedCubeTest, ShardMappingIsStableAndContiguous) {
   EXPECT_EQ(cube.ShardOf({9, -1000}), cube.ShardOf({9, 1000}));
 }
 
-// The core differential: random Add/Set stream against both the coarse
-// facade and the oracle, checked every K ops.
-TEST(ShardedCubeTest, DifferentialAgainstCoarseAndNaive) {
+// The core differential: random Add/Set stream against the oracle, at 4
+// shards and at 1 (the coarse configuration), checked every K ops.
+TEST(ShardedCubeTest, DifferentialAgainstNaive) {
   const uint64_t seed = TestSeed(20250805);
   const Shape shape = Shape::Cube(2, 32);
   NaiveCube naive(shape);
-  ConcurrentCube coarse(2, 32);
+  ShardedCube single(2, 32, 1);
   ShardedCube sharded(2, 32, 4);
 
   WorkloadGenerator gen(shape, seed);
@@ -87,29 +101,30 @@ TEST(ShardedCubeTest, DifferentialAgainstCoarseAndNaive) {
     if (gen.Value(0, 9) < 7) {
       const int64_t delta = gen.Value(-50, 50);
       naive.Add(cell, delta);
-      coarse.Add(cell, delta);
+      single.Add(cell, delta);
       sharded.Add(cell, delta);
     } else {
       const int64_t value = gen.Value(-200, 200);
       naive.Set(cell, value);
-      coarse.Set(cell, value);
+      single.Set(cell, value);
       sharded.Set(cell, value);
     }
     if (i % kCheckEvery == 0) {
       const Box box = gen.UniformBox();
       const int64_t expected = naive.RangeSum(box);
-      ASSERT_EQ(coarse.RangeSum(box), expected)
+      ASSERT_EQ(single.RangeSum(box), expected)
           << "op " << i << " box " << box.ToString() << " seed " << seed;
       ASSERT_EQ(sharded.RangeSum(box), expected)
           << "op " << i << " box " << box.ToString() << " seed " << seed;
       const Cell probe = gen.UniformCell();
       ASSERT_EQ(sharded.Get(probe), naive.Get(probe))
           << "op " << i << " seed " << seed;
-      ASSERT_EQ(sharded.TotalSum(), coarse.TotalSum())
+      ASSERT_EQ(sharded.TotalSum(), single.TotalSum())
           << "op " << i << " seed " << seed;
     }
   }
   EXPECT_EQ(sharded.TotalSum(), naive.RangeSum(Box{{0, 0}, {31, 31}}));
+  EXPECT_EQ(single.TotalSum(), naive.RangeSum(Box{{0, 0}, {31, 31}}));
 }
 
 // ApplyBatch must equal sequential application of the same mixed stream.
@@ -150,11 +165,12 @@ TEST(ShardedCubeTest, ApplyBatchMatchesSequentialApplication) {
   EXPECT_EQ(sharded.stats().batches, 40);
 }
 
-// Growth in every direction: sharded vs coarse on far/negative coordinates
-// (the naive oracle has a fixed domain and sits this one out).
-TEST(ShardedCubeTest, GrowthDifferentialAgainstCoarse) {
+// Growth in every direction: sharded vs one DynamicDataCube on
+// far/negative coordinates (the naive oracle has a fixed domain and sits
+// this one out).
+TEST(ShardedCubeTest, GrowthDifferentialAgainstDdc) {
   const uint64_t seed = TestSeed(4242);
-  ConcurrentCube coarse(2, 8);
+  DynamicDataCube reference(2, 8);
   ShardedCube sharded(2, 8, 4);
 
   WorkloadGenerator gen(Shape::Cube(2, 8), seed);
@@ -163,17 +179,17 @@ TEST(ShardedCubeTest, GrowthDifferentialAgainstCoarse) {
     const Coord x = gen.Value(-2000, 2000);
     const Coord y = gen.Value(-2000, 2000);
     const int64_t delta = gen.Value(1, 9);
-    coarse.Add({x, y}, delta);
+    reference.Add({x, y}, delta);
     sharded.Add({x, y}, delta);
     if (i % 50 == 0) {
       Cell lo{gen.Value(-2500, 0), gen.Value(-2500, 0)};
       Cell hi{gen.Value(0, 2500), gen.Value(0, 2500)};
       const Box box{lo, hi};
-      ASSERT_EQ(sharded.RangeSum(box), coarse.RangeSum(box))
+      ASSERT_EQ(sharded.RangeSum(box), reference.RangeSum(box))
           << "op " << i << " box " << box.ToString() << " seed " << seed;
     }
   }
-  EXPECT_EQ(sharded.TotalSum(), coarse.TotalSum());
+  EXPECT_EQ(sharded.TotalSum(), reference.TotalSum());
   EXPECT_GT(sharded.ReRootEpoch(), 0);
   // The shards' combined domain covers everything that was written.
   EXPECT_EQ(sharded.RangeSum(Box{sharded.DomainLo(), sharded.DomainHi()}),
@@ -202,25 +218,6 @@ TEST(ShardedCubeTest, ShrinkToFitPreservesAnswers) {
     ASSERT_EQ(sharded.RangeSum(probes[q]), expected[q])
         << probes[q].ToString() << " seed " << seed;
   }
-}
-
-// S=1 degenerates to the coarse design and must agree with it exactly.
-TEST(ShardedCubeTest, SingleShardMatchesCoarse) {
-  const uint64_t seed = TestSeed(5);
-  ConcurrentCube coarse(2, 16);
-  ShardedCube single(2, 16, 1);
-  WorkloadGenerator gen(Shape::Cube(2, 16), seed);
-  for (int i = 0; i < 500; ++i) {
-    const Cell cell = gen.UniformCell();
-    const int64_t delta = gen.Value(-9, 9);
-    coarse.Add(cell, delta);
-    single.Add(cell, delta);
-  }
-  for (int q = 0; q < 50; ++q) {
-    const Box box = gen.UniformBox();
-    ASSERT_EQ(single.RangeSum(box), coarse.RangeSum(box)) << "seed " << seed;
-  }
-  EXPECT_EQ(single.TotalSum(), coarse.TotalSum());
 }
 
 // A batch below kPoolMinBatch runs every shard group on the caller: no

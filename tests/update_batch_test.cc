@@ -19,7 +19,6 @@
 #include "common/cube_interface.h"
 #include "common/mutation.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -33,7 +32,7 @@
 namespace ddc {
 namespace {
 
-// Force real pool workers so ConcurrentCube's fan-out paths run
+// Force real pool workers so ShardedCube's pooled shard groups run
 // cross-thread here (and under TSan/ASan via the `sanitize` label), even on
 // single-core CI containers. Runs before ThreadPool::Shared() exists.
 const int kForcePoolThreads = [] {
@@ -230,42 +229,30 @@ TEST(UpdateBatchTest, GrowthDuringBatchAdvancesReRootEpoch) {
   EXPECT_EQ(cube.ReRootEpoch() - epoch_before, cube.growth_doublings());
 }
 
-TEST(UpdateBatchTest, ConcurrentCubeMatchesLoop) {
-  const uint64_t seed = TestSeed(515253);
-  WorkloadGenerator gen(Shape::Cube(2, 16), seed);
-  ConcurrentCube concurrent(2, 16);
-  DynamicDataCube reference(2, 16);
-  // Large share of kSet runs so the pooled base-value resolution kicks in
-  // (set_cells >= 2 * kMinChunk).
-  MutationBatch batch;
-  for (int i = 0; i < 200; ++i) {
-    const Cell cell = gen.UniformCell();
-    batch.push_back(Mutation{cell, gen.Value(-9, 9),
-                             i % 2 == 0 ? MutationKind::kSet
-                                        : MutationKind::kAdd});
-  }
-  concurrent.ApplyBatch(batch);
-  ApplyLoop(&reference, batch);
-  EXPECT_EQ(concurrent.TotalSum(), reference.TotalSum());
-  reference.ForEachNonZero([&](const Cell& cell, int64_t value) {
-    EXPECT_EQ(concurrent.Get(cell), value) << CellToString(cell);
-  });
-}
-
+// At 1 shard (the coarse configuration), 3 and 4, on a mixed batch and on
+// a kSet-heavy one.
 TEST(UpdateBatchTest, ShardedCubeMatchesLoop) {
   const uint64_t seed = TestSeed(616263);
-  for (const int shards : {1, 3, 4}) {
-    WorkloadGenerator gen(Shape::Cube(2, 16), seed);
-    ShardedCube sharded(2, 16, shards);
-    DynamicDataCube reference(2, 16);
-    const MutationBatch batch = MakeBatch(gen, 150, /*with_sets=*/true);
-    sharded.ApplyBatch(batch);
-    ApplyLoop(&reference, batch);
-    EXPECT_EQ(sharded.TotalSum(), reference.TotalSum()) << shards;
-    reference.ForEachNonZero([&](const Cell& cell, int64_t value) {
-      EXPECT_EQ(sharded.Get(cell), value)
-          << shards << " shards at " << CellToString(cell);
-    });
+  WorkloadGenerator gen(Shape::Cube(2, 16), seed);
+  const MutationBatch mixed = MakeBatch(gen, 150, /*with_sets=*/true);
+  MutationBatch set_heavy;
+  for (int i = 0; i < 200; ++i) {
+    set_heavy.push_back(Mutation{gen.UniformCell(), gen.Value(-9, 9),
+                                 i % 2 == 0 ? MutationKind::kSet
+                                            : MutationKind::kAdd});
+  }
+  for (const MutationBatch& batch : {mixed, set_heavy}) {
+    for (const int shards : {1, 3, 4}) {
+      ShardedCube sharded(2, 16, shards);
+      DynamicDataCube reference(2, 16);
+      ASSERT_TRUE(sharded.ApplyBatch(batch));
+      ApplyLoop(&reference, batch);
+      EXPECT_EQ(sharded.TotalSum(), reference.TotalSum()) << shards;
+      reference.ForEachNonZero([&](const Cell& cell, int64_t value) {
+        EXPECT_EQ(sharded.Get(cell), value)
+            << shards << " shards at " << CellToString(cell);
+      });
+    }
   }
 }
 
@@ -331,16 +318,13 @@ TEST(UpdateBatchTest, MalformedBatchIsRejectedWithoutApplying) {
   EXPECT_FALSE(naive.ApplyBatch(bad));
   EXPECT_EQ(naive.Get({1, 2}), 3);
 
-  ConcurrentCube concurrent(2, 16);
-  concurrent.Add({1, 2}, 3);
-  EXPECT_FALSE(concurrent.ApplyBatch(bad));
-  EXPECT_EQ(concurrent.Get({1, 2}), 3);
-
-  ShardedCube sharded(2, 16, 4);
-  sharded.Add({1, 2}, 3);
-  EXPECT_FALSE(sharded.ApplyBatch(bad));
-  EXPECT_EQ(sharded.Get({1, 2}), 3);
-  EXPECT_EQ(sharded.TotalSum(), 3);
+  for (const int shards : {1, 4}) {
+    ShardedCube sharded(2, 16, shards);
+    sharded.Add({1, 2}, 3);
+    EXPECT_FALSE(sharded.ApplyBatch(bad)) << shards;
+    EXPECT_EQ(sharded.Get({1, 2}), 3) << shards;
+    EXPECT_EQ(sharded.TotalSum(), 3) << shards;
+  }
 }
 
 }  // namespace

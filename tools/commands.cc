@@ -18,7 +18,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/workload.h"
-#include "concurrent/concurrent_cube.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "ddc/snapshot.h"
@@ -487,8 +486,8 @@ void RunStatsWorkload(int dims, int64_t side, int64_t ops, int shards) {
   striped.RangeSumBatch(slices, sums);
   (void)striped.TotalSum();
 
-  // Coarse-locked facade: one batched fan-out through the shared pool.
-  ConcurrentCube coarse(dims, side);
+  // The coarse configuration, one shard: the batch reaches its cube whole.
+  ShardedCube coarse(dims, side, 1);
   for (Coord c = 0; c < side; ++c) coarse.Add(UniformCell(dims, c % side), 1);
   coarse.RangeSumBatch(slices, sums);
 
