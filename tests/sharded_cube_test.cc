@@ -52,21 +52,6 @@ TEST(ShardedCubeTest, SingleThreadedSemantics) {
   EXPECT_EQ(cube.TotalSum(), 18);
 }
 
-// The coarse configuration: one shard, one lock, one cube.
-TEST(ShardedCubeTest, SingleShardSemantics) {
-  ShardedCube cube(2, 16, 1);
-  EXPECT_EQ(cube.slab_width(), 16);
-  cube.Add({1, 2}, 10);
-  cube.Set({3, 4}, 5);
-  EXPECT_EQ(cube.Get({1, 2}), 10);
-  EXPECT_EQ(cube.TotalSum(), 15);
-  EXPECT_EQ(cube.RangeSum(Box{{0, 0}, {15, 15}}), 15);
-  cube.Add({1000, 1000}, 1);  // Growth under the lock.
-  EXPECT_EQ(cube.TotalSum(), 16);
-  EXPECT_EQ(cube.ShardOf({1000, 1000}), 0);
-  EXPECT_EQ(cube.PrefixSum({1000, 1000}), 16);
-}
-
 TEST(ShardedCubeTest, ShardMappingIsStableAndContiguous) {
   ShardedCube cube(2, 32, 8);
   EXPECT_EQ(cube.slab_width(), 4);

@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 # the introspection surface (introspect_test covers the compiled-out ledger,
 # workload recorder and flight recorder; ddctool_test the CLI commands).
 OBS_OFF_TARGETS=(ddc_core_test update_batch_test query_batch_test
-                 sharded_cube_test obs_test introspect_test ddctool_test)
+                 concurrent_test obs_test introspect_test ddctool_test)
 
 echo "=== DDC_OBS=OFF: configuring build-obsoff ==="
 cmake -B build-obsoff -S . -DDDC_OBS=OFF > /dev/null

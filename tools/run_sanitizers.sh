@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 # The targets behind `ctest -L "sanitize|fault"` (keep in sync with
 # tests/CMakeLists.txt). Building only these keeps a sanitizer run fast.
-SANITIZE_TARGETS=(sharded_cube_test sharded_stress_test
+SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
                   query_batch_test update_batch_test obs_concurrent_test
                   fault_recovery_test query_fuzz_test wal_test
                   range_mutation_test range_journal_test
