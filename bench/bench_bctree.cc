@@ -13,6 +13,7 @@
 
 #include "bctree/bc_tree.h"
 #include "bctree/fenwick_tree.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 
 namespace ddc {
@@ -88,23 +89,18 @@ void PrintOperationCountTable() {
   std::mt19937_64 rng(7);
   for (int64_t capacity : {int64_t{1} << 10, int64_t{1} << 16}) {
     for (int fanout : {2, 4, 8, 32}) {
-      OpCounters counters;
       BcTree dense(capacity, fanout);
-      dense.set_counters(&counters);
       for (int64_t i = 0; i < capacity; ++i) dense.Add(i, 1);
 
-      counters.Reset();
-      dense.Add(capacity / 2, 1);
-      const int64_t writes = counters.values_written;
+      const int64_t writes =
+          CountsOf([&] { dense.Add(capacity / 2, 1); }).values_written;
 
-      counters.Reset();
       std::uniform_int_distribution<int64_t> index(0, capacity - 1);
       const int kProbes = 200;
-      for (int i = 0; i < kProbes; ++i) {
-        dense.CumulativeSum(index(rng));
-      }
-      const double reads =
-          static_cast<double>(counters.values_read) / kProbes;
+      const OpCounters probes = CountsOf([&] {
+        for (int i = 0; i < kProbes; ++i) dense.CumulativeSum(index(rng));
+      });
+      const double reads = static_cast<double>(probes.values_read) / kProbes;
       const int64_t dense_storage = dense.StorageCells();
 
       BcTree sparse(capacity, fanout);

@@ -12,7 +12,7 @@
 //             addressing + predicated masked prefix sums.
 //   batched : the 2-D batched-update pipeline (ingest-shaped batch through
 //             DynamicDataCube::ApplyBatch — coalescing, shared Figure-12
-//             descents, vectorized group sums, prefetch) vs the pre-PR
+//             descents, prefetch) vs the pre-PR
 //             per-update scalar path (a loop of Add under ForceScalar)
 //             (floor: >= 2.0x).
 //
@@ -181,8 +181,8 @@ struct BatchedResult {
 
 // The batched-update pipeline end to end: an ingest-shaped mutation batch
 // through DynamicDataCube::ApplyBatch — per-cell coalescing, then one
-// shared Figure-12 descent per distinct node group with this PR's kernels,
-// group-sum vectorization, and prefetch — against the pre-optimization
+// shared Figure-12 descent per distinct node group with the optimized
+// kernels and prefetch — against the pre-optimization
 // baseline of applying the same batch one scalar Add descent at a time.
 // (The looped side is additionally forced through the scalar reference
 // kernels, so this ratio compounds the batching win, which
@@ -246,7 +246,7 @@ BatchedResult BenchBatched(int64_t side, int64_t inserts, size_t batch,
                            int reps) {
   const Shape shape = Shape::Cube(2, side);
   WorkloadGenerator gen(shape, 131);
-  OwnedDdcCore core(2, side, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, side, DdcOptions{});
   for (int64_t i = 0; i < inserts; ++i) {
     core.Add(gen.UniformCell(), gen.Value(-9, 9));
   }

@@ -7,6 +7,7 @@
 #include "common/bit_util.h"
 #include "common/check.h"
 #include "common/kernels.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -29,16 +30,6 @@ Node** Children(Node* node, int fanout) {
 Node* const* Children(const Node* node, int fanout) {
   return reinterpret_cast<Node* const*>(
       reinterpret_cast<const int64_t*>(node) + fanout);
-}
-
-void CountRead(OpCounters* counters, int64_t n) {
-  if (counters != nullptr) counters->values_read += n;
-}
-void CountWrite(OpCounters* counters, int64_t n) {
-  if (counters != nullptr) counters->values_written += n;
-}
-void CountNode(OpCounters* counters) {
-  if (counters != nullptr) ++counters->nodes_visited;
 }
 
 // Smallest power-of-two alignment that keeps a sum array of `sums_bytes`
@@ -155,13 +146,13 @@ int64_t BuildDense(const BcShape& s, int64_t* dense,
 // Optimized descent, specialized on whether the fanout supports shift/mask
 // child addressing.
 template <bool kPow2>
-void AddFast(const BcShape& s, Arena* arena, OpCounters* counters,
-             Node* node, int64_t index, int64_t delta) {
+void AddFast(const BcShape& s, Arena* arena, Node* node, int64_t index,
+             int64_t delta) {
   int64_t offset = index;
   int shift = kPow2 ? s.log2_fanout * (s.height - 1) : 0;
   int64_t child_span = s.root_span / s.fanout;
   for (int level = s.height; level > 1; --level) {
-    CountNode(counters);
+    CountNodeVisit();
     size_t child;
     if constexpr (kPow2) {
       child = static_cast<size_t>(offset >> shift);
@@ -175,29 +166,29 @@ void AddFast(const BcShape& s, Arena* arena, OpCounters* counters,
     // One STS adjusted per visited node (the subtree containing the changed
     // cell), exactly as in the paper's bottom-up walkthrough.
     Sums(node)[child] += delta;
-    CountWrite(counters, 1);
+    CountValuesWritten(1);
     Node*& slot = Children(node, s.fanout)[child];
     if (slot == nullptr) slot = NewNode(s, arena, /*is_leaf=*/level == 2);
     node = slot;
   }
-  CountNode(counters);
+  CountNodeVisit();
   Sums(node)[static_cast<size_t>(offset)] += delta;
-  CountWrite(counters, 1);
+  CountValuesWritten(1);
 }
 
 // The pre-optimization scalar reference descent (verbatim seed shape:
 // per-level div/mod). Reached via kernels::ForceScalar; bit-exact with the
 // fast path by construction, which kernel_layout_test verifies.
-void AddScalarRef(const BcShape& s, Arena* arena, OpCounters* counters,
-                  Node* node, int64_t index, int64_t delta) {
+void AddScalarRef(const BcShape& s, Arena* arena, Node* node, int64_t index,
+                  int64_t delta) {
   int64_t span = s.root_span;
   int64_t offset = index;
   while (span > s.fanout) {
-    CountNode(counters);
+    CountNodeVisit();
     const int64_t child_span = span / s.fanout;
     const size_t child = static_cast<size_t>(offset / child_span);
     Sums(node)[child] += delta;
-    CountWrite(counters, 1);
+    CountValuesWritten(1);
     Node*& slot = Children(node, s.fanout)[child];
     if (slot == nullptr) {
       slot = NewNode(s, arena, /*is_leaf=*/child_span == s.fanout);
@@ -206,21 +197,21 @@ void AddScalarRef(const BcShape& s, Arena* arena, OpCounters* counters,
     offset %= child_span;
     span = child_span;
   }
-  CountNode(counters);
+  CountNodeVisit();
   Sums(node)[static_cast<size_t>(offset)] += delta;
-  CountWrite(counters, 1);
+  CountValuesWritten(1);
 }
 
 // Dense-layout (implicit-addressing) update.
-void AddDense(const BcShape& s, OpCounters* counters, int64_t* dense,
-              int64_t index, int64_t delta) {
+void AddDense(const BcShape& s, int64_t* dense, int64_t index,
+              int64_t delta) {
   const int64_t f = s.fanout;
   int64_t slot = 0;
   int64_t offset = index;
   int shift = s.log2_fanout > 0 ? s.log2_fanout * (s.height - 1) : 0;
   int64_t child_span = s.root_span / f;
   for (int level = s.height; level > 1; --level) {
-    CountNode(counters);
+    CountNodeVisit();
     int64_t child;
     if (s.log2_fanout > 0) {
       child = offset >> shift;
@@ -232,27 +223,27 @@ void AddDense(const BcShape& s, OpCounters* counters, int64_t* dense,
       child_span /= f;
     }
     dense[slot * f + child] += delta;
-    CountWrite(counters, 1);
+    CountValuesWritten(1);
     slot = slot * f + 1 + child;
   }
-  CountNode(counters);
+  CountNodeVisit();
   dense[slot * f + offset] += delta;
-  CountWrite(counters, 1);
+  CountValuesWritten(1);
 }
 
 // ---------------------------------------------------------------------------
 // Query descents.
 
 template <bool kPow2>
-int64_t CumulativeSumFast(const BcShape& s, OpCounters* counters,
-                          const Node* node, int64_t index) {
+int64_t CumulativeSumFast(const BcShape& s, const Node* node,
+                          int64_t index) {
   int64_t offset = index;
   int shift = kPow2 ? s.log2_fanout * (s.height - 1) : 0;
   int64_t child_span = s.root_span / s.fanout;
   int64_t sum = 0;
   const size_t f = static_cast<size_t>(s.fanout);
   for (int level = s.height; level > 1; --level) {
-    CountNode(counters);
+    CountNodeVisit();
     size_t child;
     if constexpr (kPow2) {
       child = static_cast<size_t>(offset >> shift);
@@ -265,33 +256,33 @@ int64_t CumulativeSumFast(const BcShape& s, OpCounters* counters,
     }
     // Every STS preceding the descended branch, as one predicated line scan.
     sum += kernels::MaskedPrefixSum(Sums(node), f, child);
-    CountRead(counters, static_cast<int64_t>(child));
+    CountValuesRead(static_cast<int64_t>(child));
     const Node* next = Children(node, s.fanout)[child];
     if (next == nullptr) return sum;  // Unmaterialized subtree: all zero.
     node = next;
   }
-  CountNode(counters);
+  CountNodeVisit();
   sum += kernels::MaskedPrefixSum(Sums(node), f,
                                   static_cast<size_t>(offset) + 1);
-  CountRead(counters, offset + 1);
+  CountValuesRead(offset + 1);
   return sum;
 }
 
 // Scalar reference of CumulativeSumFast (seed shape: per-level div/mod,
 // early-terminating per-entry STS loop).
-int64_t CumulativeSumScalarRef(const BcShape& s, OpCounters* counters,
-                               const Node* node, int64_t index) {
+int64_t CumulativeSumScalarRef(const BcShape& s, const Node* node,
+                               int64_t index) {
   int64_t span = s.root_span;
   int64_t offset = index;
   int64_t sum = 0;
   while (true) {
-    CountNode(counters);
+    CountNodeVisit();
     if (span == s.fanout) {
       // Leaf: sum of the individual row values up to and including `offset`.
       for (int64_t i = 0; i <= offset; ++i) {
         sum += Sums(node)[static_cast<size_t>(i)];
       }
-      CountRead(counters, offset + 1);
+      CountValuesRead(offset + 1);
       return sum;
     }
     const int64_t child_span = span / s.fanout;
@@ -300,7 +291,7 @@ int64_t CumulativeSumScalarRef(const BcShape& s, OpCounters* counters,
     for (size_t i = 0; i < child; ++i) {
       sum += Sums(node)[i];
     }
-    CountRead(counters, static_cast<int64_t>(child));
+    CountValuesRead(static_cast<int64_t>(child));
     if (Children(node, s.fanout)[child] == nullptr) {
       return sum;  // Unmaterialized subtree: all zero.
     }
@@ -310,8 +301,8 @@ int64_t CumulativeSumScalarRef(const BcShape& s, OpCounters* counters,
   }
 }
 
-int64_t CumulativeSumDense(const BcShape& s, OpCounters* counters,
-                           const int64_t* dense, int64_t index) {
+int64_t CumulativeSumDense(const BcShape& s, const int64_t* dense,
+                           int64_t index) {
   const int64_t f = s.fanout;
   int64_t slot = 0;
   int64_t offset = index;
@@ -319,7 +310,7 @@ int64_t CumulativeSumDense(const BcShape& s, OpCounters* counters,
   int64_t child_span = s.root_span / f;
   int64_t sum = 0;
   for (int level = s.height; level > 1; --level) {
-    CountNode(counters);
+    CountNodeVisit();
     int64_t child;
     if (s.log2_fanout > 0) {
       child = offset >> shift;
@@ -332,13 +323,13 @@ int64_t CumulativeSumDense(const BcShape& s, OpCounters* counters,
     }
     sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
                                     static_cast<size_t>(child));
-    CountRead(counters, child);
+    CountValuesRead(child);
     slot = slot * f + 1 + child;
   }
-  CountNode(counters);
+  CountNodeVisit();
   sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
                                   static_cast<size_t>(offset) + 1);
-  CountRead(counters, offset + 1);
+  CountValuesRead(offset + 1);
   return sum;
 }
 
@@ -422,21 +413,21 @@ static_assert(sizeof(intptr_t) == sizeof(int64_t));
 static_assert(sizeof(BcFace) == 16);
 static_assert(std::is_trivially_destructible_v<BcFace>);
 
-void BcFace::Add(const BcShape& shape, Arena* arena, OpCounters* counters,
-                 int64_t index, int64_t delta) {
+void BcFace::Add(const BcShape& shape, Arena* arena, int64_t index,
+                 int64_t delta) {
   DDC_CHECK(index >= 0 && index < shape.capacity);
   if (delta == 0) return;
   total_ += delta;
   if (shape.is_inline()) {
     // The face is its own leaf: entry 1 lives only in the total.
-    CountNode(counters);
+    CountNodeVisit();
     if (index == 0) slot_ += delta;
-    CountWrite(counters, 1);
+    CountValuesWritten(1);
     return;
   }
   if (shape.layout == BcLayout::kDense) {
     if (slot_ == 0) set_root(NewDense(shape, arena));
-    AddDense(shape, counters, root<int64_t>(), index, delta);
+    AddDense(shape, root<int64_t>(), index, delta);
     return;
   }
   if (slot_ == 0) {
@@ -444,43 +435,41 @@ void BcFace::Add(const BcShape& shape, Arena* arena, OpCounters* counters,
   }
   Node* root_node = root<Node>();
   if (kernels::UseScalar()) {
-    AddScalarRef(shape, arena, counters, root_node, index, delta);
+    AddScalarRef(shape, arena, root_node, index, delta);
   } else if (shape.log2_fanout > 0) {
-    AddFast<true>(shape, arena, counters, root_node, index, delta);
+    AddFast<true>(shape, arena, root_node, index, delta);
   } else {
-    AddFast<false>(shape, arena, counters, root_node, index, delta);
+    AddFast<false>(shape, arena, root_node, index, delta);
   }
 }
 
-int64_t BcFace::CumulativeSum(const BcShape& shape, OpCounters* counters,
-                              int64_t index) const {
+int64_t BcFace::CumulativeSum(const BcShape& shape, int64_t index) const {
   DDC_CHECK(index >= 0 && index < shape.capacity);
   if (shape.is_inline()) {
     if (empty_inline()) return 0;
-    CountNode(counters);
-    CountRead(counters, index + 1);
+    CountNodeVisit();
+    CountValuesRead(index + 1);
     return index == 0 ? slot_ : total_;
   }
   if (slot_ == 0) return 0;
   if (shape.layout == BcLayout::kDense) {
-    return CumulativeSumDense(shape, counters, root<const int64_t>(), index);
+    return CumulativeSumDense(shape, root<const int64_t>(), index);
   }
   const Node* root_node = root<const Node>();
   if (kernels::UseScalar()) {
-    return CumulativeSumScalarRef(shape, counters, root_node, index);
+    return CumulativeSumScalarRef(shape, root_node, index);
   }
   if (shape.log2_fanout > 0) {
-    return CumulativeSumFast<true>(shape, counters, root_node, index);
+    return CumulativeSumFast<true>(shape, root_node, index);
   }
-  return CumulativeSumFast<false>(shape, counters, root_node, index);
+  return CumulativeSumFast<false>(shape, root_node, index);
 }
 
-int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
-                      int64_t index) const {
+int64_t BcFace::Value(const BcShape& shape, int64_t index) const {
   DDC_CHECK(index >= 0 && index < shape.capacity);
   if (shape.is_inline()) {
     if (empty_inline()) return 0;
-    CountRead(counters, 1);
+    CountValuesRead(1);
     return index == 0 ? slot_ : total_ - slot_;
   }
   if (slot_ == 0) return 0;
@@ -496,7 +485,7 @@ int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
       child_span /= f;
       slot = slot * f + 1 + child;
     }
-    CountRead(counters, 1);
+    CountValuesRead(1);
     return dense[slot * f + offset];
   }
   const Node* node = root<const Node>();
@@ -507,7 +496,7 @@ int64_t BcFace::Value(const BcShape& shape, OpCounters* counters,
     offset %= child_span;
     child_span /= f;
   }
-  CountRead(counters, 1);
+  CountValuesRead(1);
   return Sums(node)[static_cast<size_t>(offset)];
 }
 
@@ -581,15 +570,15 @@ void BcTree::BuildFrom(const std::vector<int64_t>& values) {
 }
 
 void BcTree::Add(int64_t index, int64_t delta) {
-  face_.Add(shape_, &arena_, counters_, index, delta);
+  face_.Add(shape_, &arena_, index, delta);
 }
 
 int64_t BcTree::CumulativeSum(int64_t index) const {
-  return face_.CumulativeSum(shape_, counters_, index);
+  return face_.CumulativeSum(shape_, index);
 }
 
 int64_t BcTree::Value(int64_t index) const {
-  return face_.Value(shape_, counters_, index);
+  return face_.Value(shape_, index);
 }
 
 }  // namespace ddc

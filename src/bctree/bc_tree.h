@@ -25,9 +25,9 @@
 // tree's own state — the root (or dense slab) address and the running total,
 // 16 trivially destructible bytes — so the DDC keeps its 1-D faces inline
 // in its face arrays with no per-tree object, vtable or arena cleanup. The
-// arena nodes come from and the counters costs go to are also passed in by
-// the owner. BcTree is the standalone form: a CumulativeStore1D that owns an
-// arena and one BcFace and runs the same descents.
+// arena nodes come from is also passed in by the owner. BcTree is the
+// standalone form: a CumulativeStore1D that owns an arena and one BcFace
+// and runs the same descents.
 //
 // Inline faces. A shape of capacity <= 2 (the faces of the DDC's side-2
 // boxes, the most numerous of all) allocates no node: the root slot holds
@@ -67,7 +67,6 @@
 
 #include "bctree/cumulative_store.h"
 #include "common/arena.h"
-#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -99,16 +98,13 @@ struct BcShape {
 };
 
 // One B_c tree's own state; see the header comment. Every operation takes
-// the tree's shape; mutations take the arena its nodes come from; `counters`
-// (may be null) receives the node visits and value reads/writes.
+// the tree's shape; mutations take the arena its nodes come from. Node
+// visits and value reads/writes count into the calling thread's CountBlock.
 class BcFace {
  public:
-  void Add(const BcShape& shape, Arena* arena, OpCounters* counters,
-           int64_t index, int64_t delta);
-  int64_t CumulativeSum(const BcShape& shape, OpCounters* counters,
-                        int64_t index) const;
-  int64_t Value(const BcShape& shape, OpCounters* counters,
-                int64_t index) const;
+  void Add(const BcShape& shape, Arena* arena, int64_t index, int64_t delta);
+  int64_t CumulativeSum(const BcShape& shape, int64_t index) const;
+  int64_t Value(const BcShape& shape, int64_t index) const;
   int64_t TotalSum() const { return total_; }
 
   // Bulk-builds the tree bottom-up from `values` (one per index; shorter

@@ -4,14 +4,13 @@
 // The store holds `capacity` individual row sums, indexed 0..capacity-1, and
 // answers cumulative queries: CumulativeSum(i) = value[0] + ... + value[i].
 // The paper's implementation is the B_c tree; a Fenwick tree is provided as
-// an ablation comparator with the same asymptotics.
+// an ablation comparator with the same asymptotics. Both count into the
+// calling thread's CountBlock (common/op_counter.h).
 
 #ifndef DDC_BCTREE_CUMULATIVE_STORE_H_
 #define DDC_BCTREE_CUMULATIVE_STORE_H_
 
 #include <cstdint>
-
-#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -36,23 +35,6 @@ class CumulativeStore1D {
   // Currently allocated stored entries (lazily allocated structures report
   // only what exists).
   virtual int64_t StorageCells() const = 0;
-
-  // Routes operation counting into an owner's counters; pass nullptr to
-  // disable. The store does not own the pointer.
-  void set_counters(OpCounters* counters) { counters_ = counters; }
-
- protected:
-  OpCounters* counters_ = nullptr;
-
-  void CountRead(int64_t n) const {
-    if (counters_ != nullptr) counters_->values_read += n;
-  }
-  void CountWrite(int64_t n) const {
-    if (counters_ != nullptr) counters_->values_written += n;
-  }
-  void CountNode() const {
-    if (counters_ != nullptr) ++counters_->nodes_visited;
-  }
 };
 
 }  // namespace ddc

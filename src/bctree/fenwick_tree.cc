@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/kernels.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -33,7 +34,7 @@ void FenwickTree::Add(int64_t index, int64_t delta) {
   total_ += delta;
   for (int64_t i = index + 1; i <= capacity_; i += i & (-i)) {
     tree_[static_cast<size_t>(i)] += delta;
-    CountWrite(1);
+    CountValuesWritten(1);
   }
 }
 
@@ -42,7 +43,7 @@ int64_t FenwickTree::CumulativeSum(int64_t index) const {
   int64_t sum = 0;
   for (int64_t i = index + 1; i > 0; i -= i & (-i)) {
     sum += tree_[static_cast<size_t>(i)];
-    CountRead(1);
+    CountValuesRead(1);
   }
   return sum;
 }

@@ -1,6 +1,7 @@
 #include "cache/cached_cube.h"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <utility>
 
@@ -65,6 +66,12 @@ obs::Gauge& HitRatioGauge() {
 
 thread_local int g_no_populate_depth = 0;
 
+// The home cell of `fp` in a table of mask + 1 cells: the fingerprint's
+// middle bits after a Fibonacci multiply.
+size_t IndexHome(uint64_t fp, size_t mask) {
+  return static_cast<size_t>((fp * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+}
+
 }  // namespace
 
 CachedCube::ScopedNoPopulate::ScopedNoPopulate() { ++g_no_populate_depth; }
@@ -81,6 +88,7 @@ CachedCube::CachedCube(CubeInterface* cube, CachedCubeOptions options)
   options_.max_pinned =
       std::min(options_.max_pinned, options_.capacity / 2);
   slots_.resize(options_.capacity);
+  index_.resize(std::bit_ceil(2 * options_.capacity));
   free_.reserve(options_.capacity);
   for (size_t i = options_.capacity; i > 0; --i) {
     free_.push_back(static_cast<uint32_t>(i - 1));
@@ -145,16 +153,37 @@ uint64_t CachedCube::FingerprintBox(const Box& box) const {
   return h;
 }
 
+size_t CachedCube::IndexFindLocked(uint64_t fp) const {
+  const size_t mask = index_.size() - 1;
+  size_t i = IndexHome(fp, mask);
+  while (index_[i] != 0 && slots_[index_[i] - 1].fp != fp) i = (i + 1) & mask;
+  return i;
+}
+
+void CachedCube::IndexEraseLocked(uint64_t fp) const {
+  const size_t mask = index_.size() - 1;
+  size_t hole = IndexFindLocked(fp);
+  // A later cell of the run moves into the hole unless its home lies
+  // after the hole (it would then be unreachable from there).
+  for (size_t j = (hole + 1) & mask; index_[j] != 0; j = (j + 1) & mask) {
+    const size_t home = IndexHome(slots_[index_[j] - 1].fp, mask);
+    if (((j - home) & mask) < ((j - hole) & mask)) continue;
+    index_[hole] = index_[j];
+    hole = j;
+  }
+  index_[hole] = 0;
+}
+
 int64_t CachedCube::LookupLocked(const Box& canonical, uint64_t fp) const {
-  const auto it = index_.find(fp);
-  if (it == index_.end()) return -1;
-  const Entry& e = slots_[it->second];
+  const int64_t slot = int64_t{index_[IndexFindLocked(fp)]} - 1;
+  if (slot < 0) return -1;
+  const Entry& e = slots_[static_cast<size_t>(slot)];
   // Exact-box verify behind the fingerprint: a colliding box is a miss
   // (and its insert will overwrite this slot, keeping fp -> slot 1:1).
   if (!e.live || e.box.lo != canonical.lo || e.box.hi != canonical.hi) {
     return -1;
   }
-  return static_cast<int64_t>(it->second);
+  return slot;
 }
 
 void CachedCube::SetBox(Entry& e, const Box& box) const {
@@ -177,7 +206,7 @@ bool CachedCube::EntryOverlaps(const Entry& e, const Box& box) const {
 void CachedCube::EvictSlotLocked(size_t slot) const {
   Entry& e = slots_[slot];
   DDC_DCHECK(e.live);
-  index_.erase(e.fp);
+  IndexEraseLocked(e.fp);
   if (e.pinned) --pinned_live_;
   e.live = false;
   e.pinned = false;
@@ -192,7 +221,7 @@ void CachedCube::FlushLocked() const {
     e.pinned = false;
     e.ref = 0;
   }
-  index_.clear();
+  std::fill(index_.begin(), index_.end(), 0);
   free_.clear();
   for (size_t i = slots_.size(); i > 0; --i) {
     free_.push_back(static_cast<uint32_t>(i - 1));
@@ -213,12 +242,11 @@ bool CachedCube::InsertLocked(const Box& canonical, uint64_t fp,
     ++stats_.insert_failures;
     return false;
   }
-  const auto it = index_.find(fp);
-  if (it != index_.end()) {
+  if (const uint32_t found = index_[IndexFindLocked(fp)]; found != 0) {
     // Same canonical box recomputed (value refresh) or a fingerprint
     // collision (the old box loses its slot) — either way the slot now
     // carries this box.
-    Entry& e = slots_[it->second];
+    Entry& e = slots_[found - 1];
     const bool same_box =
         e.box.lo == canonical.lo && e.box.hi == canonical.hi;
     if (e.pinned && !same_box) {
@@ -275,7 +303,7 @@ bool CachedCube::InsertLocked(const Box& canonical, uint64_t fp,
   e.live = true;
   e.ref = 1;
   e.pinned = false;
-  index_[fp] = static_cast<uint32_t>(slot);
+  index_[IndexFindLocked(fp)] = static_cast<uint32_t>(slot + 1);
   ++live_;
   ++stats_.inserts;
   if (obs::Enabled()) InsertsCounter().Increment();
@@ -510,11 +538,16 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
     for (const Mutation& m : batch) ordered_dirty.push_back(MutationDirtyBox(m));
   }
 
-  for (size_t s = 0; s < slots_.size(); ++s) {
+  // The scan ends at the last live entry instead of walking the free tail
+  // of the slot array.
+  size_t unvisited = live_;
+  for (size_t s = 0; s < slots_.size() && unvisited > 0; ++s) {
     Entry& e = slots_[s];
+    if (!e.live) continue;
+    --unvisited;
     // One bounding-box test rejects the whole batch for most entries; the
     // index probe below runs only for entries near the write.
-    if (!e.live || !EntryOverlaps(e, bounds)) continue;
+    if (!EntryOverlaps(e, bounds)) continue;
     if (e.pinned) {
       for (size_t i = 0; i < batch.size(); ++i) {
         const Mutation& m = batch[i];
@@ -548,7 +581,6 @@ void CachedCube::InvalidateLocked(std::span<const Mutation> batch) {
       ++stats_.invalidated;
       if (obs::Enabled()) InvalidatedCounter().Increment();
     }
-    if (live_ == 0) break;
   }
 }
 

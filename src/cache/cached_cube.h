@@ -56,7 +56,6 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cube_interface.h"
@@ -172,6 +171,10 @@ class CachedCube : public CubeInterface {
     uint8_t ref = 0;  // CLOCK second-chance bit.
   };
 
+  // Where `fp` sits in index_, or the empty cell where it would go.
+  size_t IndexFindLocked(uint64_t fp) const;
+  void IndexEraseLocked(uint64_t fp) const;
+
   // Stores `box` in `e`, with its inline dims-0/1 copy.
   void SetBox(Entry& e, const Box& box) const;
   // BoxesOverlap(e.box, box), with dims 0 and 1 read inline.
@@ -237,7 +240,11 @@ class CachedCube : public CubeInterface {
   mutable std::mutex mu_;
   mutable std::vector<Entry> slots_;
   mutable std::vector<uint32_t> free_;
-  mutable std::unordered_map<uint64_t, uint32_t> index_;  // fp -> slot.
+  // fp -> 1 + slot (0: empty), open-addressed with linear probing over the
+  // slots' own fingerprints and at most half full. An erase shifts the rest
+  // of its run back instead of leaving a tombstone, so an eviction is a few
+  // probes and no allocator call.
+  mutable std::vector<uint32_t> index_;
   mutable size_t clock_hand_ = 0;
   mutable size_t live_ = 0;
   mutable size_t pinned_live_ = 0;

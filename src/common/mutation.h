@@ -13,9 +13,9 @@
 #ifndef DDC_COMMON_MUTATION_H_
 #define DDC_COMMON_MUTATION_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -132,16 +132,6 @@ inline bool BatchDirtyBounds(std::span<const Mutation> batch, Box* bounds) {
   return any;
 }
 
-// True iff any mutation in `batch` is a range kind. Layers whose fast path
-// only understands points (per-slab scatter, coalesce-before-submit) use
-// this to route range-carrying batches through their exact slow path.
-inline bool BatchHasRange(std::span<const Mutation> batch) {
-  for (const Mutation& m : batch) {
-    if (m.is_range()) return true;
-  }
-  return false;
-}
-
 // Historical spellings, kept so existing call sites (ShardedCube batches,
 // workload generators, benches) compile unchanged.
 using UpdateKind = MutationKind;
@@ -152,9 +142,9 @@ using UpdateOp = Mutation;
 // `has_set` is true the run contains at least one kSet; the final value is
 // `set_value + pending_add` regardless of what the cell held before, so the
 // equivalent single Add delta is `set_value + pending_add - <current
-// value>`.
+// value>`. `cell` points into the folded mutations, which must outlive it.
 struct CoalescedCell {
-  Cell cell;
+  const Cell* cell;
   int64_t pending_add = 0;
   bool has_set = false;
   int64_t set_value = 0;
@@ -170,20 +160,24 @@ inline std::vector<CoalescedCell> CoalesceMutations(
     std::span<const Mutation> batch) {
   std::vector<CoalescedCell> cells;
   cells.reserve(batch.size());
-  // Keyed by the batch's own cells (which outlive this call), so a new
-  // cell costs one copy — into the result — not a second one for the key.
-  struct CellPtrHash {
-    size_t operator()(const Cell* cell) const { return CellHash{}(*cell); }
-  };
-  struct CellPtrEq {
-    bool operator()(const Cell* a, const Cell* b) const { return *a == *b; }
-  };
-  std::unordered_map<const Cell*, size_t, CellPtrHash, CellPtrEq> index;
-  index.reserve(batch.size());
+  // Open-addressed index of first appearances, at most half full: a slot
+  // holds 1 + the cell's position in `cells`, 0 marks it empty. One table
+  // allocation per batch, none per distinct cell.
+  const int bits = std::bit_width(2 * batch.size() | 15);
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<uint32_t> table(mask + 1, 0);
   for (const Mutation& m : batch) {
-    auto [it, inserted] = index.try_emplace(&m.cell, cells.size());
-    if (inserted) cells.push_back(CoalescedCell{m.cell, 0, false, 0});
-    CoalescedCell& c = cells[it->second];
+    // Fibonacci hashing: the product's top bits mix every bit of the hash.
+    size_t slot = static_cast<size_t>(
+        (CellHash{}(m.cell) * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+    while (table[slot] != 0 && *cells[table[slot] - 1].cell != m.cell) {
+      slot = (slot + 1) & mask;
+    }
+    if (table[slot] == 0) {
+      cells.push_back(CoalescedCell{&m.cell, 0, false, 0});
+      table[slot] = static_cast<uint32_t>(cells.size());
+    }
+    CoalescedCell& c = cells[table[slot] - 1];
     if (m.kind == MutationKind::kSet) {
       c.has_set = true;
       c.set_value = m.delta;
@@ -213,26 +207,22 @@ struct CoalescedStep {
 // because it keeps the transform trivially order-exact for every
 // interleaving, which the property tests check against a cell-by-cell
 // oracle. Point runs between barriers still coalesce to one descent per
-// distinct cell, so the common point-heavy batch loses nothing.
+// distinct cell, so the common point-heavy batch loses nothing. The steps
+// point into `batch`.
 inline std::vector<CoalescedStep> BuildCoalesceProgram(
     std::span<const Mutation> batch) {
   std::vector<CoalescedStep> steps;
-  MutationBatch run;
-  for (const Mutation& m : batch) {
-    if (!m.is_range()) {
-      run.push_back(m);
-      continue;
+  size_t run_start = 0;
+  for (size_t i = 0; i <= batch.size(); ++i) {
+    if (i < batch.size() && !batch[i].is_range()) continue;
+    if (i == batch.size() && run_start == i) break;
+    CoalescedStep step;
+    step.points = CoalesceMutations(batch.subspan(run_start, i - run_start));
+    run_start = i + 1;
+    if (i < batch.size()) {
+      step.has_range = true;
+      step.range = batch[i];
     }
-    CoalescedStep step;
-    step.points = CoalesceMutations(run);
-    run.clear();
-    step.has_range = true;
-    step.range = m;
-    steps.push_back(std::move(step));
-  }
-  if (!run.empty()) {
-    CoalescedStep step;
-    step.points = CoalesceMutations(run);
     steps.push_back(std::move(step));
   }
   return steps;

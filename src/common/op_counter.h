@@ -4,26 +4,26 @@
 // Counters are machine-independent: they count stored values touched, not
 // nanoseconds, so measured results can be compared directly against the
 // closed-form cost functions in cost_model.h.
+//
+// The DDC family (DdcCore, its face stores, B_c and Fenwick trees) counts
+// through one channel: each count site bumps the calling thread's
+// CountBlock, and DynamicDataCube's counters(), the EXPLAIN ledger and the
+// registry's ddc.* counters are views of the blocks (DESIGN.md §9). The
+// paper baselines (naive, PS, RPS, Basic DDC) keep plain OpCounters.
 
 #ifndef DDC_COMMON_OP_COUNTER_H_
 #define DDC_COMMON_OP_COUNTER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <vector>
 
 namespace ddc {
 
-// NOTE on thread-safety and the metrics registry: OpCounters is plain
-// mutable state updated by const query paths, so it is safe only while the
-// owning structure is accessed from a single thread (or under an exclusive
-// lock); the concurrent facades construct their wrapped cubes with
-// `enable_counters = false`. That used to mean per-value costs were simply
-// lost under the facades. DdcCore now *additionally* routes every count
-// into the process-wide obs::MetricsRegistry (relaxed-atomic counters
-// ddc.values_read / ddc.values_written / ddc.nodes_visited, safe under
-// shared locks), so OpCounters is a thin per-cube view for the paper's
-// machine-independent cost analyses, while the registry carries the same
-// accounting process-wide — including everything the concurrent facades do.
+// A cube's counters() is plain state that its const reads update too, so it
+// holds only while the cube is used by one thread at a time; ShardedCube
+// runs its shard cubes with enable_counters off and reads stay const.
 struct OpCounters {
   // Stored values read while answering queries.
   int64_t values_read = 0;
@@ -31,6 +31,8 @@ struct OpCounters {
   int64_t values_written = 0;
   // Tree nodes (or blocks) visited.
   int64_t nodes_visited = 0;
+  // Face-store consultations of a DDC descent (0 for the baselines).
+  int64_t face_lookups = 0;
 
   void Reset() { *this = OpCounters(); }
 
@@ -39,45 +41,102 @@ struct OpCounters {
     out.values_read = values_read - other.values_read;
     out.values_written = values_written - other.values_written;
     out.nodes_visited = nodes_visited - other.nodes_visited;
+    out.face_lookups = face_lookups - other.face_lookups;
     return out;
   }
-
-  int64_t total_touched() const { return values_read + values_written; }
-};
-
-// Thread-safe operation statistics for ShardedCube, kept per shard. Unlike
-// OpCounters these count whole operations (not stored values touched), so
-// they stay meaningful when many threads mutate them concurrently; every
-// field is an independent relaxed atomic — totals are exact once the
-// structure is quiesced, and monotone lower bounds while it is running.
-// Like OpCounters, this is a thin per-instance view: the facade mirrors
-// every event into the registry's sharded.* counters, so `ddctool stats`
-// and the renderers see one unified account (see src/obs/metrics.h).
-struct ConcurrentOpStats {
-  std::atomic<int64_t> point_writes{0};   // Add/Set calls applied.
-  std::atomic<int64_t> batches{0};        // ApplyBatch calls.
-  std::atomic<int64_t> batched_ops{0};    // Ops applied through ApplyBatch.
-  std::atomic<int64_t> point_reads{0};    // Get calls.
-  // RangeSum/PrefixSum/TotalSum calls, and boxes of RangeSumBatch calls.
-  std::atomic<int64_t> range_queries{0};
-  // Growth/shrink re-rootings: ShardedCube keeps each shard's re-root
-  // epoch here, refreshed by the writer under the shard's exclusive lock.
-  std::atomic<int64_t> reroots{0};
-
-  // Plain-value copy for printing (taken at quiescence).
-  struct Snapshot {
-    int64_t point_writes, batches, batched_ops, point_reads, range_queries,
-        reroots;
-  };
-  Snapshot Read() const {
-    return {point_writes.load(std::memory_order_relaxed),
-            batches.load(std::memory_order_relaxed),
-            batched_ops.load(std::memory_order_relaxed),
-            point_reads.load(std::memory_order_relaxed),
-            range_queries.load(std::memory_order_relaxed),
-            reroots.load(std::memory_order_relaxed)};
+  OpCounters& operator+=(const OpCounters& other) {
+    values_read += other.values_read;
+    values_written += other.values_written;
+    nodes_visited += other.nodes_visited;
+    face_lookups += other.face_lookups;
+    return *this;
   }
 };
+
+// One thread's counts. A line of its own: no two threads share one.
+struct alignas(64) CountBlock {
+  std::atomic<int64_t> values_read{0};
+  std::atomic<int64_t> values_written{0};
+  std::atomic<int64_t> nodes_visited{0};
+  std::atomic<int64_t> face_lookups{0};
+
+  OpCounters Read() const {
+    return {values_read.load(std::memory_order_relaxed),
+            values_written.load(std::memory_order_relaxed),
+            nodes_visited.load(std::memory_order_relaxed),
+            face_lookups.load(std::memory_order_relaxed)};
+  }
+};
+
+namespace internal {
+
+// Every block ever handed out. Leaked, like the blocks, so the counts of
+// exited threads stay in the sum.
+struct CountBlockList {
+  std::mutex mutex;
+  std::vector<const CountBlock*> blocks;
+};
+inline CountBlockList& CountBlocks() {
+  static CountBlockList* list = new CountBlockList();
+  return *list;
+}
+
+[[gnu::noinline]] inline CountBlock* NewCountBlock() {
+  CountBlock* block = new CountBlock();
+  std::lock_guard<std::mutex> lock(CountBlocks().mutex);
+  CountBlocks().blocks.push_back(block);
+  return block;
+}
+
+inline CountBlock& ThreadCountBlock() {
+  thread_local CountBlock* block = nullptr;
+  if (block == nullptr) block = NewCountBlock();
+  return *block;
+}
+
+// The owner's read-add-store: no other thread writes the field.
+inline void Bump(std::atomic<int64_t>& field, int64_t n) {
+  field.store(field.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+}
+
+}  // namespace internal
+
+// The count sites.
+inline void CountValuesRead(int64_t n) {
+  internal::Bump(internal::ThreadCountBlock().values_read, n);
+}
+inline void CountValuesWritten(int64_t n) {
+  internal::Bump(internal::ThreadCountBlock().values_written, n);
+}
+inline void CountNodeVisit() {
+  internal::Bump(internal::ThreadCountBlock().nodes_visited, 1);
+}
+inline void CountFaceLookup() {
+  internal::Bump(internal::ThreadCountBlock().face_lookups, 1);
+}
+
+// The calling thread's counts so far; views subtract two readings.
+inline OpCounters ThreadCounts() {
+  return internal::ThreadCountBlock().Read();
+}
+
+// The calling thread's counts spent by fn().
+template <typename Fn>
+OpCounters CountsOf(Fn&& fn) {
+  const OpCounters start = ThreadCounts();
+  fn();
+  return ThreadCounts() - start;
+}
+
+// The sum over every thread's block, live and exited.
+inline OpCounters AllThreadCounts() {
+  internal::CountBlockList& list = internal::CountBlocks();
+  std::lock_guard<std::mutex> lock(list.mutex);
+  OpCounters sum;
+  for (const CountBlock* block : list.blocks) sum += block->Read();
+  return sum;
+}
 
 }  // namespace ddc
 

@@ -25,11 +25,9 @@ namespace ddc {
 
 namespace {
 
-// Process-wide mirrors of the per-shard ConcurrentOpStats fields: per-shard
-// structs keep write paths contention-free, the registry carries the
-// unified account the renderers and `ddctool stats` read. Resolved once.
-// Every counter here is deterministic for a fixed single-threaded workload
-// (`ddctool stats` relies on it).
+// The facade's operation counts, in the registry the renderers and
+// `ddctool stats` read. Resolved once. Every counter here is deterministic
+// for a fixed single-threaded workload (`ddctool stats` relies on it).
 struct ShardedObs {
   obs::Counter& point_writes;
   obs::Counter& batches;
@@ -76,10 +74,7 @@ int64_t FloorMod(int64_t a, int64_t b) {
 // (counts add; tree depth is a high-water mark). Runs on the calling
 // thread after ParallelFor returns, so the merge itself is single-threaded.
 void MergeLedger(obs::CostLedger& into, const obs::CostLedger& from) {
-  into.nodes_visited += from.nodes_visited;
-  into.values_read += from.values_read;
-  into.values_written += from.values_written;
-  into.face_lookups += from.face_lookups;
+  into += from;  // The OpCounters part.
   into.tree_depth = std::max(into.tree_depth, from.tree_depth);
   into.corner_terms += from.corner_terms;
   into.corners_deduped += from.corners_deduped;
@@ -285,16 +280,14 @@ std::span<const uint32_t> ZOrdered(const DynamicDataCube& cube,
 
 }  // namespace
 
-// Over-aligned so two shards never share a cache line; the stats get
-// their own line because every op bumps them.
+// Over-aligned so two shards never share a cache line; the epoch gets a
+// line of its own, away from the lock every op writes.
 struct alignas(128) ShardedCube::Shard {
   mutable ShardMutex mutex;
   std::unique_ptr<DynamicDataCube> cube;
-  // Ops accounted to this shard (cross-shard ops bill their lowest
-  // touched shard); aggregated by ShardedCube::stats(). `stats.reroots`
-  // doubles as the shard's re-root epoch mirror: WriteShard copies
+  // The shard's re-root epoch mirror: WriteShard copies
   // cube->ReRootEpoch() into it before releasing the exclusive lock.
-  alignas(64) mutable ConcurrentOpStats stats;
+  alignas(64) std::atomic<int64_t> reroots{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -388,9 +381,9 @@ void ShardedCube::WriteShard(int s, Fn&& fn) {
   // Refresh the epoch mirror while the exclusive hold still orders this
   // write against every other writer of the shard.
   const int64_t epoch = shard.cube->ReRootEpoch();
-  const int64_t seen = shard.stats.reroots.load();
+  const int64_t seen = shard.reroots.load();
   if (epoch != seen) {
-    shard.stats.reroots.store(epoch);
+    shard.reroots.store(epoch);
     if (obs::Enabled()) ShardedObs::Get().reroots.Add(epoch - seen);
   }
 }
@@ -400,16 +393,12 @@ void ShardedCube::WriteShard(int s, Fn&& fn) {
 
 void ShardedCube::Add(const Cell& cell, int64_t delta) {
   const int s = ShardOf(cell);
-  shards_[static_cast<size_t>(s)].stats.point_writes.fetch_add(
-      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_writes.Increment();
   WriteShard(s, [&](DynamicDataCube& cube) { cube.Add(cell, delta); });
 }
 
 void ShardedCube::Set(const Cell& cell, int64_t value) {
   const int s = ShardOf(cell);
-  shards_[static_cast<size_t>(s)].stats.point_writes.fetch_add(
-      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_writes.Increment();
   WriteShard(s, [&](DynamicDataCube& cube) { cube.Set(cell, value); });
 }
@@ -475,16 +464,10 @@ bool ShardedCube::ApplyBatch(std::span<const Mutation> ops) {
   if (rs.routes.empty()) return true;
   rs.GroupByShard(num_shards_);
 
-  // The batch itself is billed once, to its lowest touched shard; the op
-  // count is billed where the ops landed.
-  shards_[static_cast<size_t>(rs.touched[0])].stats.batches.fetch_add(
-      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().batches.Increment();
   obs::CostLedger* active = obs::ActiveLedger();
   for (int s : rs.touched) {
     const int64_t n = static_cast<int64_t>(rs.Group(s).size());
-    shards_[static_cast<size_t>(s)].stats.batched_ops.fetch_add(
-        n, std::memory_order_relaxed);
     if (obs::Enabled()) {
       ShardedObs::Get().batched_ops.Add(n);
       ShardedObs::Get().batch_group_size.Record(n);
@@ -565,8 +548,6 @@ void ShardedCube::ShrinkToFit(int64_t min_side) {
 
 int64_t ShardedCube::Get(const Cell& cell) const {
   const int s = ShardOf(cell);
-  shards_[static_cast<size_t>(s)].stats.point_reads.fetch_add(
-      1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().point_reads.Increment();
   int64_t result = 0;
   ReadShard(s, [&](const DynamicDataCube& cube) { result = cube.Get(cell); });
@@ -574,7 +555,6 @@ int64_t ShardedCube::Get(const Cell& cell) const {
 }
 
 int64_t ShardedCube::PrefixSum(const Cell& cell) const {
-  shards_[0].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
   int64_t sum = 0;
   for (int s = 0; s < num_shards_; ++s) {
@@ -588,22 +568,16 @@ int64_t ShardedCube::PrefixSum(const Cell& cell) const {
 }
 
 int64_t ShardedCube::RangeSum(const Box& box) const {
-  // Each piece is one single-box descent on its shard; the query is billed
-  // to its lowest touched shard.
+  // Each piece is one single-box descent on its shard.
   thread_local Box clip;
   int64_t sum = 0;
-  int lowest = num_shards_;
   ForEachReadPiece(box, [&](int s, Coord lo0, Coord hi0) {
-    lowest = std::min(lowest, s);
     const bool whole = lo0 == box.lo[0] && hi0 == box.hi[0];
     if (!whole) ClipInto(clip, box, lo0, hi0);
     ReadShard(s, [&](const DynamicDataCube& cube) {
       sum += cube.RangeSum(whole ? box : clip);
     });
   });
-  ConcurrentOpStats& billing =
-      shards_[static_cast<size_t>(lowest == num_shards_ ? 0 : lowest)].stats;
-  billing.range_queries.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
   return sum;
 }
@@ -645,8 +619,6 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
     active->shard_groups += static_cast<int64_t>(rs.touched.size());
     active->shard_subqueries += static_cast<int64_t>(rs.routes.size());
   }
-  shards_[static_cast<size_t>(rs.touched[0])].stats.range_queries.fetch_add(
-      static_cast<int64_t>(n), std::memory_order_relaxed);
   if (obs::Enabled()) {
     ShardedObs::Get().range_queries.Add(static_cast<int64_t>(n));
   }
@@ -694,7 +666,6 @@ void ShardedCube::RangeSumBatch(std::span<const Box> boxes,
 }
 
 int64_t ShardedCube::TotalSum() const {
-  shards_[0].stats.range_queries.fetch_add(1, std::memory_order_relaxed);
   if (obs::Enabled()) ShardedObs::Get().range_queries.Increment();
   int64_t sum = 0;
   for (int s = 0; s < num_shards_; ++s) {
@@ -760,22 +731,7 @@ void ShardedCube::ForEachNonZero(
 int64_t ShardedCube::ReRootEpoch() const {
   int64_t total = 0;
   for (int s = 0; s < num_shards_; ++s) {
-    total += shards_[static_cast<size_t>(s)].stats.reroots.load();
-  }
-  return total;
-}
-
-ConcurrentOpStats::Snapshot ShardedCube::stats() const {
-  ConcurrentOpStats::Snapshot total{};
-  for (int s = 0; s < num_shards_; ++s) {
-    const ConcurrentOpStats::Snapshot part =
-        shards_[static_cast<size_t>(s)].stats.Read();
-    total.point_writes += part.point_writes;
-    total.batches += part.batches;
-    total.batched_ops += part.batched_ops;
-    total.point_reads += part.point_reads;
-    total.range_queries += part.range_queries;
-    total.reroots += part.reroots;
+    total += shards_[static_cast<size_t>(s)].reroots.load();
   }
   return total;
 }

@@ -41,16 +41,17 @@
 // that triggered it, under that shard's exclusive lock; growth needs no
 // cross-shard coordination. Before releasing that lock the writer copies
 // the shard cube's ReRootEpoch() into the shard's atomic mirror, so
-// ReRootEpoch() (the sum of the mirrors) and stats().reroots read re-roots
-// without taking any lock.
+// ReRootEpoch() (the sum of the mirrors) reads re-roots without taking any
+// lock.
 //
 // ShardedCube is a CubeInterface, so the query-result cache, the executor
 // and the differential suites compose over it like over any other cube.
 //
 // The shard cubes run with operation counters disabled (per-cube OpCounters
-// are not thread-safe to mutate under a shared lock, and the registry
-// carries the same accounting); whole-operation accounting lives in the
-// thread-safe stats() instead.
+// are not thread-safe to mutate under a shared lock); their value counts
+// reach the ledger and the registry through the per-thread count blocks
+// (common/op_counter.h), and whole operations are counted in the registry's
+// sharded.* counters.
 
 #ifndef DDC_CONCURRENT_SHARDED_CUBE_H_
 #define DDC_CONCURRENT_SHARDED_CUBE_H_
@@ -65,7 +66,6 @@
 #include "common/cell.h"
 #include "common/cube_interface.h"
 #include "common/mutation.h"
-#include "common/op_counter.h"
 #include "common/range.h"
 #include "ddc/ddc_core.h"
 #include "ddc/ddc_options.h"
@@ -189,15 +189,9 @@ class ShardedCube : public CubeInterface {
   // (reads the per-shard mirrors the writers refresh under their locks).
   int64_t ReRootEpoch() const override;
 
-  // Aggregated operation statistics. Counters are kept per shard (sharing
-  // one ConcurrentOpStats across threads would put a contended cache line
-  // on every op — exactly the serialization sharding exists to remove) and
-  // summed here; exact at quiescence, monotone lower bounds in flight.
-  ConcurrentOpStats::Snapshot stats() const;
-
  private:
   // One shard: its cube under a writer-preferring reader-writer lock, plus
-  // its counters (defined in sharded_cube.cc).
+  // its re-root epoch mirror (defined in sharded_cube.cc).
   struct Shard;
 
   // Index of the slab containing first-coordinate `c0` (floor division —

@@ -69,38 +69,14 @@ static_assert(sizeof(FaceStore) == 16);
 size_t DdcCore::WriteScratch::bytes() const {
   return items.capacity() * sizeof(UpdateItem) +
          sorted.capacity() * sizeof(UpdateItem) +
+         offsets.capacity() * sizeof(Coord) +
          begin.capacity() * sizeof(size_t) +
-         cursor.capacity() * sizeof(size_t) +
-         deltas.capacity() * sizeof(int64_t);
-}
-
-obs::Counter& DdcCore::ObsValuesRead() {
-  static obs::Counter& c =
-      *obs::MetricsRegistry::Default().GetCounter("ddc.values_read");
-  return c;
-}
-
-obs::Counter& DdcCore::ObsValuesWritten() {
-  static obs::Counter& c =
-      *obs::MetricsRegistry::Default().GetCounter("ddc.values_written");
-  return c;
-}
-
-obs::Counter& DdcCore::ObsNodesVisited() {
-  static obs::Counter& c =
-      *obs::MetricsRegistry::Default().GetCounter("ddc.nodes_visited");
-  return c;
-}
-
-obs::Counter& DdcCore::ObsFaceLookups() {
-  static obs::Counter& c =
-      *obs::MetricsRegistry::Default().GetCounter("ddc.face_lookups");
-  return c;
+         cursor.capacity() * sizeof(size_t);
 }
 
 DdcCore::DdcCore(int dims, int64_t side, const DdcOptions& options,
-                 OpCounters* counters, Arena* arena)
-    : dims_(dims), options_(options), side_(side), counters_(counters) {
+                 Arena* arena)
+    : dims_(dims), options_(options), side_(side) {
   DDC_CHECK(dims_ >= 1 && dims_ <= kMaxDims);
   DDC_CHECK(side_ >= 2 && IsPowerOfTwo(side_));
   DDC_CHECK(options_.elide_levels >= 0 && options_.elide_levels < 62);
@@ -182,9 +158,9 @@ void DdcCore::AddInPlace(Coord* key, int64_t delta) {
   total_ += delta;
   if (side_ <= min_box_side_) {
     if (root_raw_ == nullptr) root_raw_ = NewLeaf();
-    CountNode(root_raw_);
+    VisitNode(root_raw_);
     root_raw_[LeafIndex(key)] += delta;
-    CountWrite(1);
+    CountValuesWritten(1);
     return;
   }
   EnsureNode(&root_);
@@ -198,7 +174,7 @@ void DdcCore::AddInPlace(Coord* key, int64_t delta) {
 void DdcCore::AddRec(Node* node, int64_t node_side, Coord* offset,
                      int64_t delta) {
   while (true) {
-    CountNode(node);
+    VisitNode(node);
     const int64_t k = node_side / 2;
     uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
@@ -211,14 +187,14 @@ void DdcCore::AddRec(Node* node, int64_t node_side, Coord* offset,
     const FaceStore::Env env = FaceEnv(k);
     BoxData* box = EnsureBox(node, mask, env);
     box->subtotal += delta;
-    CountWrite(1);
+    CountValuesWritten(1);
     AddToFaces(box, env, offset, delta);
 
     if (k <= min_box_side_) {
       int64_t* raw = EnsureRaw(node, mask);
-      CountNode(raw);
+      VisitNode(raw);
       raw[LeafIndex(offset)] += delta;
-      CountWrite(1);
+      CountValuesWritten(1);
       return;
     }
     if (node->child_nodes == nullptr) {
@@ -233,7 +209,7 @@ void DdcCore::AddRec(Node* node, int64_t node_side, Coord* offset,
 // Cell per face touched.
 void DdcCore::AddScalarRef(Node* node, int64_t node_side,
                            const Coord* offset_in_node, int64_t delta) {
-  CountNode(node);
+  VisitNode(node);
   const int64_t k = node_side / 2;
   uint32_t mask = 0;
   Cell box_offset(offset_in_node, offset_in_node + dims_);
@@ -247,7 +223,7 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
   const FaceStore::Env env = FaceEnv(k);
   BoxData* box = EnsureBox(node, mask, env);
   box->subtotal += delta;
-  CountWrite(1);
+  CountValuesWritten(1);
   for (int j = 0; j < dims_ && dims_ > 1; ++j) {
     Cell transverse(static_cast<size_t>(dims_ - 1));
     TransverseInto(box_offset.data(), dims_, j, transverse.data());
@@ -261,9 +237,9 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
                  delta);
   } else {
     int64_t* raw = EnsureRaw(node, mask);
-    CountNode(raw);
+    VisitNode(raw);
     raw[LeafIndex(box_offset.data())] += delta;
-    CountWrite(1);
+    CountValuesWritten(1);
   }
 }
 
@@ -280,62 +256,60 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
       if (deltas[q] == 0) continue;
       if (root_raw_ == nullptr) root_raw_ = NewLeaf();
       if (!touched) {
-        CountNode(root_raw_);
+        VisitNode(root_raw_);
         touched = true;
       }
       total_ += deltas[q];
       root_raw_[LeafIndex(cells[q].data())] += deltas[q];
-      CountWrite(1);
+      CountValuesWritten(1);
     }
     return;
   }
-  // The items buffer and the counting-sort scratch outlive the call:
-  // consecutive batches on one cube (the ApplyBatch steady state) reuse the
-  // grown capacity instead of paying a heap round-trip per batch. Items are
-  // never destroyed between batches, so each one's offset Cell keeps its
-  // storage too and filling an item allocates nothing.
+  // The items buffer, the offsets and the counting-sort scratch outlive the
+  // call: consecutive batches on one cube (the ApplyBatch steady state)
+  // reuse the grown capacity instead of paying a heap round-trip per batch.
   std::vector<UpdateItem>& items = scratch.items;
-  size_t count = 0;
+  items.clear();
+  scratch.offsets.clear();
   for (size_t q = 0; q < cells.size(); ++q) {
     DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
     if (deltas[q] == 0) continue;
     total_ += deltas[q];
-    if (count == items.size()) items.emplace_back();
-    UpdateItem& item = items[count++];
-    item.offset.assign(cells[q].begin(), cells[q].end());
-    item.delta = deltas[q];
-    item.home = 0;
+    items.push_back(UpdateItem{
+        deltas[q], static_cast<uint32_t>(scratch.offsets.size()), 0});
+    scratch.offsets.insert(scratch.offsets.end(), cells[q].begin(),
+                           cells[q].end());
   }
-  if (count == 0) return;
+  if (items.empty()) return;
   EnsureNode(&root_);
   scratch.begin.resize(num_children_ + 1);
   scratch.cursor.resize(num_children_);
-  AddBatchRec(root_, side_, std::span<UpdateItem>(items.data(), count),
-              scratch);
+  AddBatchRec(root_, side_, items, scratch);
 }
 
 void DdcCore::AddBatchRec(Node* node, int64_t node_side,
                           std::span<UpdateItem> items,
                           WriteScratch& scratch) {
+  Coord* const offsets = scratch.offsets.data();
   // Once the descent has fanned out to a single item there is nothing left
   // to share; the plain point-update descent finishes the path without the
   // grouping machinery.
   if (items.size() == 1) {
-    AddRec(node, node_side, items[0].offset.data(), items[0].delta);
+    AddRec(node, node_side, offsets + items[0].base, items[0].delta);
     return;
   }
   // The node (and its box array) is visited once for the whole group, as in
   // the batched query descent.
-  CountNode(node);
+  VisitNode(node);
   const int64_t k = node_side / 2;
   const FaceStore::Env env = FaceEnv(k);
   for (UpdateItem& item : items) {
+    Coord* offset = offsets + item.base;
     uint32_t mask = 0;
     for (int i = 0; i < dims_; ++i) {
-      size_t ui = static_cast<size_t>(i);
-      if (item.offset[ui] >= k) {
+      if (offset[i] >= k) {
         mask |= 1u << i;
-        item.offset[ui] -= k;
+        offset[i] -= k;
       }
     }
     item.home = mask;
@@ -343,22 +317,8 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
   CountingSortByHome(items, scratch.sorted, scratch.begin, scratch.cursor,
                      num_children_);
 
-  // Contiguous per-item deltas in sorted order: each group's subtotal then
-  // collapses to one vectorized block sum instead of a strided struct walk.
-  // Only worth the extra pass while the node still holds a crowd; deeper
-  // nodes with small groups keep the scalar loop.
-  const bool use_delta_buffer = !kernels::UseScalar() && items.size() >= 32;
-  if (use_delta_buffer) {
-    scratch.deltas.resize(items.size());
-    for (size_t q = 0; q < items.size(); ++q) {
-      scratch.deltas[q] = items[q].delta;
-    }
-  }
-
   // Pass 1: every group's node-local writes (box subtotal + face adds)
-  // before any recursion — the node's box array stays hot across groups,
-  // and the delta buffer is free again for deeper nodes by the time pass 2
-  // descends.
+  // before any recursion, so the node's box array stays hot across groups.
   size_t lo = 0;
   while (lo < items.size()) {
     const uint32_t mask = items[lo].home;
@@ -366,23 +326,18 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
     while (hi < items.size() && items[hi].home == mask) ++hi;
     const auto group = items.subspan(lo, hi - lo);
 
-    int64_t group_sum;
-    if (use_delta_buffer) {
-      group_sum = kernels::Sum(scratch.deltas.data() + lo, hi - lo);
-    } else {
-      group_sum = 0;
-      for (const UpdateItem& item : group) group_sum += item.delta;
-    }
+    int64_t group_sum = 0;
+    for (const UpdateItem& item : group) group_sum += item.delta;
     lo = hi;
     BoxData* box = EnsureBox(node, mask, env);
     box->subtotal += group_sum;  // One write absorbs the whole group.
-    CountWrite(1);
+    CountValuesWritten(1);
 
     // One face add per update and dimension. (Updates sharing a
     // dimension-j line land on one face cell, Section 4.2, but finding the
     // shared lines costs more than the allocation-free adds it would save.)
     for (const UpdateItem& item : group) {
-      AddToFaces(box, env, item.offset.data(), item.delta);
+      AddToFaces(box, env, offsets + item.base, item.delta);
     }
   }
 
@@ -416,11 +371,11 @@ void DdcCore::AddBatchRec(Node* node, int64_t node_side,
       AddBatchRec(child, k, group, scratch);
     } else {
       int64_t* raw = EnsureRaw(node, mask);
-      CountNode(raw);
+      VisitNode(raw);
       for (const UpdateItem& item : group) {
-        raw[LeafIndex(item.offset.data())] += item.delta;
+        raw[LeafIndex(offsets + item.base)] += item.delta;
       }
-      CountWrite(static_cast<int64_t>(group.size()));
+      CountValuesWritten(static_cast<int64_t>(group.size()));
     }
   }
 }
@@ -479,7 +434,7 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
 
     BoxData* box = EnsureBox(node, mask, env);
     box->subtotal = box_total;
-    CountWrite(1);
+    CountValuesWritten(1);
     for (int j = 0; j < dims_ && dims_ > 1; ++j) {
       box->faces[j].BuildFromDense(env, line_sums[static_cast<size_t>(j)]);
     }
@@ -500,7 +455,7 @@ int64_t DdcCore::BuildNodeFromArray(Node* node, int64_t node_side,
       do {
         raw[index++] = array.at(CellAdd(box_anchor, cursor));
       } while (box_shape.NextCell(&cursor));
-      CountWrite(index);
+      CountValuesWritten(index);
     }
   }
   return total;
@@ -526,7 +481,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
   Coord clamped[kMaxDims];
   int64_t sum = 0;
   while (true) {
-    CountNode(node);
+    VisitNode(node);
     const int64_t k = node_side / 2;
     const FaceStore::Env env = FaceEnv(k);
     // The child containing the target: the one box the Figure 10 walk
@@ -569,7 +524,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
       }
       if (all_maxed || dims_ == 1) {
         sum += node->boxes[mask].subtotal;
-        CountRead(1);
+        CountValuesRead(1);
       } else {
         // The needed row-sum value has coordinate first_beyond maxed; read
         // it from that face as a (d-1)-dimensional prefix query.
@@ -601,7 +556,7 @@ int64_t DdcCore::PrefixSumRec(const Node* node, int64_t node_side,
 // fresh transverse Cell per face lookup.
 int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
                                     const Coord* offset_in_node) const {
-  CountNode(node);
+  VisitNode(node);
   const int64_t k = node_side / 2;
   const FaceStore::Env env = FaceEnv(k);
   int64_t sum = 0;
@@ -644,7 +599,7 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
     }
     if (all_maxed || dims_ == 1) {
       sum += node->boxes[mask].subtotal;
-      CountRead(1);
+      CountValuesRead(1);
     } else {
       CountFaceLookup();
       Cell transverse(static_cast<size_t>(dims_ - 1));
@@ -700,7 +655,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
                                 BatchScratch& scratch) const {
   // The node (and its box array) is visited once for the whole group — this
   // shared visit is the point of batching.
-  CountNode(node);
+  VisitNode(node);
   const int64_t k = node_side / 2;
   const FaceStore::Env env = FaceEnv(k);
   Coord clamped[kMaxDims];
@@ -746,7 +701,7 @@ void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
       }
       if (all_maxed || dims_ == 1) {
         *item.out += node->boxes[mask].subtotal;
-        CountRead(1);
+        CountValuesRead(1);
       } else {
         CountFaceLookup();
         *item.out += ReadFace(node->boxes[mask], env, first_beyond, clamped);
@@ -823,13 +778,13 @@ int64_t* DdcCore::LeafFromArray(Arena* arena, const MdArray<int64_t>& array) {
 }
 
 int64_t DdcCore::RawPrefix(const int64_t* raw, int dims, int shift,
-                           const Coord* offset, OpCounters* counters,
+                           const Coord* offset,
                            const NodeVisitListener* listener) {
   if (kernels::UseScalar()) {
-    return RawPrefixScalarRef(raw, dims, shift, offset, counters, listener);
+    return RawPrefixScalarRef(raw, dims, shift, offset, listener);
   }
   // A leaf block is one secondary-storage unit.
-  CountNode(counters, listener, raw);
+  VisitNode(listener, raw);
   // Row-major leaf blocks keep the innermost dimension contiguous, so the
   // Section 4.4 dominance sum is an odometer over the outer dimensions with
   // one vectorized block sum per inner run. Counter semantics match the
@@ -850,16 +805,15 @@ int64_t DdcCore::RawPrefix(const int64_t* raw, int dims, int shift,
     }
     if (dim < 0) break;
   }
-  CountRead(counters, reads);
+  CountValuesRead(reads);
   return sum;
 }
 
 int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw, int dims, int shift,
                                     const Coord* offset,
-                                    OpCounters* counters,
                                     const NodeVisitListener* listener) {
   // A leaf block is one secondary-storage unit.
-  CountNode(counters, listener, raw);
+  VisitNode(listener, raw);
   int64_t sum = 0;
   Cell cursor(static_cast<size_t>(dims), 0);
   int64_t reads = 0;
@@ -875,14 +829,14 @@ int64_t DdcCore::RawPrefixScalarRef(const int64_t* raw, int dims, int shift,
     }
     if (dim < 0) break;
   }
-  CountRead(counters, reads);
+  CountValuesRead(reads);
   return sum;
 }
 
 int64_t DdcCore::Get(const Cell& cell) const {
   DDC_DCHECK(static_cast<int>(cell.size()) == dims_);
   if (root_raw_ != nullptr) {
-    CountRead(1);
+    CountValuesRead(1);
     return root_raw_[LeafIndex(cell.data())];
   }
   const Node* node = root_;
@@ -903,7 +857,7 @@ int64_t DdcCore::Get(const Cell& cell) const {
       const int64_t* raw =
           node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
       if (raw == nullptr) return 0;
-      CountRead(1);
+      CountValuesRead(1);
       return raw[LeafIndex(offset)];
     }
     node = node->child_nodes != nullptr ? node->child_nodes[mask] : nullptr;

@@ -60,8 +60,6 @@
 #include "common/op_counter.h"
 #include "ddc/ddc_options.h"
 #include "ddc/face_store.h"
-#include "obs/introspect.h"
-#include "obs/metrics.h"
 
 namespace ddc {
 
@@ -106,12 +104,11 @@ class DdcCore {
   // offsets in fixed stack arrays of this width instead of heap Cells.
   static constexpr int kMaxDims = 20;
 
-  // `side` must be a power of two >= 2. `counters` (may be null) receives
-  // cost accounting for every operation, including work done inside nested
-  // structures; it is not owned. All structure memory comes from `arena`
-  // (not owned; must outlive the core).
-  DdcCore(int dims, int64_t side, const DdcOptions& options,
-          OpCounters* counters, Arena* arena);
+  // `side` must be a power of two >= 2. Every operation counts into the
+  // calling thread's CountBlock (common/op_counter.h), nested structures
+  // included. All structure memory comes from `arena` (not owned; must
+  // outlive the core).
+  DdcCore(int dims, int64_t side, const DdcOptions& options, Arena* arena);
 
   DdcCore(const DdcCore&) = delete;
   DdcCore& operator=(const DdcCore&) = delete;
@@ -195,11 +192,13 @@ class DdcCore {
   // FaceStore's leaf faces share the leaf-slab helpers and cost accounting.
   friend class FaceStore;
 
-  // One in-flight update of an AddBatch: the target offset, rebased as the
-  // walk descends, its delta, and the cached home-child mask.
+  // One in-flight update of an AddBatch: its delta, where its target
+  // offset starts in WriteScratch::offsets (dims_ coordinates, rebased as
+  // the walk descends), and the cached home-child mask. Plain data, so the
+  // counting sort moves 16 bytes per item.
   struct UpdateItem {
-    Cell offset;
     int64_t delta;
+    uint32_t base;
     uint32_t home;
   };
 
@@ -212,12 +211,9 @@ class DdcCore {
   struct WriteScratch {
     std::vector<UpdateItem> items;
     std::vector<UpdateItem> sorted;
+    std::vector<Coord> offsets;
     std::vector<size_t> begin;
     std::vector<size_t> cursor;
-    // Contiguous per-item deltas in counting-sorted order, so a group's
-    // subtotal is one vectorized block sum instead of a strided struct
-    // walk. Refilled per node; only used for groups worth the extra pass.
-    std::vector<int64_t> deltas;
 
     // Heap bytes currently held by the buffers.
     size_t bytes() const;
@@ -301,11 +297,10 @@ class DdcCore {
   int64_t* NewLeaf() { return NewLeaf(arena_, dims_, leaf_shift_); }
 
   // What every face of a box of side `box_side` shares: its kind, the B_c
-  // shape (bit arithmetic on the side and options), this core's arena and
-  // counters. Derived once per descent level, never stored per face.
+  // shape (bit arithmetic on the side and options) and this core's arena.
+  // Derived once per descent level, never stored per face.
   FaceStore::Env FaceEnv(int64_t box_side) const {
-    return FaceStore::MakeEnv(dims_ - 1, box_side, options_, arena_,
-                              counters_);
+    return FaceStore::MakeEnv(dims_ - 1, box_side, options_, arena_);
   }
 
   // The d face writes of one point update (Section 4.2), and the one face
@@ -353,8 +348,7 @@ class DdcCore {
 
   // RawPrefix (below) over one of this core's leaf blocks.
   int64_t RawPrefix(const int64_t* raw, const Coord* offset) const {
-    return RawPrefix(raw, dims_, leaf_shift_, offset, counters_,
-                     node_visit_listener_);
+    return RawPrefix(raw, dims_, leaf_shift_, offset, node_visit_listener_);
   }
 
   // Leaf-slab helpers for a slab of `dims` coordinates of extent
@@ -379,11 +373,10 @@ class DdcCore {
   // innermost run; the scalar reference (seed shape: full odometer, one
   // LinearIndex per cell) is kept for the kernels::ForceScalar contract.
   static int64_t RawPrefix(const int64_t* raw, int dims, int shift,
-                           const Coord* offset, OpCounters* counters,
+                           const Coord* offset,
                            const NodeVisitListener* listener);
   static int64_t RawPrefixScalarRef(const int64_t* raw, int dims, int shift,
                                     const Coord* offset,
-                                    OpCounters* counters,
                                     const NodeVisitListener* listener);
 
   int64_t NodeStorage(const Node* node, int64_t node_side) const;
@@ -396,48 +389,16 @@ class DdcCore {
       const Node* node, int64_t node_side, const Cell& node_anchor,
       const std::function<void(const Cell&, int64_t)>& fn) const;
 
-  // Registry handles for the process-wide mirrors of the three counts
-  // (resolved once; see op_counter.h for the OpCounters/registry split).
-  static obs::Counter& ObsValuesRead();
-  static obs::Counter& ObsValuesWritten();
-  static obs::Counter& ObsNodesVisited();
-  static obs::Counter& ObsFaceLookups();
-
-  // The Count* functions also fold into the calling thread's CostLedger
-  // (when one is installed) at exactly the sites that mirror into the
-  // registry — the equality EXPLAIN ANALYZE's differential test relies on.
-  // The static forms take the counters (and visit listener) explicitly, for
-  // the static leaf helpers and FaceStore's leaf faces; the members count
-  // into this core's.
-  static void CountRead(OpCounters* counters, int64_t n) {
-    if (counters != nullptr) counters->values_read += n;
-    if (obs::Enabled()) ObsValuesRead().Add(n);
-    if (obs::CostLedger* l = obs::ActiveLedger()) l->values_read += n;
-  }
-  static void CountWrite(OpCounters* counters, int64_t n) {
-    if (counters != nullptr) counters->values_written += n;
-    if (obs::Enabled()) ObsValuesWritten().Add(n);
-    if (obs::CostLedger* l = obs::ActiveLedger()) l->values_written += n;
-  }
-  static void CountNode(OpCounters* counters,
-                        const NodeVisitListener* listener,
+  // One node (or leaf block) visit: counted, and reported to `listener`
+  // (may be null; the pagesim hook). The static form serves the static
+  // leaf helpers and FaceStore's leaf faces.
+  static void VisitNode(const NodeVisitListener* listener,
                         const void* node_identity) {
-    if (counters != nullptr) ++counters->nodes_visited;
-    if (obs::Enabled()) ObsNodesVisited().Increment();
-    if (obs::CostLedger* l = obs::ActiveLedger()) ++l->nodes_visited;
+    CountNodeVisit();
     if (listener != nullptr && *listener) (*listener)(node_identity);
   }
-  void CountRead(int64_t n) const { CountRead(counters_, n); }
-  void CountWrite(int64_t n) const { CountWrite(counters_, n); }
-  void CountNode(const void* node_identity) const {
-    CountNode(counters_, node_visit_listener_, node_identity);
-  }
-  // Face-store consultations (the faces[...].PrefixSum branches of the
-  // Figure 10 descent). Ledger + registry only; OpCounters already see the
-  // nested core's own reads.
-  void CountFaceLookup() const {
-    if (obs::Enabled()) ObsFaceLookups().Increment();
-    if (obs::CostLedger* l = obs::ActiveLedger()) ++l->face_lookups;
+  void VisitNode(const void* node_identity) const {
+    VisitNode(node_visit_listener_, node_identity);
   }
 
   // Every face of a d >= 3 box larger than a leaf block is a nested
@@ -450,7 +411,6 @@ class DdcCore {
   DdcOptions options_;
   int64_t side_;
   int64_t min_box_side_;
-  OpCounters* counters_;
   int64_t total_ = 0;
   const NodeVisitListener* node_visit_listener_ = nullptr;
   Arena* arena_;
@@ -480,9 +440,8 @@ struct ArenaOwner {
 // relies on to retire an old tree.
 class OwnedDdcCore : private internal::ArenaOwner, public DdcCore {
  public:
-  OwnedDdcCore(int dims, int64_t side, const DdcOptions& options,
-               OpCounters* counters)
-      : DdcCore(dims, side, options, counters, &owned_arena) {}
+  OwnedDdcCore(int dims, int64_t side, const DdcOptions& options)
+      : DdcCore(dims, side, options, &owned_arena) {}
 
   // See DdcCore::AddBatch; runs on this core's reusable write scratch.
   void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas) {

@@ -13,6 +13,8 @@
 #include "common/check.h"
 #include "common/cost_model.h"
 #include "common/kernels.h"
+#include "obs/introspect.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/workload_recorder.h"
 
@@ -193,8 +195,7 @@ DynamicDataCube::DynamicDataCube(int dims, int64_t initial_side,
     : dims_(dims),
       options_(options),
       origin_(std::move(origin)),
-      core_(std::make_unique<OwnedDdcCore>(dims, initial_side, options,
-                                           CountersPtr())) {
+      core_(std::make_unique<OwnedDdcCore>(dims, initial_side, options)) {
   DDC_CHECK(static_cast<int>(origin_.size()) == dims_);
 }
 
@@ -205,6 +206,7 @@ std::unique_ptr<DynamicDataCube> DynamicDataCube::FromArray(
   const Coord side = shape.extent(0);
   for (int i = 1; i < dims; ++i) DDC_CHECK(shape.extent(i) == side);
   auto cube = std::make_unique<DynamicDataCube>(dims, side, options);
+  CountScope counting(cube.get());
   cube->core_->BuildFromArray(array);
   return cube;
 }
@@ -232,8 +234,7 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin) {
   // Re-root into a fresh core and arena: the retired tree (old nodes,
   // faces, leaf blocks) is freed wholesale when the old core drops its
   // arena below.
-  auto new_core = std::make_unique<OwnedDdcCore>(dims_, new_side, options_,
-                                                 CountersPtr());
+  auto new_core = std::make_unique<OwnedDdcCore>(dims_, new_side, options_);
   const Cell shift = CellSub(origin_, new_origin);
   core_->ForEachNonZero([&](const Cell& local, int64_t value) {
     new_core->Add(CellAdd(local, shift), value);
@@ -252,6 +253,7 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin) {
 
 void DynamicDataCube::EnsureContains(const Cell& cell) {
   DDC_CHECK(static_cast<int>(cell.size()) == dims_);
+  CountScope counting(this);
   while (!InDomain(cell)) {
     // Double the cube, moving the origin toward the out-of-range cell: in
     // every dimension where the cell lies below the current origin the old
@@ -279,6 +281,7 @@ void DynamicDataCube::GrowFor(const Mutation& m) {
 
 void DynamicDataCube::ShrinkToFit(int64_t min_side) {
   DDC_CHECK(min_side >= 2 && IsPowerOfTwo(min_side));
+  CountScope counting(this);
   // Bounding box of the populated cells.
   bool any = false;
   Cell lo;
@@ -335,6 +338,7 @@ void DynamicDataCube::ShrinkToFit(int64_t min_side) {
 
 void DynamicDataCube::Add(const Cell& cell, int64_t delta) {
   if (delta == 0) return;
+  CountScope counting(this);
   obs::ScopedLatencyTimer timer(&UpdateNsHist());
   EnsureContains(cell);
   if (obs::Enabled()) UpdateDepthHist().Record(core_->DescentLevels());
@@ -342,32 +346,37 @@ void DynamicDataCube::Add(const Cell& cell, int64_t delta) {
 }
 
 void DynamicDataCube::Set(const Cell& cell, int64_t value) {
+  CountScope counting(this);
   Add(cell, value - Get(cell));
 }
 
 void DynamicDataCube::ApplyCoalescedPoints(
-    std::vector<CoalescedCell>& points) {
-  std::vector<Cell> cells;
-  std::vector<int64_t> deltas;
-  cells.reserve(points.size());
-  deltas.reserve(points.size());
-  for (CoalescedCell& c : points) {
+    std::span<const CoalescedCell> points) {
+  // The local cells stay in write_cells_ from one batch to the next, so a
+  // steady stream of batches allocates none of them.
+  write_deltas_.clear();
+  for (const CoalescedCell& c : points) {
     // A kSet run resolves against the cell's current value — which, because
     // steps apply in order, is exactly the value the sequential semantics
     // prescribe at this point of the batch (overlay included: Get composes
     // both layers).
     const int64_t net = c.has_set
-                            ? c.set_value + c.pending_add - Get(c.cell)
+                            ? c.set_value + c.pending_add - Get(*c.cell)
                             : c.pending_add;
     if (net == 0) continue;
-    // Rebase to local coordinates in place and hand the cell's storage to
-    // the descent — one allocation per distinct cell for the whole batch.
-    for (size_t i = 0; i < c.cell.size(); ++i) c.cell[i] -= origin_[i];
-    cells.push_back(std::move(c.cell));
-    deltas.push_back(net);
+    const size_t n = write_deltas_.size();
+    if (n == write_cells_.size()) write_cells_.emplace_back();
+    Cell& local = write_cells_[n];
+    local.resize(c.cell->size());
+    for (size_t i = 0; i < local.size(); ++i) {
+      local[i] = (*c.cell)[i] - origin_[i];
+    }
+    write_deltas_.push_back(net);
   }
-  if (cells.empty()) return;
-  core_->AddBatch(cells, deltas);
+  if (write_deltas_.empty()) return;
+  core_->AddBatch(std::span<const Cell>(write_cells_.data(),
+                                        write_deltas_.size()),
+                  write_deltas_);
 }
 
 void DynamicDataCube::ApplyRangeAddInDomain(const Box& box, int64_t delta) {
@@ -428,10 +437,7 @@ std::vector<std::unique_ptr<OwnedDdcCore>> DynamicDataCube::NewOverlayTrees()
   const uint32_t num_trees = 1u << dims_;
   trees.reserve(num_trees);
   for (uint32_t t = 0; t < num_trees; ++t) {
-    // Overlay descents deliberately skip the op counters: the Table 2 /
-    // op-count experiments measure the primary tree's costs.
-    trees.push_back(std::make_unique<OwnedDdcCore>(dims_, side(), options_,
-                                                   /*counters=*/nullptr));
+    trees.push_back(std::make_unique<OwnedDdcCore>(dims_, side(), options_));
   }
   return trees;
 }
@@ -476,6 +482,7 @@ void DynamicDataCube::RangeAdd(const Box& box, int64_t delta) {
   DDC_CHECK(box.dims() == dims_ &&
             box.hi.size() == static_cast<size_t>(dims_));
   if (box.IsEmpty() || delta == 0) return;
+  CountScope counting(this);
   obs::TraceSpan span("ddc.range_add", box.NumCells());
   EnsureContains(box.lo);
   EnsureContains(box.hi);
@@ -492,6 +499,7 @@ void DynamicDataCube::RangeSet(const Box& box, int64_t value) {
 bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
   if (!BatchWellFormed(batch, dims())) return false;
   if (batch.empty()) return true;
+  CountScope counting(this);
   obs::TraceSpan span("ddc.apply_batch", static_cast<int64_t>(batch.size()));
   if (obs::Enabled()) {
     UpdateBatchSizeHist().Record(static_cast<int64_t>(batch.size()));
@@ -515,20 +523,12 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
     }
   }
 
-  if (!BatchHasRange(batch)) {
-    // Point-only fast path: one coalesce, one shared descent.
-    std::vector<CoalescedCell> coalesced = CoalesceMutations(batch);
-    if (obs::Enabled()) {
-      span.set_arg1(static_cast<int64_t>(coalesced.size()));
-      UpdateDepthHist().Record(core_->DescentLevels());
-    }
-    ApplyCoalescedPoints(coalesced);
-    return true;
-  }
-
-  // Mixed batch: run the coalesce program step by step. Each range op is a
-  // barrier; the point runs between barriers still share one descent each.
+  // Run the coalesce program step by step. Each range op is a barrier; the
+  // point runs between barriers share one descent each (a point-only batch
+  // is one step).
+  int64_t coalesced = 0;
   for (CoalescedStep& step : BuildCoalesceProgram(batch)) {
+    coalesced += static_cast<int64_t>(step.points.size());
     ApplyCoalescedPoints(step.points);
     if (!step.has_range) continue;
     const Mutation& r = step.range;
@@ -545,15 +545,16 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
     const Box clipped =
         r.delta == 0 ? IntersectBoxes(target, Box{DomainLo(), DomainHi()})
                      : target;
-    if (clipped.IsEmpty()) continue;
-    std::vector<CoalescedCell> sets;
-    sets.reserve(static_cast<size_t>(clipped.NumCells()));
+    MutationBatch sets;
     ForEachCellInBox(clipped, [&sets, &r](const Cell& c) {
-      sets.push_back(CoalescedCell{c, 0, /*has_set=*/true, r.delta});
+      sets.push_back(Mutation{c, r.delta, MutationKind::kSet});
     });
-    ApplyCoalescedPoints(sets);
+    ApplyCoalescedPoints(CoalesceMutations(sets));
   }
-  if (obs::Enabled()) UpdateDepthHist().Record(core_->DescentLevels());
+  if (obs::Enabled()) {
+    span.set_arg1(coalesced);
+    UpdateDepthHist().Record(core_->DescentLevels());
+  }
   return true;
 }
 
@@ -675,12 +676,14 @@ int64_t DynamicDataCube::StorageCells() const {
 
 int64_t DynamicDataCube::Get(const Cell& cell) const {
   if (!InDomain(cell)) return 0;
+  CountScope counting(this);
   const Cell local = ToLocal(cell);
   return core_->Get(local) + OverlayValueLocal(local);
 }
 
 int64_t DynamicDataCube::PrefixSum(const Cell& cell) const {
   DDC_CHECK(InDomain(cell));
+  CountScope counting(this);
   obs::ScopedLatencyTimer timer(&PrefixSumNsHist());
   if (obs::Enabled()) QueryDepthHist().Record(core_->DescentLevels());
   if (obs::CostLedger* l = obs::ActiveLedger()) {
@@ -692,6 +695,7 @@ int64_t DynamicDataCube::PrefixSum(const Cell& cell) const {
 }
 
 int64_t DynamicDataCube::RangeSum(const Box& box) const {
+  CountScope counting(this);
   if (obs::Enabled()) {
     obs::WorkloadRecorder::Default().RecordRead(box.lo.data(),
                                                 box.hi.data(), dims_);
@@ -703,6 +707,7 @@ void DynamicDataCube::RangeSumBatch(std::span<const Box> ranges,
                                     std::span<int64_t> out) const {
   DDC_CHECK(ranges.size() == out.size());
   if (ranges.empty()) return;
+  CountScope counting(this);
   obs::TraceSpan span("ddc.range_sum_batch",
                       static_cast<int64_t>(ranges.size()));
   if (obs::Enabled()) {

@@ -25,13 +25,11 @@ std::vector<int64_t> LineValues(const MdArray<int64_t>& line_sums) {
 }  // namespace
 
 FaceStore::Env FaceStore::MakeEnv(int transverse_dims, int64_t side,
-                                  const DdcOptions& options, Arena* arena,
-                                  OpCounters* counters) {
+                                  const DdcOptions& options, Arena* arena) {
   Env env;
   env.transverse_dims = transverse_dims;
   env.side = side;
   env.arena = arena;
-  env.counters = counters;
   if (transverse_dims >= 2) {
     // Section 4.2's secondary trees: nested (d-1)-dimensional cubes. A face
     // no larger than a leaf block would be a cube that is one raw slab, so
@@ -65,25 +63,22 @@ void FaceStore::Init(const Env& env, const DdcOptions& options) {
       return;
     case Kind::kFenwick:
       fenwick_ = env.arena->Create<FenwickTree>(env.side);
-      fenwick_->set_counters(env.counters);
       return;
     case Kind::kNested:
       // Shares the owning cube's arena; trivially destructible, so it
       // registers no cleanup.
       nested_ = env.arena->Create<DdcCore>(env.transverse_dims, env.side,
-                                           options, env.counters, env.arena);
+                                           options, env.arena);
       return;
   }
 }
 
 FaceStore::Owned FaceStore::Create(int transverse_dims, int64_t side,
-                                   const DdcOptions& options,
-                                   OpCounters* counters) {
+                                   const DdcOptions& options) {
   DDC_CHECK(options.use_fenwick || options.bc_fanout >= 2);
   Owned owned;
   owned.arena_ = std::make_unique<Arena>();
-  owned.env_ = MakeEnv(transverse_dims, side, options, owned.arena_.get(),
-                       counters);
+  owned.env_ = MakeEnv(transverse_dims, side, options, owned.arena_.get());
   owned.store_ = owned.arena_->Create<FaceStore>();
   owned.store_->Init(owned.env_, options);
   return owned;
@@ -102,10 +97,10 @@ void FaceStore::Add(const Env& env, Coord* y, int64_t delta) {
         leaf_ = DdcCore::NewLeaf(env.arena, env.transverse_dims,
                                  env.leaf_shift);
       }
-      DdcCore::CountNode(env.counters, nullptr, leaf_);
+      DdcCore::VisitNode(nullptr, leaf_);
       leaf_[DdcCore::LeafIndex(y, env.transverse_dims, env.leaf_shift)] +=
           delta;
-      DdcCore::CountWrite(env.counters, 1);
+      CountValuesWritten(1);
       return;
     default:
       AddLine(env, y[0], delta);
@@ -119,7 +114,7 @@ int64_t FaceStore::PrefixSum(const Env& env, Coord* y) const {
     case Kind::kLeaf:
       if (leaf_ == nullptr) return 0;
       return DdcCore::RawPrefix(leaf_, env.transverse_dims, env.leaf_shift, y,
-                                env.counters, nullptr);
+                                nullptr);
     default:
       return PrefixSumLine(env, y[0]);
   }
@@ -128,7 +123,7 @@ int64_t FaceStore::PrefixSum(const Env& env, Coord* y) const {
 void FaceStore::AddLine(const Env& env, Coord y, int64_t delta) {
   DDC_DCHECK(env.kind == Kind::kBcTree || env.kind == Kind::kFenwick);
   if (env.kind == Kind::kBcTree) {
-    bc_.Add(env.bc, env.arena, env.counters, y, delta);
+    bc_.Add(env.bc, env.arena, y, delta);
   } else {
     fenwick_->Add(y, delta);
   }
@@ -137,7 +132,7 @@ void FaceStore::AddLine(const Env& env, Coord y, int64_t delta) {
 int64_t FaceStore::PrefixSumLine(const Env& env, Coord y) const {
   DDC_DCHECK(env.kind == Kind::kBcTree || env.kind == Kind::kFenwick);
   if (env.kind == Kind::kBcTree) {
-    return bc_.CumulativeSum(env.bc, env.counters, y);
+    return bc_.CumulativeSum(env.bc, y);
   }
   return fenwick_->CumulativeSum(y);
 }

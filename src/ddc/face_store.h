@@ -37,13 +37,12 @@
 //
 // Every pointed-to store lives in the owning cube's arena and dies with it.
 // Which kind a face is, and everything shared by all faces of one side —
-// the B_c shape, the leaf shift, the arena, the counters — is not stored
-// per face: the owning core passes it on every call as an Env. Keys
-// are passed as bare coordinate arrays the caller treats as scratch: a
-// nested face core rebases the key in place as it descends instead of
-// copying it, so neither side allocates. One-dimensional faces (the faces
-// of a 2-D box) take their single coordinate by value through AddLine /
-// PrefixSumLine.
+// the B_c shape, the leaf shift, the arena — is not stored per face: the
+// owning core passes it on every call as an Env. Keys are passed as bare
+// coordinate arrays the caller treats as scratch: a nested face core
+// rebases the key in place as it descends instead of copying it, so
+// neither side allocates. One-dimensional faces (the faces of a 2-D box)
+// take their single coordinate by value through AddLine / PrefixSumLine.
 
 #ifndef DDC_DDC_FACE_STORE_H_
 #define DDC_DDC_FACE_STORE_H_
@@ -55,7 +54,6 @@
 #include "common/arena.h"
 #include "common/cell.h"
 #include "common/md_array.h"
-#include "common/op_counter.h"
 #include "ddc/ddc_options.h"
 
 namespace ddc {
@@ -76,15 +74,12 @@ class FaceStore {
     int64_t side;
     BcShape bc;           // The B_c tree shape over `side` (kBcTree only).
     Arena* arena;         // Backs B_c nodes, leaf slabs and pointed stores.
-    OpCounters* counters;  // May be null.
   };
 
   // The Env of faces with `transverse_dims` (= d-1) dimensions of extent
-  // `side`, allocating from `arena` (not owned; must outlive the faces) and
-  // counting into `counters`.
+  // `side`, allocating from `arena` (not owned; must outlive the faces).
   static Env MakeEnv(int transverse_dims, int64_t side,
-                     const DdcOptions& options, Arena* arena,
-                     OpCounters* counters);
+                     const DdcOptions& options, Arena* arena);
 
   // An empty (all-zero) face. Default-constructible so arrays of faces can
   // be carved out of an arena in one allocation; a B_c face needs nothing
@@ -138,7 +133,7 @@ class FaceStore {
     FaceStore* store_ = nullptr;  // Lives in *arena_.
   };
   static Owned Create(int transverse_dims, int64_t side,
-                      const DdcOptions& options, OpCounters* counters);
+                      const DdcOptions& options);
 
  private:
   // Env::kind says which member is live.

@@ -2,13 +2,14 @@
 //
 // A CostLedger is a plain struct of exact executed-cost counts for ONE
 // logical operation (a statement, a batched query, a write batch). The
-// executor installs a ledger on the calling thread with ScopedCostLedger;
-// the instrumented layers (DdcCore's value/node accounting, the corner
-// decomposition in DynamicDataCube::RangeSumBatch, ShardedCube's fan-out)
-// then fold their counts into it at exactly the same sites that mirror into
-// the process-wide metrics registry. Single-threaded, that makes the ledger
-// bit-identical to the registry deltas for the same operation — the
-// contract the EXPLAIN ANALYZE differential test enforces.
+// executor installs a ledger on the calling thread with ScopedCostLedger.
+// Its four value counts are the growth of the thread's CountBlock
+// (common/op_counter.h) across the scope, and the registry's ddc.* counters
+// sum the same blocks, so single-threaded the ledger equals the registry
+// deltas for the same operation — the contract the EXPLAIN ANALYZE
+// differential test enforces. The other layers (the corner decomposition in
+// DynamicDataCube::RangeSumBatch, ShardedCube's fan-out) fold their counts
+// in at the sites that also record them in the registry.
 //
 // Threading: the active ledger is a thread-local pointer. Work an operation
 // fans out to OTHER threads (the pool workers that apply a multi-shard
@@ -24,13 +25,15 @@
 // nullptr and every `if (auto* l = obs::ActiveLedger())` site folds away;
 // ScopedCostLedger becomes an empty object. With obs compiled in but no
 // ledger installed, a site costs one thread-local load and a predictable
-// branch. Installation itself allocates nothing (the ledger lives on the
-// caller's stack).
+// branch. Installation reads the count block twice and allocates nothing
+// (the ledger lives on the caller's stack).
 
 #ifndef DDC_OBS_INTROSPECT_H_
 #define DDC_OBS_INTROSPECT_H_
 
 #include <cstdint>
+
+#include "common/op_counter.h"
 
 namespace ddc {
 namespace obs {
@@ -38,12 +41,9 @@ namespace obs {
 // Exact executed costs of one operation. Counts mirror the registry
 // counters of the same name family (ddc.values_read, ddc.nodes_visited,
 // ddc.query.batch.corner_terms, ...); ns fields are filled by the executor.
-struct CostLedger {
-  // DdcCore accounting (primary + overlay trees, same-thread work only).
-  int64_t nodes_visited = 0;
-  int64_t values_read = 0;
-  int64_t values_written = 0;
-  int64_t face_lookups = 0;
+// The OpCounters base is the count block's growth across the scope (primary
+// and overlay trees with their face trees; same-thread work only).
+struct CostLedger : OpCounters {
   // Deepest descent geometry seen (levels of the tree at query time).
   int64_t tree_depth = 0;
   // Batched range-sum decomposition (DynamicDataCube::RangeSumBatch).
@@ -66,8 +66,6 @@ struct CostLedger {
   int64_t parse_ns = 0;
   int64_t plan_ns = 0;
   int64_t exec_ns = 0;
-
-  void Clear() { *this = CostLedger{}; }
 };
 
 #ifdef DDC_OBS_DISABLED
@@ -84,33 +82,51 @@ class ScopedCostLedger {
 
 #else
 
+class ScopedCostLedger;
+
 namespace internal {
-inline CostLedger*& ActiveLedgerSlot() {
-  thread_local CostLedger* slot = nullptr;
+inline ScopedCostLedger*& ActiveScopeSlot() {
+  thread_local ScopedCostLedger* slot = nullptr;
   return slot;
 }
 }  // namespace internal
 
-// The ledger installed on this thread, or nullptr. Instrumentation sites
-// use `if (auto* l = obs::ActiveLedger()) l->field += n;`.
-inline CostLedger* ActiveLedger() { return internal::ActiveLedgerSlot(); }
-
-// RAII installer. Nests: the previous ledger (usually none) is restored on
-// destruction, so an analyzed operation inside an analyzed operation
-// attributes to the innermost ledger only.
+// RAII installer. Nests: the previous scope (usually none) is restored on
+// destruction, and an analyzed operation inside an analyzed operation
+// attributes to the innermost ledger only (the outer scope's start moves
+// past what the inner one took). `ledger` may be null: the scope's counts
+// then go to no ledger.
 class ScopedCostLedger {
  public:
   explicit ScopedCostLedger(CostLedger* ledger)
-      : previous_(internal::ActiveLedgerSlot()) {
-    internal::ActiveLedgerSlot() = ledger;
+      : ledger_(ledger),
+        outer_(internal::ActiveScopeSlot()),
+        start_(ThreadCounts()) {
+    internal::ActiveScopeSlot() = this;
   }
-  ~ScopedCostLedger() { internal::ActiveLedgerSlot() = previous_; }
+  ~ScopedCostLedger() {
+    const OpCounters spent = ThreadCounts() - start_;
+    if (ledger_ != nullptr) *ledger_ += spent;
+    if (outer_ != nullptr) outer_->start_ += spent;
+    internal::ActiveScopeSlot() = outer_;
+  }
   ScopedCostLedger(const ScopedCostLedger&) = delete;
   ScopedCostLedger& operator=(const ScopedCostLedger&) = delete;
 
+  CostLedger* ledger() const { return ledger_; }
+
  private:
-  CostLedger* previous_;
+  CostLedger* ledger_;
+  ScopedCostLedger* outer_;
+  OpCounters start_;
 };
+
+// The ledger installed on this thread, or nullptr. Instrumentation sites
+// use `if (auto* l = obs::ActiveLedger()) l->field += n;`.
+inline CostLedger* ActiveLedger() {
+  const ScopedCostLedger* scope = internal::ActiveScopeSlot();
+  return scope != nullptr ? scope->ledger() : nullptr;
+}
 
 #endif  // DDC_OBS_DISABLED
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "common/op_counter.h"
+
 namespace ddc {
 namespace obs {
 
@@ -73,11 +75,35 @@ void Histogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
+namespace {
+
+// The registry counters that view the per-thread count blocks (obs-on
+// builds; with DDC_OBS=OFF they are plain counters that stay 0).
+struct CountBlockView {
+  std::string_view name;
+  int64_t (*source)();
+};
+constexpr CountBlockView kCountBlockViews[] = {
+    {"ddc.values_read", [] { return AllThreadCounts().values_read; }},
+    {"ddc.values_written", [] { return AllThreadCounts().values_written; }},
+    {"ddc.nodes_visited", [] { return AllThreadCounts().nodes_visited; }},
+    {"ddc.face_lookups", [] { return AllThreadCounts().face_lookups; }},
+};
+
+}  // namespace
+
 MetricsRegistry& MetricsRegistry::Default() {
   // Leaked deliberately: instrumented destructors (arenas in static cubes,
   // the shared thread pool) may record during process teardown, after
   // ordinary static destruction would have run.
-  static MetricsRegistry* registry = new MetricsRegistry();
+  static MetricsRegistry* registry = [] {
+    auto* r = new MetricsRegistry();
+    // Registered up front: no count site resolves them.
+    for (const CountBlockView& view : kCountBlockViews) {
+      r->GetCounter(view.name);
+    }
+    return r;
+  }();
   return *registry;
 }
 
@@ -85,7 +111,13 @@ Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
+    int64_t (*source)() = nullptr;
+#ifndef DDC_OBS_DISABLED
+    for (const CountBlockView& view : kCountBlockViews) {
+      if (view.name == name) source = view.source;
+    }
+#endif
+    it = counters_.emplace(std::string(name), std::make_unique<Counter>(source))
              .first;
   }
   return it->second.get();

@@ -4,9 +4,9 @@
 // Design constraints, in order:
 //   1. Recording is lock-free: every mutation is a relaxed atomic op on a
 //      pre-resolved handle, so instrumentation is safe from const query
-//      paths under shared locks — the property that lets the concurrent
-//      facades account per-value costs at all (plain OpCounters cannot be
-//      mutated by concurrent readers; see common/op_counter.h).
+//      paths under shared locks. The DDC family's value counts
+//      (ddc.values_read, ...) are not recorded here: those counters are
+//      views that sum the per-thread count blocks (common/op_counter.h).
 //   2. Zero cost when disabled: every instrumentation site is guarded by
 //      `if (obs::Enabled())`. At runtime that is one relaxed bool load and a
 //      predictable branch; with the DDC_OBS=OFF compile option Enabled() is
@@ -70,13 +70,25 @@ inline uint64_t NowNanos() {
 
 class Counter {
  public:
+  Counter() = default;
+  // A view: Value() reads `source` (less its reading at the last Reset);
+  // nothing Adds to it.
+  explicit Counter(int64_t (*source)()) : source_(source) {}
+
   void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  int64_t Value() const {
+    return value_.load(std::memory_order_relaxed) +
+           (source_ != nullptr ? source_() : 0);
+  }
+  void Reset() {
+    value_.store(source_ != nullptr ? -source_() : 0,
+                 std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<int64_t> value_{0};
+  int64_t (*source_)() = nullptr;
 };
 
 class Gauge {

@@ -155,7 +155,7 @@ TEST_P(AllocFreeTest, MaterializingBatchCostsOnlyArenaBlocks) {
   const Geometry g = GetParam();
   DdcOptions options;
   options.elide_levels = g.elide_levels;
-  OwnedDdcCore core(g.dims, g.side, options, nullptr);
+  OwnedDdcCore core(g.dims, g.side, options);
   const size_t batch = 256;
   const std::vector<int64_t> deltas(batch, 3);
 
@@ -181,7 +181,7 @@ TEST_P(AllocFreeTest, MaterializedCellsAllocateNothing) {
   const Geometry g = GetParam();
   DdcOptions options;
   options.elide_levels = g.elide_levels;
-  OwnedDdcCore core(g.dims, g.side, options, nullptr);
+  OwnedDdcCore core(g.dims, g.side, options);
   const std::vector<Cell> cells = RandomCells(128, 0, g.side);
   std::vector<int64_t> deltas(cells.size());
   for (size_t i = 0; i < deltas.size(); ++i) {

@@ -87,7 +87,7 @@ TEST(ArenaTest, DdcFaceHierarchyRegistersNoCleanups) {
       DdcOptions options;
       options.bc_dense = dense;
       const int64_t side = 16;
-      OwnedDdcCore core(dims, side, options, nullptr);
+      OwnedDdcCore core(dims, side, options);
       std::mt19937_64 rng(static_cast<uint64_t>(dims));
       std::uniform_int_distribution<int64_t> coord(0, side - 1);
       std::vector<Cell> cells(64, Cell(static_cast<size_t>(dims)));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/op_counter.h"
+
 namespace ddc {
 namespace {
 
@@ -123,24 +125,19 @@ INSTANTIATE_TEST_SUITE_P(
 // The update cost is O(log_f k): exactly one STS (or leaf value) write per
 // level of the conceptual tree.
 TEST(BcTreeTest, UpdateWritesOnePerLevel) {
-  OpCounters counters;
   BcTree tree(4096, 8);  // height = 4 (8^4 = 4096).
-  tree.set_counters(&counters);
-  tree.Add(1234, 5);
-  EXPECT_EQ(counters.values_written, tree.height());
+  EXPECT_EQ(CountsOf([&] { tree.Add(1234, 5); }).values_written,
+            tree.height());
   EXPECT_EQ(tree.height(), 4);
 }
 
 // The query cost is O(f log_f k): at most f-1 STS reads per level plus the
 // leaf partial sum.
 TEST(BcTreeTest, QueryReadsBoundedByFanoutTimesHeight) {
-  OpCounters counters;
   BcTree tree(4096, 8);
   for (int64_t i = 0; i < 4096; i += 7) tree.Add(i, 1);
-  tree.set_counters(&counters);
-  counters.Reset();
-  tree.CumulativeSum(4095);
-  EXPECT_LE(counters.values_read, int64_t{8} * tree.height());
+  EXPECT_LE(CountsOf([&] { tree.CumulativeSum(4095); }).values_read,
+            int64_t{8} * tree.height());
 }
 
 // Capacity <= 2 trees hold their entries inline in the face (no node), in
@@ -155,8 +152,6 @@ TEST(BcTreeTest, InlineCapacitiesMatchAPlainArray) {
                      << "capacity=" << capacity << " fanout=" << fanout
                      << " dense=" << (layout == BcLayout::kDense));
         BcTree tree(capacity, fanout, layout);
-        OpCounters counters;
-        tree.set_counters(&counters);
         std::vector<int64_t> reference(static_cast<size_t>(capacity), 0);
         // Signed deltas, including ones that cancel an entry (and then the
         // whole face) back to exactly zero.
@@ -166,10 +161,9 @@ TEST(BcTreeTest, InlineCapacitiesMatchAPlainArray) {
             {0, -4}, {0, -9}, {1, 9},  {1, -9}, {0, 9},  {0, -9}};
         for (const auto& [raw_index, delta] : ops) {
           const int64_t index = raw_index % capacity;
-          counters.Reset();
-          tree.Add(index, delta);
-          EXPECT_EQ(counters.nodes_visited, 1);
-          EXPECT_EQ(counters.values_written, 1);
+          const OpCounters write = CountsOf([&] { tree.Add(index, delta); });
+          EXPECT_EQ(write.nodes_visited, 1);
+          EXPECT_EQ(write.values_written, 1);
           reference[static_cast<size_t>(index)] += delta;
 
           bool any_nonzero = false;
@@ -187,10 +181,10 @@ TEST(BcTreeTest, InlineCapacitiesMatchAPlainArray) {
 
           // Reads cost one leaf visit plus the entries summed; an all-zero
           // face answers with no visit, as an unmaterialized tree does.
-          counters.Reset();
-          tree.CumulativeSum(capacity - 1);
-          EXPECT_EQ(counters.nodes_visited, any_nonzero ? 1 : 0);
-          EXPECT_EQ(counters.values_read, any_nonzero ? capacity : 0);
+          const OpCounters read =
+              CountsOf([&] { tree.CumulativeSum(capacity - 1); });
+          EXPECT_EQ(read.nodes_visited, any_nonzero ? 1 : 0);
+          EXPECT_EQ(read.values_read, any_nonzero ? capacity : 0);
         }
 
         BcTree built(capacity, fanout, layout);

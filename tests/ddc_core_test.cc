@@ -29,7 +29,7 @@ TEST(DdcCoreTest, PaperWalkthrough) {
 }
 
 TEST(DdcCoreTest, EmptyCube) {
-  OwnedDdcCore core(3, 16, DdcOptions{}, nullptr);
+  OwnedDdcCore core(3, 16, DdcOptions{});
   EXPECT_EQ(core.PrefixSum({15, 15, 15}), 0);
   EXPECT_EQ(core.Get({0, 0, 0}), 0);
   EXPECT_EQ(core.TotalSum(), 0);
@@ -37,7 +37,7 @@ TEST(DdcCoreTest, EmptyCube) {
 }
 
 TEST(DdcCoreTest, TotalSumIsMaintained) {
-  OwnedDdcCore core(2, 32, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, 32, DdcOptions{});
   core.Add({0, 0}, 5);
   core.Add({31, 31}, 7);
   core.Add({16, 3}, -2);
@@ -63,7 +63,7 @@ TEST_P(DdcCoreRandomTest, AgreesWithNaive) {
   options.bc_fanout = p.bc_fanout;
   const Shape shape = Shape::Cube(p.dims, p.side);
   NaiveCube naive(shape);
-  OwnedDdcCore core(p.dims, p.side, options, nullptr);
+  OwnedDdcCore core(p.dims, p.side, options);
   WorkloadGenerator gen(shape, static_cast<uint64_t>(
                                    p.dims * 7919 + p.side * 13 +
                                    p.elide_levels * 3 + (p.use_fenwick ? 1 : 0)));
@@ -101,13 +101,13 @@ TEST(DdcCoreTest, ElisionLevelsAreAnswerEquivalent) {
   std::vector<UpdateOp> ops = gen.UniformUpdates(200, -9, 9);
 
   DdcOptions base;
-  OwnedDdcCore reference(2, 64, base, nullptr);
+  OwnedDdcCore reference(2, 64, base);
   for (const UpdateOp& op : ops) reference.Add(op.cell, op.delta);
 
   for (int h = 1; h <= 5; ++h) {
     DdcOptions options;
     options.elide_levels = h;
-    OwnedDdcCore core(2, 64, options, nullptr);
+    OwnedDdcCore core(2, 64, options);
     for (const UpdateOp& op : ops) core.Add(op.cell, op.delta);
     WorkloadGenerator probes(shape, 100 + static_cast<uint64_t>(h));
     for (int i = 0; i < 100; ++i) {
@@ -129,7 +129,7 @@ TEST(DdcCoreTest, ElisionSavesStorage) {
   for (int h = 0; h <= 3; ++h) {
     DdcOptions options;
     options.elide_levels = h;
-    OwnedDdcCore core(2, 64, options, nullptr);
+    OwnedDdcCore core(2, 64, options);
     for (const UpdateOp& op : ops) core.Add(op.cell, op.delta);
     EXPECT_LT(core.StorageCells(), prev) << "h=" << h;
     prev = core.StorageCells();
@@ -138,7 +138,7 @@ TEST(DdcCoreTest, ElisionSavesStorage) {
 
 TEST(DdcCoreTest, ForEachNonZeroEnumeratesExactly) {
   const Shape shape = Shape::Cube(2, 32);
-  OwnedDdcCore core(2, 32, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, 32, DdcOptions{});
   std::map<std::pair<Coord, Coord>, int64_t> reference;
   WorkloadGenerator gen(shape, 17);
   for (int i = 0; i < 100; ++i) {
@@ -160,7 +160,7 @@ TEST(DdcCoreTest, ForEachNonZeroEnumeratesExactly) {
 // not the domain (Section 5's clustered-data claim).
 TEST(DdcCoreTest, ClusteredDataStaysSparse) {
   const int64_t side = 4096;
-  OwnedDdcCore core(2, side, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, side, DdcOptions{});
   ClusteredGenerator gen(Shape::Cube(2, side), 4, 0.002, 23);
   for (int i = 0; i < 1000; ++i) {
     core.Add(gen.NextCell(), 1);
@@ -174,31 +174,24 @@ TEST(DdcCoreTest, ClusteredDataStaysSparse) {
 // Cost counters: updates and queries stay polylog. For d=2, n=1024 the
 // bound O(log^2 n) with modest constants.
 TEST(DdcCoreTest, PolylogCosts) {
-  OpCounters counters;
-  OwnedDdcCore core(2, 1024, DdcOptions{}, &counters);
+  OwnedDdcCore core(2, 1024, DdcOptions{});
   WorkloadGenerator gen(Shape::Cube(2, 1024), 31);
   for (const UpdateOp& op : gen.UniformUpdates(400, 1, 9)) {
     core.Add(op.cell, op.delta);
   }
   // log2(1024) = 10; allow generous constants: per level, one subtotal +
   // d B_c-tree updates of O(log k) writes each.
-  counters.Reset();
-  core.Add({0, 0}, 1);
-  EXPECT_LE(counters.values_written, 250);
-
-  counters.Reset();
-  core.PrefixSum({1023, 1023});
-  EXPECT_LE(counters.values_read, 50);  // All-subtotal fast path.
-
-  counters.Reset();
-  core.PrefixSum({513, 511});
-  EXPECT_LE(counters.values_read, 800);  // O(log^2 n) with B_c constants.
+  EXPECT_LE(CountsOf([&] { core.Add({0, 0}, 1); }).values_written, 250);
+  // All-subtotal fast path.
+  EXPECT_LE(CountsOf([&] { core.PrefixSum({1023, 1023}); }).values_read, 50);
+  // O(log^2 n) with B_c constants.
+  EXPECT_LE(CountsOf([&] { core.PrefixSum({513, 511}); }).values_read, 800);
 }
 
 TEST(DdcCoreTest, MinBoxSideClamping) {
   DdcOptions options;
   options.elide_levels = 10;  // Larger than the tree: whole cube raw.
-  OwnedDdcCore core(2, 16, options, nullptr);
+  OwnedDdcCore core(2, 16, options);
   EXPECT_EQ(core.min_box_side(), 16);
   core.Add({3, 3}, 5);
   EXPECT_EQ(core.PrefixSum({15, 15}), 5);
@@ -263,7 +256,7 @@ struct DenseCore {
 };
 
 DenseCore FullyDense(int dims, int64_t side) {
-  OwnedDdcCore core(dims, side, DdcOptions{}, nullptr);
+  OwnedDdcCore core(dims, side, DdcOptions{});
   const Shape shape = Shape::Cube(dims, side);
   Cell cell(static_cast<size_t>(dims), 0);
   do {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/md_array.h"
+#include "common/op_counter.h"
 #include "common/shape.h"
 #include "ddc/ddc_core.h"
 
@@ -61,7 +62,7 @@ TEST_P(FaceStoreTest, MatchesReferenceOnRandomOps) {
   options.bc_dense = p.bc_dense;
   options.elide_levels = p.elide_levels;
   FaceStore::Owned store =
-      FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
+      FaceStore::Create(p.transverse_dims, p.side, options);
   ReferenceFace reference(p.transverse_dims, p.side);
 
   const Shape shape = Shape::Cube(p.transverse_dims, p.side);
@@ -92,10 +93,10 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
   std::uniform_int_distribution<int64_t> value(-5, 5);
   dense.ForEach([&](const Cell&, int64_t& v) { v = value(rng); });
 
-  auto bulk = FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
+  auto bulk = FaceStore::Create(p.transverse_dims, p.side, options);
   bulk.BuildFromDense(dense);
   auto incremental =
-      FaceStore::Create(p.transverse_dims, p.side, options, nullptr);
+      FaceStore::Create(p.transverse_dims, p.side, options);
   dense.ForEach([&](const Cell& c, const int64_t& v) {
     if (v != 0) AddAt(incremental, c, v);
   });
@@ -136,23 +137,22 @@ TEST(FaceStoreTest, LeafFacesAreOneSlab) {
     DdcOptions options;
     options.elide_levels = p.elide_levels;
     Arena arena;
-    EXPECT_EQ(FaceStore::MakeEnv(p.transverse_dims, p.side, options, &arena,
-                                 nullptr)
+    EXPECT_EQ(FaceStore::MakeEnv(p.transverse_dims, p.side, options, &arena)
                   .kind,
               FaceStore::Kind::kLeaf);
     EXPECT_EQ(FaceStore::MakeEnv(p.transverse_dims, p.side * 2, options,
-                                 &arena, nullptr)
+                                 &arena)
                   .kind,
               FaceStore::Kind::kNested);
 
-    OpCounters counters;
-    auto store =
-        FaceStore::Create(p.transverse_dims, p.side, options, &counters);
+    auto store = FaceStore::Create(p.transverse_dims, p.side, options);
     ReferenceFace reference(p.transverse_dims, p.side);
     const Shape shape = Shape::Cube(p.transverse_dims, p.side);
     EXPECT_EQ(store.StorageCells(), 0);
-    EXPECT_EQ(PrefixAt(store, shape.CellAt(shape.num_cells() - 1)), 0);
-    EXPECT_EQ(counters.nodes_visited, 0);  // Unwritten: nothing to visit.
+    const OpCounters empty_read = CountsOf([&] {
+      EXPECT_EQ(PrefixAt(store, shape.CellAt(shape.num_cells() - 1)), 0);
+    });
+    EXPECT_EQ(empty_read.nodes_visited, 0);  // Unwritten: nothing to visit.
 
     std::mt19937_64 rng(static_cast<uint64_t>(p.transverse_dims * 10 +
                                               p.side));
@@ -162,12 +162,11 @@ TEST(FaceStoreTest, LeafFacesAreOneSlab) {
       const Cell y = shape.CellAt(pick(rng));
       int64_t d = delta(rng);
       if (d == 0) d = 5;  // Every write lands.
-      counters.Reset();
-      AddAt(store, y, d);
+      const OpCounters write = CountsOf([&] { AddAt(store, y, d); });
       // One slab visit and one value written, as the nested core whose
       // single leaf block this face replaces.
-      EXPECT_EQ(counters.nodes_visited, 1);
-      EXPECT_EQ(counters.values_written, 1);
+      EXPECT_EQ(write.nodes_visited, 1);
+      EXPECT_EQ(write.values_written, 1);
       reference.Add(y, d);
       Cell probe(static_cast<size_t>(p.transverse_dims), 0);
       do {
@@ -180,7 +179,7 @@ TEST(FaceStoreTest, LeafFacesAreOneSlab) {
 }
 
 TEST(FaceStoreTest, EmptyStoreAnswersZero) {
-  auto store = FaceStore::Create(2, 8, DdcOptions{}, nullptr);
+  auto store = FaceStore::Create(2, 8, DdcOptions{});
   EXPECT_EQ(PrefixAt(store, {7, 7}), 0);
   EXPECT_EQ(store.StorageCells(), 0);
 }
@@ -188,7 +187,7 @@ TEST(FaceStoreTest, EmptyStoreAnswersZero) {
 TEST(FaceStoreTest, DenseBcFaceAllocatesItsWholeSlabOnFirstTouch) {
   DdcOptions options;
   options.bc_dense = true;
-  auto store = FaceStore::Create(1, 64, options, nullptr);
+  auto store = FaceStore::Create(1, 64, options);
   EXPECT_EQ(store.StorageCells(), 0);
   AddAt(store, {5}, 2);
   // Fanout 8 over 64 keys: a root and 8 leaves of 8 entries each.
@@ -197,15 +196,12 @@ TEST(FaceStoreTest, DenseBcFaceAllocatesItsWholeSlabOnFirstTouch) {
   EXPECT_EQ(PrefixAt(store, {63}), 2);
 }
 
-TEST(FaceStoreTest, CountersRouteToOwner) {
-  OpCounters counters;
-  auto store = FaceStore::Create(1, 64, DdcOptions{}, &counters);
-  AddAt(store, {10}, 5);
-  EXPECT_GT(counters.values_written, 0);
-  const int64_t writes = counters.values_written;
-  PrefixAt(store, {20});
-  EXPECT_GT(counters.values_read, 0);
-  EXPECT_EQ(counters.values_written, writes);  // Queries don't write.
+TEST(FaceStoreTest, CountsReachTheThreadsBlock) {
+  auto store = FaceStore::Create(1, 64, DdcOptions{});
+  EXPECT_GT(CountsOf([&] { AddAt(store, {10}, 5); }).values_written, 0);
+  const OpCounters read = CountsOf([&] { PrefixAt(store, {20}); });
+  EXPECT_GT(read.values_read, 0);
+  EXPECT_EQ(read.values_written, 0);  // Queries don't write.
 }
 
 }  // namespace

@@ -259,7 +259,7 @@ void DriveCoreDifferential(int dims, int64_t side, const DdcOptions& options,
                                   << " elide=" << options.elide_levels
                                   << " seed=" << seed);
   const Shape shape = Shape::Cube(dims, side);
-  OwnedDdcCore core(dims, side, options, nullptr);
+  OwnedDdcCore core(dims, side, options);
   NaiveCube naive(shape);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int64_t> coord(0, side - 1);
@@ -387,7 +387,7 @@ TEST(ArenaAlignment, BcTreeNodeSumsNeverStraddleCacheLines) {
 // Scratch reuse across batched updates (the ApplyBatch path).
 
 TEST(ScratchReuse, RepeatedBatchesDoNotGrowScratchOrArena) {
-  OwnedDdcCore core(2, 64, DdcOptions{}, nullptr);
+  OwnedDdcCore core(2, 64, DdcOptions{});
   std::mt19937_64 rng(71);
   std::uniform_int_distribution<int64_t> coord(0, 63);
   std::uniform_int_distribution<int64_t> delta(-9, 9);

@@ -428,8 +428,8 @@ void ApplyProgramTo(NaiveCube* cube, std::span<const Mutation> batch) {
   for (const CoalescedStep& step : BuildCoalesceProgram(batch)) {
     for (const CoalescedCell& c : step.points) {
       const int64_t value = c.has_set ? c.set_value + c.pending_add
-                                      : cube->Get(c.cell) + c.pending_add;
-      cube->Set(c.cell, value);
+                                      : cube->Get(*c.cell) + c.pending_add;
+      cube->Set(*c.cell, value);
     }
     if (!step.has_range) continue;
     if (step.range.kind == MutationKind::kRangeAdd) {

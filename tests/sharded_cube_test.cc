@@ -119,6 +119,9 @@ TEST(ShardedCubeTest, ApplyBatchMatchesSequentialApplication) {
   NaiveCube naive(shape);
   ShardedCube sharded(2, 32, 8);
 
+  const obs::Counter& batches =
+      *obs::MetricsRegistry::Default().GetCounter("sharded.batches");
+  const int64_t batches0 = batches.Value();
   WorkloadGenerator gen(shape, seed);
   for (int round = 0; round < 40; ++round) {
     std::vector<UpdateOp> batch;
@@ -147,7 +150,9 @@ TEST(ShardedCubeTest, ApplyBatchMatchesSequentialApplication) {
     ASSERT_EQ(sharded.RangeSum(box), naive.RangeSum(box))
         << "round " << round << " seed " << seed;
   }
-  EXPECT_EQ(sharded.stats().batches, 40);
+  if (obs::Enabled()) {
+    EXPECT_EQ(batches.Value() - batches0, 40);
+  }
 }
 
 // Growth in every direction: sharded vs one DynamicDataCube on
@@ -329,12 +334,17 @@ TEST(ShardedCubeTest, MultiSliceBatchesMatchNaive) {
       }
     }
   }
+  const obs::Counter& batched_ops =
+      *obs::MetricsRegistry::Default().GetCounter("sharded.batched_ops");
+  const int64_t batched_ops0 = batched_ops.Value();
   ASSERT_TRUE(sharded.ApplyBatch(batch));
+  // One group entry per shard per round: four slices per group.
+  if (obs::Enabled()) {
+    EXPECT_EQ(batched_ops.Value() - batched_ops0,
+              static_cast<int64_t>(kRounds) * kShards);
+  }
   ASSERT_TRUE(single.ApplyBatch(batch));
   ASSERT_TRUE(naive.ApplyBatch(batch));
-  // One group entry per shard per round: four slices per group.
-  EXPECT_EQ(sharded.stats().batched_ops,
-            static_cast<int64_t>(kRounds) * kShards);
 
   for (Coord x = 0; x < kSide; ++x) {
     for (Coord y = 0; y < kSide; ++y) {

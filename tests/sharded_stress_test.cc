@@ -30,6 +30,7 @@
 #include "common/mutation.h"
 #include "common/workload.h"
 #include "naive/naive_cube.h"
+#include "obs/metrics.h"
 #include "test_seed.h"
 
 namespace ddc {
@@ -253,6 +254,13 @@ TEST(ShardedStressTest, ShrinkToFitRacesReaders) {
 // final total, and at quiescence all protocol counters reconcile.
 TEST(ShardedStressTest, CrossShardReadsSeeMonotoneTotals) {
   ShardedCube cube(2, 64, 8);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const obs::Counter& point_writes =
+      *registry.GetCounter("sharded.point_writes");
+  const obs::Counter& range_queries =
+      *registry.GetCounter("sharded.range_queries");
+  const int64_t point_writes0 = point_writes.Value();
+  const int64_t range_queries0 = range_queries.Value();
   constexpr int kRounds = 500;
   std::atomic<bool> stop{false};
   std::atomic<int64_t> monotonicity_violations{0};
@@ -285,9 +293,10 @@ TEST(ShardedStressTest, CrossShardReadsSeeMonotoneTotals) {
 
   EXPECT_EQ(monotonicity_violations.load(), 0);
   EXPECT_EQ(cube.TotalSum(), 8 * kRounds);
-  const auto stats = cube.stats();
-  EXPECT_EQ(stats.point_writes, 8 * kRounds);
-  EXPECT_GT(stats.range_queries, 0);
+  if (obs::Enabled()) {
+    EXPECT_EQ(point_writes.Value() - point_writes0, 8 * kRounds);
+    EXPECT_GT(range_queries.Value() - range_queries0, 0);
+  }
 }
 
 // Every locking path at once on one cube: four band writers issue

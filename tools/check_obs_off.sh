@@ -18,9 +18,12 @@ cd "$(dirname "$0")/.."
 # the batched-update differential suite, the concurrent cubes, the obs
 # facade itself (obs_test asserts the no-op behavior when compiled out), and
 # the introspection surface (introspect_test covers the compiled-out ledger,
-# workload recorder and flight recorder; ddctool_test the CLI commands).
+# workload recorder and flight recorder; ddctool_test the CLI commands), and
+# the count channel (count_channel_test: counters() stays exact with the
+# ledger and registry compiled out).
 OBS_OFF_TARGETS=(ddc_core_test update_batch_test query_batch_test
-                 concurrent_test obs_test introspect_test ddctool_test)
+                 concurrent_test obs_test introspect_test ddctool_test
+                 count_channel_test)
 
 echo "=== DDC_OBS=OFF: configuring build-obsoff ==="
 cmake -B build-obsoff -S . -DDDC_OBS=OFF > /dev/null

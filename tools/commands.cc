@@ -597,7 +597,8 @@ int CmdStats(const std::vector<std::string>& args, std::ostream& out,
   if (!obs::Enabled()) {
     err << "stats: observability is disabled "
            "(DDC_OBS_ENABLED=0 or built with -DDDC_OBS=OFF); "
-           "metrics below will be empty\n";
+           "metrics below will be empty, except the ddc.* value counts "
+           "under DDC_OBS_ENABLED=0\n";
   }
   obs::MetricsRegistry::Default().Reset();
   obs::ResetTrace();

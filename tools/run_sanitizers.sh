@@ -25,7 +25,8 @@ SANITIZE_TARGETS=(concurrent_test sharded_cube_test sharded_stress_test
                   range_mutation_test range_journal_test
                   kernel_layout_test ddctool
                   sharded_drain_test
-                  cached_cube_test cache_invalidation_property_test)
+                  cached_cube_test cache_invalidation_property_test
+                  count_channel_test)
 # The targets behind `ctest -L storage`, built and run by the address run
 # only (keep in sync with tests/CMakeLists.txt).
 STORAGE_TARGETS=(bctree_test face_store_test ddc_core_test arena_test
