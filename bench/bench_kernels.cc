@@ -11,8 +11,8 @@
 //             one-cache-line-per-level node layout + shift/mask child
 //             addressing + predicated masked prefix sums.
 //   batched : the 2-D batched-update pipeline (ingest-shaped batch through
-//             DynamicDataCube::ApplyBatch — coalescing, shared Figure-12
-//             descents, prefetch) vs the pre-PR
+//             DynamicDataCube::ApplyBatch — coalescing, then tree-ordered
+//             Figure-12 point descents) vs the pre-PR
 //             per-update scalar path (a loop of Add under ForceScalar)
 //             (floor: >= 2.0x).
 //
@@ -174,15 +174,15 @@ DescentPair BenchUpdate(int64_t capacity, int fanout,
 
 struct BatchedResult {
   LatencyResult scalar_looped;  // Pre-PR baseline: per-query scalar descents.
-  LatencyResult opt_batched;    // This PR: shared descent + kernels.
+  LatencyResult opt_batched;    // Batched path + optimized kernels.
   LatencyResult opt_looped;     // Kernel win alone (info).
   bool exact = false;
 };
 
 // The batched-update pipeline end to end: an ingest-shaped mutation batch
 // through DynamicDataCube::ApplyBatch — per-cell coalescing, then one
-// shared Figure-12 descent per distinct node group with the optimized
-// kernels and prefetch — against the pre-optimization
+// Figure-12 descent per distinct cell, in tree order, with the optimized
+// kernels — against the pre-optimization
 // baseline of applying the same batch one scalar Add descent at a time.
 // (The looped side is additionally forced through the scalar reference
 // kernels, so this ratio compounds the batching win, which

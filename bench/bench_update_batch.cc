@@ -2,13 +2,13 @@
 // PR. For each dimensionality we apply the same ingest-shaped mutation
 // batch two ways —
 //   looped  : a loop of Add calls (the pre-batching baseline),
-//   batched : DynamicDataCube::ApplyBatch (per-cell coalescing + one
-//             shared Figure-12 descent per distinct node group).
+//   batched : DynamicDataCube::ApplyBatch (per-cell coalescing, then one
+//             Figure-12 point descent per distinct cell, in tree order).
 // The batch is ingest-shaped, matching real streaming traffic (most
 // updates hit a small hot working set, so cells repeat within a batch):
-// coalescing collapses the repeats to one net delta per cell and the
-// shared descent visits each touched subtree once per level, which is
-// where the batched win comes from.
+// coalescing collapses the repeats to one net delta per cell, so the
+// batch pays one descent per distinct cell instead of one per update,
+// which is where the batched win comes from.
 //
 // The two modes are timed interleaved (bench/harness.h). Writes
 // BENCH_update_batch.json (override the path with DDC_BENCH_JSON). Setting

@@ -236,8 +236,8 @@ std::span<const Mutation> SliceOf(std::span<const uint32_t> refs,
 }
 
 // A point-only group (every ref indexes `ops`) stably sorted by the shard
-// tree's Z-order: the child masks of its top levels, as many as fit in 12
-// bits, keyed in the cube's local coordinates. One unsliced apply lays a
+// tree's Z-order: its TreeOrderKey over the top levels, as many as fit in
+// 12 bits, so one counting sort buckets it. One unsliced apply lays a
 // subtree's new nodes out together; slices in batch order would each add
 // nodes all over the tree and spread a subtree over the arena, which reads
 // measurably slower (DESIGN.md §15). Stable, so the mutations of one cell
@@ -254,15 +254,9 @@ std::span<const uint32_t> ZOrdered(const DynamicDataCube& cube,
   const Cell origin = cube.DomainLo();
   const auto key = [&](uint32_t ref) {
     const Cell& cell = ops[ref].cell;
-    size_t k = 0;
-    for (int bit = height - 1; bit >= height - levels; --bit) {
-      for (int i = dims - 1; i >= 0; --i) {
-        const size_t ui = static_cast<size_t>(i);
-        const Coord local = cell[ui] - origin[ui];
-        k = (k << 1) | static_cast<size_t>((local >> bit) & 1);
-      }
-    }
-    return k;
+    Coord local[DdcCore::kMaxDims];
+    for (size_t i = 0; i < origin.size(); ++i) local[i] = cell[i] - origin[i];
+    return static_cast<size_t>(TreeOrderKey(local, dims, height, levels));
   };
   struct Buffers {
     std::vector<size_t> begin;

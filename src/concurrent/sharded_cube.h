@@ -137,12 +137,12 @@ class ShardedCube : public CubeInterface {
   // the group's growth settled before the first slice (so, as in one
   // unsliced apply, every re-root lands before any of the group's values
   // and copies only what the shard held before the batch). The shard
-  // cube's coalesce map and its reusable AddBatch scratch then grow with
-  // the slice, not with the group. A point-only group is stably sorted in
-  // the shard tree's Z-order before it is sliced, so each slice fills a
-  // few subtrees and the tree's nodes sit in the arena as one unsliced
-  // apply would lay them out. DESIGN.md §15 has the sweep the size was
-  // picked from.
+  // cube's coalesce map, its write-cell list and its core's tree-order
+  // sort buffers then grow with the slice, not with the group. A
+  // point-only group is stably sorted in the shard tree's Z-order before
+  // it is sliced, so each slice fills a few subtrees and the tree's nodes
+  // sit in the arena as one unsliced apply would lay them out. DESIGN.md
+  // §15 has the sweep the size was picked from.
   static constexpr size_t kApplySlice = 4096;
 
   // Shrinks every shard, one exclusive hold at a time.

@@ -23,7 +23,7 @@ void TransverseInto(const Coord* offset, int dims, int skip_dim, Coord* out) {
 
 // Counting-sorts `items` (each carrying a `home` child mask) so every
 // child's items form one contiguous run, using the caller's reusable
-// scratch buffers. Shared by the batched query and batched update descents.
+// scratch buffers.
 template <typename Item>
 void CountingSortByHome(std::span<Item> items, std::vector<Item>& sorted,
                         std::vector<size_t>& begin,
@@ -65,14 +65,6 @@ static_assert(sizeof(DdcCore) <= 128);
 static_assert(std::is_trivially_destructible_v<DdcCore>);
 static_assert(std::is_trivially_destructible_v<BcFace>);
 static_assert(sizeof(FaceStore) == 16);
-
-size_t DdcCore::WriteScratch::bytes() const {
-  return items.capacity() * sizeof(UpdateItem) +
-         sorted.capacity() * sizeof(UpdateItem) +
-         offsets.capacity() * sizeof(Coord) +
-         begin.capacity() * sizeof(size_t) +
-         cursor.capacity() * sizeof(size_t);
-}
 
 DdcCore::DdcCore(int dims, int64_t side, const DdcOptions& options,
                  Arena* arena)
@@ -244,140 +236,39 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
 }
 
 void DdcCore::AddBatch(std::span<const Cell> cells,
-                       std::span<const int64_t> deltas,
-                       WriteScratch& scratch) {
+                       std::span<const int64_t> deltas) {
   DDC_CHECK(cells.size() == deltas.size());
-  if (cells.empty()) return;
-  if (side_ <= min_box_side_) {
-    // Whole cube is one leaf block: the batch costs one block visit.
-    bool touched = false;
-    for (size_t q = 0; q < cells.size(); ++q) {
-      DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
-      if (deltas[q] == 0) continue;
-      if (root_raw_ == nullptr) root_raw_ = NewLeaf();
-      if (!touched) {
-        VisitNode(root_raw_);
-        touched = true;
-      }
-      total_ += deltas[q];
-      root_raw_[LeafIndex(cells[q].data())] += deltas[q];
-      CountValuesWritten(1);
-    }
-    return;
-  }
-  // The items buffer, the offsets and the counting-sort scratch outlive the
-  // call: consecutive batches on one cube (the ApplyBatch steady state)
-  // reuse the grown capacity instead of paying a heap round-trip per batch.
-  std::vector<UpdateItem>& items = scratch.items;
-  items.clear();
-  scratch.offsets.clear();
+  // Keys over the whole tree, or as many levels as fit in 64 bits. In
+  // arrival order a cold batch would lay its new nodes out at random in
+  // the arena (DESIGN.md §10). AddBatch is never re-entered, so one pair of
+  // buffers per thread serves every cube.
+  struct Keyed {
+    uint64_t key;
+    size_t index;
+  };
+  thread_local std::vector<Keyed> order;
+  thread_local std::vector<Keyed> spare;
+  const int height = FloorLog2(side_);
+  const int levels = std::min(height, 64 / dims_);
+  order.clear();
   for (size_t q = 0; q < cells.size(); ++q) {
     DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
     if (deltas[q] == 0) continue;
-    total_ += deltas[q];
-    items.push_back(UpdateItem{
-        deltas[q], static_cast<uint32_t>(scratch.offsets.size()), 0});
-    scratch.offsets.insert(scratch.offsets.end(), cells[q].begin(),
-                           cells[q].end());
+    order.push_back(
+        {TreeOrderKey(cells[q].data(), dims_, height, levels), q});
   }
-  if (items.empty()) return;
-  EnsureNode(&root_);
-  scratch.begin.resize(num_children_ + 1);
-  scratch.cursor.resize(num_children_);
-  AddBatchRec(root_, side_, items, scratch);
-}
-
-void DdcCore::AddBatchRec(Node* node, int64_t node_side,
-                          std::span<UpdateItem> items,
-                          WriteScratch& scratch) {
-  Coord* const offsets = scratch.offsets.data();
-  // Once the descent has fanned out to a single item there is nothing left
-  // to share; the plain point-update descent finishes the path without the
-  // grouping machinery.
-  if (items.size() == 1) {
-    AddRec(node, node_side, offsets + items[0].base, items[0].delta);
-    return;
+  // LSD radix sort, one byte of the key per pass: stable, so equal keys
+  // keep their batch order, and free of the branch misses a comparison
+  // sort takes on keys this random.
+  spare.resize(order.size());
+  for (int shift = 0; shift < levels * dims_; shift += 8) {
+    size_t begin[257] = {};
+    for (const Keyed& k : order) ++begin[((k.key >> shift) & 0xff) + 1];
+    for (int b = 0; b < 256; ++b) begin[b + 1] += begin[b];
+    for (const Keyed& k : order) spare[begin[(k.key >> shift) & 0xff]++] = k;
+    order.swap(spare);
   }
-  // The node (and its box array) is visited once for the whole group, as in
-  // the batched query descent.
-  VisitNode(node);
-  const int64_t k = node_side / 2;
-  const FaceStore::Env env = FaceEnv(k);
-  for (UpdateItem& item : items) {
-    Coord* offset = offsets + item.base;
-    uint32_t mask = 0;
-    for (int i = 0; i < dims_; ++i) {
-      if (offset[i] >= k) {
-        mask |= 1u << i;
-        offset[i] -= k;
-      }
-    }
-    item.home = mask;
-  }
-  CountingSortByHome(items, scratch.sorted, scratch.begin, scratch.cursor,
-                     num_children_);
-
-  // Pass 1: every group's node-local writes (box subtotal + face adds)
-  // before any recursion, so the node's box array stays hot across groups.
-  size_t lo = 0;
-  while (lo < items.size()) {
-    const uint32_t mask = items[lo].home;
-    size_t hi = lo + 1;
-    while (hi < items.size() && items[hi].home == mask) ++hi;
-    const auto group = items.subspan(lo, hi - lo);
-
-    int64_t group_sum = 0;
-    for (const UpdateItem& item : group) group_sum += item.delta;
-    lo = hi;
-    BoxData* box = EnsureBox(node, mask, env);
-    box->subtotal += group_sum;  // One write absorbs the whole group.
-    CountValuesWritten(1);
-
-    // One face add per update and dimension. (Updates sharing a
-    // dimension-j line land on one face cell, Section 4.2, but finding the
-    // shared lines costs more than the allocation-free adds it would save.)
-    for (const UpdateItem& item : group) {
-      AddToFaces(box, env, offsets + item.base, item.delta);
-    }
-  }
-
-  // Pass 2: descend per group. Before one group's subtree runs, the next
-  // group's level-(L+1) target is prefetched, so its miss latency overlaps
-  // the current group's work.
-  lo = 0;
-  while (lo < items.size()) {
-    const uint32_t mask = items[lo].home;
-    size_t hi = lo + 1;
-    while (hi < items.size() && items[hi].home == mask) ++hi;
-    const auto group = items.subspan(lo, hi - lo);
-    lo = hi;
-
-    if (lo < items.size()) {
-      const uint32_t next_mask = items[lo].home;
-      if (k > min_box_side_) {
-        if (node->child_nodes != nullptr) {
-          kernels::PrefetchRead(node->child_nodes[next_mask]);
-        }
-      } else if (node->child_raw != nullptr) {
-        kernels::PrefetchRead(node->child_raw[next_mask]);
-      }
-    }
-
-    if (k > min_box_side_) {
-      if (node->child_nodes == nullptr) {
-        node->child_nodes = arena_->CreateArray<Node*>(num_children_);
-      }
-      Node* child = EnsureNode(&node->child_nodes[mask]);
-      AddBatchRec(child, k, group, scratch);
-    } else {
-      int64_t* raw = EnsureRaw(node, mask);
-      VisitNode(raw);
-      for (const UpdateItem& item : group) {
-        raw[LeafIndex(offsets + item.base)] += item.delta;
-      }
-      CountValuesWritten(static_cast<int64_t>(group.size()));
-    }
-  }
+  for (const Keyed& k : order) Add(cells[k.index], deltas[k.index]);
 }
 
 void DdcCore::BuildFromArray(const MdArray<int64_t>& array) {

@@ -43,8 +43,7 @@
 // A DdcCore owns nothing and is trivially destructible: nested face cores
 // live in their enclosing cube's arena and register no cleanup there. The
 // top level of a face hierarchy is an OwnedDdcCore, which also holds the
-// arena and the AddBatch write scratch; see DESIGN.md §8 for the lifetime
-// rules.
+// arena; see DESIGN.md §8 for the lifetime rules.
 
 #ifndef DDC_DDC_DDC_CORE_H_
 #define DDC_DDC_DDC_CORE_H_
@@ -98,6 +97,22 @@ struct DdcStats {
   }
 };
 
+// The tree-order key of a cell of a `dims`-dimensional cube of side
+// 2^`height`, in the cube's local coordinates: the child masks (bit i set =
+// upper half of dimension i) of the first `levels` levels of the cell's
+// root-to-leaf walk, root most significant. Sorting cells by it groups them
+// by subtree at each of those levels. levels * dims must not exceed 64.
+inline uint64_t TreeOrderKey(const Coord* local, int dims, int height,
+                             int levels) {
+  uint64_t key = 0;
+  for (int bit = height - 1; bit >= height - levels; --bit) {
+    for (int i = dims - 1; i >= 0; --i) {
+      key = (key << 1) | static_cast<uint64_t>((local[i] >> bit) & 1);
+    }
+  }
+  return key;
+}
+
 class DdcCore {
  public:
   // Largest supported dimensionality. The descents key faces and rebase
@@ -121,6 +136,17 @@ class DdcCore {
 
   // A[cell] += delta; local coordinates in [0, side).
   void Add(const Cell& cell, int64_t delta);
+
+  // A[cells[i]] += deltas[i] for the whole batch: the nonzero updates are
+  // sorted into tree order (TreeOrderKey over the whole tree), then each
+  // runs the Figure 12 point descent of Add. Equal to calling Add in a
+  // loop, in values and in counts; the order only decides where the nodes
+  // a batch materializes land in the arena: subtree by subtree, not at
+  // random (DESIGN.md §10). Callers wanting same-cell coalescing do it
+  // beforehand. The sort runs on per-thread buffers that keep their
+  // capacity, so once the touched cells exist a batch allocates nothing.
+  // deltas.size() must equal cells.size().
+  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas);
 
   // Face-store entry points (FaceStore's nested path): Add and PrefixSum on
   // a key of dims() coordinates that is caller scratch. The walk rebases
@@ -169,9 +195,9 @@ class DdcCore {
   Arena* arena() const { return arena_; }
 
   // Number of tree levels a full root-to-leaf descent visits (the raw leaf
-  // block counts as one level): log2(side / min_box_side) + 1. Queries and
-  // updates record this into the ddc.query.depth / ddc.update.depth
-  // histograms — the paper's per-level cost dimension.
+  // block counts as one level): log2(side / min_box_side) + 1. Queries
+  // record it into the ddc.query.depth histogram and the EXPLAIN ledger's
+  // tree_depth — the paper's per-level cost dimension.
   int DescentLevels() const {
     int levels = 1;
     for (int64_t s = side_; s > min_box_side_; s /= 2) ++levels;
@@ -188,48 +214,10 @@ class DdcCore {
     node_visit_listener_ = listener;
   }
 
- protected:
+ private:
   // FaceStore's leaf faces share the leaf-slab helpers and cost accounting.
   friend class FaceStore;
 
-  // One in-flight update of an AddBatch: its delta, where its target
-  // offset starts in WriteScratch::offsets (dims_ coordinates, rebased as
-  // the walk descends), and the cached home-child mask. Plain data, so the
-  // counting sort moves 16 bytes per item.
-  struct UpdateItem {
-    int64_t delta;
-    uint32_t base;
-    uint32_t home;
-  };
-
-  // The write-path counterpart of BatchScratch: the items buffer and the
-  // counting-sort workspace. Shared across every node of one AddBatch walk
-  // and — writes are externally synchronized — kept by the OwnedDdcCore
-  // that batches, so consecutive ApplyBatch calls reuse the grown capacity
-  // instead of reallocating per batch. Nested face cores (which only see
-  // AddInPlace) never need one.
-  struct WriteScratch {
-    std::vector<UpdateItem> items;
-    std::vector<UpdateItem> sorted;
-    std::vector<Coord> offsets;
-    std::vector<size_t> begin;
-    std::vector<size_t> cursor;
-
-    // Heap bytes currently held by the buffers.
-    size_t bytes() const;
-  };
-
-  // A[cells[i]] += deltas[i] for the whole batch in one walk — the Figure 12
-  // propagation run once per node group instead of once per update: updates
-  // descending through the same child share each node visit and the
-  // group's box subtotal absorbs one grouped write per level. Equivalent
-  // to calling Add in a loop (callers wanting same-cell coalescing do it
-  // beforehand; duplicates are merely slower here, not wrong).
-  // deltas.size() must equal cells.size().
-  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas,
-                WriteScratch& scratch);
-
- private:
   struct Node;
 
   // One overlay box (side box_side): cached subtotal plus d face stores,
@@ -324,11 +312,6 @@ class DdcCore {
                     const Coord* offset_in_node, int64_t delta);
   int64_t PrefixSumScalarRef(const Node* node, int64_t node_side,
                              const Coord* offset_in_node) const;
-  // Batched update descent: groups the items by home child (the same
-  // counting sort the query batch uses), applies each group's coalesced
-  // box-level writes, and recurses once per group.
-  void AddBatchRec(Node* node, int64_t node_side,
-                   std::span<UpdateItem> items, WriteScratch& scratch);
   // Builds the subtree for the region [anchor, anchor + node_side) of
   // `array`; returns the region total. `node` may be discarded by the
   // caller if the total is zero and nothing was materialized.
@@ -431,31 +414,16 @@ struct ArenaOwner {
 
 }  // namespace internal
 
-// A top-level DdcCore: it owns what nested face cores do without — the
-// arena the whole face hierarchy lives in, and the write scratch AddBatch
-// reuses across batches. DynamicDataCube's primary tree, its range-add
-// overlay trees and standalone cores (tests, benches) are OwnedDdcCores;
-// nested face cores are bare DdcCores inside the owner's arena. Dropping
-// the owner frees the whole hierarchy wholesale, which growth re-rooting
-// relies on to retire an old tree.
+// A top-level DdcCore: it owns what nested face cores do without, the
+// arena the whole face hierarchy lives in. DynamicDataCube's primary tree,
+// its range-add overlay trees and standalone cores (tests, benches) are
+// OwnedDdcCores; nested face cores are bare DdcCores inside the owner's
+// arena. Dropping the owner frees the whole hierarchy wholesale, which
+// growth re-rooting relies on to retire an old tree.
 class OwnedDdcCore : private internal::ArenaOwner, public DdcCore {
  public:
   OwnedDdcCore(int dims, int64_t side, const DdcOptions& options)
       : DdcCore(dims, side, options, &owned_arena) {}
-
-  // See DdcCore::AddBatch; runs on this core's reusable write scratch.
-  void AddBatch(std::span<const Cell> cells, std::span<const int64_t> deltas) {
-    DdcCore::AddBatch(cells, deltas, scratch_);
-  }
-
-  // Heap bytes currently held by the reusable write-path scratch (items
-  // buffer + counting-sort workspace); 0 until the first AddBatch. Test
-  // support: repeated same-shaped AddBatch calls must not grow this — the
-  // scratch-reuse contract.
-  size_t update_scratch_bytes() const { return scratch_.bytes(); }
-
- private:
-  WriteScratch scratch_;
 };
 
 }  // namespace ddc

@@ -28,11 +28,6 @@ obs::Histogram& UpdateNsHist() {
       *obs::MetricsRegistry::Default().GetHistogram("ddc.update.ns");
   return h;
 }
-obs::Histogram& UpdateDepthHist() {
-  static obs::Histogram& h =
-      *obs::MetricsRegistry::Default().GetHistogram("ddc.update.depth");
-  return h;
-}
 obs::Histogram& UpdateBatchSizeHist() {
   static obs::Histogram& h =
       *obs::MetricsRegistry::Default().GetHistogram("ddc.update.batch.size");
@@ -341,7 +336,6 @@ void DynamicDataCube::Add(const Cell& cell, int64_t delta) {
   CountScope counting(this);
   obs::ScopedLatencyTimer timer(&UpdateNsHist());
   EnsureContains(cell);
-  if (obs::Enabled()) UpdateDepthHist().Record(core_->DescentLevels());
   core_->Add(ToLocal(cell), delta);
 }
 
@@ -461,8 +455,7 @@ void DynamicDataCube::LandCorners(std::span<const Cell> globals,
     locals.push_back(std::move(local));
     kept.push_back(d_deltas[k]);
   }
-  // One batched descent per tree — the same shared-scratch walk point
-  // batches use.
+  // One AddBatch per tree, the same tree-ordered apply point batches use.
   std::vector<Cell> cells;
   std::vector<int64_t> deltas;
   for (uint32_t t = 0; t < overlay_->trees.size(); ++t) {
@@ -504,8 +497,8 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
   if (obs::Enabled()) {
     UpdateBatchSizeHist().Record(static_cast<int64_t>(batch.size()));
   }
-  // Grow first: the shared descents below need every cell in-domain, and a
-  // re-root mid-descent would invalidate already-rebased local offsets.
+  // Grow first: the descents below need every cell in-domain, and a
+  // re-root mid-batch would invalidate the local cells already computed.
   // This is also what makes a batch straddling growth correct: geometry is
   // settled before any delta lands.
   for (const Mutation& m : batch) GrowFor(m);
@@ -524,8 +517,8 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
   }
 
   // Run the coalesce program step by step. Each range op is a barrier; the
-  // point runs between barriers share one descent each (a point-only batch
-  // is one step).
+  // point runs between barriers land as one AddBatch each (a point-only
+  // batch is one step).
   int64_t coalesced = 0;
   for (CoalescedStep& step : BuildCoalesceProgram(batch)) {
     coalesced += static_cast<int64_t>(step.points.size());
@@ -551,10 +544,7 @@ bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
     });
     ApplyCoalescedPoints(CoalesceMutations(sets));
   }
-  if (obs::Enabled()) {
-    span.set_arg1(coalesced);
-    UpdateDepthHist().Record(core_->DescentLevels());
-  }
+  if (obs::Enabled()) span.set_arg1(coalesced);
   return true;
 }
 

@@ -96,9 +96,9 @@ class DynamicDataCube : public CubeInterface {
   // happens up front, so a batch straddling a re-root sees a stable
   // geometry — including the high corners of range mutations), then folded
   // into a coalesce program (common/mutation.h): point runs collapse to one
-  // net delta per distinct cell and land in one shared tree descent
-  // (DdcCore::AddBatch); each range mutation is a barrier applied between
-  // runs. Results are identical to applying the mutations in a loop.
+  // net delta per distinct cell and land as one DdcCore::AddBatch (point
+  // descents in tree order); each range mutation is a barrier applied
+  // between runs. Results are identical to applying the mutations in a loop.
   // Returns false (nothing applied) on a malformed batch (point mutations
   // carry dims() coordinates, range mutations 2*dims()).
   bool ApplyBatch(std::span<const Mutation> batch) override;
@@ -252,7 +252,7 @@ class DynamicDataCube : public CubeInterface {
   void LandCorners(std::span<const Cell> globals,
                    std::span<const int64_t> d_deltas);
   // Point-batch tail of ApplyBatch: coalesced cells -> net deltas -> one
-  // core AddBatch.
+  // core AddBatch, which applies them as point descents in tree order.
   void ApplyCoalescedPoints(std::span<const CoalescedCell> points);
   // Overlay read paths (trees plus pending journal); all take LOCAL
   // coordinates and return 0 when no overlay exists.

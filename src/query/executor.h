@@ -64,7 +64,7 @@ QueryResult ExecuteQuery(const Query& query, const MeasureCube& cube);
 QueryResult ExecuteQuery(const Query& query, const CubeInterface& cube);
 
 // Applies a write statement through the cube's batched write path: the
-// whole statement is ONE ApplyBatch call (one shared descent on a DDC).
+// whole statement is ONE ApplyBatch call (one coalesced AddBatch on a DDC).
 // Cells whose dimensionality doesn't match the cube produce an error
 // result without touching the cube.
 QueryResult ExecuteWrite(const WriteStatement& write, CubeInterface* cube);

@@ -37,8 +37,8 @@
 // maps to exactly one MutationBatch: point targets carry the verb's point
 // kind (ADD → kAdd, SET → kSet), range targets its range kind (kRangeAdd /
 // kRangeSet), and the whole list lands through a single ApplyBatch call
-// (one shared descent for the point runs; one WAL record when the target
-// is durable). A range target's corners must agree in arity; inverted
+// (one tree-ordered AddBatch for the point runs; one WAL record when the
+// target is durable). A range target's corners must agree in arity; inverted
 // bounds (lo > hi anywhere) denote the empty box and write nothing.
 
 #ifndef DDC_QUERY_QUERY_H_

@@ -7,8 +7,9 @@
 //   * leaf blocks are arena slabs and nested face cores carry no heap
 //     scratch, so materializing new cells costs only arena blocks (plus the
 //     geometric growth of the arena's bookkeeping vectors);
-//   * once the touched cells exist, Add / AddBatch / PrefixSum /
-//     PrefixSumBatch allocate nothing;
+//   * once the touched cells exist and this thread's batch buffers (the
+//     AddBatch tree-order sort, the PrefixSumBatch pool) have grown, Add /
+//     AddBatch / PrefixSum / PrefixSumBatch allocate nothing;
 //   * a DdcCore header (one per nested face) stays within 128 bytes, and a
 //     face (a B_c tree held inline) within 24;
 //   * parsing a statement allocates only the Statement it returns;
@@ -159,8 +160,8 @@ TEST_P(AllocFreeTest, MaterializingBatchCostsOnlyArenaBlocks) {
   const size_t batch = 256;
   const std::vector<int64_t> deltas(batch, 3);
 
-  // Warm-up in the low half of the domain: creates the core's write
-  // scratch and resolves every lazily initialized registry handle.
+  // Warm-up in the low half of the domain: grows this thread's tree-order
+  // sort buffer and resolves every lazily initialized registry handle.
   core.AddBatch(RandomCells(batch, 0, g.side / 2), deltas);
 
   // A same-sized batch into the untouched high half materializes fresh
@@ -190,7 +191,7 @@ TEST_P(AllocFreeTest, MaterializedCellsAllocateNothing) {
   std::vector<int64_t> out(cells.size());
 
   // Materialize every cell the checks below touch and warm all scratch
-  // (the core's write scratch, the thread-local batched-query pool).
+  // (the thread-local tree-order sort buffer and batched-query pool).
   for (const Cell& cell : cells) core.Add(cell, 1);
   core.AddBatch(cells, deltas);
   core.PrefixSumBatch(cells, out);
@@ -458,10 +459,9 @@ TEST_F(AllocFreeShardedTest, StatementPathStaysWithinItsLayers) {
 // and one Z-order slot, 16 bytes, per mutation. Per mutation of a slice
 // the shard layer's gather holds a Mutation and its Cell, and the shard
 // cube its coalesce entry, map node and bucket, the descent's cell list
-// and its reusable AddBatch items (two per update): under 512 bytes for
-// 2-D cells. Copied
-// into per-shard batches and applied unsliced, the same batch peaked
-// 58.2 MB above its arena against this bound's 8.4 MB.
+// and its core's tree-order sort entry: under 512 bytes for 2-D cells.
+// Copied into per-shard batches and applied unsliced, the same batch
+// peaked 58.2 MB above its arena against this bound's 8.4 MB.
 TEST_F(AllocFreeShardedTest, LargeBatchHoldsBoundedSlices) {
   constexpr size_t kCells = 200000;
   constexpr int64_t kPerSliceMutation = 512;

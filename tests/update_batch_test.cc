@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,6 +229,66 @@ TEST(UpdateBatchTest, GrowthDuringBatchAdvancesReRootEpoch) {
   EXPECT_GT(cube.ReRootEpoch(), epoch_before);
   EXPECT_GT(cube.side(), 8);
   EXPECT_EQ(cube.ReRootEpoch() - epoch_before, cube.growth_doublings());
+}
+
+// One write path: a batch of distinct-cell adds lands as one point descent
+// per cell, so it leaves the same tree, the same counts and the same cells
+// as a loop of Add over those cells. A walk shared between the cells of a
+// subtree would write each box subtotal once per group and count fewer
+// values written and nodes visited.
+TEST(UpdateBatchTest, DistinctPointBatchMatchesLoopedAddsInCounts) {
+  const uint64_t seed = TestSeed(717273);
+  for (const int dims : {1, 2, 3}) {
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    const int64_t side = dims == 1 ? 1024 : dims == 2 ? 64 : 16;
+    WorkloadGenerator gen(Shape::Cube(dims, side),
+                          seed + static_cast<uint64_t>(dims));
+    DynamicDataCube batched(dims, side);
+    DynamicDataCube looped(dims, side);
+    std::set<Cell> seen;
+    // A cold batch that materializes the tree, then a warm one into it.
+    for (const size_t count : {150, 100}) {
+      MutationBatch batch;
+      while (batch.size() < count) {
+        Cell cell = gen.UniformCell();
+        if (!seen.insert(cell).second) continue;
+        batch.push_back(
+            Mutation{std::move(cell), gen.Value(1, 9), MutationKind::kAdd});
+      }
+      ASSERT_TRUE(batched.ApplyBatch(batch));
+      for (const Mutation& m : batch) looped.Add(m.cell, m.delta);
+
+      // The census, not the arena byte counts: those include the padding
+      // of cache-line-aligned slabs, which depends on the order the tree's
+      // nodes were created in.
+      const DdcStats b = batched.Stats();
+      const DdcStats l = looped.Stats();
+      EXPECT_EQ(b.nodes, l.nodes);
+      EXPECT_EQ(b.boxes, l.boxes);
+      EXPECT_EQ(b.raw_blocks, l.raw_blocks);
+      EXPECT_EQ(b.raw_cells, l.raw_cells);
+      EXPECT_EQ(b.face_stores, l.face_stores);
+      EXPECT_EQ(b.nonzero_cells, l.nonzero_cells);
+      EXPECT_EQ(b.bc_faces, l.bc_faces);
+      EXPECT_EQ(b.nested_cores, l.nested_cores);
+      EXPECT_EQ(b.leaf_faces, l.leaf_faces);
+
+      const OpCounters bc = batched.counters();
+      const OpCounters lc = looped.counters();
+      EXPECT_EQ(bc.values_written, lc.values_written);
+      EXPECT_EQ(bc.nodes_visited, lc.nodes_visited);
+      EXPECT_EQ(bc.values_read, lc.values_read);
+      EXPECT_EQ(bc.face_lookups, lc.face_lookups);
+
+      std::vector<std::pair<Cell, int64_t>> bcells;
+      std::vector<std::pair<Cell, int64_t>> lcells;
+      batched.ForEachNonZero(
+          [&](const Cell& cell, int64_t v) { bcells.emplace_back(cell, v); });
+      looped.ForEachNonZero(
+          [&](const Cell& cell, int64_t v) { lcells.emplace_back(cell, v); });
+      EXPECT_EQ(bcells, lcells);
+    }
+  }
 }
 
 // At 1 shard (the coarse configuration), 3 and 4, on a mixed batch and on

@@ -16,13 +16,17 @@
 #
 # For every end-to-end metric of BENCHMARK.json the summary prints, per
 # workload, each side's median and quartiles, how many pairs the change
-# won, and whether a gain would count as a claim: the change wins at least
-# 9 in 10 pairs and its median beats the base median by more than the
-# base's interquartile range. `--out DIR` keeps the raw per-run JSON lines.
+# won, whether a gain would count as a claim (`claim`: the change wins at
+# least 9 in 10 pairs and its median beats the base median by more than
+# the base's interquartile range), and whether the change is rejected as a
+# regression (`bound`: WORSE when the change's median is worse than the
+# base median by more than the metric's `bound` in BENCHMARK.json, a
+# fraction of the base median; ok otherwise). `--out DIR` keeps the raw
+# per-run JSON lines.
 
 set -euo pipefail
 
-usage() { sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 1 ]] || usage
 BASE_REV=$1
@@ -134,9 +138,9 @@ def quartiles(xs):
 
 print("workload %s, %d pairs, base %s vs working tree" %
       (workload, pairs, base_rev))
-print("%-24s %-30s %-30s %8s %6s  %s" %
+print("%-24s %-30s %-30s %8s %6s  %-6s %s" %
       ("metric", "base median [q1, q3]", "change median [q1, q3]",
-       "delta", "wins", "claim"))
+       "delta", "wins", "claim", "bound"))
 need = -(-9 * pairs // 10)  # ceil(0.9 * pairs)
 for metric in spec["end_to_end"]:
     name = metric["name"]
@@ -148,10 +152,11 @@ for metric in spec["end_to_end"]:
     gap = (bq[1] - cq[1]) if lower else (cq[1] - bq[1])
     holds = wins >= need and gap > bq[2] - bq[0]
     delta = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
-    print("%-24s %-30s %-30s %+7.1f%% %3d/%-2d  %s" %
+    worse = -gap > metric["bound"] * abs(bq[1])
+    print("%-24s %-30s %-30s %+7.1f%% %3d/%-2d  %-6s %s" %
           (name, "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
            "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), delta, wins, pairs,
-           "holds" if holds else "no"))
+           "holds" if holds else "no", "WORSE" if worse else "ok"))
 print()
 EOF
 done
