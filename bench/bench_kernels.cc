@@ -17,8 +17,10 @@
 //             (floor: >= 2.0x).
 //
 // Also measured (recorded in the JSON, ratio-gated where stable):
-//   batched query     : DdcCore::PrefixSumBatch vs a loop of scalar
-//                       PrefixSum (the Figure-10 analogue of the headline).
+//   batched query     : DdcCore::PrefixSumBatch (tree-ordered Figure-10
+//                       point descents) vs an unsorted loop of scalar
+//                       PrefixSum; the kernels-only ratio is the same
+//                       unsorted loop, optimized vs scalar.
 //   update            : BcTree Add descent, optimized vs scalar.
 //   leaf_sums         : Section 4.4 raw-leaf-block dominance sums
 //                       (elide_levels > 0), optimized vs scalar.
@@ -252,10 +254,9 @@ BatchedResult BenchBatched(int64_t side, int64_t inserts, size_t batch,
   }
   // Dashboard-shaped queries, matching the ingest-shaped batches of the
   // other benches: three of four hit a small hot set of repeated cells, the
-  // rest are a uniform cold tail. Repeats keep the per-node query groups
-  // above size 1 deep into the descent, which is where the shared walk
-  // pays; all-uniform queries degenerate to singleton groups a few levels
-  // down and measure sort overhead instead.
+  // rest are a uniform cold tail. Tree order puts the repeats of a cell
+  // next to each other, so consecutive descents find the same nodes in
+  // cache; the unsorted loop meets them scattered through the batch.
   constexpr size_t kHotCells = 128;
   std::vector<Cell> hot;
   hot.reserve(kHotCells);

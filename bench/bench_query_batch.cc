@@ -2,8 +2,8 @@
 // batching PR. For each dimensionality we time the same query batch three
 // ways —
 //   single           : a loop of RangeSum calls (the pre-batching baseline),
-//   batched          : DynamicDataCube::RangeSumBatch (corner dedup + one
-//                      shared tree descent),
+//   batched          : DynamicDataCube::RangeSumBatch (corner dedup, then
+//                      tree-ordered prefix-sum descents),
 //   batched_parallel : RangeSumBatch on a one-shard ShardedCube, the coarse
 //                      facade (the whole batch in one batched call under
 //                      one shared lock; the row prices the thread-safe

@@ -68,8 +68,8 @@ class CubeInterface {
   // any mutation carries the wrong coordinate arity for dims() (range
   // mutations carry 2d coordinates; see BatchWellFormed in
   // common/mutation.h); a malformed batch is a recoverable error, not an
-  // abort. Structures that can amortize work across a batch (one shared
-  // tree descent, per-cell delta coalescing, per-shard lock grouping, WAL
+  // abort. Structures that can amortize work across a batch (tree-ordered
+  // point descents, per-cell delta coalescing, per-shard lock grouping, WAL
   // group commit) override this; the default is the plain loop.
   virtual bool ApplyBatch(std::span<const Mutation> batch);
 
@@ -84,9 +84,9 @@ class CubeInterface {
   // Computes out[i] = RangeSum(ranges[i]) for every i; out.size() must
   // equal ranges.size(). Semantically identical to a loop of RangeSum
   // calls — the contract differential tests rely on. Structures that can
-  // amortize work across a batch (shared tree descents, deduplicated
-  // corner prefix sums, parallel fan-out) override this; the default is
-  // the plain loop.
+  // amortize work across a batch (deduplicated corner prefix sums taken in
+  // tree order, parallel fan-out) override this; the default is the plain
+  // loop.
   virtual void RangeSumBatch(std::span<const Box> ranges,
                              std::span<int64_t> out) const;
 

@@ -85,16 +85,6 @@ class ScopedForceScalar {
   bool prev_;
 };
 
-// Issues a read prefetch for the cache line at `p` (no-op when the compiler
-// lacks the builtin, or for null). The batched descents prefetch the next
-// group's level-L+1 node while the current group's level-L work runs.
-inline void PrefetchRead(const void* p) {
-  if (p == nullptr) return;
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels.
 

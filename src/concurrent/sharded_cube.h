@@ -160,13 +160,13 @@ class ShardedCube : public CubeInterface {
   int64_t PrefixSum(const Cell& cell) const override;
   // Batched range sums: the pieces of every box are routed by index to
   // their shards, into reused per-thread buffers, and each shard's group is
-  // answered with ONE batched cube call (corner dedup + shared descent
-  // inside the shard). A group that is the whole batch with no clipped box
-  // (S = 1, a one-box read, boxes spanning every shard) is handed the
-  // caller's span; other groups are gathered into a per-thread Box buffer
-  // that keeps its capacity, so a steady-state batch allocates nothing
-  // here. Results equal per-box RangeSum; out.size() must equal
-  // boxes.size().
+  // answered with ONE batched cube call (corner dedup, then tree-ordered
+  // prefix-sum descents inside the shard). A group that is the whole batch
+  // with no clipped box (S = 1, a one-box read, boxes spanning every shard)
+  // is handed the caller's span; other groups are gathered into a
+  // per-thread Box buffer that keeps its capacity, so a steady-state batch
+  // allocates nothing here. Results equal per-box RangeSum; out.size()
+  // must equal boxes.size().
   void RangeSumBatch(std::span<const Box> boxes,
                      std::span<int64_t> out) const override;
   int64_t TotalSum() const;                     // Sum of shard totals.

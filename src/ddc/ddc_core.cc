@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <type_traits>
-#include <utility>
+#include <vector>
 
 #include "common/bit_util.h"
 #include "common/check.h"
@@ -21,40 +21,7 @@ void TransverseInto(const Coord* offset, int dims, int skip_dim, Coord* out) {
   }
 }
 
-// Counting-sorts `items` (each carrying a `home` child mask) so every
-// child's items form one contiguous run, using the caller's reusable
-// scratch buffers.
-template <typename Item>
-void CountingSortByHome(std::span<Item> items, std::vector<Item>& sorted,
-                        std::vector<size_t>& begin,
-                        std::vector<size_t>& cursor, uint32_t num_children) {
-  std::fill(begin.begin(), begin.end(), size_t{0});
-  for (const Item& item : items) ++begin[item.home + 1];
-  for (uint32_t m = 0; m < num_children; ++m) begin[m + 1] += begin[m];
-  sorted.resize(items.size());
-  std::copy(begin.begin(), begin.end() - 1, cursor.begin());
-  for (size_t q = 0; q < items.size(); ++q) {
-    sorted[cursor[items[q].home]++] = std::move(items[q]);
-  }
-  std::move(sorted.begin(), sorted.end(), items.begin());
-}
-
 }  // namespace
-
-// Thread-local scratch for the const batched-query descent: capacity
-// persists across PrefixSumBatch calls (and across the cubes one thread
-// serves), so steady-state batches run allocation-free. `busy` falls back
-// to a fresh local scratch on reentrancy instead of corrupting a walk.
-struct DdcCore::BatchTls {
-  BatchScratch scratch;
-  std::vector<BatchItem> items;
-  bool busy = false;
-};
-
-DdcCore::BatchTls& DdcCore::GetBatchTls() {
-  thread_local BatchTls tls;
-  return tls;
-}
 
 // Every box of a d >= 3 cube larger than a leaf block holds d nested face
 // cores, so the core header is the per-face fixed cost; keep it within two
@@ -235,27 +202,23 @@ void DdcCore::AddScalarRef(Node* node, int64_t node_side,
   }
 }
 
-void DdcCore::AddBatch(std::span<const Cell> cells,
-                       std::span<const int64_t> deltas) {
-  DDC_CHECK(cells.size() == deltas.size());
-  // Keys over the whole tree, or as many levels as fit in 64 bits. In
-  // arrival order a cold batch would lay its new nodes out at random in
-  // the arena (DESIGN.md §10). AddBatch is never re-entered, so one pair of
-  // buffers per thread serves every cube.
-  struct Keyed {
-    uint64_t key;
-    size_t index;
-  };
-  thread_local std::vector<Keyed> order;
-  thread_local std::vector<Keyed> spare;
+std::span<const DdcCore::TreeSlot> DdcCore::TreeOrder(
+    std::span<const Cell> cells) const {
+  // In arrival order a cold AddBatch would lay its new nodes out at random
+  // in the arena, and a PrefixSumBatch would re-fetch the top nodes its
+  // neighbours just left (DESIGN.md §8, §10). Neither caller is re-entered
+  // while it walks the result: Add and PrefixSum reach nested face cores
+  // through AddInPlace / PrefixSumInPlace, never through a batch entry
+  // point, so one pair of buffers per thread serves both callers and every
+  // cube, and parallel readers (ShardedCube) each sort on their own.
+  thread_local std::vector<TreeSlot> order;
+  thread_local std::vector<TreeSlot> spare;
   const int height = FloorLog2(side_);
   const int levels = std::min(height, 64 / dims_);
-  order.clear();
+  order.resize(cells.size());
   for (size_t q = 0; q < cells.size(); ++q) {
     DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
-    if (deltas[q] == 0) continue;
-    order.push_back(
-        {TreeOrderKey(cells[q].data(), dims_, height, levels), q});
+    order[q] = {TreeOrderKey(cells[q].data(), dims_, height, levels), q};
   }
   // LSD radix sort, one byte of the key per pass: stable, so equal keys
   // keep their batch order, and free of the branch misses a comparison
@@ -263,12 +226,22 @@ void DdcCore::AddBatch(std::span<const Cell> cells,
   spare.resize(order.size());
   for (int shift = 0; shift < levels * dims_; shift += 8) {
     size_t begin[257] = {};
-    for (const Keyed& k : order) ++begin[((k.key >> shift) & 0xff) + 1];
+    for (const TreeSlot& t : order) ++begin[((t.key >> shift) & 0xff) + 1];
     for (int b = 0; b < 256; ++b) begin[b + 1] += begin[b];
-    for (const Keyed& k : order) spare[begin[(k.key >> shift) & 0xff]++] = k;
+    for (const TreeSlot& t : order) {
+      spare[begin[(t.key >> shift) & 0xff]++] = t;
+    }
     order.swap(spare);
   }
-  for (const Keyed& k : order) Add(cells[k.index], deltas[k.index]);
+  return order;
+}
+
+void DdcCore::AddBatch(std::span<const Cell> cells,
+                       std::span<const int64_t> deltas) {
+  DDC_CHECK(cells.size() == deltas.size());
+  for (const TreeSlot& t : TreeOrder(cells)) {
+    Add(cells[t.index], deltas[t.index]);
+  }
 }
 
 void DdcCore::BuildFromArray(const MdArray<int64_t>& array) {
@@ -505,155 +478,8 @@ int64_t DdcCore::PrefixSumScalarRef(const Node* node, int64_t node_side,
 void DdcCore::PrefixSumBatch(std::span<const Cell> cells,
                              std::span<int64_t> out) const {
   DDC_CHECK(cells.size() == out.size());
-  if (cells.empty()) return;
-  if (root_raw_ != nullptr) {
-    for (size_t q = 0; q < cells.size(); ++q) {
-      DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
-      out[q] = RawPrefix(root_raw_, cells[q].data());
-    }
-    return;
-  }
-  if (root_ == nullptr) {
-    std::fill(out.begin(), out.end(), int64_t{0});
-    return;
-  }
-  // PrefixSumBatch is const (ShardedCube runs it from parallel readers),
-  // so reusable scratch lives in thread-local storage rather than in the
-  // cube. The busy flag covers reentrancy (a nested cube's batch issued
-  // from inside an outer batch): the inner call falls back to fresh local
-  // buffers instead of clobbering the outer call's scratch.
-  BatchTls& tls = GetBatchTls();
-  BatchTls local;
-  BatchTls& use = tls.busy ? local : tls;
-  use.busy = true;
-  std::vector<BatchItem>& items = use.items;
-  items.resize(cells.size());
-  for (size_t q = 0; q < cells.size(); ++q) {
-    DDC_DCHECK(static_cast<int>(cells[q].size()) == dims_);
-    out[q] = 0;
-    items[q].offset = cells[q];
-    items[q].out = &out[q];
-  }
-  BatchScratch& scratch = use.scratch;
-  scratch.begin.resize(num_children_ + 1);
-  scratch.cursor.resize(num_children_);
-  PrefixSumBatchRec(root_, side_, items, scratch);
-  use.busy = false;
-}
-
-void DdcCore::PrefixSumBatchRec(const Node* node, int64_t node_side,
-                                std::span<BatchItem> items,
-                                BatchScratch& scratch) const {
-  // The node (and its box array) is visited once for the whole group — this
-  // shared visit is the point of batching.
-  VisitNode(node);
-  const int64_t k = node_side / 2;
-  const FaceStore::Env env = FaceEnv(k);
-  Coord clamped[kMaxDims];
-  for (size_t q = 0; q < items.size(); ++q) {
-    BatchItem& item = items[q];
-    // The child containing the target: exactly the mask whose box classifies
-    // as "covered" in the Figure 10 walk.
-    uint32_t home_mask = 0;
-    for (int i = 0; i < dims_; ++i) {
-      if (item.offset[static_cast<size_t>(i)] >= k) home_mask |= 1u << i;
-    }
-    item.home = home_mask;
-
-    // Accumulate this item's contributions from every other present box
-    // (before / partial / completely-after), as in PrefixSumRec.
-    for (uint32_t mask = 0; mask < num_children_; ++mask) {
-      if (mask == home_mask || !node->boxes[mask].present) continue;
-      bool before = false;
-      int first_beyond = -1;
-      for (int i = 0; i < dims_; ++i) {
-        size_t ui = static_cast<size_t>(i);
-        const Coord rel =
-            item.offset[ui] - ((mask & (1u << i)) ? k : 0);
-        if (rel < 0) {
-          before = true;
-          break;
-        }
-        if (rel >= k) {
-          clamped[i] = k - 1;
-          if (first_beyond < 0) first_beyond = i;
-        } else {
-          clamped[i] = rel;
-        }
-      }
-      if (before) continue;
-      DDC_DCHECK(first_beyond >= 0);  // mask != home_mask => not covered.
-      bool all_maxed = true;
-      for (int i = 0; i < dims_; ++i) {
-        if (clamped[i] != k - 1) {
-          all_maxed = false;
-          break;
-        }
-      }
-      if (all_maxed || dims_ == 1) {
-        *item.out += node->boxes[mask].subtotal;
-        CountValuesRead(1);
-      } else {
-        CountFaceLookup();
-        *item.out += ReadFace(node->boxes[mask], env, first_beyond, clamped);
-      }
-    }
-
-    // Rebase the offset into home-child coordinates for the descent.
-    for (int i = 0; i < dims_; ++i) {
-      if (home_mask & (1u << i)) item.offset[static_cast<size_t>(i)] -= k;
-    }
-  }
-
-  // Counting sort the group by home child so each child is descended once,
-  // with its queries contiguous. The scratch buffers are free again by the
-  // time the recursion below re-enters this function. A one-item group is
-  // already sorted — deep levels are dominated by them, so skipping the
-  // sort there matters.
-  if (items.size() > 1) {
-    CountingSortByHome(items, scratch.sorted, scratch.begin, scratch.cursor,
-                       num_children_);
-  }
-
-  // Groups are contiguous runs of equal `home`; rediscover them by scanning
-  // (begin/cursor are clobbered once the recursion reuses the scratch).
-  size_t lo = 0;
-  while (lo < items.size()) {
-    const uint32_t mask = items[lo].home;
-    size_t hi = lo + 1;
-    while (hi < items.size() && items[hi].home == mask) ++hi;
-    auto group = items.subspan(lo, hi - lo);
-    lo = hi;
-
-    // Prefetch the next group's level-(L+1) target so its cache miss
-    // overlaps this group's descent.
-    if (lo < items.size()) {
-      const uint32_t next_mask = items[lo].home;
-      if (node->boxes[next_mask].present) {
-        if (k <= min_box_side_) {
-          if (node->child_raw != nullptr) {
-            kernels::PrefetchRead(node->child_raw[next_mask]);
-          }
-        } else if (node->child_nodes != nullptr) {
-          kernels::PrefetchRead(node->child_nodes[next_mask]);
-        }
-      }
-    }
-
-    if (!node->boxes[mask].present) continue;  // All-zero region: adds 0.
-    if (k <= min_box_side_) {
-      const int64_t* raw =
-          node->child_raw != nullptr ? node->child_raw[mask] : nullptr;
-      DDC_DCHECK(raw != nullptr);
-      for (BatchItem& item : group) {
-        *item.out += RawPrefix(raw, item.offset.data());
-      }
-    } else {
-      const Node* child =
-          node->child_nodes != nullptr ? node->child_nodes[mask] : nullptr;
-      DDC_DCHECK(child != nullptr);
-      PrefixSumBatchRec(child, k, group, scratch);
-    }
+  for (const TreeSlot& t : TreeOrder(cells)) {
+    out[t.index] = PrefixSum(cells[t.index]);
   }
 }
 

@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/cell.h"
@@ -137,9 +136,9 @@ class DdcCore {
   // A[cell] += delta; local coordinates in [0, side).
   void Add(const Cell& cell, int64_t delta);
 
-  // A[cells[i]] += deltas[i] for the whole batch: the nonzero updates are
-  // sorted into tree order (TreeOrderKey over the whole tree), then each
-  // runs the Figure 12 point descent of Add. Equal to calling Add in a
+  // A[cells[i]] += deltas[i] for the whole batch: the updates are taken in
+  // tree order (TreeOrderKey over the whole tree), then each runs the
+  // Figure 12 point descent of Add. Equal to calling Add in a
   // loop, in values and in counts; the order only decides where the nodes
   // a batch materializes land in the arena: subtree by subtree, not at
   // random (DESIGN.md §10). Callers wanting same-cell coalescing do it
@@ -165,10 +164,13 @@ class DdcCore {
   // SUM(A[(0,...,0) .. cell]).
   int64_t PrefixSum(const Cell& cell) const;
 
-  // Computes out[i] = PrefixSum(cells[i]) for the whole batch in one walk:
-  // queries descending through the same child share that node visit (and
-  // its cache lines) instead of re-descending from the root per query.
-  // Equivalent to calling PrefixSum in a loop; out.size() must equal
+  // Computes out[i] = PrefixSum(cells[i]) for the whole batch: the cells
+  // are taken in tree order (TreeOrderKey over the whole tree), then each
+  // runs the Figure 10 point descent of PrefixSum. Equal to calling
+  // PrefixSum in a loop, in values and in counts; the order only makes
+  // consecutive descents share the cache lines of their common top nodes
+  // (DESIGN.md §8). Sorts on the same per-thread buffers as AddBatch, so
+  // once they have grown a batch allocates nothing. out.size() must equal
   // cells.size().
   void PrefixSumBatch(std::span<const Cell> cells,
                       std::span<int64_t> out) const;
@@ -208,7 +210,9 @@ class DdcCore {
   // by queries and updates, with a stable identity pointer for the node.
   // Used by the pagesim module to model secondary-storage accesses
   // (Section 4.4's traversal-cost discussion). Nested face structures are
-  // not reported. Pass nullptr to detach. Not owned.
+  // not reported. It runs inside a descent, so it must not issue an
+  // AddBatch or PrefixSumBatch on that thread (see TreeOrder). Pass nullptr
+  // to detach. Not owned.
   using NodeVisitListener = std::function<void(const void*)>;
   void set_node_visit_listener(const NodeVisitListener* listener) {
     node_visit_listener_ = listener;
@@ -242,34 +246,18 @@ class DdcCore {
     int64_t** child_raw = nullptr;
   };
 
-  // One in-flight query of a PrefixSumBatch: the target offset, rebased as
-  // the walk descends, and where to accumulate the answer. `home` caches
-  // the child mask the item descends into at the current node.
-  struct BatchItem {
-    Cell offset;
-    int64_t* out;
-    uint32_t home;
+  // One cell of a batch in tree order: its TreeOrderKey and its index in
+  // the batch.
+  struct TreeSlot {
+    uint64_t key;
+    size_t index;
   };
-
-  // Reusable counting-sort buffers for the batched descent. The recursion
-  // only needs them between entering a node and recursing into its
-  // children, so one set serves every node of the walk (the alternative,
-  // fresh vectors per node, dominated the batch's cost on shallow trees).
-  // Query scratch lives in a thread-local pool (see GetBatchTls) so
-  // repeated PrefixSumBatch calls reuse capacity without making the const
-  // read path carry mutable state — ShardedCube runs parallel readers
-  // against each shard cube.
-  struct BatchScratch {
-    std::vector<BatchItem> sorted;
-    std::vector<size_t> begin;
-    std::vector<size_t> cursor;
-  };
-
-  // Thread-local scratch pool for the const batched-query path; defined in
-  // ddc_core.cc. `busy` guards against (hypothetical) reentrant batched
-  // queries on one thread — the fallback is a fresh local scratch.
-  struct BatchTls;
-  static BatchTls& GetBatchTls();
+  // The cells of a batch in tree order: keys over the whole tree, or as
+  // many levels as fit in 64 bits, sorted by a stable LSD radix sort, so
+  // equal keys keep their batch order. AddBatch and PrefixSumBatch walk
+  // the result; it lives in this thread's buffers, which keep their
+  // capacity across calls and cubes, and holds until the thread's next call.
+  std::span<const TreeSlot> TreeOrder(std::span<const Cell> cells) const;
 
   Node* EnsureNode(Node** slot);
   BoxData* EnsureBox(Node* node, uint32_t mask, const FaceStore::Env& env);
@@ -322,12 +310,6 @@ class DdcCore {
   // (dims_ coordinates, caller scratch) in place; allocates nothing.
   int64_t PrefixSumRec(const Node* node, int64_t node_side,
                        Coord* offset) const;
-  // Batched descent: accumulates every item's per-box contributions at this
-  // node, groups the items by the child each descends into, and recurses
-  // once per group.
-  void PrefixSumBatchRec(const Node* node, int64_t node_side,
-                         std::span<BatchItem> items,
-                         BatchScratch& scratch) const;
 
   // RawPrefix (below) over one of this core's leaf blocks.
   int64_t RawPrefix(const int64_t* raw, const Coord* offset) const {

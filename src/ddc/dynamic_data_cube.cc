@@ -5,7 +5,6 @@
 #include <cmath>
 #include <ostream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -708,29 +707,62 @@ void DynamicDataCube::RangeSumBatch(std::span<const Box> ranges,
     }
   }
 
-  // Phase 1: decompose every (clipped) range into signed corner terms,
-  // deduplicating corners across the whole batch. A rollup's adjacent
+  // Phase 1: decompose every range into signed corner terms.
+  const CornerPlan decomposed = DecomposeCorners(ranges);
+  const std::vector<Cell>& corners = decomposed.corners;
+  const RangeSumPlan& plan = decomposed.counts;
+  std::fill(out.begin(), out.end(), int64_t{0});
+
+  // Phase 2: resolve every unique corner with one prefix-sum descent each,
+  // taken in tree order (DdcCore::PrefixSumBatch).
+  if (obs::Enabled()) {
+    BatchSizeHist().Record(static_cast<int64_t>(ranges.size()));
+    BatchCornerTerms().Add(plan.corner_terms);
+    // Corners the dedup map collapsed: descents the batch did NOT pay for.
+    BatchCornersDeduped().Add(plan.corners_deduped);
+    span.set_arg1(plan.unique_corners);
+    if (plan.overlay_journal_boxes > 0) {
+      OverlayJournalBoxes().Add(plan.overlay_journal_boxes);
+    }
+  }
+  if (obs::CostLedger* l = obs::ActiveLedger()) {
+    l->corner_terms += plan.corner_terms;
+    l->unique_corners += plan.unique_corners;
+    l->corners_deduped += plan.corners_deduped;
+    l->overlay_terms += plan.overlay_trees;
+    l->overlay_journal_boxes += plan.overlay_journal_boxes;
+    l->tree_depth = std::max(l->tree_depth, plan.descent_levels);
+  }
+  std::vector<int64_t> prefix(corners.size());
+  core_->PrefixSumBatch(corners, prefix);
+  // The overlay's contribution to each unique corner rides the same
+  // dedup: one more PrefixSumBatch per overlay tree, one journal scan.
+  OverlayPrefixBatchLocal(corners, prefix);
+
+  // Phase 3: recombine.
+  for (const CornerTerm& t : decomposed.terms) {
+    out[t.query] += t.sign * prefix[t.corner];
+  }
+}
+
+DynamicDataCube::CornerPlan DynamicDataCube::DecomposeCorners(
+    std::span<const Box> ranges) const {
+  // Corners are deduplicated across the whole batch: a rollup's adjacent
   // slices share half their corners (next.lo - 1 == prev.hi), so the
   // number of distinct prefix sums is typically far below 2^d per range.
-  struct Term {
-    size_t query;
-    size_t corner;  // Index into `corners`.
-    int sign;
-  };
-  std::vector<Cell> corners;
-  std::vector<Term> terms;
+  CornerPlan plan;
   std::unordered_map<Cell, size_t, CellHash> corner_index;
   const Box domain{DomainLo(), DomainHi()};
   const int d = dims_;
   const uint32_t num_corners = 1u << d;
-  corners.reserve(ranges.size() * num_corners);
-  terms.reserve(ranges.size() * num_corners);
+  plan.corners.reserve(ranges.size() * num_corners);
+  plan.terms.reserve(ranges.size() * num_corners);
   corner_index.reserve(ranges.size() * num_corners);
   Cell corner(static_cast<size_t>(d));
   for (size_t q = 0; q < ranges.size(); ++q) {
-    out[q] = 0;
     const Box clipped = IntersectBoxes(ranges[q], domain);
     if (clipped.IsEmpty()) continue;
+    ++plan.counts.ranges;
     for (uint32_t mask = 0; mask < num_corners; ++mask) {
       // Bit i set: take lo[i]-1 in dimension i; clear: take hi[i].
       bool below_anchor = false;
@@ -748,100 +780,32 @@ void DynamicDataCube::RangeSumBatch(std::span<const Box> ranges,
       }
       if (below_anchor) continue;  // Empty prefix region contributes zero.
       const Cell local = ToLocal(corner);
-      auto [it, inserted] = corner_index.try_emplace(local, corners.size());
-      if (inserted) corners.push_back(local);
-      terms.push_back(
+      auto [it, inserted] =
+          corner_index.try_emplace(local, plan.corners.size());
+      if (inserted) plan.corners.push_back(local);
+      plan.terms.push_back(
           {q, it->second, (std::popcount(mask) % 2 == 0) ? 1 : -1});
     }
   }
-
-  // Phase 2: resolve every unique corner in one shared descent.
-  if (obs::Enabled()) {
-    BatchSizeHist().Record(static_cast<int64_t>(ranges.size()));
-    BatchCornerTerms().Add(static_cast<int64_t>(terms.size()));
-    // Corners the dedup map collapsed: descents the batch did NOT pay for.
-    BatchCornersDeduped().Add(
-        static_cast<int64_t>(terms.size() - corners.size()));
-    span.set_arg1(static_cast<int64_t>(corners.size()));
-  }
+  RangeSumPlan& counts = plan.counts;
+  counts.corner_terms = static_cast<int64_t>(plan.terms.size());
+  counts.unique_corners = static_cast<int64_t>(plan.corners.size());
+  counts.corners_deduped = counts.corner_terms - counts.unique_corners;
   // The overlay terms every unique corner pays: 2^d tree descents once
   // anything has folded, plus a scan of the pending journal entries.
-  int64_t overlay_trees = 0;
-  int64_t journal_boxes = 0;
-  if (overlay_ != nullptr && !corners.empty()) {
-    overlay_trees = static_cast<int64_t>(overlay_->trees.size());
-    journal_boxes = static_cast<int64_t>(overlay_->pending());
+  if (overlay_ != nullptr && counts.unique_corners > 0) {
+    counts.overlay_trees = static_cast<int64_t>(overlay_->trees.size());
+    counts.overlay_journal_boxes = static_cast<int64_t>(overlay_->pending());
   }
-  if (obs::Enabled() && journal_boxes > 0) {
-    OverlayJournalBoxes().Add(journal_boxes);
-  }
-  if (obs::CostLedger* l = obs::ActiveLedger()) {
-    l->corner_terms += static_cast<int64_t>(terms.size());
-    l->unique_corners += static_cast<int64_t>(corners.size());
-    l->corners_deduped +=
-        static_cast<int64_t>(terms.size() - corners.size());
-    l->overlay_terms += overlay_trees;
-    l->overlay_journal_boxes += journal_boxes;
-    l->tree_depth = std::max(
-        l->tree_depth, static_cast<int64_t>(core_->DescentLevels()));
-  }
-  std::vector<int64_t> prefix(corners.size());
-  core_->PrefixSumBatch(corners, prefix);
-  // The overlay's contribution to each unique corner rides the same
-  // dedup: one extra batched descent per overlay tree, one journal scan.
-  OverlayPrefixBatchLocal(corners, prefix);
-
-  // Phase 3: recombine.
-  for (const Term& t : terms) {
-    out[t.query] += t.sign * prefix[t.corner];
-  }
+  counts.descent_levels = core_->DescentLevels();
+  return plan;
 }
 
 DynamicDataCube::RangeSumPlan DynamicDataCube::PlanRangeSumBatch(
     std::span<const Box> ranges) const {
-  // Phase 1 of RangeSumBatch, count-only: same clipping, same skip rules,
-  // same dedup keying — so the plan matches what an execution would record
-  // — but no descent and no counter/recorder traffic.
-  RangeSumPlan plan;
-  plan.descent_levels = core_->DescentLevels();
-  if (overlay_ != nullptr) {
-    plan.overlay_trees = static_cast<int64_t>(overlay_->trees.size());
-    plan.overlay_journal_boxes = static_cast<int64_t>(overlay_->pending());
-  }
-  const Box domain{DomainLo(), DomainHi()};
-  const int d = dims_;
-  const uint32_t num_corners = 1u << d;
-  std::unordered_set<Cell, CellHash> unique;
-  Cell corner(static_cast<size_t>(d));
-  for (const Box& range : ranges) {
-    const Box clipped = IntersectBoxes(range, domain);
-    if (clipped.IsEmpty()) continue;
-    ++plan.ranges;
-    for (uint32_t mask = 0; mask < num_corners; ++mask) {
-      bool below_anchor = false;
-      for (int i = 0; i < d; ++i) {
-        size_t ui = static_cast<size_t>(i);
-        if (mask & (1u << i)) {
-          corner[ui] = clipped.lo[ui] - 1;
-          if (corner[ui] < domain.lo[ui]) {
-            below_anchor = true;
-            break;
-          }
-        } else {
-          corner[ui] = clipped.hi[ui];
-        }
-      }
-      if (below_anchor) continue;
-      ++plan.corner_terms;
-      if (unique.insert(ToLocal(corner)).second) ++plan.unique_corners;
-    }
-  }
-  plan.corners_deduped = plan.corner_terms - plan.unique_corners;
-  if (plan.unique_corners == 0) {
-    plan.overlay_trees = 0;
-    plan.overlay_journal_boxes = 0;
-  }
-  return plan;
+  // RangeSumBatch's own phase 1, so the plan matches what an execution
+  // records by construction; no descent and no counter/recorder traffic.
+  return DecomposeCorners(ranges).counts;
 }
 
 void DynamicDataCube::ExplainPlan(std::span<const Box> rows,

@@ -111,9 +111,10 @@ class DynamicDataCube : public CubeInterface {
   int64_t RangeSum(const Box& box) const override;
   // Batched range sums. Each range decomposes into at most 2^d signed
   // corner prefix sums (Figure 4); corners shared between ranges (adjacent
-  // rollup slices share an entire corner set) are deduplicated, and the
-  // surviving unique corners are resolved in one shared tree descent
-  // (DdcCore::PrefixSumBatch). Results are identical to per-range RangeSum.
+  // rollup slices share an entire corner set) are deduplicated, and each
+  // surviving unique corner runs one prefix-sum descent, the corners taken
+  // in tree order (DdcCore::PrefixSumBatch). Results are identical to
+  // per-range RangeSum.
   void RangeSumBatch(std::span<const Box> ranges,
                      std::span<int64_t> out) const override;
   // Includes the range-add journal and, once anything has folded, the
@@ -169,8 +170,9 @@ class DynamicDataCube : public CubeInterface {
 
   // Planned shape of a RangeSumBatch call: runs only the phase-1 corner
   // decomposition (no tree descent, no mutation of any counter), so EXPLAIN
-  // can print the decomposition without executing it. The counts match what
-  // an immediately following RangeSumBatch on the same ranges would record.
+  // can print the decomposition without executing it. It is the same
+  // decomposition RangeSumBatch runs, so the counts match what an
+  // immediately following RangeSumBatch on the same ranges records.
   struct RangeSumPlan {
     int64_t ranges = 0;          // Ranges non-empty after domain clipping.
     int64_t corner_terms = 0;    // Signed corner terms before dedup.
@@ -251,6 +253,22 @@ class DynamicDataCube : public CubeInterface {
   // restricted to the current domain (see RangeOverlay in the .cc).
   void LandCorners(std::span<const Cell> globals,
                    std::span<const int64_t> d_deltas);
+  // Phase 1 of RangeSumBatch, which PlanRangeSumBatch shares: every range,
+  // clipped to the domain, decomposes into at most 2^d signed corner prefix
+  // sums (Figure 4), corners below the domain's anchor are skipped, and the
+  // rest are deduplicated across the batch. `counts` is what EXPLAIN prints
+  // and what an execution records.
+  struct CornerTerm {
+    size_t query;
+    size_t corner;  // Index into CornerPlan::corners.
+    int sign;
+  };
+  struct CornerPlan {
+    std::vector<Cell> corners;  // Unique corners, LOCAL coordinates.
+    std::vector<CornerTerm> terms;
+    RangeSumPlan counts;
+  };
+  CornerPlan DecomposeCorners(std::span<const Box> ranges) const;
   // Point-batch tail of ApplyBatch: coalesced cells -> net deltas -> one
   // core AddBatch, which applies them as point descents in tree order.
   void ApplyCoalescedPoints(std::span<const CoalescedCell> points);

@@ -60,7 +60,7 @@ QueryResult ExecuteQuery(const Query& query, const MeasureCube& cube);
 // because the cube carries no observation counts). Every row box goes to
 // ONE RangeSumBatch call: a DynamicDataCube dedups the corners adjacent
 // group slices share, and a CachedCube serves repeated reports from cache
-// while its misses still share one batched descent on the backing cube.
+// while its misses still go to the backing cube as one batched call.
 QueryResult ExecuteQuery(const Query& query, const CubeInterface& cube);
 
 // Applies a write statement through the cube's batched write path: the

@@ -7,8 +7,8 @@
 //   * leaf blocks are arena slabs and nested face cores carry no heap
 //     scratch, so materializing new cells costs only arena blocks (plus the
 //     geometric growth of the arena's bookkeeping vectors);
-//   * once the touched cells exist and this thread's batch buffers (the
-//     AddBatch tree-order sort, the PrefixSumBatch pool) have grown, Add /
+//   * once the touched cells exist and this thread's tree-order sort
+//     buffers (shared by AddBatch and PrefixSumBatch) have grown, Add /
 //     AddBatch / PrefixSum / PrefixSumBatch allocate nothing;
 //   * a DdcCore header (one per nested face) stays within 128 bytes, and a
 //     face (a B_c tree held inline) within 24;
@@ -191,7 +191,7 @@ TEST_P(AllocFreeTest, MaterializedCellsAllocateNothing) {
   std::vector<int64_t> out(cells.size());
 
   // Materialize every cell the checks below touch and warm all scratch
-  // (the thread-local tree-order sort buffer and batched-query pool).
+  // (the thread-local tree-order sort buffers).
   for (const Cell& cell : cells) core.Add(cell, 1);
   core.AddBatch(cells, deltas);
   core.PrefixSumBatch(cells, out);

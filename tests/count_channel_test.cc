@@ -148,6 +148,47 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.use_fenwick ? "_fenwick" : "_bc");
     });
 
+// One read path: a corner batch resolves as one Figure 10 descent per
+// cell, so PrefixSumBatch gives the same answers and the same counts as a
+// loop of PrefixSum over the same cells, repeated cells and cells that
+// share all but their last level included. A walk shared between the cells
+// of a subtree would visit each shared node once and count fewer nodes.
+TEST(CountChannelReadTest, PrefixSumBatchCountsAsALoopOfPrefixSum) {
+  for (const int dims : {1, 2, 3}) {
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    const int64_t side = dims == 1 ? 1024 : dims == 2 ? 64 : 16;
+    OwnedDdcCore core(dims, side, DdcOptions{});
+    for (int64_t i = 0; i < 300; ++i) {
+      core.Add(CellAt(dims, i, side), 1 + i % 7);
+    }
+    std::vector<Cell> cells;
+    for (int64_t i = 0; i < 40; ++i) {
+      const Cell cell = CellAt(dims, 3 * i, side);
+      Cell sibling = cell;  // The same path down to the leaf level.
+      sibling[0] ^= 1;
+      cells.push_back(cell);
+      cells.push_back(sibling);
+      cells.push_back(cell);
+    }
+    std::vector<int64_t> batched(cells.size());
+    std::vector<int64_t> looped(cells.size());
+    const OpCounters b =
+        CountsOf([&] { core.PrefixSumBatch(cells, batched); });
+    const OpCounters l = CountsOf([&] {
+      for (size_t q = 0; q < cells.size(); ++q) {
+        looped[q] = core.PrefixSum(cells[q]);
+      }
+    });
+    EXPECT_EQ(batched, looped);
+    EXPECT_GT(l.nodes_visited, 0);
+    EXPECT_GT(l.values_read, 0);
+    if (dims > 1) {
+      EXPECT_GT(l.face_lookups, 0);
+    }
+    ExpectSameCounts(b, l, "PrefixSumBatch vs a loop of PrefixSum");
+  }
+}
+
 // Four threads share one 2-shard cube, each under its own ledger: the
 // registry delta is the sum of the ledgers. Batches of kPoolMinBatch
 // mutations hand shard groups to pool workers, whose counts reach the

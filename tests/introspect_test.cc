@@ -23,6 +23,7 @@
 #include "common/mutation.h"
 #include "common/range.h"
 #include "common/thread_pool.h"
+#include "common/workload.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
 #include "obs/flight_recorder.h"
@@ -30,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/workload_recorder.h"
 #include "query/executor.h"
+#include "test_seed.h"
 
 namespace ddc {
 namespace {
@@ -181,6 +183,33 @@ TEST(Explain, NeverMutatesEvenWithAnalyze) {
   const QueryResult write = RunStatement("ADD AT [1, 2] = 5", &cube);
   ASSERT_TRUE(write.ok) << write.error;
   EXPECT_EQ(cube.TotalSum(), total + 5);
+}
+
+// Plan and execution run one corner decomposition: on a seeded cube whose
+// GROUP BY slices share corners, the plan's dedup counts are the executed
+// ones.
+TEST(Explain, PlanCornerCountsEqualExecuted) {
+  if (!RuntimeObsAvailable()) GTEST_SKIP() << "built with DDC_OBS=OFF";
+  const uint64_t seed = TestSeed(272829);
+  DynamicDataCube cube(2, 32);
+  WorkloadGenerator gen(Shape::Cube(2, 32), seed);
+  MutationBatch batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.push_back(
+        Mutation{gen.UniformCell(), gen.Value(1, 9), MutationKind::kAdd});
+  }
+  ASSERT_TRUE(cube.ApplyBatch(batch));
+  const QueryResult result = RunStatement(
+      "EXPLAIN ANALYZE SUM GROUP BY d0 SIZE 4 WHERE d1 IN [3, 27]", &cube);
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::string& text = result.explain_text;
+  for (const char* field :
+       {"corner terms", "corners deduped", "unique corners"}) {
+    SCOPED_TRACE(field);
+    EXPECT_EQ(ExplainField(text, field), ExecutedField(text, field));
+  }
+  // Adjacent slices share corners, so the dedup has work to do.
+  EXPECT_GT(ExecutedField(text, "corners deduped"), 0);
 }
 
 // The range-add overlay in both regimes: journal only (no trees, every

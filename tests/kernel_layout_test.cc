@@ -1,6 +1,6 @@
 // Differential tests for the cache-conscious kernel layer (DESIGN.md §13):
 // every optimized path (branchless descents, fused cache-line node slabs,
-// dense implicit layout, vectorized block sums, batched walks) must be
+// dense implicit layout, vectorized block sums, tree-ordered batches) must be
 // bit-exact with the scalar reference implementations reachable through
 // kernels::ForceScalar, across fanouts, capacities, lazy-sparse shapes, and
 // re-roots. Also covers the Arena 64-byte alignment contract and the
@@ -251,7 +251,8 @@ TEST(FenwickBuildFrom, MatchesIncrementalAdds) {
 }
 
 // ---------------------------------------------------------------------------
-// DdcCore batched walks vs forced-scalar single-query descents.
+// DdcCore tree-ordered batches (AddBatch, PrefixSumBatch) vs forced-scalar
+// single-query descents.
 
 void DriveCoreDifferential(int dims, int64_t side, const DdcOptions& options,
                            uint64_t seed) {

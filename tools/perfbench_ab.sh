@@ -21,12 +21,14 @@
 # the base's interquartile range), and whether the change is rejected as a
 # regression (`bound`: WORSE when the change's median is worse than the
 # base median by more than the metric's `bound` in BENCHMARK.json, a
-# fraction of the base median; ok otherwise). `--out DIR` keeps the raw
-# per-run JSON lines.
+# fraction of the base median; ok otherwise). After each workload's summary
+# one line per pair gives the seed and each side's read_p50_us and
+# write_p50_us: a pair where one side drew a slow host mode shows both of
+# its latencies up together. `--out DIR` keeps the raw per-run JSON lines.
 
 set -euo pipefail
 
-usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 1 ]] || usage
 BASE_REV=$1
@@ -106,13 +108,14 @@ fi
 
 for workload in "${WORKLOADS[@]}"; do
 python3 - "$ROOT/BENCHMARK.json" "$RESULTS" "$PAIRS" "$workload" \
-    "$BASE_REV" <<'EOF'
+    "$BASE_REV" "$SEED0" <<'EOF'
 import json
 import statistics
 import sys
 
-spec_path, results, pairs, workload, base_rev = sys.argv[1:]
+spec_path, results, pairs, workload, base_rev, seed0 = sys.argv[1:]
 pairs = int(pairs)
+seed0 = int(seed0)
 spec = json.load(open(spec_path))
 
 
@@ -157,6 +160,21 @@ for metric in spec["end_to_end"]:
           (name, "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
            "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), delta, wins, pairs,
            "holds" if holds else "no", "WORSE" if worse else "ok"))
+print()
+
+
+# Per pair: both latencies of one side rising together is a host mode, not
+# an effect of the change on one path.
+def p50s(r):
+    m = r["metrics"]
+    return "%.4g / %.4g" % (m["read_p50_us"]["value"],
+                            m["write_p50_us"]["value"])
+
+
+print("%-6s %-28s %s" % ("seed", "base read/write p50 us",
+                         "change read/write p50 us"))
+for i, (br, cr) in enumerate(zip(runs["base"], runs["change"])):
+    print("%-6d %-28s %s" % (seed0 + i, p50s(br), p50s(cr)))
 print()
 EOF
 done
