@@ -27,7 +27,6 @@
 //   fenwick_build     : FenwickTree::BuildFrom vs a loop of Adds.
 //   fanout sweep      : descent throughput at fanout 7 / 8 / 15 / 16
 //                       (the kDefaultFanout rationale in ddc_options.h).
-//   dense layout      : BcLayout::kDense (implicit-offset slab) vs sparse.
 //
 // Every scalar/optimized pair is also checked for bit-exact agreement; any
 // mismatch exits 2 regardless of mode. Each comparison's sides are timed
@@ -415,12 +414,6 @@ int Run() {
   std::sort(sweep.begin(), sweep.end());
   double sweep_base = single.opt.ops;
 
-  // Dense (implicit-offset Eytzinger slab) layout at the default fanout.
-  BcTree dense_tree(capacity, 8, BcLayout::kDense);
-  PopulateTree(dense_tree, capacity);
-  const DescentPair dense = BenchDescent(dense_tree, positions, reps);
-  add_row("bctree sum", "f=8 dense", dense);
-
   // Update descents.
   const DescentPair update = BenchUpdate(capacity, 8, positions, reps);
   add_row("bctree add", "f=8 sparse", update);
@@ -525,7 +518,6 @@ int Run() {
       .Num("speedup_update", update.opt.ops / update.scalar.ops)
       .Num("speedup_leaf_sums", leaf.opt.ops / leaf.scalar.ops)
       .Num("speedup_fenwick_build", fenwick.opt.ops / fenwick.scalar.ops)
-      .Num("dense_rel_vs_sparse", dense.opt.ops / single.opt.ops)
       .Num("single_scalar_ops", single.scalar.ops, 0)
       .Num("single_opt_ops", single.opt.ops, 0)
       .Num("batched_scalar_ops", batched_update.scalar_looped.ops, 0)

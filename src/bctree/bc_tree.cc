@@ -58,15 +58,6 @@ Node* NewNode(const BcShape& s, Arena* arena, bool is_leaf) {
   return static_cast<Node*>(slab);
 }
 
-int64_t* NewDense(const BcShape& s, Arena* arena) {
-  const size_t entries = static_cast<size_t>(s.DenseSlots()) *
-                         static_cast<size_t>(s.fanout);
-  auto* dense = static_cast<int64_t*>(
-      arena->AllocateAligned(entries * sizeof(int64_t)));
-  std::memset(dense, 0, entries * sizeof(int64_t));
-  return dense;
-}
-
 // ---------------------------------------------------------------------------
 // Bulk build.
 
@@ -112,32 +103,6 @@ Node* BuildRange(const BcShape& s, Arena* arena,
   std::memcpy(Children(node, s.fanout), kids.data(),
               static_cast<size_t>(s.fanout) * sizeof(Node*));
   return node;
-}
-
-// Fills an all-zero dense slab from `values`; returns the tree total.
-int64_t BuildDense(const BcShape& s, int64_t* dense,
-                   const std::vector<int64_t>& values) {
-  const int64_t f = s.fanout;
-  // Leaf level: slots [first_leaf, slots), leaf i holds values
-  // [i*f, (i+1)*f).
-  const int64_t first_leaf = s.DenseSlots() - s.root_span / f;
-  const int64_t limit = static_cast<int64_t>(values.size());
-  for (int64_t i = 0; i * f < limit; ++i) {
-    const int64_t count = std::min<int64_t>(f, limit - i * f);
-    std::memcpy(dense + (first_leaf + i) * f, values.data() + i * f,
-                static_cast<size_t>(count) * sizeof(int64_t));
-  }
-  // Interior levels, bottom-up: each STS is the (vectorized) total of the
-  // child slot it summarizes.
-  for (int64_t slot = first_leaf - 1; slot >= 0; --slot) {
-    int64_t* sums = dense + slot * f;
-    const int64_t first_child = slot * f + 1;
-    for (int64_t c = 0; c < f; ++c) {
-      sums[c] =
-          kernels::Sum(dense + (first_child + c) * f, static_cast<size_t>(f));
-    }
-  }
-  return kernels::Sum(dense, static_cast<size_t>(f));
 }
 
 // ---------------------------------------------------------------------------
@@ -199,35 +164,6 @@ void AddScalarRef(const BcShape& s, Arena* arena, Node* node, int64_t index,
   }
   CountNodeVisit();
   Sums(node)[static_cast<size_t>(offset)] += delta;
-  CountValuesWritten(1);
-}
-
-// Dense-layout (implicit-addressing) update.
-void AddDense(const BcShape& s, int64_t* dense, int64_t index,
-              int64_t delta) {
-  const int64_t f = s.fanout;
-  int64_t slot = 0;
-  int64_t offset = index;
-  int shift = s.log2_fanout > 0 ? s.log2_fanout * (s.height - 1) : 0;
-  int64_t child_span = s.root_span / f;
-  for (int level = s.height; level > 1; --level) {
-    CountNodeVisit();
-    int64_t child;
-    if (s.log2_fanout > 0) {
-      child = offset >> shift;
-      offset &= (int64_t{1} << shift) - 1;
-      shift -= s.log2_fanout;
-    } else {
-      child = offset / child_span;
-      offset %= child_span;
-      child_span /= f;
-    }
-    dense[slot * f + child] += delta;
-    CountValuesWritten(1);
-    slot = slot * f + 1 + child;
-  }
-  CountNodeVisit();
-  dense[slot * f + offset] += delta;
   CountValuesWritten(1);
 }
 
@@ -301,38 +237,6 @@ int64_t CumulativeSumScalarRef(const BcShape& s, const Node* node,
   }
 }
 
-int64_t CumulativeSumDense(const BcShape& s, const int64_t* dense,
-                           int64_t index) {
-  const int64_t f = s.fanout;
-  int64_t slot = 0;
-  int64_t offset = index;
-  int shift = s.log2_fanout > 0 ? s.log2_fanout * (s.height - 1) : 0;
-  int64_t child_span = s.root_span / f;
-  int64_t sum = 0;
-  for (int level = s.height; level > 1; --level) {
-    CountNodeVisit();
-    int64_t child;
-    if (s.log2_fanout > 0) {
-      child = offset >> shift;
-      offset &= (int64_t{1} << shift) - 1;
-      shift -= s.log2_fanout;
-    } else {
-      child = offset / child_span;
-      offset %= child_span;
-      child_span /= f;
-    }
-    sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
-                                    static_cast<size_t>(child));
-    CountValuesRead(child);
-    slot = slot * f + 1 + child;
-  }
-  CountNodeVisit();
-  sum += kernels::MaskedPrefixSum(dense + slot * f, static_cast<size_t>(f),
-                                  static_cast<size_t>(offset) + 1);
-  CountValuesRead(offset + 1);
-  return sum;
-}
-
 // ---------------------------------------------------------------------------
 // Cold walks.
 
@@ -369,12 +273,11 @@ bool CheckNode(const BcShape& s, const Node* node, int64_t span) {
 // ---------------------------------------------------------------------------
 // BcShape.
 
-BcShape BcShape::Of(int64_t capacity, int fanout, BcLayout layout) {
+BcShape BcShape::Of(int64_t capacity, int fanout) {
   DDC_DCHECK(capacity >= 1 && fanout >= 2);
   BcShape s;
   s.capacity = capacity;
   s.fanout = fanout;
-  s.layout = layout;
   if (IsPowerOfTwo(fanout)) {
     // The smallest height with fanout^height >= capacity: ceil(bits / log2 f)
     // for capacity <= 2^bits, and at least one level.
@@ -386,6 +289,7 @@ BcShape BcShape::Of(int64_t capacity, int fanout, BcLayout layout) {
     s.root_span = int64_t{1} << (s.log2_fanout * s.height);
     return s;
   }
+  s.log2_fanout = -1;
   s.height = 1;
   s.root_span = fanout;
   while (s.root_span < capacity) {
@@ -393,16 +297,6 @@ BcShape BcShape::Of(int64_t capacity, int fanout, BcLayout layout) {
     ++s.height;
   }
   return s;
-}
-
-int64_t BcShape::DenseSlots() const {
-  int64_t slots = 0;
-  int64_t level_slots = 1;
-  for (int level = 0; level < height; ++level) {
-    slots += level_slots;
-    level_slots *= fanout;
-  }
-  return slots;
 }
 
 // ---------------------------------------------------------------------------
@@ -423,11 +317,6 @@ void BcFace::Add(const BcShape& shape, Arena* arena, int64_t index,
     CountNodeVisit();
     if (index == 0) slot_ += delta;
     CountValuesWritten(1);
-    return;
-  }
-  if (shape.layout == BcLayout::kDense) {
-    if (slot_ == 0) set_root(NewDense(shape, arena));
-    AddDense(shape, root<int64_t>(), index, delta);
     return;
   }
   if (slot_ == 0) {
@@ -452,9 +341,6 @@ int64_t BcFace::CumulativeSum(const BcShape& shape, int64_t index) const {
     return index == 0 ? slot_ : total_;
   }
   if (slot_ == 0) return 0;
-  if (shape.layout == BcLayout::kDense) {
-    return CumulativeSumDense(shape, root<const int64_t>(), index);
-  }
   const Node* root_node = root<const Node>();
   if (kernels::UseScalar()) {
     return CumulativeSumScalarRef(shape, root_node, index);
@@ -476,18 +362,6 @@ int64_t BcFace::Value(const BcShape& shape, int64_t index) const {
   const int64_t f = shape.fanout;
   int64_t offset = index;
   int64_t child_span = shape.root_span / f;
-  if (shape.layout == BcLayout::kDense) {
-    const int64_t* dense = root<const int64_t>();
-    int64_t slot = 0;
-    for (int level = shape.height; level > 1; --level) {
-      const int64_t child = offset / child_span;
-      offset %= child_span;
-      child_span /= f;
-      slot = slot * f + 1 + child;
-    }
-    CountValuesRead(1);
-    return dense[slot * f + offset];
-  }
   const Node* node = root<const Node>();
   for (int level = shape.height; level > 1; --level) {
     const size_t child = static_cast<size_t>(offset / child_span);
@@ -509,12 +383,6 @@ void BcFace::BuildFrom(const BcShape& shape, Arena* arena,
     if (!values.empty()) slot_ = values[0];
     return;
   }
-  if (shape.layout == BcLayout::kDense) {
-    auto* dense = NewDense(shape, arena);
-    set_root(dense);
-    total_ = BuildDense(shape, dense, values);
-    return;
-  }
   int64_t total = 0;
   set_root(BuildRange(shape, arena, values, 0, shape.root_span, &total));
   total_ = total;
@@ -523,9 +391,6 @@ void BcFace::BuildFrom(const BcShape& shape, Arena* arena,
 int64_t BcFace::StorageCells(const BcShape& shape) const {
   if (shape.is_inline()) return empty_inline() ? 0 : shape.capacity;
   if (slot_ == 0) return 0;
-  if (shape.layout == BcLayout::kDense) {
-    return shape.DenseSlots() * shape.fanout;
-  }
   return CountNodes(shape, root<const Node>(), shape.root_span) * shape.fanout;
 }
 
@@ -533,24 +398,9 @@ bool BcFace::CheckInvariants(const BcShape& shape) const {
   // An inline face of capacity 1 has no entry 1: its total is entry 0.
   if (shape.is_inline()) return shape.capacity == 2 || total_ == slot_;
   if (slot_ == 0) return total_ == 0;
-  const int64_t f = shape.fanout;
-  if (shape.layout == BcLayout::kDense) {
-    const int64_t* dense = root<const int64_t>();
-    if (kernels::Sum(dense, static_cast<size_t>(f)) != total_) return false;
-    const int64_t first_leaf = shape.DenseSlots() - shape.root_span / f;
-    for (int64_t slot = 0; slot < first_leaf; ++slot) {
-      for (int64_t c = 0; c < f; ++c) {
-        const int64_t child_slot = slot * f + 1 + c;
-        if (dense[slot * f + c] !=
-            kernels::Sum(dense + child_slot * f, static_cast<size_t>(f))) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
   const Node* root_node = root<const Node>();
-  if (kernels::Sum(Sums(root_node), static_cast<size_t>(f)) != total_) {
+  if (kernels::Sum(Sums(root_node), static_cast<size_t>(shape.fanout)) !=
+      total_) {
     return false;
   }
   return CheckNode(shape, root_node, shape.root_span);
@@ -559,10 +409,10 @@ bool BcFace::CheckInvariants(const BcShape& shape) const {
 // ---------------------------------------------------------------------------
 // BcTree.
 
-BcTree::BcTree(int64_t capacity, int fanout, BcLayout layout) {
+BcTree::BcTree(int64_t capacity, int fanout) {
   DDC_CHECK(capacity >= 1);
   DDC_CHECK(fanout >= 2);
-  shape_ = BcShape::Of(capacity, fanout, layout);
+  shape_ = BcShape::Of(capacity, fanout);
 }
 
 void BcTree::BuildFrom(const std::vector<int64_t>& values) {

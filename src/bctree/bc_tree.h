@@ -19,12 +19,12 @@
 // behaviour Section 5 relies on while keeping the paper's node layout
 // (per-entry STS, data in the leaves, bottom-up update of one STS per level).
 //
-// State and shape are split. A BcShape (fanout, height, root span, layout)
-// follows from (capacity, fanout, layout) by bit arithmetic, so it is never
-// stored per tree: the owner derives it and passes it in. A BcFace is the
-// tree's own state — the root (or dense slab) address and the running total,
-// 16 trivially destructible bytes — so the DDC keeps its 1-D faces inline
-// in its face arrays with no per-tree object, vtable or arena cleanup. The
+// State and shape are split. A BcShape (fanout, height, root span) follows
+// from (capacity, fanout) by bit arithmetic, so it is never stored per
+// tree: the owner derives it and passes it in. A BcFace is the tree's own
+// state — the root address and the running total, 16 trivially
+// destructible bytes — so the DDC keeps its 1-D faces inline in its face
+// arrays with no per-tree object, vtable or arena cleanup. The
 // arena nodes come from is also passed in by the owner. BcTree is the
 // standalone form: a CumulativeStore1D that owns an arena and one BcFace
 // and runs the same descents.
@@ -48,16 +48,6 @@
 // pre-optimization scalar descent is retained verbatim and reachable via
 // kernels::ForceScalar — it is the semantic contract the differential tests
 // pin the optimized path against, bit-exactly.
-//
-// Layouts:
-//  * kSparse (default): lazily materialized pointer tree, as in the paper.
-//  * kDense: the whole conceptual tree as one flat 64-byte-aligned slab in
-//    BFS (Eytzinger-style) order with implicit child addressing
-//    (child(slot, c) = slot*f + 1 + c) — no child pointers at all, so a
-//    descent is pure arithmetic over contiguous memory. Costs
-//    (f^height - 1)/(f - 1) * f entries regardless of population, so it
-//    suits dense a-priori key spaces (bulk-built faces), not the sparse
-//    Section 5 regime.
 
 #ifndef DDC_BCTREE_BC_TREE_H_
 #define DDC_BCTREE_BC_TREE_H_
@@ -70,31 +60,27 @@
 
 namespace ddc {
 
-// Node placement strategy; see the header comment.
-enum class BcLayout { kSparse, kDense };
-
 // The shape of a B_c tree over `capacity` keys: everything a descent needs
-// besides the tree's own state.
+// besides the tree's own state. Of() sets every field. There are no member
+// initializers on purpose: a trivially default-constructible BcShape has
+// no reusable tail padding, so FaceStore::MakeEnv, which runs once per
+// descent level, gets Of()'s result written straight into its Env rather
+// than through a temporary and a copy (about 10% of a 2-D point write).
 struct BcShape {
-  int64_t capacity = 0;
-  int64_t root_span = 0;  // fanout^height, the first such power >= capacity.
-  int fanout = 0;
-  int log2_fanout = -1;   // log2(fanout) when a power of two, else -1.
-  int height = 0;         // Levels including the leaf level (>= 1).
-  BcLayout layout = BcLayout::kSparse;
+  int64_t capacity;
+  int64_t root_span;  // fanout^height, the first such power >= capacity.
+  int fanout;
+  int log2_fanout;    // log2(fanout) when a power of two, else -1.
+  int height;         // Levels including the leaf level (>= 1).
 
   // Largest capacity whose faces hold their entries inline (see the header
-  // comment); such a shape has no nodes, whatever its layout.
+  // comment); such a shape has no nodes.
   static constexpr int64_t kInlineCapacity = 2;
   bool is_inline() const { return capacity <= kInlineCapacity; }
 
   // O(1) bit arithmetic for power-of-two fanouts (the default 8), a
   // log_f(capacity) loop otherwise. capacity >= 1, fanout >= 2.
-  static BcShape Of(int64_t capacity, int fanout, BcLayout layout);
-
-  // Dense layout: BFS slot count of the full conceptual tree,
-  // 1 + f + ... + f^(height-1).
-  int64_t DenseSlots() const;
+  static BcShape Of(int64_t capacity, int fanout);
 };
 
 // One B_c tree's own state; see the header comment. Every operation takes
@@ -110,15 +96,14 @@ class BcFace {
   // Bulk-builds the tree bottom-up from `values` (one per index; shorter
   // vectors are zero-extended). The tree must be empty. Writes each stored
   // entry exactly once — O(capacity) instead of O(capacity log capacity)
-  // repeated Adds — and (in the sparse layout) materializes only subtrees
-  // with nonzero content. Subtree totals accumulate through the vectorized
-  // block-sum kernel.
+  // repeated Adds — and materializes only subtrees with nonzero content.
+  // Subtree totals accumulate through the vectorized block-sum kernel.
   void BuildFrom(const BcShape& shape, Arena* arena,
                  const std::vector<int64_t>& values);
 
-  // Stored entries currently allocated (f per materialized node, or the
-  // whole dense slab; an inline face holds its capacity's entries once
-  // either is nonzero). Computed by walking the tree.
+  // Stored entries currently allocated (f per materialized node; an inline
+  // face holds its capacity's entries once either is nonzero). Computed by
+  // walking the tree.
   int64_t StorageCells(const BcShape& shape) const;
 
   // Verifies the STS invariant over all materialized nodes: every interior
@@ -134,9 +119,8 @@ class BcFace {
   }
   void set_root(void* root) { slot_ = reinterpret_cast<intptr_t>(root); }
 
-  // A tree shape: the address of the sparse layout's root node or of the
-  // dense layout's slab (the shape's layout says which), 0 while the tree is
-  // all zero. An inline shape: entry 0. An integer, so both readings are
+  // A tree shape: the address of the root node, 0 while the tree is all
+  // zero. An inline shape: entry 0. An integer, so both readings are
   // well defined.
   intptr_t slot_ = 0;
   int64_t total_ = 0;  // Sum of all entries.
@@ -153,8 +137,7 @@ class BcTree final : public CumulativeStore1D {
 
   // Creates an all-zero tree holding `capacity` row sums. `fanout` is the
   // maximum number of children per node (>= 2).
-  explicit BcTree(int64_t capacity, int fanout = kDefaultFanout,
-                  BcLayout layout = BcLayout::kSparse);
+  explicit BcTree(int64_t capacity, int fanout = kDefaultFanout);
 
   BcTree(const BcTree&) = delete;
   BcTree& operator=(const BcTree&) = delete;
@@ -170,7 +153,6 @@ class BcTree final : public CumulativeStore1D {
   int64_t StorageCells() const override { return face_.StorageCells(shape_); }
 
   int fanout() const { return shape_.fanout; }
-  BcLayout layout() const { return shape_.layout; }
 
   // Height of the (conceptual) tree: number of levels including the leaf
   // level; a single-leaf tree has height 1.

@@ -108,12 +108,6 @@ class Arena {
     return block_ + offset;
   }
 
-  // Cache-line-aligned allocation: the returned address is 64-byte aligned,
-  // so a block of up to 64 bytes occupies exactly one cache line. Used for
-  // the fixed-fanout B_c-tree node slabs, where one descent level must cost
-  // one line fill.
-  void* AllocateAligned(size_t bytes) { return Allocate(bytes, kMaxAlign); }
-
   // Constructs a T in the arena. Registers T's destructor unless T is
   // trivially destructible; either way the object must never be deleted.
   template <typename T, typename... Args>

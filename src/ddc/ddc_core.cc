@@ -39,7 +39,7 @@ DdcCore::DdcCore(int dims, int64_t side, const DdcOptions& options,
   DDC_CHECK(dims_ >= 1 && dims_ <= kMaxDims);
   DDC_CHECK(side_ >= 2 && IsPowerOfTwo(side_));
   DDC_CHECK(options_.elide_levels >= 0 && options_.elide_levels < 62);
-  DDC_CHECK(options_.use_fenwick || options_.bc_fanout >= 2);
+  DDC_CHECK(options_.bc_fanout >= 2 && options_.bc_fanout <= kMaxBcFanout);
   DDC_CHECK(arena != nullptr);
   num_children_ = 1u << dims_;
   min_box_side_ = std::min<int64_t>(side_, int64_t{1}

@@ -7,6 +7,12 @@
 
 namespace ddc {
 
+// Largest B_c fanout a cube accepts. DdcCore checks it, ddctool's --fanout
+// rejects anything above it, and ReadSnapshot refuses a stream that holds a
+// larger one, so a corrupted stream cannot request huge node slabs and
+// every cube this library builds reloads from its own snapshot.
+inline constexpr int kMaxBcFanout = 1024;
+
 struct DdcOptions {
   // Fanout of the B_c trees storing one-dimensional row-sum groups
   // (Section 4.1). The default (8) is tuned to the cache-line node budget:
@@ -25,23 +31,19 @@ struct DdcOptions {
   //    beats it beyond noise, and loses badly once any level caches.
   //   With -DDDC_NATIVE=ON (AVX2 MaskedPrefixSum8), fanout 8 widens its
   //   lead: 7 -> 0.30x, 15 -> 0.20x, 16 -> 0.42x (smoke host run).
-  // Re-measure with bench_kernels when changing this.
+  // Re-measure with bench_kernels when changing this. In [2, kMaxBcFanout].
   int bc_fanout = BcTree::kDefaultFanout;
-
-  // Store 1-D row-sum groups in the dense Eytzinger/implicit-offset B_c
-  // layout (one flat 64-byte-aligned slab, no child pointers; see
-  // bc_tree.h). Fastest descents, but allocates the full conceptual tree up
-  // front, so it forfeits the paper's sparse-subtree space behaviour —
-  // leave off except for dense, bulk-built cubes.
-  bool bc_dense = false;
 
   // Ablation: store one-dimensional row-sum groups in Fenwick trees instead
   // of B_c trees (same asymptotics, different constants/storage).
   bool use_fenwick = false;
 
-  // When false, the cube does not record operation counters. Queries are
-  // then strictly const (no mutable state touched), which ShardedCube
-  // relies on to run readers in parallel under a shard's shared lock.
+  // When false, the cube skips its own counters() view: no CountScope per
+  // public call (two ThreadCounts() reads and a write to counters_), so
+  // queries are strictly const, which ShardedCube relies on to run readers
+  // in parallel under a shard's shared lock. The count sites still bump
+  // the calling thread's CountBlock either way, so the registry's ddc.*
+  // counters and the EXPLAIN ledger see the same counts (op_counter.h).
   bool enable_counters = true;
 
   // The Section 4.4 space optimization: number of tree levels elided

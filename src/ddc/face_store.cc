@@ -44,9 +44,7 @@ FaceStore::Env FaceStore::MakeEnv(int transverse_dims, int64_t side,
     // cube's boxes have no faces; its Env is never used.)
     env.kind = Kind::kBcTree;
     if (transverse_dims == 1) {
-      env.bc = BcShape::Of(side, options.bc_fanout,
-                           options.bc_dense ? BcLayout::kDense
-                                            : BcLayout::kSparse);
+      env.bc = BcShape::Of(side, options.bc_fanout);
     }
   }
   return env;

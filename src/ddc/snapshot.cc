@@ -73,9 +73,9 @@ std::unique_ptr<DynamicDataCube> ReadSnapshot(std::istream* in) {
       !ReadPod(in, &options.elide_levels)) {
     return nullptr;
   }
-  // Bound the fanout: values beyond 1024 are never produced by this library
-  // and would let a corrupted stream trigger huge node allocations.
-  if (options.bc_fanout < 2 || options.bc_fanout > 1024 ||
+  // Bound the fanout: DdcCore never accepts one beyond kMaxBcFanout, and a
+  // corrupted stream must not trigger huge node allocations.
+  if (options.bc_fanout < 2 || options.bc_fanout > kMaxBcFanout ||
       options.elide_levels < 0 || options.elide_levels >= 62) {
     return nullptr;
   }

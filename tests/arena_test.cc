@@ -21,7 +21,7 @@ namespace {
 TEST(ArenaTest, AllocateRespectsAlignment) {
   Arena arena;
   for (size_t align : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
-                       alignof(max_align_t)}) {
+                       alignof(max_align_t), Arena::kMaxAlign}) {
     for (size_t bytes : {size_t{1}, size_t{3}, size_t{17}, size_t{160}}) {
       void* p = arena.Allocate(bytes, align);
       ASSERT_NE(p, nullptr);
@@ -80,28 +80,23 @@ TEST(ArenaTest, TriviallyDestructibleObjectsRegisterNoCleanup) {
 // destructible, so a cube's arena carries no cleanup list however many faces
 // it materializes.
 TEST(ArenaTest, DdcFaceHierarchyRegistersNoCleanups) {
-  for (const bool dense : {false, true}) {
-    for (const int dims : {2, 3, 4}) {
-      SCOPED_TRACE(testing::Message() << "dims=" << dims
-                                      << " bc_dense=" << dense);
-      DdcOptions options;
-      options.bc_dense = dense;
-      const int64_t side = 16;
-      OwnedDdcCore core(dims, side, options);
-      std::mt19937_64 rng(static_cast<uint64_t>(dims));
-      std::uniform_int_distribution<int64_t> coord(0, side - 1);
-      std::vector<Cell> cells(64, Cell(static_cast<size_t>(dims)));
-      for (Cell& cell : cells) {
-        for (Coord& c : cell) c = coord(rng);
-      }
-      const std::vector<int64_t> deltas(cells.size(), 1);
-      core.AddBatch(cells, deltas);
-      const DdcStats stats = core.Stats();
-      EXPECT_GT(stats.bc_faces, 0);
-      // >= 2-D faces: nested cores, or bare leaf slabs at side 2.
-      EXPECT_EQ(stats.nested_cores + stats.leaf_faces > 0, dims >= 3);
-      EXPECT_EQ(core.arena()->num_cleanups(), 0u);
+  for (const int dims : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "dims=" << dims);
+    const int64_t side = 16;
+    OwnedDdcCore core(dims, side, DdcOptions{});
+    std::mt19937_64 rng(static_cast<uint64_t>(dims));
+    std::uniform_int_distribution<int64_t> coord(0, side - 1);
+    std::vector<Cell> cells(64, Cell(static_cast<size_t>(dims)));
+    for (Cell& cell : cells) {
+      for (Coord& c : cell) c = coord(rng);
     }
+    const std::vector<int64_t> deltas(cells.size(), 1);
+    core.AddBatch(cells, deltas);
+    const DdcStats stats = core.Stats();
+    EXPECT_GT(stats.bc_faces, 0);
+    // >= 2-D faces: nested cores, or bare leaf slabs at side 2.
+    EXPECT_EQ(stats.nested_cores + stats.leaf_faces > 0, dims >= 3);
+    EXPECT_EQ(core.arena()->num_cleanups(), 0u);
   }
 }
 

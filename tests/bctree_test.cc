@@ -140,62 +140,59 @@ TEST(BcTreeTest, QueryReadsBoundedByFanoutTimesHeight) {
             int64_t{8} * tree.height());
 }
 
-// Capacity <= 2 trees hold their entries inline in the face (no node), in
-// either layout: a plain array is the oracle for every read, for the storage
-// they report (the capacity's entries while any is nonzero, none once every
-// entry has cancelled back to zero) and for the one-leaf cost counts.
+// Capacity <= 2 trees hold their entries inline in the face (no node): a
+// plain array is the oracle for every read, for the storage they report
+// (the capacity's entries while any is nonzero, none once every entry has
+// cancelled back to zero) and for the one-leaf cost counts.
 TEST(BcTreeTest, InlineCapacitiesMatchAPlainArray) {
-  for (const BcLayout layout : {BcLayout::kSparse, BcLayout::kDense}) {
-    for (const int64_t capacity : {1, 2}) {
-      for (const int fanout : {2, 8}) {
-        SCOPED_TRACE(testing::Message()
-                     << "capacity=" << capacity << " fanout=" << fanout
-                     << " dense=" << (layout == BcLayout::kDense));
-        BcTree tree(capacity, fanout, layout);
-        std::vector<int64_t> reference(static_cast<size_t>(capacity), 0);
-        // Signed deltas, including ones that cancel an entry (and then the
-        // whole face) back to exactly zero.
-        const std::vector<std::pair<int64_t, int64_t>> ops = {
-            {0, 5},  {1, -3}, {0, -5}, {1, 3},  {1, 7},  {0, -7},
-            {0, 7},  {1, -7}, {0, -7}, {1, 11}, {0, 4},  {1, -11},
-            {0, -4}, {0, -9}, {1, 9},  {1, -9}, {0, 9},  {0, -9}};
-        for (const auto& [raw_index, delta] : ops) {
-          const int64_t index = raw_index % capacity;
-          const OpCounters write = CountsOf([&] { tree.Add(index, delta); });
-          EXPECT_EQ(write.nodes_visited, 1);
-          EXPECT_EQ(write.values_written, 1);
-          reference[static_cast<size_t>(index)] += delta;
+  for (const int64_t capacity : {1, 2}) {
+    for (const int fanout : {2, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity=" << capacity << " fanout=" << fanout);
+      BcTree tree(capacity, fanout);
+      std::vector<int64_t> reference(static_cast<size_t>(capacity), 0);
+      // Signed deltas, including ones that cancel an entry (and then the
+      // whole face) back to exactly zero.
+      const std::vector<std::pair<int64_t, int64_t>> ops = {
+          {0, 5},  {1, -3}, {0, -5}, {1, 3},  {1, 7},  {0, -7},
+          {0, 7},  {1, -7}, {0, -7}, {1, 11}, {0, 4},  {1, -11},
+          {0, -4}, {0, -9}, {1, 9},  {1, -9}, {0, 9},  {0, -9}};
+      for (const auto& [raw_index, delta] : ops) {
+        const int64_t index = raw_index % capacity;
+        const OpCounters write = CountsOf([&] { tree.Add(index, delta); });
+        EXPECT_EQ(write.nodes_visited, 1);
+        EXPECT_EQ(write.values_written, 1);
+        reference[static_cast<size_t>(index)] += delta;
 
-          bool any_nonzero = false;
-          int64_t prefix = 0;
-          for (int64_t i = 0; i < capacity; ++i) {
-            const int64_t v = reference[static_cast<size_t>(i)];
-            any_nonzero |= v != 0;
-            prefix += v;
-            EXPECT_EQ(tree.Value(i), v) << "i=" << i;
-            EXPECT_EQ(tree.CumulativeSum(i), prefix) << "i=" << i;
-          }
-          EXPECT_EQ(tree.TotalSum(), prefix);
-          EXPECT_EQ(tree.StorageCells(), any_nonzero ? capacity : 0);
-          EXPECT_TRUE(tree.CheckInvariants());
-
-          // Reads cost one leaf visit plus the entries summed; an all-zero
-          // face answers with no visit, as an unmaterialized tree does.
-          const OpCounters read =
-              CountsOf([&] { tree.CumulativeSum(capacity - 1); });
-          EXPECT_EQ(read.nodes_visited, any_nonzero ? 1 : 0);
-          EXPECT_EQ(read.values_read, any_nonzero ? capacity : 0);
+        bool any_nonzero = false;
+        int64_t prefix = 0;
+        for (int64_t i = 0; i < capacity; ++i) {
+          const int64_t v = reference[static_cast<size_t>(i)];
+          any_nonzero |= v != 0;
+          prefix += v;
+          EXPECT_EQ(tree.Value(i), v) << "i=" << i;
+          EXPECT_EQ(tree.CumulativeSum(i), prefix) << "i=" << i;
         }
+        EXPECT_EQ(tree.TotalSum(), prefix);
+        EXPECT_EQ(tree.StorageCells(), any_nonzero ? capacity : 0);
+        EXPECT_TRUE(tree.CheckInvariants());
 
-        BcTree built(capacity, fanout, layout);
-        const std::vector<int64_t> values = {-6, 6};
-        built.BuildFrom(std::vector<int64_t>(
-            values.begin(), values.begin() + capacity));
-        EXPECT_EQ(built.Value(0), -6);
-        EXPECT_EQ(built.CumulativeSum(capacity - 1), capacity == 2 ? 0 : -6);
-        EXPECT_EQ(built.StorageCells(), capacity);
-        EXPECT_TRUE(built.CheckInvariants());
+        // Reads cost one leaf visit plus the entries summed; an all-zero
+        // face answers with no visit, as an unmaterialized tree does.
+        const OpCounters read =
+            CountsOf([&] { tree.CumulativeSum(capacity - 1); });
+        EXPECT_EQ(read.nodes_visited, any_nonzero ? 1 : 0);
+        EXPECT_EQ(read.values_read, any_nonzero ? capacity : 0);
       }
+
+      BcTree built(capacity, fanout);
+      const std::vector<int64_t> values = {-6, 6};
+      built.BuildFrom(std::vector<int64_t>(
+          values.begin(), values.begin() + capacity));
+      EXPECT_EQ(built.Value(0), -6);
+      EXPECT_EQ(built.CumulativeSum(capacity - 1), capacity == 2 ? 0 : -6);
+      EXPECT_EQ(built.StorageCells(), capacity);
+      EXPECT_TRUE(built.CheckInvariants());
     }
   }
 }

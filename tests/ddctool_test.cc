@@ -147,6 +147,21 @@ TEST_F(DdcToolTest, ErrorHandling) {
   EXPECT_NE(Run({"create", "--dims", "2", "--side", "100", cube_path_},
                 nullptr, &err),
             0);  // Bad side.
+  // A fanout the snapshot would refuse to reload, or one that wraps when
+  // narrowed to int, is rejected before any cube is written.
+  for (const char* fanout : {"1", "2000", "4294967296", "4294967298"}) {
+    SCOPED_TRACE(fanout);
+    EXPECT_NE(Run({"create", "--dims", "2", "--fanout", fanout, cube_path_},
+                  nullptr, &err),
+              0);
+    EXPECT_NE(err.find("--fanout must be in [2, 1024]"), std::string::npos);
+  }
+  EXPECT_FALSE(std::ifstream(cube_path_).good());
+  ASSERT_EQ(Run({"create", "--dims", "2", "--fanout", "1024", cube_path_}), 0);
+  std::string out;
+  ASSERT_EQ(Run({"info", cube_path_}, &out), 0);  // Reloads.
+  EXPECT_NE(out.find("fanout=1024"), std::string::npos);
+
   EXPECT_NE(Run({"definitely-not-a-command"}, nullptr, &err), 0);
   EXPECT_NE(err.find("unknown command"), std::string::npos);
 

@@ -49,7 +49,6 @@ struct FaceParam {
   int transverse_dims;
   int64_t side;
   bool use_fenwick;
-  bool bc_dense = false;
   int elide_levels = 0;
 };
 
@@ -59,7 +58,6 @@ TEST_P(FaceStoreTest, MatchesReferenceOnRandomOps) {
   const FaceParam p = GetParam();
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
-  options.bc_dense = p.bc_dense;
   options.elide_levels = p.elide_levels;
   FaceStore::Owned store =
       FaceStore::Create(p.transverse_dims, p.side, options);
@@ -85,7 +83,6 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
   const FaceParam p = GetParam();
   DdcOptions options;
   options.use_fenwick = p.use_fenwick;
-  options.bc_dense = p.bc_dense;
   options.elide_levels = p.elide_levels;
   const Shape shape = Shape::Cube(p.transverse_dims, p.side);
   MdArray<int64_t> dense(shape);
@@ -111,17 +108,15 @@ TEST_P(FaceStoreTest, BuildFromDenseMatchesIncremental) {
 INSTANTIATE_TEST_SUITE_P(
     Geometry, FaceStoreTest,
     ::testing::Values(FaceParam{1, 2, false}, FaceParam{1, 16, false},
-                      FaceParam{1, 16, true}, FaceParam{2, 4, false},
-                      FaceParam{2, 8, false}, FaceParam{3, 4, false},
-                      FaceParam{3, 4, true}, FaceParam{1, 2, false, true},
-                      FaceParam{1, 64, false, true},
-                      FaceParam{2, 8, false, true},
-                      FaceParam{3, 8, false, true},
+                      FaceParam{1, 16, true}, FaceParam{1, 64, false},
+                      FaceParam{2, 4, false}, FaceParam{2, 8, false},
+                      FaceParam{3, 4, false}, FaceParam{3, 4, true},
+                      FaceParam{3, 8, false},
                       // Leaf faces: no larger than the nested leaf block.
                       FaceParam{2, 2, false}, FaceParam{3, 2, false},
-                      FaceParam{2, 4, false, false, 1},
+                      FaceParam{2, 4, false, 1},
                       // Nested again once the face outgrows the block.
-                      FaceParam{2, 8, false, false, 1}));
+                      FaceParam{2, 8, false, 1}));
 
 // A face of >= 2 transverse dimensions no larger than a leaf block
 // (side <= 2^(elide_levels+1)) is one bare slab of side^(d-1) values: it
@@ -129,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
 // slab once written.
 TEST(FaceStoreTest, LeafFacesAreOneSlab) {
   const FaceParam leaves[] = {FaceParam{2, 2, false}, FaceParam{3, 2, false},
-                              FaceParam{2, 4, false, false, 1}};
+                              FaceParam{2, 4, false, 1}};
   for (const FaceParam& p : leaves) {
     SCOPED_TRACE(testing::Message() << "dims=" << p.transverse_dims
                                     << " side=" << p.side
@@ -182,18 +177,6 @@ TEST(FaceStoreTest, EmptyStoreAnswersZero) {
   auto store = FaceStore::Create(2, 8, DdcOptions{});
   EXPECT_EQ(PrefixAt(store, {7, 7}), 0);
   EXPECT_EQ(store.StorageCells(), 0);
-}
-
-TEST(FaceStoreTest, DenseBcFaceAllocatesItsWholeSlabOnFirstTouch) {
-  DdcOptions options;
-  options.bc_dense = true;
-  auto store = FaceStore::Create(1, 64, options);
-  EXPECT_EQ(store.StorageCells(), 0);
-  AddAt(store, {5}, 2);
-  // Fanout 8 over 64 keys: a root and 8 leaves of 8 entries each.
-  EXPECT_EQ(store.StorageCells(), 9 * 8);
-  EXPECT_EQ(PrefixAt(store, {4}), 0);
-  EXPECT_EQ(PrefixAt(store, {63}), 2);
 }
 
 TEST(FaceStoreTest, CountsReachTheThreadsBlock) {

@@ -1,10 +1,10 @@
 // Differential tests for the cache-conscious kernel layer (DESIGN.md §13):
 // every optimized path (branchless descents, fused cache-line node slabs,
-// dense implicit layout, vectorized block sums, tree-ordered batches) must be
-// bit-exact with the scalar reference implementations reachable through
-// kernels::ForceScalar, across fanouts, capacities, lazy-sparse shapes, and
-// re-roots. Also covers the Arena 64-byte alignment contract and the
-// scratch-reuse guarantee of repeated batched updates.
+// vectorized block sums, tree-ordered batches) must be bit-exact with the
+// scalar reference implementations reachable through kernels::ForceScalar,
+// across fanouts, capacities, lazy-sparse shapes, and re-roots. Also covers
+// the B_c node slabs' cache-line contract and the scratch-reuse guarantee of
+// repeated batched updates.
 //
 // Runs under both -DDDC_NATIVE=ON (AVX2 kernels) and OFF (portable
 // kernels), and is part of the `sanitize` ctest label so TSan/ASan builds
@@ -88,15 +88,12 @@ TEST(Kernels, ForceScalarSwitchRoundTrips) {
 // ---------------------------------------------------------------------------
 // BcTree differentials: optimized vs forced-scalar vs a prefix oracle.
 
-void DriveTreeDifferential(int64_t capacity, int fanout, BcLayout layout,
-                           int ops, uint64_t seed) {
+void DriveTreeDifferential(int64_t capacity, int fanout, int ops,
+                           uint64_t seed) {
   SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " fanout="
-                                  << fanout << " layout="
-                                  << (layout == BcLayout::kDense ? "dense"
-                                                                 : "sparse")
-                                  << " seed=" << seed);
-  BcTree opt(capacity, fanout, layout);
-  BcTree scalar(capacity, fanout, layout);
+                                  << fanout << " seed=" << seed);
+  BcTree opt(capacity, fanout);
+  BcTree scalar(capacity, fanout);
   std::vector<int64_t> oracle(static_cast<size_t>(capacity), 0);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int64_t> pos(0, capacity - 1);
@@ -145,18 +142,7 @@ TEST(BcTreeDifferential, SparseAcrossFanoutsAndCapacities) {
   for (int fanout : {2, 3, 5, 7, 8, 15, 16}) {
     for (int64_t capacity : {int64_t{1}, int64_t{7}, int64_t{64},
                              int64_t{1000}, int64_t{4096}}) {
-      DriveTreeDifferential(capacity, fanout, BcLayout::kSparse,
-                            capacity < 100 ? 200 : 400,
-                            static_cast<uint64_t>(seed++));
-    }
-  }
-}
-
-TEST(BcTreeDifferential, DenseAcrossFanouts) {
-  int seed = 300;
-  for (int fanout : {3, 8, 16}) {
-    for (int64_t capacity : {int64_t{9}, int64_t{64}, int64_t{1000}}) {
-      DriveTreeDifferential(capacity, fanout, BcLayout::kDense, 300,
+      DriveTreeDifferential(capacity, fanout, capacity < 100 ? 200 : 400,
                             static_cast<uint64_t>(seed++));
     }
   }
@@ -313,11 +299,6 @@ TEST(DdcCoreDifferential, BatchedWalksAcrossDimsAndElision) {
   elided.elide_levels = 2;
   DriveCoreDifferential(2, 64, elided, 44);
   DriveCoreDifferential(3, 16, elided, 45);
-
-  // Dense B_c face trees.
-  DdcOptions dense;
-  dense.bc_dense = true;
-  DriveCoreDifferential(2, 32, dense, 46);
 }
 
 TEST(DdcCoreDifferential, ReRootGrowthStaysExact) {
@@ -359,19 +340,7 @@ TEST(DdcCoreDifferential, ReRootGrowthStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena alignment contract.
-
-TEST(ArenaAlignment, AllocateAlignedIs64ByteAligned) {
-  Arena arena;
-  for (size_t bytes : {size_t{1}, size_t{8}, size_t{63}, size_t{64},
-                       size_t{65}, size_t{1000}, size_t{1} << 16}) {
-    void* p = arena.AllocateAligned(bytes);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % Arena::kMaxAlign, 0u)
-        << "bytes=" << bytes;
-  }
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
+// Node-slab alignment contract.
 
 TEST(ArenaAlignment, BcTreeNodeSumsNeverStraddleCacheLines) {
   // The BcTree constructor DCHECKs the per-node containment invariant on

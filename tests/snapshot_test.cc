@@ -74,20 +74,26 @@ TEST(SnapshotTest, RoundTripPreservesGrownDomain) {
   ExpectSameAnswers(cube, *loaded, 7);
 }
 
+// Every persisted option, each way a flag can go: enable_counters is the
+// only DdcOptions field the snapshot does not write (it is runtime-only).
 TEST(SnapshotTest, RoundTripPreservesOptions) {
-  DdcOptions options;
-  options.bc_fanout = 4;
-  options.use_fenwick = false;
-  options.elide_levels = 2;
-  DynamicDataCube cube(2, 32, options);
-  Populate(&cube, 100, 8);
-  std::stringstream stream;
-  ASSERT_TRUE(WriteSnapshot(cube, &stream));
-  auto loaded = ReadSnapshot(&stream);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->options().bc_fanout, 4);
-  EXPECT_EQ(loaded->options().elide_levels, 2);
-  ExpectSameAnswers(cube, *loaded, 9);
+  for (const bool use_fenwick : {false, true}) {
+    SCOPED_TRACE(use_fenwick ? "fenwick" : "bc");
+    DdcOptions options;
+    options.bc_fanout = 4;
+    options.use_fenwick = use_fenwick;
+    options.elide_levels = 2;
+    DynamicDataCube cube(2, 32, options);
+    Populate(&cube, 100, 8);
+    std::stringstream stream;
+    ASSERT_TRUE(WriteSnapshot(cube, &stream));
+    auto loaded = ReadSnapshot(&stream);
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_EQ(loaded->options().bc_fanout, 4);
+    EXPECT_EQ(loaded->options().use_fenwick, use_fenwick);
+    EXPECT_EQ(loaded->options().elide_levels, 2);
+    ExpectSameAnswers(cube, *loaded, 9);
+  }
 }
 
 TEST(SnapshotTest, RejectsBadMagic) {

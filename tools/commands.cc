@@ -81,8 +81,8 @@ bool OptionsFromArgs(const ParsedArgs& args, DdcOptions* options,
                      std::ostream& err) {
   int64_t fanout = 0;
   if (args.GetInt("fanout", &fanout)) {
-    if (fanout < 2) {
-      err << "--fanout must be >= 2\n";
+    if (fanout < 2 || fanout > kMaxBcFanout) {
+      err << "--fanout must be in [2, " << kMaxBcFanout << "]\n";
       return false;
     }
     options->bc_fanout = static_cast<int>(fanout);

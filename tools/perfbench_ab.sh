@@ -24,11 +24,17 @@
 # fraction of the base median; ok otherwise). After each workload's summary
 # one line per pair gives the seed and each side's read_p50_us and
 # write_p50_us: a pair where one side drew a slow host mode shows both of
-# its latencies up together. `--out DIR` keeps the raw per-run JSON lines.
+# its latencies up together. Such a pair is marked `split (base)` or
+# `split (change)` when that side's read_p50_us and write_p50_us are both
+# worse than the other side's by more than the metrics' BENCHMARK.json
+# bounds (fractions of the other side's value), and a last line counts the
+# split pairs each side lost. Split pairs stay in the medians above: the
+# marks say how far to trust them. `--out DIR` keeps the raw per-run JSON
+# lines.
 
 set -euo pipefail
 
-usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 1 ]] || usage
 BASE_REV=$1
@@ -165,16 +171,36 @@ print()
 
 # Per pair: both latencies of one side rising together is a host mode, not
 # an effect of the change on one path.
+P50S = ("read_p50_us", "write_p50_us")
+bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
 def p50s(r):
     m = r["metrics"]
-    return "%.4g / %.4g" % (m["read_p50_us"]["value"],
-                            m["write_p50_us"]["value"])
+    return "%.4g / %.4g" % tuple(m[name]["value"] for name in P50S)
 
 
-print("%-6s %-28s %s" % ("seed", "base read/write p50 us",
-                         "change read/write p50 us"))
+def lost_both(r, other):
+    # r's read and write p50 are both worse than other's past their bounds.
+    return all(r["metrics"][name]["value"] >
+               other["metrics"][name]["value"] * (1 + bounds[name])
+               for name in P50S)
+
+
+print("%-6s %-28s %-28s %s" % ("seed", "base read/write p50 us",
+                               "change read/write p50 us", "split"))
+split = {"base": 0, "change": 0}
 for i, (br, cr) in enumerate(zip(runs["base"], runs["change"])):
-    print("%-6d %-28s %s" % (seed0 + i, p50s(br), p50s(cr)))
+    mark = ""
+    for side, r, other in (("base", br, cr), ("change", cr, br)):
+        if lost_both(r, other):
+            split[side] += 1
+            mark = "split (%s)" % side
+    print(("%-6d %-28s %-28s %s" % (seed0 + i, p50s(br), p50s(cr),
+                                    mark)).rstrip())
+print("split pairs lost: base %d, change %d (read and write p50 both worse "
+      "by more than %g / %g)" % (split["base"], split["change"],
+                                 bounds[P50S[0]], bounds[P50S[1]]))
 print()
 EOF
 done
