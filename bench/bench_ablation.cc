@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
@@ -45,18 +46,18 @@ RunResult RunWorkload(const DdcOptions& options, int64_t n, int64_t populate,
   for (const Cell& c : cells) cube.Add(c, 1);
   const auto u1 = std::chrono::steady_clock::now();
 
-  cube.ResetCounters();
-  cube.Add(UniformCell(2, 0), 1);
-  const int64_t update_writes = cube.counters().values_written;
+  const int64_t update_writes =
+      CountsOf([&] { cube.Add(UniformCell(2, 0), 1); }).values_written;
 
   const int kProbes = 200;
   WorkloadGenerator probes(shape, 11);
-  cube.ResetCounters();
   const auto q0 = std::chrono::steady_clock::now();
   int64_t sink = 0;
-  for (int i = 0; i < kProbes; ++i) {
-    sink += cube.PrefixSum(probes.UniformCell());
-  }
+  const int64_t query_reads = CountsOf([&] {
+                                for (int i = 0; i < kProbes; ++i) {
+                                  sink += cube.PrefixSum(probes.UniformCell());
+                                }
+                              }).values_read;
   const auto q1 = std::chrono::steady_clock::now();
   (void)sink;
 
@@ -67,7 +68,7 @@ RunResult RunWorkload(const DdcOptions& options, int64_t n, int64_t populate,
   result.query_us =
       std::chrono::duration<double, std::micro>(q1 - q0).count() / kProbes;
   result.update_writes = update_writes;
-  result.query_reads = cube.counters().values_read / kProbes;
+  result.query_reads = query_reads / kProbes;
   result.storage = cube.StorageCells();
   return result;
 }

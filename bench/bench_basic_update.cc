@@ -14,6 +14,7 @@
 
 #include "basic_ddc/basic_ddc.h"
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 
@@ -27,9 +28,8 @@ void RunSweep(int dims, const std::vector<int64_t>& sides) {
   int64_t prev = 0;
   for (int64_t n : sides) {
     BasicDdc cube(dims, n);
-    cube.ResetCounters();
-    cube.Add(UniformCell(dims, 0), 1);
-    const int64_t measured = cube.counters().values_written;
+    const int64_t measured =
+        CountsOf([&] { cube.Add(UniformCell(dims, 0), 1); }).values_written;
     const double model = BasicDdcUpdateCost(static_cast<double>(n), dims);
     table.AddRow(
         {TablePrinter::FormatInt(n), TablePrinter::FormatInt(measured),
@@ -57,14 +57,14 @@ void RunAverageSweep(int dims, const std::vector<int64_t>& sides) {
     BasicDdc cube(dims, n);
     WorkloadGenerator gen(Shape::Cube(dims, n), 3);
     const int kOps = 200;
-    cube.ResetCounters();
-    for (int i = 0; i < kOps; ++i) {
-      cube.Add(gen.UniformCell(), 1);
-    }
+    const int64_t written = CountsOf([&] {
+                              for (int i = 0; i < kOps; ++i) {
+                                cube.Add(gen.UniformCell(), 1);
+                              }
+                            }).values_written;
     table.AddRow(
         {TablePrinter::FormatInt(n),
-         TablePrinter::FormatDouble(
-             static_cast<double>(cube.counters().values_written) / kOps, 1),
+         TablePrinter::FormatDouble(static_cast<double>(written) / kOps, 1),
          TablePrinter::FormatDouble(
              BasicDdcUpdateCost(static_cast<double>(n), dims), 1)});
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
@@ -33,26 +34,25 @@ void RunDimension(int dims, const std::vector<int64_t>& sides,
     }
 
     // Worst-case update: the anchor.
-    cube.ResetCounters();
     const auto u0 = std::chrono::steady_clock::now();
-    cube.Add(UniformCell(dims, 0), 1);
+    const int64_t update_writes =
+        CountsOf([&] { cube.Add(UniformCell(dims, 0), 1); }).values_written;
     const auto u1 = std::chrono::steady_clock::now();
-    const int64_t update_writes = cube.counters().values_written;
     const double update_us =
         std::chrono::duration<double, std::micro>(u1 - u0).count();
 
     // Average query cost over random probes.
     const int kProbes = 50;
-    cube.ResetCounters();
     const auto q0 = std::chrono::steady_clock::now();
     int64_t sink = 0;
-    for (int i = 0; i < kProbes; ++i) {
-      sink += cube.PrefixSum(gen.UniformCell());
-    }
+    const int64_t reads = CountsOf([&] {
+                            for (int i = 0; i < kProbes; ++i) {
+                              sink += cube.PrefixSum(gen.UniformCell());
+                            }
+                          }).values_read;
     const auto q1 = std::chrono::steady_clock::now();
     (void)sink;
-    const double query_reads =
-        static_cast<double>(cube.counters().values_read) / kProbes;
+    const double query_reads = static_cast<double>(reads) / kProbes;
     const double query_us =
         std::chrono::duration<double, std::micro>(q1 - q0).count() / kProbes;
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bit_util.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
@@ -85,14 +86,16 @@ void RunSparseCostComparison() {
   for (int i = 0; i < kInserts; ++i) cells.push_back(gen.NextCell());
 
   PrefixSumCube ps(Shape::Cube(2, n));
-  ps.ResetCounters();
-  for (const Cell& c : cells) ps.Add(c, 1);
-  const int64_t ps_writes = ps.counters().values_written;
+  const int64_t ps_writes =
+      CountsOf([&] {
+        for (const Cell& c : cells) ps.Add(c, 1);
+      }).values_written;
 
   DynamicDataCube ddc_cube(2, n);
-  ddc_cube.ResetCounters();
-  for (const Cell& c : cells) ddc_cube.Add(c, 1);
-  const int64_t ddc_writes = ddc_cube.counters().values_written;
+  const int64_t ddc_writes =
+      CountsOf([&] {
+        for (const Cell& c : cells) ddc_cube.Add(c, 1);
+      }).values_written;
 
   TablePrinter table({"method", "storage cells", "writes/insert (avg)"});
   table.AddRow({"prefix_sum", TablePrinter::FormatInt(ps.StorageCells()),

@@ -15,6 +15,7 @@
 
 #include "common/bit_util.h"
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
@@ -64,16 +65,15 @@ void SweepElision(int64_t n, int dims, int64_t prepopulate) {
 
     WorkloadGenerator probe_gen(shape, 29);
     const int kProbes = 60;
-    cube.ResetCounters();
-    for (int i = 0; i < kProbes; ++i) {
-      cube.PrefixSum(probe_gen.UniformCell());
-    }
-    const double query_reads =
-        static_cast<double>(cube.counters().values_read) / kProbes;
+    const int64_t reads = CountsOf([&] {
+                            for (int i = 0; i < kProbes; ++i) {
+                              cube.PrefixSum(probe_gen.UniformCell());
+                            }
+                          }).values_read;
+    const double query_reads = static_cast<double>(reads) / kProbes;
 
-    cube.ResetCounters();
-    cube.Add(UniformCell(dims, 0), 1);
-    const int64_t update_writes = cube.counters().values_written;
+    const int64_t update_writes =
+        CountsOf([&] { cube.Add(UniformCell(dims, 0), 1); }).values_written;
 
     table.AddRow(
         {TablePrinter::FormatInt(h),

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/table_printer.h"
 #include "ddc/dynamic_data_cube.h"
 #include "prefix/prefix_sum_cube.h"
@@ -61,21 +62,15 @@ Measured MeasureWorstCase(int dims, int64_t side) {
   Measured m{};
   {
     PrefixSumCube cube(Shape::Cube(dims, side));
-    cube.ResetCounters();
-    cube.Add(anchor, 1);
-    m.ps = cube.counters().values_written;
+    m.ps = CountsOf([&] { cube.Add(anchor, 1); }).values_written;
   }
   {
     RelativePrefixSumCube cube(Shape::Cube(dims, side));
-    cube.ResetCounters();
-    cube.Add(anchor, 1);
-    m.rps = cube.counters().values_written;
+    m.rps = CountsOf([&] { cube.Add(anchor, 1); }).values_written;
   }
   {
     DynamicDataCube cube(dims, side);
-    cube.ResetCounters();
-    cube.Add(anchor, 1);
-    m.ddc = cube.counters().values_written;
+    m.ddc = CountsOf([&] { cube.Add(anchor, 1); }).values_written;
   }
   return m;
 }

@@ -4,6 +4,7 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -105,7 +106,7 @@ void BasicDdc::Add(const Cell& cell, int64_t delta) {
 
 void BasicDdc::AddRec(Node* node, int64_t node_side, const Cell& node_anchor,
                       const Cell& cell, int64_t delta) {
-  ++counters_.nodes_visited;
+  CountNodeVisit();
   const int64_t k = node_side / 2;
   // Identify the (unique) overlay box covering the cell.
   uint32_t child_mask = 0;
@@ -120,7 +121,7 @@ void BasicDdc::AddRec(Node* node, int64_t node_side, const Cell& node_anchor,
     offset[ui] = rel;
   }
   OverlayBoxArray* box = EnsureBox(node, child_mask, k);
-  box->ApplyDelta(offset, delta, &counters_);
+  box->ApplyDelta(offset, delta);
 
   if (k > 1) {
     Cell child_anchor = node_anchor;
@@ -141,7 +142,7 @@ int64_t BasicDdc::PrefixSum(const Cell& cell) const {
 int64_t BasicDdc::PrefixSumRec(const Node* node, int64_t node_side,
                                const Cell& node_anchor,
                                const Cell& target) const {
-  ++counters_.nodes_visited;
+  CountNodeVisit();
   const int64_t k = node_side / 2;
   int64_t sum = 0;
   Cell offset(static_cast<size_t>(dims_));
@@ -169,7 +170,7 @@ int64_t BasicDdc::PrefixSumRec(const Node* node, int64_t node_side,
     if (covered) {
       if (k == 1) {
         // Leaf level: the box holds the original cell of A (its subtotal).
-        sum += box->Subtotal(&counters_);
+        sum += box->Subtotal();
       } else {
         const Node* child = node->children[mask].get();
         DDC_DCHECK(child != nullptr);
@@ -182,7 +183,7 @@ int64_t BasicDdc::PrefixSumRec(const Node* node, int64_t node_side,
     } else {
       // Target intersects or passes the box: one row-sum (or subtotal)
       // value at the clamped offset.
-      sum += box->ValueAt(offset, &counters_);
+      sum += box->ValueAt(offset);
     }
   }
   return sum;
@@ -206,7 +207,7 @@ int64_t BasicDdc::GetRec(const Node* node, int64_t node_side,
   }
   const OverlayBoxArray* box = node->boxes[child_mask].get();
   if (box == nullptr) return 0;
-  if (k == 1) return box->Subtotal(&counters_);
+  if (k == 1) return box->Subtotal();
   const Node* child = node->children[child_mask].get();
   DDC_DCHECK(child != nullptr);
   Cell child_anchor = node_anchor;

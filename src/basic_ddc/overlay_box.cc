@@ -4,6 +4,7 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "common/op_counter.h"
 #include "common/shape.h"
 
 namespace ddc {
@@ -63,10 +64,9 @@ OverlayBoxArray::OverlayBoxArray(int dims, int64_t side)
   DDC_CHECK(laid_out == storage_cells_);
 }
 
-int64_t OverlayBoxArray::ValueAt(const Cell& offset,
-                                 OpCounters* counters) const {
+int64_t OverlayBoxArray::ValueAt(const Cell& offset) const {
   DDC_DCHECK(static_cast<int>(offset.size()) == dims_);
-  if (counters != nullptr) ++counters->values_read;
+  CountValuesRead(1);
   if (dims_ == 1) {
     DDC_DCHECK(offset[0] == side_ - 1);
     return scalar_;
@@ -101,19 +101,19 @@ void OverlayBoxArray::SetValueAt(const Cell& offset, int64_t value) {
   faces_[static_cast<size_t>(face)].at(ProjectToFace(offset, face)) = value;
 }
 
-int64_t OverlayBoxArray::Subtotal(OpCounters* counters) const {
-  return ValueAt(Cell(static_cast<size_t>(dims_), side_ - 1), counters);
+int64_t OverlayBoxArray::Subtotal() const {
+  return ValueAt(Cell(static_cast<size_t>(dims_), side_ - 1));
 }
 
-void OverlayBoxArray::ApplyDelta(const Cell& updated_offset, int64_t delta,
-                                 OpCounters* counters) {
+void OverlayBoxArray::ApplyDelta(const Cell& updated_offset, int64_t delta) {
   DDC_DCHECK(static_cast<int>(updated_offset.size()) == dims_);
   if (delta == 0) return;
   if (dims_ == 1) {
     scalar_ += delta;
-    if (counters != nullptr) ++counters->values_written;
+    CountValuesWritten(1);
     return;
   }
+  int64_t written = 0;
   // Every stored offset x with x >= updated_offset componentwise contains
   // the updated cell in its prefix region. Visit each face's rectangle of
   // such offsets.
@@ -137,7 +137,7 @@ void OverlayBoxArray::ApplyDelta(const Cell& updated_offset, int64_t delta,
     Cell cursor = lo;
     while (true) {
       face.at(cursor) += delta;
-      if (counters != nullptr) ++counters->values_written;
+      ++written;
       int dim = shape.dims() - 1;
       while (dim >= 0) {
         size_t ud = static_cast<size_t>(dim);
@@ -148,6 +148,7 @@ void OverlayBoxArray::ApplyDelta(const Cell& updated_offset, int64_t delta,
       if (dim < 0) break;
     }
   }
+  CountValuesWritten(written);
 }
 
 }  // namespace ddc

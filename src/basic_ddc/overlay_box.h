@@ -25,7 +25,6 @@
 
 #include "common/cell.h"
 #include "common/md_array.h"
-#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -41,16 +40,15 @@ class OverlayBoxArray {
 
   // The stored value at a far-face offset: SUM(A[anchor .. anchor+offset]).
   // `offset` must have offset[j] == side-1 for at least one j.
-  int64_t ValueAt(const Cell& offset, OpCounters* counters) const;
+  int64_t ValueAt(const Cell& offset) const;
 
   // The subtotal S: sum of every cell of A covered by this box.
-  int64_t Subtotal(OpCounters* counters) const;
+  int64_t Subtotal() const;
 
   // Records A[anchor + updated_offset] += delta by adjusting every stored
   // value whose region contains the updated cell — the cascading in-box
   // update whose cost drives the Section 3.2 analysis.
-  void ApplyDelta(const Cell& updated_offset, int64_t delta,
-                  OpCounters* counters);
+  void ApplyDelta(const Cell& updated_offset, int64_t delta);
 
   // Directly assigns the stored value at a far-face offset (bulk-build
   // path; no cascading).

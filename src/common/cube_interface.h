@@ -9,6 +9,11 @@
 // one shard is the coarse configuration) and the query-result cache
 // (CachedCube) — implement it too, so the executor and the differential
 // suites need one code path for every stack.
+//
+// A cube keeps no counts of its own: every implementation counts the
+// values it touches on the calling thread's CountBlock
+// (common/op_counter.h), so const queries stay const and a reader measures
+// any cube with CountsOf.
 
 #ifndef DDC_COMMON_CUBE_INTERFACE_H_
 #define DDC_COMMON_CUBE_INTERFACE_H_
@@ -20,7 +25,6 @@
 
 #include "common/cell.h"
 #include "common/mutation.h"
-#include "common/op_counter.h"
 #include "common/range.h"
 
 namespace ddc {
@@ -94,11 +98,6 @@ class CubeInterface {
   // for the Table 2 storage experiments.
   virtual int64_t StorageCells() const = 0;
 
-  // Measured-cost counters; mutated by const queries as well, so they are
-  // conceptually mutable statistics.
-  const OpCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_.Reset(); }
-
   virtual std::string name() const = 0;
 
   // Number of tree rebuilds (growth doublings and shrinks) so far; monotone.
@@ -116,9 +115,6 @@ class CubeInterface {
   // own section and forwards to the layer below; the default names the
   // structure as a backend without a corner planner.
   virtual void ExplainPlan(std::span<const Box> rows, std::ostream& os) const;
-
- protected:
-  mutable OpCounters counters_;
 };
 
 }  // namespace ddc

@@ -5,11 +5,10 @@
 // nanoseconds, so measured results can be compared directly against the
 // closed-form cost functions in cost_model.h.
 //
-// The DDC family (DdcCore, its face stores, B_c and Fenwick trees) counts
-// through one channel: each count site bumps the calling thread's
-// CountBlock, and DynamicDataCube's counters(), the EXPLAIN ledger and the
-// registry's ddc.* counters are views of the blocks (DESIGN.md §9). The
-// paper baselines (naive, PS, RPS, Basic DDC) keep plain OpCounters.
+// Every cube counts through one channel: each count site, in the DDC family
+// and in the paper baselines (naive, PS, RPS, Basic DDC) alike, bumps the
+// calling thread's CountBlock, and CountsOf, the EXPLAIN ledger and the
+// registry's ddc.* counters are views of the blocks (DESIGN.md §9).
 
 #ifndef DDC_COMMON_OP_COUNTER_H_
 #define DDC_COMMON_OP_COUNTER_H_
@@ -21,9 +20,7 @@
 
 namespace ddc {
 
-// A cube's counters() is plain state that its const reads update too, so it
-// holds only while the cube is used by one thread at a time; ShardedCube
-// runs its shard cubes with enable_counters off and reads stay const.
+// A reading of the four counts, or the difference of two readings.
 struct OpCounters {
   // Stored values read while answering queries.
   int64_t values_read = 0;
@@ -33,8 +30,6 @@ struct OpCounters {
   int64_t nodes_visited = 0;
   // Face-store consultations of a DDC descent (0 for the baselines).
   int64_t face_lookups = 0;
-
-  void Reset() { *this = OpCounters(); }
 
   OpCounters operator-(const OpCounters& other) const {
     OpCounters out;

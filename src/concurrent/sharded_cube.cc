@@ -52,11 +52,6 @@ struct ShardedObs {
   }
 };
 
-DdcOptions WithoutCounters(DdcOptions options) {
-  options.enable_counters = false;
-  return options;
-}
-
 // Floor division (C++ integer division truncates toward zero; slab indices
 // must be continuous across negative coordinates).
 int64_t FloorDiv(int64_t a, int64_t b) {
@@ -300,8 +295,7 @@ ShardedCube::ShardedCube(int dims, int64_t initial_side, int num_shards,
   DDC_CHECK(num_shards >= 1);
   for (int s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
-    shard.cube = std::make_unique<DynamicDataCube>(dims, initial_side,
-                                                   WithoutCounters(options));
+    shard.cube = std::make_unique<DynamicDataCube>(dims, initial_side, options);
   }
 }
 

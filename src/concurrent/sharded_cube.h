@@ -74,9 +74,8 @@ namespace ddc {
 
 class ShardedCube : public CubeInterface {
  public:
-  // `num_shards` >= 1; `options.enable_counters` is forced off. With
-  // num_shards == 1 this is the coarse facade: one reader-writer lock over
-  // one cube.
+  // `num_shards` >= 1. With num_shards == 1 this is the coarse facade: one
+  // reader-writer lock over one cube.
   ShardedCube(int dims, int64_t initial_side, int num_shards,
               DdcOptions options = {});
   ~ShardedCube() override;

@@ -38,14 +38,6 @@ struct DdcOptions {
   // of B_c trees (same asymptotics, different constants/storage).
   bool use_fenwick = false;
 
-  // When false, the cube skips its own counters() view: no CountScope per
-  // public call (two ThreadCounts() reads and a write to counters_), so
-  // queries are strictly const, which ShardedCube relies on to run readers
-  // in parallel under a shard's shared lock. The count sites still bump
-  // the calling thread's CountBlock either way, so the registry's ddc.*
-  // counters and the EXPLAIN ledger see the same counts (op_counter.h).
-  bool enable_counters = true;
-
   // The Section 4.4 space optimization: number of tree levels elided
   // immediately above the leaves. With elide_levels == h, the smallest
   // overlay boxes have side 2^(h+1) and the regions below them are stored as

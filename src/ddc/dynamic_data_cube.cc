@@ -200,7 +200,6 @@ std::unique_ptr<DynamicDataCube> DynamicDataCube::FromArray(
   const Coord side = shape.extent(0);
   for (int i = 1; i < dims; ++i) DDC_CHECK(shape.extent(i) == side);
   auto cube = std::make_unique<DynamicDataCube>(dims, side, options);
-  CountScope counting(cube.get());
   cube->core_->BuildFromArray(array);
   return cube;
 }
@@ -247,7 +246,6 @@ void DynamicDataCube::ReRootInto(int64_t new_side, Cell new_origin) {
 
 void DynamicDataCube::EnsureContains(const Cell& cell) {
   DDC_CHECK(static_cast<int>(cell.size()) == dims_);
-  CountScope counting(this);
   while (!InDomain(cell)) {
     // Double the cube, moving the origin toward the out-of-range cell: in
     // every dimension where the cell lies below the current origin the old
@@ -275,7 +273,6 @@ void DynamicDataCube::GrowFor(const Mutation& m) {
 
 void DynamicDataCube::ShrinkToFit(int64_t min_side) {
   DDC_CHECK(min_side >= 2 && IsPowerOfTwo(min_side));
-  CountScope counting(this);
   // Bounding box of the populated cells.
   bool any = false;
   Cell lo;
@@ -332,14 +329,12 @@ void DynamicDataCube::ShrinkToFit(int64_t min_side) {
 
 void DynamicDataCube::Add(const Cell& cell, int64_t delta) {
   if (delta == 0) return;
-  CountScope counting(this);
   obs::ScopedLatencyTimer timer(&UpdateNsHist());
   EnsureContains(cell);
   core_->Add(ToLocal(cell), delta);
 }
 
 void DynamicDataCube::Set(const Cell& cell, int64_t value) {
-  CountScope counting(this);
   Add(cell, value - Get(cell));
 }
 
@@ -474,7 +469,6 @@ void DynamicDataCube::RangeAdd(const Box& box, int64_t delta) {
   DDC_CHECK(box.dims() == dims_ &&
             box.hi.size() == static_cast<size_t>(dims_));
   if (box.IsEmpty() || delta == 0) return;
-  CountScope counting(this);
   obs::TraceSpan span("ddc.range_add", box.NumCells());
   EnsureContains(box.lo);
   EnsureContains(box.hi);
@@ -491,7 +485,6 @@ void DynamicDataCube::RangeSet(const Box& box, int64_t value) {
 bool DynamicDataCube::ApplyBatch(std::span<const Mutation> batch) {
   if (!BatchWellFormed(batch, dims())) return false;
   if (batch.empty()) return true;
-  CountScope counting(this);
   obs::TraceSpan span("ddc.apply_batch", static_cast<int64_t>(batch.size()));
   if (obs::Enabled()) {
     UpdateBatchSizeHist().Record(static_cast<int64_t>(batch.size()));
@@ -665,14 +658,12 @@ int64_t DynamicDataCube::StorageCells() const {
 
 int64_t DynamicDataCube::Get(const Cell& cell) const {
   if (!InDomain(cell)) return 0;
-  CountScope counting(this);
   const Cell local = ToLocal(cell);
   return core_->Get(local) + OverlayValueLocal(local);
 }
 
 int64_t DynamicDataCube::PrefixSum(const Cell& cell) const {
   DDC_CHECK(InDomain(cell));
-  CountScope counting(this);
   obs::ScopedLatencyTimer timer(&PrefixSumNsHist());
   if (obs::Enabled()) QueryDepthHist().Record(core_->DescentLevels());
   if (obs::CostLedger* l = obs::ActiveLedger()) {
@@ -684,7 +675,6 @@ int64_t DynamicDataCube::PrefixSum(const Cell& cell) const {
 }
 
 int64_t DynamicDataCube::RangeSum(const Box& box) const {
-  CountScope counting(this);
   if (obs::Enabled()) {
     obs::WorkloadRecorder::Default().RecordRead(box.lo.data(),
                                                 box.hi.data(), dims_);
@@ -696,7 +686,6 @@ void DynamicDataCube::RangeSumBatch(std::span<const Box> ranges,
                                     std::span<int64_t> out) const {
   DDC_CHECK(ranges.size() == out.size());
   if (ranges.empty()) return;
-  CountScope counting(this);
   obs::TraceSpan span("ddc.range_sum_batch",
                       static_cast<int64_t>(ranges.size()));
   if (obs::Enabled()) {

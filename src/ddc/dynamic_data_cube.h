@@ -209,24 +209,6 @@ class DynamicDataCube : public CubeInterface {
 
   bool InDomain(const Cell& cell) const;
   Cell ToLocal(const Cell& cell) const { return CellSub(cell, origin_); }
-  // counters() as a view of the count block (common/op_counter.h): every
-  // public entry point holds one, and the outermost on this cube adds the
-  // calling thread's count growth across the call to counters_. Inert with
-  // enable_counters off, so shard cubes' reads stay strictly const.
-  struct CountScope {
-    explicit CountScope(const DynamicDataCube* c)
-        : cube(c->options_.enable_counters && !c->counting_ ? c : nullptr),
-          start(cube != nullptr ? ThreadCounts() : OpCounters{}) {
-      if (cube != nullptr) cube->counting_ = true;
-    }
-    ~CountScope() {
-      if (cube == nullptr) return;
-      cube->counters_ += ThreadCounts() - start;
-      cube->counting_ = false;
-    }
-    const DynamicDataCube* cube;  // Null unless this call is outermost.
-    const OpCounters start;
-  };
   void ReattachListener();
   // The one re-root body: rebuilds the tree into a fresh core (and arena)
   // of `new_side` anchored at `new_origin`, re-inserting every nonzero cell,
@@ -303,8 +285,6 @@ class DynamicDataCube : public CubeInterface {
   // SUM over all applied range-adds of delta * box cells: TotalSum() =
   // primary total + this.
   int64_t range_total_ = 0;
-  // A CountScope is open on this cube.
-  mutable bool counting_ = false;
   // ApplyCoalescedPoints' local cells and net deltas, reused across batches.
   std::vector<Cell> write_cells_;
   std::vector<int64_t> write_deltas_;

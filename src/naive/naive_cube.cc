@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -22,16 +23,16 @@ Cell NaiveCube::DomainHi() const {
 
 void NaiveCube::Set(const Cell& cell, int64_t value) {
   array_.at(cell) = value;
-  ++counters_.values_written;
+  CountValuesWritten(1);
 }
 
 void NaiveCube::Add(const Cell& cell, int64_t delta) {
   array_.at(cell) += delta;
-  ++counters_.values_written;
+  CountValuesWritten(1);
 }
 
 int64_t NaiveCube::Get(const Cell& cell) const {
-  ++counters_.values_read;
+  CountValuesRead(1);
   return array_.at(cell);
 }
 
@@ -44,11 +45,11 @@ int64_t NaiveCube::RangeSum(const Box& box) const {
   const Box clipped = IntersectBoxes(box, Box{DomainLo(), DomainHi()});
   if (clipped.IsEmpty()) return 0;
   // Scan every cell of the region.
+  CountValuesRead(clipped.NumCells());
   int64_t sum = 0;
   Cell cursor = clipped.lo;
   while (true) {
     sum += array_.at(cursor);
-    ++counters_.values_read;
     // Row-major advance within the clipped box.
     int dim = dims() - 1;
     while (dim >= 0) {

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -55,9 +56,10 @@ void PrefixSumCube::Add(const Cell& cell, int64_t delta) {
   // A[cell] as a component and must be adjusted.
   const Shape& shape = p_.shape();
   Cell cursor = cell;
+  int64_t written = 0;
   while (true) {
     p_.at(cursor) += delta;
-    ++counters_.values_written;
+    ++written;
     int dim = shape.dims() - 1;
     while (dim >= 0) {
       size_t ud = static_cast<size_t>(dim);
@@ -67,11 +69,12 @@ void PrefixSumCube::Add(const Cell& cell, int64_t delta) {
     }
     if (dim < 0) break;
   }
+  CountValuesWritten(written);
 }
 
 int64_t PrefixSumCube::PrefixSum(const Cell& cell) const {
   DDC_CHECK(p_.shape().Contains(cell));
-  ++counters_.values_read;
+  CountValuesRead(1);
   return p_.at(cell);
 }
 

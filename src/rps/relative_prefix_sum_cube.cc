@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/op_counter.h"
 
 namespace ddc {
 
@@ -127,6 +128,7 @@ void RelativePrefixSumCube::Add(const Cell& cell, int64_t delta) {
   DDC_CHECK(shape_.Contains(cell));
   if (delta == 0) return;
   const int d = shape_.dims();
+  int64_t written = 0;
 
   // 1. Block-local prefixes: every RP cell in the same block dominated by
   //    `cell` contains it.
@@ -141,7 +143,7 @@ void RelativePrefixSumCube::Add(const Cell& cell, int64_t delta) {
     Cell cursor = region.lo;
     while (true) {
       rp_.at(cursor) += delta;
-      ++counters_.values_written;
+      ++written;
       int dim = d - 1;
       while (dim >= 0) {
         size_t ud = static_cast<size_t>(dim);
@@ -181,7 +183,7 @@ void RelativePrefixSumCube::Add(const Cell& cell, int64_t delta) {
     Cell cursor = region.lo;
     while (true) {
       table.at(cursor) += delta;
-      ++counters_.values_written;
+      ++written;
       int dim = d - 1;
       while (dim >= 0) {
         size_t ud = static_cast<size_t>(dim);
@@ -192,6 +194,7 @@ void RelativePrefixSumCube::Add(const Cell& cell, int64_t delta) {
       if (dim < 0) break;
     }
   }
+  CountValuesWritten(written);
 }
 
 int64_t RelativePrefixSumCube::PrefixSum(const Cell& cell) const {
@@ -199,7 +202,7 @@ int64_t RelativePrefixSumCube::PrefixSum(const Cell& cell) const {
   const int d = shape_.dims();
   // S = {}: the block-local relative prefix.
   int64_t sum = rp_.at(cell);
-  ++counters_.values_read;
+  int64_t read = 1;
 
   const uint32_t num_subsets = 1u << d;
   Cell index(static_cast<size_t>(d));
@@ -220,8 +223,9 @@ int64_t RelativePrefixSumCube::PrefixSum(const Cell& cell) const {
     }
     if (zero_term) continue;
     sum += tables_[mask - 1].at(index);
-    ++counters_.values_read;
+    ++read;
   }
+  CountValuesRead(read);
   return sum;
 }
 

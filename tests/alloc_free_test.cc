@@ -275,12 +275,6 @@ TEST(AllocFreeParseTest, StatementAllocatesOnlyWhatItHolds) {
 // difference.
 class AllocFreeShardedTest : public ::testing::Test {
  protected:
-  static DdcOptions ShardOptions() {
-    DdcOptions options;
-    options.enable_counters = false;  // As ShardedCube runs its shards.
-    return options;
-  }
-
   // Splits `batch` into the shard groups, in batch order.
   void SplitGroups(const MutationBatch& batch) {
     for (int s = 0; s < 2; ++s) {
@@ -306,8 +300,8 @@ class AllocFreeShardedTest : public ::testing::Test {
   }
 
   ShardedCube sharded_{2, 1024, 2};
-  DynamicDataCube mirrors_[2] = {DynamicDataCube(2, 1024, ShardOptions()),
-                                 DynamicDataCube(2, 1024, ShardOptions())};
+  DynamicDataCube mirrors_[2] = {DynamicDataCube(2, 1024),
+                                 DynamicDataCube(2, 1024)};
   MutationBatch groups_[2];
 };
 
@@ -364,12 +358,10 @@ TEST(AllocFreeShardedReadTest, ReadRoutingAddsNothingToTheShardCubes) {
       {Box{{10, 10}, {300, 900}}}, {Box{{100, 0}, {900, 1023}}}, many};
   for (const int shards : {1, 2}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    DdcOptions options;
-    options.enable_counters = false;  // As ShardedCube runs its shards.
     ShardedCube sharded(2, kSide, shards);
     std::vector<std::unique_ptr<DynamicDataCube>> mirrors;
     for (int s = 0; s < shards; ++s) {
-      mirrors.push_back(std::make_unique<DynamicDataCube>(2, kSide, options));
+      mirrors.push_back(std::make_unique<DynamicDataCube>(2, kSide));
     }
     for (int i = 0; i < 2000; ++i) {
       const Cell cell{coord(rng), coord(rng)};

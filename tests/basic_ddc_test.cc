@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "naive/naive_cube.h"
 #include "paper_example.h"
@@ -30,9 +31,7 @@ TEST(BasicDdcTest, PaperFigure11Query) {
 TEST(BasicDdcTest, PaperFigure12Update) {
   BasicDdc cube(2, 8);
   LoadPaperArray(&cube);
-  cube.ResetCounters();
-  cube.Set(kTargetCell, 6);
-  EXPECT_EQ(cube.counters().values_written, 7);
+  EXPECT_EQ(CountsOf([&] { cube.Set(kTargetCell, 6); }).values_written, 7);
   EXPECT_EQ(cube.Get(kTargetCell), 6);
   EXPECT_EQ(cube.PrefixSum(kTargetCell), kTargetRegionSum + 1);
   // Box T's subtotal becomes 62, V's 16.
@@ -86,11 +85,11 @@ TEST(BasicDdcTest, WorstCaseUpdateCostTracksSeries) {
   for (int64_t n : {8, 16, 32, 64}) {
     BasicDdc cube(2, n);
     cube.Add(UniformCell(2, n - 1), 1);  // Materialize cheap path first.
-    cube.ResetCounters();
-    cube.Add(UniformCell(2, 0), 1);  // Anchor: worst case.
+    // Anchor: worst case.
+    const int64_t written =
+        CountsOf([&] { cube.Add(UniformCell(2, 0), 1); }).values_written;
     const double model = BasicDdcUpdateCost(static_cast<double>(n), 2);
-    const double measured =
-        static_cast<double>(cube.counters().values_written);
+    const double measured = static_cast<double>(written);
     // The exact layout writes k^d - (k-1)^d <= d*k^(d-1) values per level;
     // measured must sit within [model/2, model] for d=2 (2k-1 vs 2k).
     EXPECT_LE(measured, model);
@@ -101,9 +100,8 @@ TEST(BasicDdcTest, WorstCaseUpdateCostTracksSeries) {
 // Far-corner updates are the best case: one value per level.
 TEST(BasicDdcTest, BestCaseUpdateCost) {
   BasicDdc cube(2, 64);
-  cube.ResetCounters();
-  cube.Add(UniformCell(2, 63), 1);
-  EXPECT_EQ(cube.counters().values_written, cube.num_levels());
+  EXPECT_EQ(CountsOf([&] { cube.Add(UniformCell(2, 63), 1); }).values_written,
+            cube.num_levels());
 }
 
 // Queries touch at most (2^d - 1) values per level (Theorem 1's counting).
@@ -115,9 +113,8 @@ TEST(BasicDdcTest, QueryCostBound) {
   }
   for (int i = 0; i < 50; ++i) {
     const Cell probe = gen.UniformCell();
-    cube.ResetCounters();
-    cube.PrefixSum(probe);
-    EXPECT_LE(cube.counters().values_read, 3 * cube.num_levels());
+    EXPECT_LE(CountsOf([&] { cube.PrefixSum(probe); }).values_read,
+              3 * cube.num_levels());
   }
 }
 

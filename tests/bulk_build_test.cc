@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bctree/bc_tree.h"
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -204,13 +205,15 @@ TEST(DdcBuildFromArrayTest, BulkWritesFewerValues) {
   WorkloadGenerator gen(shape, 13);
   MdArray<int64_t> array = gen.RandomDenseArray(1, 9);
 
-  auto bulk = DynamicDataCube::FromArray(array);
-  const int64_t bulk_writes = bulk->counters().values_written;
+  const int64_t bulk_writes =
+      CountsOf([&] { DynamicDataCube::FromArray(array); }).values_written;
 
   DynamicDataCube incremental(2, 64);
-  array.ForEach(
-      [&](const Cell& c, const int64_t& v) { incremental.Add(c, v); });
-  const int64_t incremental_writes = incremental.counters().values_written;
+  const int64_t incremental_writes =
+      CountsOf([&] {
+        array.ForEach(
+            [&](const Cell& c, const int64_t& v) { incremental.Add(c, v); });
+      }).values_written;
   EXPECT_LT(bulk_writes, incremental_writes / 2);
 }
 

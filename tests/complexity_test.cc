@@ -11,6 +11,7 @@
 
 #include "basic_ddc/basic_ddc.h"
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
 #include "prefix/prefix_sum_cube.h"
@@ -32,24 +33,16 @@ UpdateCosts MeasureWorstCaseUpdate(int dims, int64_t side) {
   UpdateCosts costs{};
 
   PrefixSumCube ps(Shape::Cube(dims, side));
-  ps.ResetCounters();
-  ps.Add(anchor, 1);
-  costs.prefix_sum = ps.counters().values_written;
+  costs.prefix_sum = CountsOf([&] { ps.Add(anchor, 1); }).values_written;
 
   RelativePrefixSumCube rps(Shape::Cube(dims, side));
-  rps.ResetCounters();
-  rps.Add(anchor, 1);
-  costs.rps = rps.counters().values_written;
+  costs.rps = CountsOf([&] { rps.Add(anchor, 1); }).values_written;
 
   BasicDdc basic(dims, side);
-  basic.ResetCounters();
-  basic.Add(anchor, 1);
-  costs.basic_ddc = basic.counters().values_written;
+  costs.basic_ddc = CountsOf([&] { basic.Add(anchor, 1); }).values_written;
 
   DynamicDataCube ddc_cube(dims, side);
-  ddc_cube.ResetCounters();
-  ddc_cube.Add(anchor, 1);
-  costs.ddc = ddc_cube.counters().values_written;
+  costs.ddc = CountsOf([&] { ddc_cube.Add(anchor, 1); }).values_written;
 
   return costs;
 }
@@ -131,9 +124,8 @@ TEST(ComplexityTest, DdcQueryPolylog) {
   int64_t worst_read = 0;
   for (int i = 0; i < 40; ++i) {
     const Cell probe = gen.UniformCell();
-    cube.ResetCounters();
-    cube.PrefixSum(probe);
-    worst_read = std::max(worst_read, cube.counters().values_read);
+    worst_read = std::max(
+        worst_read, CountsOf([&] { cube.PrefixSum(probe); }).values_read);
   }
   // O(log^2 n) with B_c constants: far below the O(n) a scan would need for
   // typical probes (let alone n^2).
@@ -147,9 +139,8 @@ TEST(ComplexityTest, BasicDdcVisitsOneNodePerLevel) {
   for (const UpdateOp& op : gen.UniformUpdates(200, 1, 9)) {
     cube.Add(op.cell, op.delta);
   }
-  cube.ResetCounters();
-  cube.PrefixSum({200, 133});
-  EXPECT_LE(cube.counters().nodes_visited, cube.num_levels());
+  EXPECT_LE(CountsOf([&] { cube.PrefixSum({200, 133}); }).nodes_visited,
+            cube.num_levels());
 }
 
 }  // namespace

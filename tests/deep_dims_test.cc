@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "ddc/dynamic_data_cube.h"
 #include "naive/naive_cube.h"
@@ -59,14 +60,14 @@ TEST_P(DeepDimsTest, UpdateCostStaysPolylog) {
   const int dims = GetParam();
   const int64_t side = 8;
   DynamicDataCube cube(dims, side);
-  cube.ResetCounters();
-  cube.Add(UniformCell(dims, 0), 1);
+  const int64_t written =
+      CountsOf([&] { cube.Add(UniformCell(dims, 0), 1); }).values_written;
   // The model (2 * log2 side)^d is a generous ceiling for the recursive
   // update; the point is that it is bounded by a function of log side and d,
   // not of side^d (which would be 8^6 ~ 262144 for d=6).
   int64_t ceiling = 1;
   for (int i = 0; i < dims; ++i) ceiling *= 2 * 3;  // (2 log2 8)^d.
-  EXPECT_LE(cube.counters().values_written, ceiling);
+  EXPECT_LE(written, ceiling);
 }
 
 INSTANTIATE_TEST_SUITE_P(DimensionSweep, DeepDimsTest,

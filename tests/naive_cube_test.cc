@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "paper_example.h"
 
@@ -65,16 +66,13 @@ TEST(NaiveCubeTest, RangeSumClipsToDomain) {
 
 TEST(NaiveCubeTest, UpdateCostIsConstant) {
   NaiveCube cube(Shape::Cube(2, 16));
-  cube.ResetCounters();
-  cube.Add({3, 3}, 1);
-  EXPECT_EQ(cube.counters().values_written, 1);
+  EXPECT_EQ(CountsOf([&] { cube.Add({3, 3}, 1); }).values_written, 1);
 }
 
 TEST(NaiveCubeTest, QueryCostIsRegionSize) {
   NaiveCube cube(Shape::Cube(2, 16));
-  cube.ResetCounters();
-  cube.RangeSum(Box{{0, 0}, {7, 7}});
-  EXPECT_EQ(cube.counters().values_read, 64);
+  EXPECT_EQ(CountsOf([&] { cube.RangeSum(Box{{0, 0}, {7, 7}}); }).values_read,
+            64);
 }
 
 TEST(NaiveCubeTest, OneDimensional) {

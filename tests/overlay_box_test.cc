@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/shape.h"
 
 namespace ddc {
@@ -64,9 +65,9 @@ TEST(OverlayBoxTest, Table2Rows) {
 TEST(OverlayBoxTest, SingleCellBoxIsJustSubtotal) {
   OverlayBoxArray box(2, 1);
   EXPECT_EQ(box.StorageCells(), 1);
-  box.ApplyDelta({0, 0}, 42, nullptr);
-  EXPECT_EQ(box.Subtotal(nullptr), 42);
-  EXPECT_EQ(box.ValueAt({0, 0}, nullptr), 42);
+  box.ApplyDelta({0, 0}, 42);
+  EXPECT_EQ(box.Subtotal(), 42);
+  EXPECT_EQ(box.ValueAt({0, 0}), 42);
 }
 
 TEST(OverlayBoxTest, TwoDimensionalRowSums) {
@@ -79,7 +80,7 @@ TEST(OverlayBoxTest, TwoDimensionalRowSums) {
   Cell c(2, 0);
   int64_t v = 1;
   do {
-    box.ApplyDelta(c, v, nullptr);
+    box.ApplyDelta(c, v);
     ref.Add(c, v);
     ++v;
   } while (shape.NextCell(&c));
@@ -87,10 +88,10 @@ TEST(OverlayBoxTest, TwoDimensionalRowSums) {
   Cell probe(2, 0);
   do {
     if (!OnFarFace(probe, 4)) continue;
-    EXPECT_EQ(box.ValueAt(probe, nullptr), ref.PrefixAt(probe))
+    EXPECT_EQ(box.ValueAt(probe), ref.PrefixAt(probe))
         << CellToString(probe);
   } while (shape.NextCell(&probe));
-  EXPECT_EQ(box.Subtotal(nullptr), ref.PrefixAt({3, 3}));
+  EXPECT_EQ(box.Subtotal(), ref.PrefixAt({3, 3}));
 }
 
 class OverlayBoxRandomTest
@@ -108,14 +109,14 @@ TEST_P(OverlayBoxRandomTest, AllFarFaceValuesMatchReference) {
     const Cell target = shape.CellAt(
         std::uniform_int_distribution<int64_t>(0, shape.num_cells() - 1)(rng));
     const int64_t dv = delta(rng);
-    box.ApplyDelta(target, dv, nullptr);
+    box.ApplyDelta(target, dv);
     ref.Add(target, dv);
   }
 
   Cell probe(static_cast<size_t>(d), 0);
   do {
     if (!OnFarFace(probe, k)) continue;
-    ASSERT_EQ(box.ValueAt(probe, nullptr), ref.PrefixAt(probe))
+    ASSERT_EQ(box.ValueAt(probe), ref.PrefixAt(probe))
         << CellToString(probe);
   } while (shape.NextCell(&probe));
 }
@@ -132,15 +133,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, int64_t>{4, 4}));
 
 TEST(OverlayBoxTest, UpdateCountsWrites) {
-  OpCounters counters;
   OverlayBoxArray box(2, 4);
   // Updating the anchor (0,0) touches every stored value: 2k-1 = 7.
-  box.ApplyDelta({0, 0}, 1, &counters);
-  EXPECT_EQ(counters.values_written, 7);
-  counters.Reset();
+  EXPECT_EQ(CountsOf([&] { box.ApplyDelta({0, 0}, 1); }).values_written, 7);
   // Updating the far corner touches only the subtotal cell.
-  box.ApplyDelta({3, 3}, 1, &counters);
-  EXPECT_EQ(counters.values_written, 1);
+  EXPECT_EQ(CountsOf([&] { box.ApplyDelta({3, 3}, 1); }).values_written, 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "naive/naive_cube.h"
 #include "paper_example.h"
@@ -55,15 +56,11 @@ TEST(PrefixSumCubeTest, PaperWalkthrough) {
 // the cascading update; updating the origin rewrites the whole array.
 TEST(PrefixSumCubeTest, CascadingUpdateCost) {
   PrefixSumCube cube(Shape::Cube(2, 8));
-  cube.ResetCounters();
-  cube.Add({1, 1}, 5);
-  EXPECT_EQ(cube.counters().values_written, 7 * 7);
-  cube.ResetCounters();
-  cube.Add({0, 0}, 5);
-  EXPECT_EQ(cube.counters().values_written, 64);  // O(n^d) worst case.
-  cube.ResetCounters();
-  cube.Add({7, 7}, 5);
-  EXPECT_EQ(cube.counters().values_written, 1);  // Best case.
+  EXPECT_EQ(CountsOf([&] { cube.Add({1, 1}, 5); }).values_written, 7 * 7);
+  // O(n^d) worst case.
+  EXPECT_EQ(CountsOf([&] { cube.Add({0, 0}, 5); }).values_written, 64);
+  // Best case.
+  EXPECT_EQ(CountsOf([&] { cube.Add({7, 7}, 5); }).values_written, 1);
 }
 
 // O(1) queries: a prefix query reads exactly one cell, a range query at
@@ -74,12 +71,10 @@ TEST(PrefixSumCubeTest, ConstantTimeQueries) {
   for (const UpdateOp& op : gen.UniformUpdates(50, 1, 9)) {
     cube.Add(op.cell, op.delta);
   }
-  cube.ResetCounters();
-  cube.PrefixSum({5, 5, 5});
-  EXPECT_EQ(cube.counters().values_read, 1);
-  cube.ResetCounters();
-  cube.RangeSum(Box{{1, 2, 3}, {5, 6, 7}});
-  EXPECT_LE(cube.counters().values_read, 8);
+  EXPECT_EQ(CountsOf([&] { cube.PrefixSum({5, 5, 5}); }).values_read, 1);
+  EXPECT_LE(
+      CountsOf([&] { cube.RangeSum(Box{{1, 2, 3}, {5, 6, 7}}); }).values_read,
+      8);
 }
 
 TEST(PrefixSumCubeTest, AgreesWithNaiveOnRandomTrace) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cost_model.h"
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "naive/naive_cube.h"
 #include "paper_example.h"
@@ -33,10 +34,8 @@ TEST(RpsTest, ConstantTimeQueries) {
   for (const UpdateOp& op : gen.UniformUpdates(100, 1, 5)) {
     cube.Add(op.cell, op.delta);
   }
-  cube.ResetCounters();
-  cube.PrefixSum({40, 40});
   // One read per dimension subset: 2^d = 4.
-  EXPECT_LE(cube.counters().values_read, 4);
+  EXPECT_LE(CountsOf([&] { cube.PrefixSum({40, 40}); }).values_read, 4);
 }
 
 // Worst-case update touches O((n/k + k)^d) = O(n^(d/2)) cells — far fewer
@@ -44,9 +43,8 @@ TEST(RpsTest, ConstantTimeQueries) {
 TEST(RpsTest, UpdateCostEnvelope) {
   const int64_t n = 64;  // k = 8, blocks = 8.
   RelativePrefixSumCube cube(Shape::Cube(2, n));
-  cube.ResetCounters();
-  cube.Add({0, 0}, 1);  // Worst case.
-  const int64_t worst = cube.counters().values_written;
+  // Worst case.
+  const int64_t worst = CountsOf([&] { cube.Add({0, 0}, 1); }).values_written;
   // (n/k + k)^d = 16^2 = 256.
   EXPECT_LE(worst, 256);
   // Must beat the prefix-sum worst case n^d = 4096 by a wide margin.

@@ -430,13 +430,10 @@ TEST(ShardedCubeTest, SlicedBuildsHaveOneCallStructure) {
   std::uniform_int_distribution<int64_t> coord(0, kSide - 1);
   for (const bool with_range : {false, true}) {
     ShardedCube sharded(2, kSide, kShards);
-    DdcOptions options;
-    options.enable_counters = false;  // As ShardedCube runs its shards.
     std::vector<std::unique_ptr<DynamicDataCube>> one_call;
     std::vector<MutationBatch> groups(kShards);
     for (int s = 0; s < kShards; ++s) {
-      one_call.push_back(
-          std::make_unique<DynamicDataCube>(2, kSide, options));
+      one_call.push_back(std::make_unique<DynamicDataCube>(2, kSide));
     }
     MutationBatch batch;
     for (size_t i = 0; i < (3 * kShards + 2) * kSlice; ++i) {
@@ -481,12 +478,10 @@ TEST(ShardedCubeTest, SlicedGroupsReRootAsUnslicedGroups) {
   constexpr int64_t kSide = 16;  // Slab width 5.
   constexpr size_t kRounds = 3 * kSlice + 9;
   ShardedCube sharded(2, kSide, kShards);
-  DdcOptions options;
-  options.enable_counters = false;  // As ShardedCube runs its shards.
   std::vector<std::unique_ptr<DynamicDataCube>> unsliced;
   std::vector<MutationBatch> groups(kShards);
   for (int s = 0; s < kShards; ++s) {
-    unsliced.push_back(std::make_unique<DynamicDataCube>(2, kSide, options));
+    unsliced.push_back(std::make_unique<DynamicDataCube>(2, kSide));
   }
   WorkloadGenerator gen(Shape::Cube(2, kSide), seed);
   // Rows outside [0, 16), each first reached in a different slice.

@@ -74,8 +74,7 @@ TEST(SnapshotTest, RoundTripPreservesGrownDomain) {
   ExpectSameAnswers(cube, *loaded, 7);
 }
 
-// Every persisted option, each way a flag can go: enable_counters is the
-// only DdcOptions field the snapshot does not write (it is runtime-only).
+// Every DdcOptions field is persisted; each way a flag can go.
 TEST(SnapshotTest, RoundTripPreservesOptions) {
   for (const bool use_fenwick : {false, true}) {
     SCOPED_TRACE(use_fenwick ? "fenwick" : "bc");

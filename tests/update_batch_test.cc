@@ -20,6 +20,7 @@
 #include "basic_ddc/basic_ddc.h"
 #include "common/cube_interface.h"
 #include "common/mutation.h"
+#include "common/op_counter.h"
 #include "common/workload.h"
 #include "concurrent/sharded_cube.h"
 #include "ddc/dynamic_data_cube.h"
@@ -245,6 +246,8 @@ TEST(UpdateBatchTest, DistinctPointBatchMatchesLoopedAddsInCounts) {
                           seed + static_cast<uint64_t>(dims));
     DynamicDataCube batched(dims, side);
     DynamicDataCube looped(dims, side);
+    OpCounters bc;
+    OpCounters lc;
     std::set<Cell> seen;
     // A cold batch that materializes the tree, then a warm one into it.
     for (const size_t count : {150, 100}) {
@@ -255,8 +258,12 @@ TEST(UpdateBatchTest, DistinctPointBatchMatchesLoopedAddsInCounts) {
         batch.push_back(
             Mutation{std::move(cell), gen.Value(1, 9), MutationKind::kAdd});
       }
-      ASSERT_TRUE(batched.ApplyBatch(batch));
-      for (const Mutation& m : batch) looped.Add(m.cell, m.delta);
+      bool applied = false;
+      bc += CountsOf([&] { applied = batched.ApplyBatch(batch); });
+      ASSERT_TRUE(applied);
+      lc += CountsOf([&] {
+        for (const Mutation& m : batch) looped.Add(m.cell, m.delta);
+      });
 
       // The census, not the arena byte counts: those include the padding
       // of cache-line-aligned slabs, which depends on the order the tree's
@@ -273,8 +280,6 @@ TEST(UpdateBatchTest, DistinctPointBatchMatchesLoopedAddsInCounts) {
       EXPECT_EQ(b.nested_cores, l.nested_cores);
       EXPECT_EQ(b.leaf_faces, l.leaf_faces);
 
-      const OpCounters bc = batched.counters();
-      const OpCounters lc = looped.counters();
       EXPECT_EQ(bc.values_written, lc.values_written);
       EXPECT_EQ(bc.nodes_visited, lc.nodes_visited);
       EXPECT_EQ(bc.values_read, lc.values_read);

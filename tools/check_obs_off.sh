@@ -19,8 +19,8 @@ cd "$(dirname "$0")/.."
 # facade itself (obs_test asserts the no-op behavior when compiled out), and
 # the introspection surface (introspect_test covers the compiled-out ledger,
 # workload recorder and flight recorder; ddctool_test the CLI commands), and
-# the count channel (count_channel_test: counters() stays exact with the
-# ledger and registry compiled out).
+# the count channel (count_channel_test: CountsOf stays exact for every cube
+# with the ledger and registry compiled out).
 OBS_OFF_TARGETS=(ddc_core_test update_batch_test query_batch_test
                  concurrent_test obs_test introspect_test ddctool_test
                  count_channel_test)

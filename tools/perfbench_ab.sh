@@ -21,7 +21,10 @@
 # the base's interquartile range), and whether the change is rejected as a
 # regression (`bound`: WORSE when the change's median is worse than the
 # base median by more than the metric's `bound` in BENCHMARK.json, a
-# fraction of the base median; ok otherwise). After each workload's summary
+# fraction of the base median; else unresolved when the base's
+# interquartile range is wider than that same bound, so the runs cannot
+# tell a regression from noise, unless every change run beats every base
+# run; ok otherwise). After each workload's summary
 # one line per pair gives the seed and each side's read_p50_us and
 # write_p50_us: a pair where one side drew a slow host mode shows both of
 # its latencies up together. Such a pair is marked `split (base)` or
@@ -34,7 +37,7 @@
 
 set -euo pipefail
 
-usage() { sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 1 ]] || usage
 BASE_REV=$1
@@ -161,11 +164,15 @@ for metric in spec["end_to_end"]:
     gap = (bq[1] - cq[1]) if lower else (cq[1] - bq[1])
     holds = wins >= need and gap > bq[2] - bq[0]
     delta = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
-    worse = -gap > metric["bound"] * abs(bq[1])
+    limit = metric["bound"] * abs(bq[1])
+    worse = -gap > limit
+    beats_all = max(c) < min(b) if lower else min(c) > max(b)
+    unresolved = bq[2] - bq[0] > limit and not beats_all
     print("%-24s %-30s %-30s %+7.1f%% %3d/%-2d  %-6s %s" %
           (name, "%.4g [%.4g, %.4g]" % (bq[1], bq[0], bq[2]),
            "%.4g [%.4g, %.4g]" % (cq[1], cq[0], cq[2]), delta, wins, pairs,
-           "holds" if holds else "no", "WORSE" if worse else "ok"))
+           "holds" if holds else "no",
+           "WORSE" if worse else "unresolved" if unresolved else "ok"))
 print()
 
 
